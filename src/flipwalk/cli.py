@@ -81,6 +81,10 @@ class ExperimentConfig:
             raise InvalidParameterError(f"format must be json|csv|dot, got {self.fmt!r}")
         if self.epsilon <= 0:
             raise InvalidParameterError("epsilon must be positive")
+        if self.steps < 0:
+            raise InvalidParameterError(f"steps must be >= 0 (field 'steps' = {self.steps})")
+        if self.thin < 1:
+            raise InvalidParameterError(f"thin must be >= 1 (field 'thin' = {self.thin})")
 
 
 def load_config_file(path: str) -> dict:

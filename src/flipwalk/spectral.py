@@ -1,6 +1,9 @@
 """Chain analysis for lazy flip walks: transition matrices, total variation
 distance, exact mixing times, spectral gaps, Cheeger-style expansion brackets,
 brute-force expansion for tiny graphs, and the shortest-side central cut.
+
+scipy is imported inside the functions that use it: importing it costs
+more than the rest of the package, and only the spectral commands need it.
 """
 
 from __future__ import annotations
@@ -18,41 +21,53 @@ from .errors import (
     InvalidParameterError,
     NumericFailureError,
 )
+from .kangulation import FlipGraph, orbit_representatives
 
 EXACT_START_CAP = 2000  # all-starts exact mixing below this size
 EXACT_ANALYSIS_CAP = 300_000  # beyond this, mixing analysis is refused
-DENSE_EIG_CAP = 5000
+MIXING_CHUNK = 256  # point-mass columns stepped together by _mixing_block
+EIGSH_SEED = 7  # fixed Lanczos start vector, so reruns are byte-identical
 
 
 @dataclass
 class ChainAnalysis:
     """Lazy uniform walk on a graph: P = I/2 + A/(2*Delta), pi uniform.
 
-    Fields are computed on demand and cached; the transition matrix is held
-    dense only while needed.
+    P is held as one sparse CSR matrix, built on first use; the second
+    eigenpair and mixing times are computed on demand and cached.
     """
 
     graph: object
     delta: int
-    _P: np.ndarray | None = field(default=None, repr=False)
-    _gap: float | None = field(default=None, repr=False)
+    _P: object = field(default=None, repr=False)
+    _eig: tuple | None = field(default=None, repr=False)
     _mixing: dict = field(default_factory=dict, repr=False)
 
     @property
     def num_states(self) -> int:
         return self.graph.num_vertices
 
-    def transition_matrix(self) -> np.ndarray:
+    def operator(self):
+        """P as a scipy CSR matrix; symmetric, so P @ x steps a distribution."""
         if self._P is None:
+            import scipy.sparse as sp
+
             n = self.num_states
-            p = np.zeros((n, n))
+            adj = self.graph.adj
+            degs = np.fromiter(map(len, adj), dtype=np.int64, count=n)
+            indptr = np.concatenate(([0], np.cumsum(degs)))
+            indices = np.fromiter(
+                (j for nbrs in adj for j in nbrs), dtype=np.int64, count=int(indptr[-1])
+            )
             off = 1.0 / (2 * self.delta)
-            for i, nbrs in enumerate(self.graph.adj):
-                for j in nbrs:
-                    p[i, j] = off
-                p[i, i] = 1.0 - off * len(nbrs)
-            self._P = p
+            moves = sp.csr_matrix(
+                (np.full(indices.size, off), indices, indptr), shape=(n, n)
+            )
+            self._P = (moves + sp.diags(1.0 - off * degs)).tocsr()
         return self._P
+
+    def transition_matrix(self) -> np.ndarray:
+        return self.operator().toarray()
 
     def transition_row_exact(self, i: int) -> dict:
         """Row i of P as exact rationals (sums to 1 exactly)."""
@@ -61,24 +76,28 @@ class ChainAnalysis:
         row[i] = 1 - off * len(self.graph.adj[i])
         return row
 
-    def spectral_gap(self, tol: float = 1e-10, max_iter: int = 50000) -> float:
-        if self._gap is None:
+    def _second_eigenpair(self) -> tuple:
+        """(lambda_2, eigenvector) by Lanczos; dense for N <= 2, where
+        ARPACK cannot return two eigenpairs."""
+        if self._eig is None:
             n = self.num_states
-            if n <= DENSE_EIG_CAP:
-                evals = np.linalg.eigvalsh(self.transition_matrix())
-                lam2 = evals[-2] if n > 1 else evals[-1]
+            if n <= 2:
+                evals, evecs = np.linalg.eigh(self.transition_matrix())
+                self._eig = (float(evals[-2]), evecs[:, -2])
             else:
-                lam2 = _second_eigenvalue_iterative(self, tol, max_iter)
-            self._gap = float(1.0 - lam2)
-        return self._gap
+                from scipy.sparse.linalg import eigsh
+
+                v0 = np.random.default_rng(EIGSH_SEED).standard_normal(n)
+                evals, evecs = eigsh(self.operator(), k=2, which="LA", v0=v0, tol=0)
+                i = int(np.argmin(evals))
+                self._eig = (float(evals[i]), evecs[:, i])
+        return self._eig
+
+    def spectral_gap(self) -> float:
+        return 1.0 - self._second_eigenpair()[0]
 
     def second_eigenvector(self) -> np.ndarray:
-        n = self.num_states
-        if n > DENSE_EIG_CAP:
-            _, vec = _second_eigenpair_power(self, 1e-10, 50000)
-            return vec
-        evals, evecs = np.linalg.eigh(self.transition_matrix())
-        return evecs[:, -2]
+        return self._second_eigenpair()[1]
 
     def summary(self) -> dict:
         lo, hi = cheeger_bounds(self)
@@ -115,9 +134,9 @@ def tvd(mu, nu) -> float:
     return 0.5 * float(np.abs(mu - nu).sum())
 
 
-def _worst_tvd(powermat: np.ndarray) -> float:
-    n = powermat.shape[0]
-    return 0.5 * float(np.abs(powermat - 1.0 / n).sum(axis=1).max())
+def _tvd_to_uniform(x: np.ndarray):
+    """TVD to uniform of a distribution, or of each column of a block."""
+    return 0.5 * np.abs(x - 1.0 / x.shape[0]).sum(axis=0)
 
 
 def mixing_time(
@@ -128,12 +147,13 @@ def mixing_time(
 ):
     """Least t with worst-start TVD below eps.
 
-    For graphs up to EXACT_START_CAP states this iterates all point-mass
-    starts exactly (matrix powers by squaring plus a descending-step binary
-    search, using the monotonicity of worst-start TVD).  Larger graphs use
-    the extreme entries of the second eigenvector as candidate worst starts
-    and the result is flagged as a heuristic lower bound.  States beyond
-    `cap` are refused.
+    Up to EXACT_START_CAP states every point-mass start is stepped
+    ("exact-all-starts").  A larger flip graph steps one start per orbit of
+    the polygon's dihedral group, which acts by automorphisms of the chain,
+    so the TVD from a start is constant on its orbit and the result is still
+    exact ("exact-orbit-starts").  Any other larger graph steps the extreme
+    entries of the second eigenvector, and the result is a heuristic lower
+    bound ("heuristic-start").  States beyond `cap` are refused.
     """
     key = (eps,)
     if key in chain._mixing:
@@ -143,129 +163,65 @@ def mixing_time(
     if n > cap:
         raise EnumerationTooLargeError(n, cap)
     if n <= EXACT_START_CAP:
-        tau = _mixing_exact(chain, eps)
-        mode = "exact-all-starts"
+        starts, mode = list(range(n)), "exact-all-starts"
+    elif isinstance(chain.graph, FlipGraph):
+        starts, mode = orbit_representatives(chain.graph), "exact-orbit-starts"
     else:
-        tau = _mixing_heuristic(chain, eps)
+        order = np.argsort(chain.second_eigenvector())
+        starts = sorted({int(i) for i in (order[0], order[1], order[-2], order[-1])})
         mode = "heuristic-start"
+    tau = _mixing_block(chain, starts, eps)
     chain._mixing[key] = (tau, mode)
     return (tau, mode) if return_mode else tau
 
 
-def _mixing_exact(chain: ChainAnalysis, eps: float) -> int:
-    n = chain.num_states
-    ident = np.eye(n)
-    if _worst_tvd(ident) < eps:
-        return 0
-    p = chain.transition_matrix()
-    # doubling phase: snapshots of P^(2^k)
-    snapshots = [p]
-    cur = p
-    t = 1
-    while _worst_tvd(cur) >= eps:
-        cur = snapshots[-1] @ snapshots[-1]
-        # re-normalize rows against accumulated float drift
-        cur /= cur.sum(axis=1, keepdims=True)
-        snapshots.append(cur)
-        t *= 2
-        if t > 1 << 40:
-            raise NumericFailureError("mixing time did not converge")
-    if t == 1:
-        return 1
-    # descending-step search inside (t/2, t]
-    lo = t // 2
-    base = snapshots[-2]
-    step_idx = len(snapshots) - 3
-    while step_idx >= 0:
-        cand = base @ snapshots[step_idx]
-        if _worst_tvd(cand) >= eps:
-            base = cand
-            lo += 1 << step_idx
-        step_idx -= 1
-    return lo + 1
+def _mixing_block(chain: ChainAnalysis, starts: list, eps: float) -> int:
+    """Least t at which every start's TVD to uniform is below eps.
 
-
-def _mixing_heuristic(chain: ChainAnalysis, eps: float) -> int:
+    Point masses at the starts are stepped as the columns of an
+    N x MIXING_CHUNK block, X <- P @ X.  The TVD from a fixed start never
+    rises, so a column is dropped once it is below eps, and a later chunk
+    is first checked at the running maximum.  A connected lazy chain mixes
+    within log(N/eps)/gap steps (Levin-Peres-Wilmer, Thm 12.4); running past
+    twice that means the chain is disconnected or the arithmetic failed.
+    """
     n = chain.num_states
-    vec = chain.second_eigenvector()
-    order = np.argsort(vec)
-    starts = {int(order[0]), int(order[-1]), int(order[1]), int(order[-2])}
-    adj_idx, offsets = _adjacency_arrays(chain.graph)
-    off = 1.0 / (2 * chain.delta)
-    degs = np.diff(offsets)
+    p = chain.operator()
+    gap = chain.spectral_gap()
+    limit = 2 * math.log(n / eps) / gap + 10 if gap > 1e-12 else 0
     tau = 0
-    for s in starts:
-        x = np.zeros(n)
-        x[s] = 1.0
+    for lo in range(0, len(starts), MIXING_CHUNK):
+        cols = starts[lo:lo + MIXING_CHUNK]
+        x = np.zeros((n, len(cols)))
+        x[cols, np.arange(len(cols))] = 1.0
         t = 0
-        while 0.5 * np.abs(x - 1.0 / n).sum() >= eps:
-            x = x * (1.0 - off * degs) + off * np.add.reduceat(x[adj_idx], offsets[:-1])
+        while True:
+            if t >= tau:
+                live = _tvd_to_uniform(x) >= eps
+                if not live.any():
+                    break
+                if not live.all():
+                    x = np.ascontiguousarray(x[:, live])
+            if t >= limit:
+                raise NumericFailureError(
+                    f"mixing did not converge in {t} steps; is the chain connected?"
+                )
+            x = p @ x
             t += 1
-            if t > 10_000_000:
-                raise NumericFailureError("heuristic mixing did not converge")
-        tau = max(tau, t)
+        tau = t
     return tau
-
-
-def _adjacency_arrays(graph):
-    idx = []
-    offsets = [0]
-    for nbrs in graph.adj:
-        idx.extend(nbrs)
-        offsets.append(len(idx))
-    return np.asarray(idx, dtype=np.int64), np.asarray(offsets, dtype=np.int64)
-
-
-def _lazy_step_matrixless(chain, x, adj_idx, offsets, degs):
-    off = 1.0 / (2 * chain.delta)
-    return x * (1.0 - off * degs) + off * np.add.reduceat(x[adj_idx], offsets[:-1])
 
 
 def tvd_curve(chain: ChainAnalysis, start: int, steps: int) -> list:
     """TVD to uniform after 0..steps lazy steps from a point-mass start."""
-    n = chain.num_states
-    adj_idx, offsets = _adjacency_arrays(chain.graph)
-    degs = np.diff(offsets)
-    x = np.zeros(n)
+    p = chain.operator()
+    x = np.zeros(chain.num_states)
     x[start] = 1.0
-    curve = [0.5 * float(np.abs(x - 1.0 / n).sum())]
+    curve = [float(_tvd_to_uniform(x))]
     for _ in range(steps):
-        x = _lazy_step_matrixless(chain, x, adj_idx, offsets, degs)
-        curve.append(0.5 * float(np.abs(x - 1.0 / n).sum()))
+        x = p @ x
+        curve.append(float(_tvd_to_uniform(x)))
     return curve
-
-
-def _second_eigenpair_power(chain, tol, max_iter):
-    """Power iteration on P with the all-ones eigenvector deflated."""
-    n = chain.num_states
-    adj_idx, offsets = _adjacency_arrays(chain.graph)
-    degs = np.diff(offsets)
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(n)
-    x -= x.mean()
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(max_iter):
-        y = _lazy_step_matrixless(chain, x, adj_idx, offsets, degs)
-        y -= y.mean()
-        norm = np.linalg.norm(y)
-        if norm == 0:
-            raise NumericFailureError("deflated power iteration collapsed")
-        y /= norm
-        lam_new = float(y @ _lazy_step_matrixless(chain, y, adj_idx, offsets, degs))
-        residual = np.linalg.norm(
-            _lazy_step_matrixless(chain, y, adj_idx, offsets, degs) - lam_new * y
-        )
-        x = y
-        lam = lam_new
-        if residual < tol:
-            return lam, x
-    raise NumericFailureError("power iteration did not converge", residual=residual)
-
-
-def _second_eigenvalue_iterative(chain, tol, max_iter):
-    lam, _ = _second_eigenpair_power(chain, tol, max_iter)
-    return lam
 
 
 def spectral_gap(chain: ChainAnalysis) -> float:

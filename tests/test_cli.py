@@ -33,6 +33,16 @@ def test_config_validation():
         ExperimentConfig(command="sample", ns=[3]).validate()
 
 
+@pytest.mark.parametrize("flag, value", [("--thin", "0"), ("--steps", "-5")])
+def test_sample_rejects_bad_thin_and_steps(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    rc = main(["--command", "sample", "--n", "3", "--seed", "1", flag, value,
+               "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_n_range():
     cfg = parse_config(["--command", "analyze", "--n-range", "2..4"])
     assert cfg.ns == [2, 3, 4]

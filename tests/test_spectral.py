@@ -6,7 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from flipwalk.errors import InvalidDistributionError, InvalidParameterError
+from flipwalk import spectral
+from flipwalk.errors import (
+    InvalidDistributionError,
+    InvalidParameterError,
+    NumericFailureError,
+)
 from flipwalk.flows import SimpleGraph
 from flipwalk.kangulation import build_flip_graph
 from flipwalk.spectral import (
@@ -102,13 +107,63 @@ def test_spectral_gap_k2_and_cycle():
     assert spectral_gap(build_chain(_graph(3, 5))) > 0
 
 
-def test_iterative_gap_matches_dense():
-    from flipwalk.spectral import _second_eigenvalue_iterative
+def test_sparse_gap_matches_dense():
+    for k, ns in ((3, range(2, 9)), (4, range(2, 5))):
+        for n in ns:
+            chain = build_chain(_graph(k, n))
+            dense = 1.0 - np.linalg.eigvalsh(chain.transition_matrix())[-2]
+            assert abs(chain.spectral_gap() - dense) < 1e-10, (k, n)
+            vec = chain.second_eigenvector()
+            p = chain.transition_matrix()
+            assert np.allclose(p @ vec, (1.0 - chain.spectral_gap()) * vec, atol=1e-10)
 
-    chain = build_chain(_graph(3, 5))
-    dense = chain.spectral_gap()
-    lam2 = _second_eigenvalue_iterative(chain, 1e-12, 100000)
-    assert abs((1.0 - lam2) - dense) < 1e-8
+
+def test_orbit_start_mixing_matches_all_starts(monkeypatch):
+    sizes = [(3, n) for n in range(2, 9)] + [(4, n) for n in range(2, 5)]
+    all_starts = {kn: mixing_time(build_chain(_graph(*kn)), return_mode=True) for kn in sizes}
+    monkeypatch.setattr(spectral, "EXACT_START_CAP", 0)
+    for kn, (tau, mode) in all_starts.items():
+        assert mode == "exact-all-starts", kn
+        got = mixing_time(build_chain(_graph(*kn)), return_mode=True)
+        assert got == (tau, "exact-orbit-starts"), kn
+
+
+def test_orbit_start_mixing_n9():
+    chain = build_chain(_graph(3, 9))
+    assert mixing_time(chain, return_mode=True) == (55, "exact-orbit-starts")
+
+
+def test_heuristic_start_on_other_large_graphs(monkeypatch):
+    n = 12
+    cyc = SimpleGraph([[(i - 1) % n, (i + 1) % n] for i in range(n)])
+    exact = mixing_time(build_chain(cyc), return_mode=True)
+    assert exact[1] == "exact-all-starts"
+    monkeypatch.setattr(spectral, "EXACT_START_CAP", 0)
+    # every start of a cycle is a worst start, so the lower bound is tight
+    assert mixing_time(build_chain(cyc), return_mode=True) == (exact[0], "heuristic-start")
+
+
+def test_mixing_time_disconnected_raises():
+    with pytest.raises(NumericFailureError):
+        mixing_time(build_chain(SimpleGraph([[1], [0], [3], [2]])))
+
+
+@pytest.mark.parametrize(
+    "adj, start, expected_p",
+    [
+        ([[1], [0], []], 0, [[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 1]]),
+        ([[], [2], [1]], 1, [[1, 0, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]]),
+    ],
+)
+def test_degree_zero_vertex_keeps_its_mass(adj, start, expected_p):
+    chain = build_chain(SimpleGraph(adj))
+    p = chain.transition_matrix()
+    assert np.array_equal(p, np.array(expected_p, dtype=float))
+    x = np.zeros(3)
+    x[start] = 1.0
+    for t, value in enumerate(tvd_curve(chain, start, 4)):
+        assert abs(value - tvd(x, np.full(3, 1 / 3))) < 1e-15, t
+        x = x @ p
 
 
 def test_cheeger_bounds_contain_true_expansion():
