@@ -30,12 +30,12 @@ from .flows import (
     ArcFlow,
     CongestionReport,
     MsfProblem,
-    SimpleGraph,
     congestion_report,
     expansion_lower_bound,
     product_graph,
     solve_msf,
 )
+from .graph import Graph
 from .kangulation import (
     FlipGraph,
     KAngulation,
@@ -60,7 +60,6 @@ from .spectral import (
     mixing_time,
     sample_walk,
     shortest_side_cut,
-    spectral_gap,
     tvd,
     tvd_curve,
 )

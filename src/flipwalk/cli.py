@@ -57,7 +57,6 @@ class ExperimentConfig:
     steps: int = 10000
     epsilon: float = 0.25
     cap: int = DEFAULT_ENUMERATION_CAP
-    exact: bool = True
     full_edge_lists: bool = False
     out_dir: str = "."
     fmt: str = "json"
@@ -85,6 +84,8 @@ class ExperimentConfig:
             raise InvalidParameterError(f"steps must be >= 0 (field 'steps' = {self.steps})")
         if self.thin < 1:
             raise InvalidParameterError(f"thin must be >= 1 (field 'thin' = {self.thin})")
+        if self.block is not None and self.block < 1:
+            raise InvalidParameterError(f"block must be >= 1 (field 'block' = {self.block})")
 
 
 def load_config_file(path: str) -> dict:
@@ -106,17 +107,19 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def _parse_ns(args) -> list:
-    if args.n_range:
-        try:
-            lo, hi = args.n_range.split("..")
+def _parse_ns(n, n_range) -> list | None:
+    """The n values of a config: the inclusive range A..B if given, else [n]."""
+    try:
+        if n_range is not None:
+            lo, hi = str(n_range).split("..")
             return list(range(int(lo), int(hi) + 1))
-        except ValueError as exc:
-            raise InvalidParameterError(
-                f"--n-range must look like A..B, got {args.n_range!r}"
-            ) from exc
-    if args.n is not None:
-        return [args.n]
+        if n is not None:
+            return [int(n)]
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(
+            f"n must be an integer and n range must look like A..B, "
+            f"got n = {n!r}, n range = {n_range!r}"
+        ) from exc
     return None
 
 
@@ -136,9 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cap", type=int)
     parser.add_argument("--thin", type=int)
     parser.add_argument("--block", type=int)
-    exact = parser.add_mutually_exclusive_group()
-    exact.add_argument("--exact", dest="exact", action="store_true", default=None)
-    exact.add_argument("--float", dest="exact", action="store_false")
     parser.add_argument("--full-edge-lists", action="store_true", default=None)
     parser.add_argument("--out", dest="out_dir")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv", "dot"))
@@ -169,21 +169,15 @@ def parse_config(argv) -> ExperimentConfig:
                 setattr(cfg, key, cast(raw[key]))
             except (TypeError, ValueError) as exc:
                 raise InvalidParameterError(f"config field {key!r}: {exc}") from exc
-    if "n" in raw:
-        cfg.ns = [int(raw["n"])]
-    if "n_range" in raw:
-        lo, hi = str(raw["n_range"]).split("..")
-        cfg.ns = list(range(int(lo), int(hi) + 1))
-    for key in ("exact", "full_edge_lists"):
-        if key in raw:
-            val = raw[key]
-            cfg.__setattr__(key, val if isinstance(val, bool) else str(val).lower() in ("1", "true", "yes"))
+    if "full_edge_lists" in raw:
+        val = raw["full_edge_lists"]
+        cfg.full_edge_lists = val if isinstance(val, bool) else str(val).lower() in ("1", "true", "yes")
     # flag overrides win over the file
-    ns = _parse_ns(args)
-    if ns is not None:
-        cfg.ns = ns
+    for ns in (_parse_ns(raw.get("n"), raw.get("n_range")), _parse_ns(args.n, args.n_range)):
+        if ns is not None:
+            cfg.ns = ns
     for key in ("command", "k", "seed", "steps", "epsilon", "cap",
-                "thin", "block", "out_dir", "fmt", "exact"):
+                "thin", "block", "out_dir", "fmt"):
         val = getattr(args, key)
         if val is not None:
             setattr(cfg, key, val)
@@ -194,18 +188,38 @@ def parse_config(argv) -> ExperimentConfig:
 
 
 def _cached_graph(k: int, n: int, cap: int):
-    """Build a flip graph, memoized on disk under FLIPWALK_CACHE_DIR."""
+    """Build a flip graph, memoized on disk under FLIPWALK_CACHE_DIR.
+
+    The cap is checked before the cache is read, so it means the same with a
+    warm cache or a cold one.  A cache file that does not parse, or whose
+    k, n, vertex count or edge count is wrong, is rebuilt and rewritten; a
+    file is written whole to a temporary name and then renamed into place.
+    """
+    count = fuss_catalan(k, n)
+    if count > cap:
+        raise EnumerationTooLargeError(count, cap)
     cache_dir = os.environ.get("FLIPWALK_CACHE_DIR")
     if not cache_dir:
         return build_flip_graph(k, n, cap=cap)
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"flipgraph_k{k}_n{n}.json")
-    if os.path.exists(path):
+    try:
         with open(path) as fh:
-            return flip_graph_from_json_dict(json.load(fh))
+            graph = flip_graph_from_json_dict(json.load(fh))
+        shape = (graph.k, graph.n, graph.num_vertices, graph.num_edges())
+        if shape == (k, n, count, count * (n - 1) * (k - 2) // 2):
+            return graph
+    except (FileNotFoundError, ValueError, KeyError, TypeError, IndexError):
+        pass  # missing, unparsable or malformed: rebuild below
     graph = build_flip_graph(k, n, cap=cap)
-    with open(path, "w") as fh:
-        json.dump(graph.to_json_dict(), fh, sort_keys=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(graph.to_json_dict(), fh, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return graph
 
 

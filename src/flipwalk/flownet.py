@@ -21,6 +21,7 @@ from .flows import (
     congestion_report,
     product_graph,
 )
+from .graph import Graph
 from .kangulation import build_flip_graph
 
 
@@ -356,21 +357,6 @@ def cartesian_per_source(per_source_fns: list, factor_graphs: list, coord: tuple
 # projection-restriction combiner
 
 
-def _bfs_paths(adj, allowed, root):
-    """Deterministic BFS tree inside `allowed`; parent = smallest neighbor."""
-    parent = {root: None}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w in allowed and w not in parent:
-                    parent[w] = v
-                    nxt.append(w)
-        frontier = sorted(nxt)
-    return parent
-
-
 def _path(parent, target):
     path = [target]
     while parent[path[-1]] is not None:
@@ -430,7 +416,7 @@ def projection_restriction_combine(graph, classes: list) -> ProjectionRestrictio
     rho_max = Fraction(0)
     for cls in classes:
         allowed = set(cls)
-        ptrees = {z: _bfs_paths(graph.adj, allowed, z) for z in cls}
+        ptrees = {z: graph.bfs_tree(z, allowed) for z in cls}
         counts: dict = {}
         cls_paths = {}
         for z in cls:
@@ -459,8 +445,8 @@ def projection_restriction_combine(graph, classes: list) -> ProjectionRestrictio
         if ci != cj:
             cross_edges.setdefault((ci, cj), []).append((i, j))
             cross_edges.setdefault((cj, ci), []).append((j, i))
-    quotient_adj = [sorted({b for (a, b) in cross_edges if a == ci}) for ci in range(k)]
-    qtrees = {i: _bfs_paths(quotient_adj, set(range(k)), i) for i in range(k)}
+    quotient = Graph([sorted({b for (a, b) in cross_edges if a == ci}) for ci in range(k)])
+    qtrees = {i: quotient.bfs_tree(i) for i in range(k)}
     pi_bar = [Fraction(len(cls), n_verts) for cls in classes]
     fbar: dict = {}
     qpaths = {}

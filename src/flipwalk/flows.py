@@ -1,5 +1,5 @@
 """Flow primitives: exact sparse arc flows, congestion reports, MSF problems,
-and generic graph containers used by the flow constructions.
+and Cartesian products of graphs.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InvalidParameterError, NoFlowError, StructureMismatchError
+from .graph import Graph
 
 
 def _lcm(a: int, b: int) -> int:
@@ -166,45 +167,7 @@ def expansion_lower_bound(report: CongestionReport) -> Fraction:
     return Fraction(1, 2) / report.rho
 
 
-@dataclass
-class SimpleGraph:
-    """Minimal undirected graph container (adjacency lists over 0..N-1)."""
-
-    adj: list
-    coords: list | None = None  # optional per-vertex coordinate tuples
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.adj)
-
-    @property
-    def degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
-
-    def num_edges(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
-
-    def edges(self):
-        for i, nbrs in enumerate(self.adj):
-            for j in nbrs:
-                if i < j:
-                    yield (i, j)
-
-    def is_connected(self) -> bool:
-        if not self.adj:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in self.adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.num_vertices
-
-
-def product_graph(g, h) -> SimpleGraph:
+def product_graph(g, h) -> Graph:
     """Cartesian product G box H; vertex (x, y) has index x * |V(H)| + y."""
     nh = h.num_vertices
     adj = []
@@ -215,7 +178,7 @@ def product_graph(g, h) -> SimpleGraph:
             nbrs += [x2 * nh + y for x2 in g.adj[x]]
             adj.append(sorted(nbrs))
             coords.append((x, y))
-    return SimpleGraph(adj, coords)
+    return Graph(adj, coords)
 
 
 @dataclass
@@ -245,15 +208,8 @@ class MsfProblem:
         return {v: x for v, x in net.items() if x}
 
 
-FLOAT_TOLERANCE = 1e-9
-
-
-def verify_msf(flow: ArcFlow, problem: MsfProblem, exact: bool = True) -> None:
-    """Conservation check of a flow against an MSF problem.
-
-    Exact rational equality by default; the float mode (tolerance 1e-9 on
-    conservation) exists for instances too large for exact bookkeeping.
-    """
+def verify_msf(flow: ArcFlow, problem: MsfProblem) -> None:
+    """Exact rational conservation check of a flow against an MSF problem."""
     required = problem.net_required()
     net = flow.net_ints()
     den = flow.den
@@ -261,17 +217,13 @@ def verify_msf(flow: ArcFlow, problem: MsfProblem, exact: bool = True) -> None:
     for v in keys:
         have = -Fraction(net.get(v, 0), den)
         want = required.get(v, Fraction(0))
-        if exact:
-            bad = have != want
-        else:
-            bad = abs(float(have) - float(want)) > FLOAT_TOLERANCE
-        if bad:
+        if have != want:
             raise StructureMismatchError(
                 f"vertex {v}: net outflow {have} != required {want}"
             )
 
 
-def solve_msf(problem: MsfProblem, strategy: str = "tree", exact: bool = True) -> ArcFlow:
+def solve_msf(problem: MsfProblem, strategy: str = "tree") -> ArcFlow:
     """Solve an MSF problem.
 
     Strategies:
@@ -280,9 +232,6 @@ def solve_msf(problem: MsfProblem, strategy: str = "tree", exact: bool = True) -
                            sinks; each matching arc carries its surplus.
       through-class-decomposition -- delegate to the recursive class-flow
                            machinery (flownet.solve_msf_by_classes).
-
-    exact=False switches the conservation check to the float tolerance; the
-    arithmetic itself stays rational at these problem sizes.
     """
     problem.validate()
     g = problem.graph
@@ -303,38 +252,26 @@ def solve_msf(problem: MsfProblem, strategy: str = "tree", exact: bool = True) -
             den = _lcm(den, amount.denominator)
             vals[(s, sinks[0])] = amount
         flow = ArcFlow(den, {a: int(w * den) for a, w in vals.items()})
-        verify_msf(flow, problem, exact=exact)
+        verify_msf(flow, problem)
         return flow
     if strategy == "through-class-decomposition":
         from .flownet import solve_msf_by_classes
 
         flow = solve_msf_by_classes(problem)
-        verify_msf(flow, problem, exact=exact)
+        verify_msf(flow, problem)
         return flow
     if strategy != "tree":
         raise InvalidParameterError(f"unknown MSF strategy: {strategy}")
     # BFS tree from some vertex carrying nonzero imbalance
-    root = next(iter(required))
-    parent = {root: None}
-    order = [root]
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in g.adj[v]:
-                if w not in parent:
-                    parent[w] = v
-                    order.append(w)
-                    nxt.append(w)
-        frontier = nxt
+    parent = g.bfs_tree(next(iter(required)))
     if any(v not in parent for v in required):
         raise NoFlowError("imbalanced vertices not all in one component")
     den = 1
     for x in required.values():
         den = _lcm(den, x.denominator)
-    excess = {v: int(required.get(v, 0) * den) for v in order}
+    excess = {v: int(required.get(v, 0) * den) for v in parent}
     vals: dict = {}
-    for v in reversed(order):
+    for v in reversed(parent):
         p = parent[v]
         if p is None:
             continue
@@ -345,5 +282,5 @@ def solve_msf(problem: MsfProblem, strategy: str = "tree", exact: bool = True) -
             vals[(p, v)] = vals.get((p, v), 0) - e
         excess[p] += e
     flow = ArcFlow(den, vals)
-    verify_msf(flow, problem, exact=exact)
+    verify_msf(flow, problem)
     return flow

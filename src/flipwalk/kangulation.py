@@ -7,14 +7,17 @@ two equal k-angulations are bit-identical (canonical form).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .combinatorics import fuss_catalan
 from .errors import EnumerationTooLargeError, InvalidParameterError
+from .graph import Graph
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
+ECC_CHUNK = 16  # BFS starts per csgraph call: 16 x 208012 float64 is 27 MB at n = 12
 
 Diagonal = tuple  # (a, b) with a < b
 
@@ -221,93 +224,43 @@ def flips(t: KAngulation) -> list:
     return out
 
 
-@dataclass
-class FlipGraph:
-    """Explicit flip graph: canonical vertex order, adjacency, edge labels."""
+class FlipGraph(Graph):
+    """Explicit flip graph on all k-angulations in canonical vertex order."""
 
-    k: int
-    n: int
-    m: int
-    vertices: list
-    index: dict = field(repr=False)
-    adj: list = field(repr=False)
-    edge_labels: dict = field(repr=False)  # (i, j) -> (removed, inserted)
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def degree(self) -> int:
-        return (self.n - 1) * (self.k - 2)
-
-    def num_edges(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
-
-    def edges(self):
-        for i, nbrs in enumerate(self.adj):
-            for j in nbrs:
-                if i < j:
-                    yield (i, j)
-
-    def bfs_component(self, start: int = 0) -> set:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in self.adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return seen
-
-    def is_connected(self) -> bool:
-        return len(self.bfs_component(0)) == self.num_vertices
+    def __init__(self, k: int, n: int, vertices: list, adj: list):
+        super().__init__(adj)
+        self.k, self.n, self.m = k, n, polygon_size(k, n)
+        self.vertices = vertices
 
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,
             "n": self.n,
             "vertices": [[list(d) for d in v.diagonals] for v in self.vertices],
-            "edges": [[i, j] for i, j in self.edges()],
+            **super().to_json_dict(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     def to_dot(self) -> str:
-        lines = ["graph flipgraph {"]
-        for i, v in enumerate(self.vertices):
-            label = ";".join(f"{a}-{b}" for a, b in v.diagonals)
-            lines.append(f'  v{i} [label="{label}"];')
-        for i, j in self.edges():
-            lines.append(f"  v{i} -- v{j};")
-        lines.append("}")
-        return "\n".join(lines)
+        return self._dot(
+            "flipgraph",
+            (";".join(f"{a}-{b}" for a, b in v.diagonals) for v in self.vertices),
+        )
 
 
 def flip_graph_from_json_dict(doc: dict) -> FlipGraph:
-    """Rebuild a FlipGraph from its JSON export; edge labels are recovered
-    from the diagonal-set differences."""
+    """Rebuild a FlipGraph from its JSON export."""
     k, n = doc["k"], doc["n"]
     m = polygon_size(k, n)
     vertices = [
         KAngulation(k, m, tuple(tuple(d) for d in diags)) for diags in doc["vertices"]
     ]
-    index = {v.diagonals: i for i, v in enumerate(vertices)}
     adj = [[] for _ in vertices]
-    labels = {}
     for i, j in doc["edges"]:
         adj[i].append(j)
         adj[j].append(i)
-        di, dj = set(vertices[i].diagonals), set(vertices[j].diagonals)
-        labels[(i, j)] = (next(iter(di - dj)), next(iter(dj - di)))
-        labels[(j, i)] = (labels[(i, j)][1], labels[(i, j)][0])
     for nbrs in adj:
         nbrs.sort()
-    return FlipGraph(k, n, m, vertices, index, adj, labels)
+    return FlipGraph(k, n, vertices, adj)
 
 
 def _transform_diagonals(diags, m: int, rot: int, reflect: bool) -> tuple:
@@ -340,35 +293,20 @@ def orbit_representatives(graph: FlipGraph) -> list:
 
 
 def eccentricities(graph: FlipGraph, starts: list) -> list:
-    """BFS eccentricity of each start vertex (numpy level-synchronous BFS)."""
-    import numpy as np
+    """BFS eccentricity of each start vertex (scipy csgraph, ECC_CHUNK
+    starts per call so the distance block stays ECC_CHUNK x N)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
 
-    idx = []
-    offsets = [0]
-    for nbrs in graph.adj:
-        idx.extend(nbrs)
-        offsets.append(len(idx))
-    idx = np.asarray(idx, dtype=np.int32)
-    offsets = np.asarray(offsets, dtype=np.int64)
+    indptr, indices = graph.csr()
     n = graph.num_vertices
+    mat = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
     out = []
-    for s in starts:
-        visited = np.zeros(n, dtype=bool)
-        frontier = np.asarray([s], dtype=np.int32)
-        visited[s] = True
-        depth = 0
-        while True:
-            spans = [idx[offsets[v] : offsets[v + 1]] for v in frontier]
-            nxt = np.unique(np.concatenate(spans)) if spans else np.empty(0, np.int32)
-            nxt = nxt[~visited[nxt]]
-            if nxt.size == 0:
-                break
-            visited[nxt] = True
-            frontier = nxt
-            depth += 1
-        if not visited.all():
+    for lo in range(0, len(starts), ECC_CHUNK):
+        dist = shortest_path(mat, unweighted=True, indices=starts[lo:lo + ECC_CHUNK])
+        if np.isinf(dist).any():
             raise InvalidParameterError("graph is disconnected")
-        out.append(depth)
+        out.extend(int(d) for d in dist.max(axis=1))
     return out
 
 
@@ -384,13 +322,5 @@ def build_flip_graph(
     """Materialize the flip graph on all k-angulations of the (k-2)n+2-gon."""
     verts = enumerate_kangulations(k, n, cap=cap)
     index = {v.diagonals: i for i, v in enumerate(verts)}
-    adj = [[] for _ in verts]
-    labels = {}
-    for i, v in enumerate(verts):
-        for nbr, removed, inserted in flips(v):
-            j = index[nbr.diagonals]
-            adj[i].append(j)
-            labels[(i, j)] = (removed, inserted)
-    for nbrs in adj:
-        nbrs.sort()
-    return FlipGraph(k, n, polygon_size(k, n), verts, index, adj, labels)
+    adj = [sorted(index[nbr.diagonals] for nbr, _, _ in flips(v)) for v in verts]
+    return FlipGraph(k, n, verts, adj)

@@ -5,12 +5,11 @@ subgraph induced by a fixed block partition of the grid.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidParameterError, StructureMismatchError
-from .flows import SimpleGraph
+from .errors import EnumerationTooLargeError, InvalidParameterError, StructureMismatchError
+from .graph import Graph
 
 LATTICE_ENUM_CAP = 4  # grids beyond 4x4 points explode
 
@@ -151,63 +150,35 @@ def flips_lattice(t: LatticeTriangulation) -> list:
     return out
 
 
-@dataclass
-class LatticeFlipGraph:
-    n: int
-    vertices: list
-    adj: list
-    coords: list | None = None  # populated by product_subgraph
+class LatticeFlipGraph(Graph):
+    """Flip graph of n x n lattice triangulations (or a subgraph of it)."""
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
-
-    def num_edges(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
-
-    def edges(self):
-        for i, nbrs in enumerate(self.adj):
-            for j in nbrs:
-                if i < j:
-                    yield (i, j)
-
-    def is_connected(self) -> bool:
-        return SimpleGraph(self.adj).is_connected()
+    def __init__(self, n: int, vertices: list, adj: list, coords: list | None = None):
+        super().__init__(adj, coords)
+        self.n = n
+        self.vertices = vertices
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "vertices": [[list(map(list, e)) for e in v.edges] for v in self.vertices],
-            "edges": [[i, j] for i, j in self.edges()],
+            **super().to_json_dict(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     def to_dot(self) -> str:
-        lines = ["graph latticeflip {"]
-        for i, v in enumerate(self.vertices):
+        labels = []
+        for v in self.vertices:
             diag = [e for e in v.edges if abs(e[0][0] - e[1][0]) == 1
                     and abs(e[0][1] - e[1][1]) == 1]
-            label = ";".join(f"{a}{b}" for a, b in diag)
-            lines.append(f'  v{i} [label="{label}"];')
-        for i, j in self.edges():
-            lines.append(f"  v{i} -- v{j};")
-        lines.append("}")
-        return "\n".join(lines)
+            labels.append(";".join(f"{a}{b}" for a, b in diag))
+        return self._dot("latticeflip", labels)
 
 
 def enumerate_lattice(n: int) -> LatticeFlipGraph:
     """Full flip graph of the n x n grid by BFS from the canonical
     all-negative-slope triangulation."""
     if n > LATTICE_ENUM_CAP:
-        raise InvalidParameterError(
-            f"lattice enumeration capped at {LATTICE_ENUM_CAP}x{LATTICE_ENUM_CAP} points"
-        )
+        raise EnumerationTooLargeError(n, LATTICE_ENUM_CAP)
     start = canonical_lattice_triangulation(n)
     if n == 1:
         return LatticeFlipGraph(1, [start], [[]])
@@ -428,24 +399,15 @@ def product_subgraph(n: int, block: int) -> LatticeFlipGraph:
             adj[i].append(j)
     adj = [sorted(a) for a in adj]
     # verify the Cartesian-product structure via the coordinates
+    coord_index = {c: i for i, c in enumerate(coords)}
     for i, ci in enumerate(coords):
-        expected = set()
-        for pos in range(len(offsets)):
-            for sj in sub.adj[ci[pos]]:
-                expected.add(index[_compose_key(vertices, coords, i, pos, sj, sub, offsets, forced, n)])
+        expected = {
+            coord_index[ci[:pos] + (sj,) + ci[pos + 1:]]
+            for pos in range(len(offsets))
+            for sj in sub.adj[ci[pos]]
+        }
         if expected != set(adj[i]):
             raise StructureMismatchError(
                 f"vertex {i}: induced flips do not match the product adjacency"
             )
     return LatticeFlipGraph(n, vertices, adj, coords)
-
-
-def _compose_key(vertices, coords, i, pos, new_state, sub, offsets, forced, n):
-    coord = list(coords[i])
-    coord[pos] = new_state
-    target = tuple(coord)
-    # linear scan is fine at desk scale
-    for j, cj in enumerate(coords):
-        if cj == target:
-            return vertices[j].edges
-    raise StructureMismatchError("product coordinate missing from subgraph")

@@ -53,12 +53,8 @@ class ChainAnalysis:
             import scipy.sparse as sp
 
             n = self.num_states
-            adj = self.graph.adj
-            degs = np.fromiter(map(len, adj), dtype=np.int64, count=n)
-            indptr = np.concatenate(([0], np.cumsum(degs)))
-            indices = np.fromiter(
-                (j for nbrs in adj for j in nbrs), dtype=np.int64, count=int(indptr[-1])
-            )
+            indptr, indices = self.graph.csr()
+            degs = np.diff(indptr)
             off = 1.0 / (2 * self.delta)
             moves = sp.csr_matrix(
                 (np.full(indices.size, off), indices, indptr), shape=(n, n)
@@ -222,10 +218,6 @@ def tvd_curve(chain: ChainAnalysis, start: int, steps: int) -> list:
         x = p @ x
         curve.append(float(_tvd_to_uniform(x)))
     return curve
-
-
-def spectral_gap(chain: ChainAnalysis) -> float:
-    return chain.spectral_gap()
 
 
 def cheeger_bounds(chain: ChainAnalysis) -> tuple:

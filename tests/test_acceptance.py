@@ -28,10 +28,10 @@ from flipwalk.flownet import (
     verify_unit_demands,
 )
 from flipwalk.flows import (
-    SimpleGraph,
     congestion_report,
     expansion_lower_bound,
 )
+from flipwalk.graph import Graph
 from flipwalk.kangulation import build_flip_graph, enumerate_kangulations
 from flipwalk.lattice import (
     count_triangulations_recursive,
@@ -121,7 +121,7 @@ def test_criterion_04_combiner_bound():
         for u, v in joins:
             adj[u].append(v)
             adj[v].append(u)
-        return SimpleGraph([sorted(a) for a in adj])
+        return Graph([sorted(a) for a in adj])
 
     for joins in ([(0, 4)], [(0, 4), (1, 5), (2, 6), (3, 7)]):
         res = projection_restriction_combine(toy(joins), [[0, 1, 2, 3], [4, 5, 6, 7]])

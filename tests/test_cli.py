@@ -133,6 +133,61 @@ def test_cache_dir_round_trip(tmp_path, monkeypatch):
     assert b1 == b2
 
 
+def test_cap_holds_with_warm_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("FLIPWALK_CACHE_DIR", str(tmp_path / "cache"))
+    out = str(tmp_path / "out")
+    assert main(["--command", "analyze", "--n", "5", "--out", out]) == EXIT_OK
+    assert main(["--command", "analyze", "--n", "5", "--cap", "3", "--out", out]) == EXIT_CAP
+
+
+def _drop_an_edge(text):
+    doc = json.loads(text)
+    doc["edges"].pop()
+    return json.dumps(doc, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [lambda text: text[: len(text) // 2], lambda text: text.replace('"n": 5', '"n": 4'),
+     _drop_an_edge],
+    ids=["truncated", "wrong-n", "edge-missing"],
+)
+def test_damaged_cache_file_is_rebuilt(tmp_path, monkeypatch, damage):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("FLIPWALK_CACHE_DIR", str(cache))
+    out = tmp_path / "out"
+    args = ["--command", "sample", "--n", "5", "--seed", "3", "--steps", "500",
+            "--out", str(out)]
+    assert main(args) == EXIT_OK
+    path = cache / "flipgraph_k3_n5.json"
+    good, summary = path.read_text(), (out / "sample_summary.json").read_bytes()
+    damaged = damage(good)
+    assert damaged != good
+    path.write_text(damaged)
+    assert main(args) == EXIT_OK
+    assert (out / "sample_summary.json").read_bytes() == summary
+    assert path.read_text() == good
+    assert list(cache.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("line", ["n_range = 5-7", "n = five", "n_range = 2..x"])
+def test_config_file_bad_n_exits_usage(tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = cut\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [(["--n", "5"], EXIT_CAP), (["--n", "4", "--block", "0"], EXIT_USAGE),
+     (["--n", "4", "--block", "-1"], EXIT_USAGE)],
+)
+def test_lattice_cap_and_block_exit_codes(tmp_path, flags, code):
+    assert main(["--command", "lattice", *flags, "--out", str(tmp_path)]) == code
+
+
 def test_dot_export(tmp_path):
     out = str(tmp_path)
     assert main(["--command", "enumerate", "--n", "3", "--format", "dot",

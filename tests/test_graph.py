@@ -1,0 +1,28 @@
+"""The shared graph type: BFS tree rule, connectivity, CSR view."""
+
+import numpy as np
+
+from flipwalk.graph import Graph
+
+# a 6-cycle 0-4-2-3-1-5-0: BFS from 0 discovers 2 before 1 on level two
+HEXAGON = Graph([[4, 5], [3, 5], [3, 4], [1, 2], [0, 2], [0, 1]])
+
+
+def test_bfs_tree_processes_each_level_in_sorted_order():
+    parent = HEXAGON.bfs_tree(0)
+    assert parent == {0: None, 4: 0, 5: 0, 2: 4, 1: 5, 3: 1}
+    assert HEXAGON.bfs_tree(0, allowed={0, 2, 3, 4}) == {0: None, 4: 0, 2: 4, 3: 2}
+
+
+def test_is_connected():
+    assert HEXAGON.is_connected()
+    assert Graph([]).is_connected() and Graph([[]]).is_connected()
+    assert not Graph([[1], [0], []]).is_connected()
+
+
+def test_csr_matches_adjacency_and_is_cached():
+    indptr, indices = HEXAGON.csr()
+    assert indptr.dtype == indices.dtype == np.int32
+    assert indptr.tolist() == [0, 2, 4, 6, 8, 10, 12]
+    assert indices.tolist() == [j for nbrs in HEXAGON.adj for j in nbrs]
+    assert HEXAGON.csr()[1] is indices

@@ -6,11 +6,13 @@ import pytest
 
 from flipwalk.combinatorics import catalan, fuss_catalan
 from flipwalk.errors import EnumerationTooLargeError, InvalidParameterError
+from flipwalk.graph import Graph
 from flipwalk.kangulation import (
     KAngulation,
     build_flip_graph,
     diameter,
     diagonals_cross,
+    eccentricities,
     enumerate_kangulations,
     faces_of,
     flip_graph_from_json_dict,
@@ -109,9 +111,10 @@ def test_flip_graph_small():
 def test_flip_graph_undirected_and_labeled():
     g = build_flip_graph(4, 2)
     for i, nbrs in enumerate(g.adj):
+        labels = {t.diagonals: (r, s) for t, r, s in flips(g.vertices[i])}
         for j in nbrs:
             assert i in g.adj[j]
-            removed, inserted = g.edge_labels[(i, j)]
+            removed, inserted = labels[g.vertices[j].diagonals]
             assert removed in g.vertices[i].diagonals
             assert inserted in g.vertices[j].diagonals
 
@@ -130,7 +133,7 @@ def test_json_round_trip():
     g2 = flip_graph_from_json_dict(doc)
     assert g2.adj == g.adj
     assert [v.diagonals for v in g2.vertices] == [v.diagonals for v in g.vertices]
-    assert g2.edge_labels[(0, g.adj[0][0])] == g.edge_labels[(0, g.adj[0][0])]
+    assert g2.to_json() == g.to_json()
 
 
 def test_dot_export_mentions_all_vertices():
@@ -140,13 +143,31 @@ def test_dot_export_mentions_all_vertices():
     assert dot.count("label=") == g.num_vertices
 
 
+def test_diameter_small_n():
+    # the formula 2n - 6 (Pournin 2014) holds from n = 11 on, not below
+    got = [diameter(build_flip_graph(3, n)) for n in range(1, 10)]
+    assert got == [0, 1, 2, 4, 5, 7, 9, 11, 12]
+
+
+def test_orbit_eccentricities_give_the_diameter():
+    sizes = [(3, n) for n in range(1, 8)] + [(4, 3), (4, 4), (5, 3)]
+    for k, n in sizes:
+        g = build_flip_graph(k, n)
+        assert max(eccentricities(g, list(range(g.num_vertices)))) == diameter(g), (k, n)
+
+
+def test_eccentricities_reject_disconnected_graph():
+    with pytest.raises(InvalidParameterError):
+        eccentricities(Graph([[1], [0], [3], [2]]), [0])
+
+
 @pytest.mark.slow
 def test_diameter_bound_n11():
     g = build_flip_graph(3, 11)
-    assert diameter(g) <= 2 * 11 - 6
+    assert diameter(g) == 2 * 11 - 6 == 16
 
 
 @pytest.mark.slow
 def test_diameter_bound_n12():
     g = build_flip_graph(3, 12)
-    assert diameter(g) <= 2 * 12 - 6
+    assert diameter(g) == 2 * 12 - 6 == 18

@@ -2,7 +2,7 @@
 
 import pytest
 
-from flipwalk.errors import InvalidParameterError
+from flipwalk.errors import EnumerationTooLargeError, InvalidParameterError
 from flipwalk.lattice import (
     LatticeTriangulation,
     block_partial_triangulation,
@@ -74,7 +74,7 @@ def test_nonconvex_quad_yields_no_flip():
 
 
 def test_enumeration_cap():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(EnumerationTooLargeError):
         enumerate_lattice(5)
 
 

@@ -12,7 +12,7 @@ from flipwalk.errors import (
     InvalidParameterError,
     NumericFailureError,
 )
-from flipwalk.flows import SimpleGraph
+from flipwalk.graph import Graph
 from flipwalk.kangulation import build_flip_graph
 from flipwalk.spectral import (
     brute_force_expansion,
@@ -22,7 +22,6 @@ from flipwalk.spectral import (
     mixing_time,
     sample_walk,
     shortest_side_cut,
-    spectral_gap,
     tvd,
     tvd_curve,
 )
@@ -102,9 +101,9 @@ def test_mixing_upper_bound_by_gap():
 
 def test_spectral_gap_k2_and_cycle():
     assert abs(build_chain(_graph(3, 2)).spectral_gap() - 1.0) < 1e-12
-    cyc = SimpleGraph([[1, 3], [0, 2], [1, 3], [0, 2]])
+    cyc = Graph([[1, 3], [0, 2], [1, 3], [0, 2]])
     assert abs(build_chain(cyc).spectral_gap() - 0.5) < 1e-12
-    assert spectral_gap(build_chain(_graph(3, 5))) > 0
+    assert build_chain(_graph(3, 5)).spectral_gap() > 0
 
 
 def test_sparse_gap_matches_dense():
@@ -135,7 +134,7 @@ def test_orbit_start_mixing_n9():
 
 def test_heuristic_start_on_other_large_graphs(monkeypatch):
     n = 12
-    cyc = SimpleGraph([[(i - 1) % n, (i + 1) % n] for i in range(n)])
+    cyc = Graph([[(i - 1) % n, (i + 1) % n] for i in range(n)])
     exact = mixing_time(build_chain(cyc), return_mode=True)
     assert exact[1] == "exact-all-starts"
     monkeypatch.setattr(spectral, "EXACT_START_CAP", 0)
@@ -145,7 +144,7 @@ def test_heuristic_start_on_other_large_graphs(monkeypatch):
 
 def test_mixing_time_disconnected_raises():
     with pytest.raises(NumericFailureError):
-        mixing_time(build_chain(SimpleGraph([[1], [0], [3], [2]])))
+        mixing_time(build_chain(Graph([[1], [0], [3], [2]])))
 
 
 @pytest.mark.parametrize(
@@ -156,7 +155,7 @@ def test_mixing_time_disconnected_raises():
     ],
 )
 def test_degree_zero_vertex_keeps_its_mass(adj, start, expected_p):
-    chain = build_chain(SimpleGraph(adj))
+    chain = build_chain(Graph(adj))
     p = chain.transition_matrix()
     assert np.array_equal(p, np.array(expected_p, dtype=float))
     x = np.zeros(3)
@@ -176,7 +175,7 @@ def test_cheeger_bounds_contain_true_expansion():
 
 
 def test_cheeger_four_cycle_brute_force():
-    cyc = SimpleGraph([[1, 3], [0, 2], [1, 3], [0, 2]])
+    cyc = Graph([[1, 3], [0, 2], [1, 3], [0, 2]])
     rep = brute_force_expansion(cyc)
     assert rep.ratio == 1  # two opposite edges cut / side of two
     lo, hi = cheeger_bounds(build_chain(cyc))
@@ -260,7 +259,7 @@ def test_mixing_time_cap():
 
 
 def test_cheeger_disconnected_graph_zero_bracket():
-    g = SimpleGraph([[1], [0], [3], [2]])
+    g = Graph([[1], [0], [3], [2]])
     chain = build_chain(g)
     assert chain.spectral_gap() < 1e-10
     lo, hi = cheeger_bounds(chain)
