@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -48,6 +49,27 @@ COMMANDS = ("enumerate", "analyze", "flow", "cut", "lattice", "sample")
 EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, EXIT_CAP = 0, 2, 3, 4
 
 
+def _flag(val) -> bool:
+    return val if isinstance(val, bool) else str(val).lower() in ("1", "true", "yes")
+
+
+# config-file keys and flags that set one ExperimentConfig field each; the
+# file's other keys are n and n_range (see _parse_ns)
+_CONFIG_FIELDS = {
+    "command": str,
+    "k": int,
+    "seed": int,
+    "steps": int,
+    "epsilon": float,
+    "cap": int,
+    "thin": int,
+    "block": int,
+    "out_dir": str,
+    "fmt": str,
+    "full_edge_lists": _flag,
+}
+
+
 @dataclass
 class ExperimentConfig:
     command: str
@@ -78,8 +100,10 @@ class ExperimentConfig:
             raise InvalidParameterError("sampling requires a seed (field 'seed')")
         if self.fmt not in ("json", "csv", "dot"):
             raise InvalidParameterError(f"format must be json|csv|dot, got {self.fmt!r}")
-        if self.epsilon <= 0:
-            raise InvalidParameterError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise InvalidParameterError(
+                f"epsilon must be finite and positive (field 'epsilon' = {self.epsilon})"
+            )
         if self.steps < 0:
             raise InvalidParameterError(f"steps must be >= 0 (field 'steps' = {self.steps})")
         if self.thin < 1:
@@ -151,38 +175,23 @@ def parse_config(argv) -> ExperimentConfig:
     if args.config:
         raw.update(load_config_file(args.config))
     cfg = ExperimentConfig(command=str(raw.get("command", "")))
-    field_casts = {
-        "command": str,
-        "k": int,
-        "seed": int,
-        "steps": int,
-        "epsilon": float,
-        "cap": int,
-        "thin": int,
-        "block": int,
-        "out_dir": str,
-        "fmt": str,
-    }
-    for key, cast in field_casts.items():
-        if key in raw:
-            try:
-                setattr(cfg, key, cast(raw[key]))
-            except (TypeError, ValueError) as exc:
-                raise InvalidParameterError(f"config field {key!r}: {exc}") from exc
-    if "full_edge_lists" in raw:
-        val = raw["full_edge_lists"]
-        cfg.full_edge_lists = val if isinstance(val, bool) else str(val).lower() in ("1", "true", "yes")
+    for key, val in raw.items():
+        if key in ("n", "n_range"):
+            continue
+        if key not in _CONFIG_FIELDS:
+            raise InvalidParameterError(f"unknown config key {key!r}")
+        try:
+            setattr(cfg, key, _CONFIG_FIELDS[key](val))
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameterError(f"config field {key!r}: {exc}") from exc
     # flag overrides win over the file
     for ns in (_parse_ns(raw.get("n"), raw.get("n_range")), _parse_ns(args.n, args.n_range)):
         if ns is not None:
             cfg.ns = ns
-    for key in ("command", "k", "seed", "steps", "epsilon", "cap",
-                "thin", "block", "out_dir", "fmt"):
+    for key in _CONFIG_FIELDS:
         val = getattr(args, key)
         if val is not None:
             setattr(cfg, key, val)
-    if args.full_edge_lists is not None:
-        cfg.full_edge_lists = True
     cfg.validate()
     return cfg
 

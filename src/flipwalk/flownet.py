@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .combinatorics import catalan
 from .decomposition import boundary_matchings, boundary_projection, oriented_partition
@@ -20,6 +19,7 @@ from .flows import (
     MsfProblem,
     congestion_report,
     product_graph,
+    product_lift,
 )
 from .graph import Graph
 from .kangulation import build_flip_graph
@@ -37,7 +37,7 @@ class OrientedStructure:
     sizes: list
     members: list
     factor_ns: list  # per class: (left n, right n)
-    grids: list  # per class: (xi, yi) -> graph vertex
+    by_coord: list  # per class: members in coordinate order, (x, y) at x * C_right + y
     matching: dict  # ordered (a, b) -> [(u in a, v in b), ...]
     bproj: dict  # ordered (a, b) -> (factor_index, sub_class_index)
 
@@ -49,10 +49,7 @@ def oriented_structure(n: int) -> OrientedStructure:
     sizes = [c.size for c in part.classes]
     members = [c.member_indices for c in part.classes]
     factor_ns = [tuple(ni for _, ni in c.cartesian_factors) for c in part.classes]
-    grids = [
-        {coord: c.member_indices[pos] for pos, coord in enumerate(c.coords)}
-        for c in part.classes
-    ]
+    by_coord = [[v for _, v in sorted(zip(c.coords, c.member_indices))] for c in part.classes]
     matching = {}
     for bm in boundary_matchings(part):
         matching[(bm.class_a, bm.class_b)] = bm.edges
@@ -65,50 +62,20 @@ def oriented_structure(n: int) -> OrientedStructure:
                 fi, sub = boundary_projection(part, a, b)
                 bproj[(a, b)] = (fi, sub["apex"] - 1)
     return OrientedStructure(
-        n, graph, part, sizes, members, factor_ns, grids, matching, bproj
+        n, graph, part, sizes, members, factor_ns, by_coord, matching, bproj
     )
-
-
-def _lift_map(st: OrientedStructure, ci: int, factor_index: int, fixed: int) -> list:
-    """Vertex map from a factor flip graph into one copy inside class ci."""
-    grid = st.grids[ci]
-    l, r = st.factor_ns[ci]
-    if factor_index == 1:
-        return [grid[(fixed, u)] for u in range(catalan(r))]
-    return [grid[(u, fixed)] for u in range(catalan(l))]
 
 
 # ---------------------------------------------------------------------------
 # the recursive construction: pair flows, distribution flows, shuffles
 
-_PAIR_CACHE: dict = {}
-_RDIST_CACHE: dict = {}
-_AGG_CACHE: dict = {}
 
-
-def _check_net(flow: ArcFlow, expected: dict, context: str) -> None:
-    """Exact comparison of a flow's per-vertex net inflow with a target."""
-    net = flow.net_ints()
-    den = flow.den
-    for v, w in net.items():
-        if Fraction(w, den) != expected.get(v, Fraction(0)):
-            raise StructureMismatchError(
-                f"{context}: net at {v} is {Fraction(w, den)}, "
-                f"expected {expected.get(v, Fraction(0))}"
-            )
-    for v, x in expected.items():
-        if x != Fraction(net.get(v, 0), den):
-            raise StructureMismatchError(f"{context}: net at {v} missing {x}")
-
-
+@lru_cache(maxsize=None)
 def pair_flow(n: int, a: int, b: int) -> ArcFlow:
     """Single-source-class worth of the concentrate/transmit/distribute flow
     moving |C_b|/|C_a| units out of every vertex of class a and delivering
     one unit to every vertex of class b.  Verified exactly on construction.
     """
-    key = (n, a, b)
-    if key in _PAIR_CACHE:
-        return _PAIR_CACHE[key]
     st = oriented_structure(n)
     ca, cb = st.sizes[a], st.sizes[b]
     pieces = []
@@ -118,9 +85,8 @@ def pair_flow(n: int, a: int, b: int) -> ArcFlow:
     if f_n >= 2:
         base = r_dist(f_n, sub).reversed()
         other = catalan(st.factor_ns[a][1 - fi])
-        scale = Fraction(cb, ca)
-        for copy in range(other):
-            pieces.append((base.relabeled(_lift_map(st, a, fi, copy)), scale))
+        nh = catalan(st.factor_ns[a][1])
+        pieces += product_lift(st.by_coord[a], nh, fi, base, range(other), Fraction(cb, ca))
     # transmit across the matching
     arcs = st.matching[(a, b)]
     tran = ArcFlow(len(arcs), {(u, v): cb for u, v in arcs})
@@ -131,34 +97,27 @@ def pair_flow(n: int, a: int, b: int) -> ArcFlow:
     if f2 >= 2:
         base2 = r_dist(f2, sub2)
         other2 = catalan(st.factor_ns[b][1 - fj])
-        for copy in range(other2):
-            pieces.append((base2.relabeled(_lift_map(st, b, fj, copy)), 1))
+        nh2 = catalan(st.factor_ns[b][1])
+        pieces += product_lift(st.by_coord[b], nh2, fj, base2, range(other2), 1)
     flow = ArcFlow.combine(pieces).reduce()
-    expected = {v: Fraction(-cb, ca) for v in st.members[a]}
-    for v in st.members[b]:
-        expected[v] = Fraction(1)
-    _check_net(flow, expected, f"pair_flow({n},{a},{b})")
-    _PAIR_CACHE[key] = flow
+    expected = dict.fromkeys(st.members[a], Fraction(-cb, ca))
+    expected.update(dict.fromkeys(st.members[b], 1))
+    flow.check_net(expected, f"pair_flow({n},{a},{b})")
     return flow
 
 
+@lru_cache(maxsize=None)
 def r_dist(n: int, u: int) -> ArcFlow:
     """Canonical distribution flow on K_n: every vertex of oriented class u
     starts with C_n/|C_u| units; every vertex of K_n ends holding one."""
-    key = (n, u)
-    if key in _RDIST_CACHE:
-        return _RDIST_CACHE[key]
     st = oriented_structure(n)
     flow = ArcFlow.combine(
         (pair_flow(n, u, w), 1) for w in range(len(st.sizes)) if w != u
     ).reduce()
     total = catalan(n)
-    su = st.sizes[u]
-    expected = {v: Fraction(1) for v in range(total)}
-    for v in st.members[u]:
-        expected[v] = Fraction(1) - Fraction(total, su)
-    _check_net(flow, {v: x for v, x in expected.items() if x}, f"r_dist({n},{u})")
-    _RDIST_CACHE[key] = flow
+    expected = dict.fromkeys(range(total), 1)
+    expected.update(dict.fromkeys(st.members[u], 1 - Fraction(total, st.sizes[u])))
+    flow.check_net(expected, f"r_dist({n},{u})")
     return flow
 
 
@@ -168,34 +127,25 @@ def class_product_aggregate(n: int, t: int) -> ArcFlow:
     st = oriented_structure(n)
     l, r = st.factor_ns[t]
     cl, cr = catalan(l), catalan(r)
-    pieces = []
-    if r >= 2:
-        h = aggregate_flow(r)
-        for x in range(cl):
-            pieces.append((h.relabeled(_lift_map(st, t, 1, x)), cl))
-    if l >= 2:
-        g = aggregate_flow(l)
-        for y in range(cr):
-            pieces.append((g.relabeled(_lift_map(st, t, 0, y)), cr))
-    return ArcFlow.combine(pieces)
+    verts = st.by_coord[t]
+    return ArcFlow.combine(
+        product_lift(verts, cr, 1, aggregate_flow(r), range(cl), cl)
+        + product_lift(verts, cr, 0, aggregate_flow(l), range(cr), cr)
+    )
 
 
+@lru_cache(maxsize=None)
 def aggregate_flow(n: int) -> ArcFlow:
     """Aggregate arc flow of the recursive uniform multicommodity flow on K_n."""
-    if n in _AGG_CACHE:
-        return _AGG_CACHE[n]
     if n <= 1:
-        flow = ArcFlow()
-    else:
-        st = oriented_structure(n)
-        total = catalan(n)
-        pieces = []
-        for t, sz in enumerate(st.sizes):
-            pieces.append((class_product_aggregate(n, t), Fraction(total, sz)))
-            pieces.append((r_dist(n, t), sz))
-        flow = ArcFlow.combine(pieces).reduce()
-    _AGG_CACHE[n] = flow
-    return flow
+        return ArcFlow()
+    st = oriented_structure(n)
+    total = catalan(n)
+    pieces = []
+    for t, sz in enumerate(st.sizes):
+        pieces.append((class_product_aggregate(n, t), Fraction(total, sz)))
+        pieces.append((r_dist(n, t), sz))
+    return ArcFlow.combine(pieces).reduce()
 
 
 def shuffle_source_flow(n: int, s: int) -> ArcFlow:
@@ -207,13 +157,14 @@ def shuffle_source_flow(n: int, s: int) -> ArcFlow:
     x, y = c.coords[c.member_indices.index(s)]
     l, r = st.factor_ns[t]
     cl, cr = catalan(l), catalan(r)
+    verts = st.by_coord[t]
     pieces = []
+    # factors with one state carry no flow; skipping them keeps them out of
+    # per_source_flow's small LRU
     if r >= 2:
-        pieces.append((per_source_flow(r, y).relabeled(_lift_map(st, t, 1, x)), cl))
+        pieces += product_lift(verts, cr, 1, per_source_flow(r, y), [x], cl)
     if l >= 2:
-        base = per_source_flow(l, x)
-        for y2 in range(cr):
-            pieces.append((base.relabeled(_lift_map(st, t, 0, y2)), 1))
+        pieces += product_lift(verts, cr, 0, per_source_flow(l, x), range(cr), 1)
     return ArcFlow.combine(pieces)
 
 
@@ -250,27 +201,9 @@ def verify_unit_demands(n: int) -> dict:
         r_dist(n, t)  # net-verified on construction
     count = 0
     for t, sz in enumerate(st.sizes):
-        members = st.members[t]
-        mset = set(members)
-        for s in members:
-            sh = shuffle_source_flow(n, s)
-            net = sh.net_ints()
-            den = sh.den
-            if Fraction(net.get(s, 0), den) != Fraction(-(sz - 1)):
-                raise StructureMismatchError(
-                    f"source {s}: shuffle net {Fraction(net.get(s, 0), den)}"
-                )
-            for v in members:
-                if v != s and Fraction(net.get(v, 0), den) != 1:
-                    raise StructureMismatchError(
-                        f"source {s}: shuffle net at {v} is "
-                        f"{Fraction(net.get(v, 0), den)}"
-                    )
-            for v in net:
-                if v not in mset and net[v] != 0:
-                    raise StructureMismatchError(
-                        f"source {s}: shuffle leaks to vertex {v}"
-                    )
+        unit = dict.fromkeys(st.members[t], 1)
+        for s in st.members[t]:
+            shuffle_source_flow(n, s).check_net({**unit, s: 1 - sz}, f"source {s}: shuffle")
             count += 1
     return {"n": n, "sources": count, "ok": True}
 
@@ -300,13 +233,6 @@ def uniform_flow_recursive(graph) -> tuple:
     return agg, report
 
 
-def reset_flow_caches() -> None:
-    _PAIR_CACHE.clear()
-    _RDIST_CACHE.clear()
-    _AGG_CACHE.clear()
-    per_source_flow.cache_clear()
-
-
 # ---------------------------------------------------------------------------
 # Cartesian product combiner
 
@@ -325,18 +251,12 @@ def cartesian_flow_combine(factor_flows: list, factor_graphs: list):
     flow, graph = factor_flows[0], factor_graphs[0]
     for nxt_flow, nxt_graph in zip(factor_flows[1:], factor_graphs[1:]):
         ng, nh = graph.num_vertices, nxt_graph.num_vertices
-        prod = product_graph(graph, nxt_graph)
-        vals = {}
-        for x in range(ng):
-            off = x * nh
-            for (u, v), w in nxt_flow.vals.items():
-                vals[(off + u, off + v)] = w * ng * flow.den
-        for y in range(nh):
-            for (u, v), w in flow.vals.items():
-                arc = (u * nh + y, v * nh + y)
-                vals[arc] = vals.get(arc, 0) + w * nh * nxt_flow.den
-        flow = ArcFlow(flow.den * nxt_flow.den, vals).reduce()
-        graph = prod
+        verts = range(ng * nh)
+        flow = ArcFlow.combine(
+            product_lift(verts, nh, 1, nxt_flow, range(ng), ng)
+            + product_lift(verts, nh, 0, flow, range(nh), nh)
+        ).reduce()
+        graph = product_graph(graph, nxt_graph)
     return flow, graph
 
 
@@ -345,12 +265,12 @@ def cartesian_per_source(per_source_fns: list, factor_graphs: list, coord: tuple
     if len(factor_graphs) != 2:
         raise InvalidParameterError("per-source certification implemented for 2 factors")
     (g, h), (x, y) = factor_graphs, coord
-    nh = h.num_vertices
-    pieces = [(per_source_fns[1](y).relabeled([x * nh + u for u in range(nh)]), g.num_vertices)]
-    base = per_source_fns[0](x)
-    for y2 in range(nh):
-        pieces.append((base.relabeled([u * nh + y2 for u in range(g.num_vertices)]), 1))
-    return ArcFlow.combine(pieces)
+    ng, nh = g.num_vertices, h.num_vertices
+    verts = range(ng * nh)
+    return ArcFlow.combine(
+        product_lift(verts, nh, 1, per_source_fns[1](y), [x], ng)
+        + product_lift(verts, nh, 0, per_source_fns[0](x), range(nh), 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +293,7 @@ def _route(vals: dict, path: list, amount: Fraction) -> None:
 
 @dataclass
 class ProjectionRestrictionResult:
-    flow: dict  # arc -> Fraction
+    flow: ArcFlow
     report: CongestionReport
     rho_max: Fraction
     rho_bar: Fraction
@@ -408,11 +328,12 @@ def projection_restriction_combine(graph, classes: list) -> ProjectionRestrictio
             vclass[v] = ci
     if len(vclass) != n_verts:
         raise InvalidParameterError("classes do not partition the vertices")
-    pi = Fraction(1, n_verts)
     q_edge = Fraction(1, 2 * delta * n_verts)
 
-    # restriction flows: canonical BFS paths inside each class
+    # restriction flows: canonical BFS paths inside each class; within[arc]
+    # is the number of class paths through arc
     paths = []
+    within: dict = {}
     rho_max = Fraction(0)
     for cls in classes:
         allowed = set(cls)
@@ -431,6 +352,7 @@ def projection_restriction_combine(graph, classes: list) -> ProjectionRestrictio
                     arc = (p[i], p[i + 1])
                     counts[arc] = counts.get(arc, 0) + 1
         paths.append(cls_paths)
+        within.update(counts)
         sz = len(cls)
         for arc, cnt in counts.items():
             # f_i/Q_i with f_i = cnt/sz^2 and Q_i = 1/(2 delta sz)
@@ -472,11 +394,8 @@ def projection_restriction_combine(graph, classes: list) -> ProjectionRestrictio
         ext = sum(1 for w in graph.adj[v] if vclass[w] != vclass[v])
         gamma = max(gamma, Fraction(ext, 2 * delta))
 
-    vals: dict = {}
-    # within-class demands pi(z) pi(u), routed on the restriction paths
-    for ci, cls in enumerate(classes):
-        for (z, u), p in paths[ci].items():
-            _route(vals, p, pi * pi)
+    # within-class demands pi(z) pi(u) = 1/N^2, routed on the restriction paths
+    pieces = [(ArcFlow(n_verts * n_verts, within), 1)]
 
     # cross-class demands, lifted along the quotient paths
     for (i, j), qp in qpaths.items():
@@ -530,25 +449,15 @@ def projection_restriction_combine(graph, classes: list) -> ProjectionRestrictio
                             demand * ci_n * co_n / (e_in * e_out),
                         )
         # component conservation: class i sends demand, class j receives it
-        net: dict = {}
-        for (x, y_), w in comp.items():
-            net[x] = net.get(x, Fraction(0)) - w
-            net[y_] = net.get(y_, Fraction(0)) + w
-        for z in classes[i]:
-            if net.get(z, Fraction(0)) != -demand / len(classes[i]):
-                raise StructureMismatchError(
-                    f"commodity ({i},{j}): bad net at source {z}"
-                )
-        for u in classes[j]:
-            if net.get(u, Fraction(0)) != demand / len(classes[j]):
-                raise StructureMismatchError(
-                    f"commodity ({i},{j}): bad net at sink {u}"
-                )
-        for arc, w in comp.items():
-            vals[arc] = vals.get(arc, Fraction(0)) + w
+        commodity = ArcFlow.from_fractions(comp)
+        expected = dict.fromkeys(classes[i], -demand / len(classes[i]))
+        expected.update(dict.fromkeys(classes[j], demand / len(classes[j])))
+        commodity.check_net(expected, f"commodity ({i},{j})")
+        pieces.append((commodity, 1))
 
-    measured = max((val / q_edge for val in vals.values()), default=Fraction(0))
-    arg = max(vals, key=lambda a: vals[a]) if vals else None
+    flow = ArcFlow.combine(pieces).reduce()
+    top, arg = flow.max_arc()
+    measured = top / q_edge
     bound = (1 + 2 * rho_bar * gamma * delta) * rho_max
     report = CongestionReport(
         rho=measured / delta,
@@ -557,7 +466,7 @@ def projection_restriction_combine(graph, classes: list) -> ProjectionRestrictio
         rho_directed=measured / delta,
     )
     return ProjectionRestrictionResult(
-        flow=vals,
+        flow=flow,
         report=report,
         rho_max=rho_max,
         rho_bar=rho_bar,
@@ -658,14 +567,11 @@ def hierarchical_pairing_flow(n: int):
                     f"commodity {i} holds {pools[i][c]} at class {c}, "
                     f"expected {sizes[i] * sizes[c]}"
                 )
-    den = 1
-    for v in arc_vals.values():
-        den = den * v.denominator // gcd(den, v.denominator)
-    flow = ArcFlow(den, {a: int(v * den) for a, v in arc_vals.items()})
+    flow = ArcFlow.from_fractions(arc_vals)
     max_arc = max(
         (
-            (Fraction(w, den) / (match_size(a + 1, b + 1) * total), (a, b))
-            for (a, b), w in flow.vals.items()
+            (v / (match_size(a + 1, b + 1) * total), (a, b))
+            for (a, b), v in arc_vals.items()
         ),
         default=(Fraction(0), None),
     )

@@ -7,14 +7,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvalidParameterError, NoFlowError, StructureMismatchError
 from .graph import Graph
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 class ArcFlow:
@@ -42,15 +38,23 @@ class ArcFlow:
                 continue
             eff_den = flow.den * s.denominator
             staged.append((flow, s.numerator, eff_den))
-            den = _lcm(den, eff_den)
+            den = lcm(den, eff_den)
         vals: dict = {}
         get = vals.get
         for flow, num, eff_den in staged:
             mult = (den // eff_den) * num
             for arc, w in flow.vals.items():
                 vals[arc] = get(arc, 0) + w * mult
-        out = cls(den, {a: w for a, w in vals.items() if w != 0})
-        return out
+        return cls(den, {a: w for a, w in vals.items() if w != 0})
+
+    @classmethod
+    def from_fractions(cls, vals: dict) -> "ArcFlow":
+        """The flow with value vals[arc] (an int or Fraction) on each arc, over
+        the least common denominator, in the insertion order of vals."""
+        den = 1
+        for x in vals.values():
+            den = lcm(den, x.denominator)
+        return cls(den, {a: x.numerator * (den // x.denominator) for a, x in vals.items()})
 
     def reduce(self) -> "ArcFlow":
         g = self.den
@@ -85,6 +89,24 @@ class ArcFlow:
 
     def net(self) -> dict:
         return {v: Fraction(w, self.den) for v, w in self.net_ints().items() if w}
+
+    def check_net(self, expected: dict, context: str) -> None:
+        """Exact conservation check: the net inflow at each vertex v of
+        expected is expected[v] (an int or Fraction), and 0 at every other
+        vertex; raises StructureMismatchError naming the first mismatch."""
+        den = self.den
+        net = self.net_ints()
+        for v, x in expected.items():
+            w = net.pop(v, 0)
+            if w * x.denominator != x.numerator * den:
+                raise StructureMismatchError(
+                    f"{context}: net inflow at {v} is {Fraction(w, den)}, expected {x}"
+                )
+        for v, w in net.items():
+            if w:
+                raise StructureMismatchError(
+                    f"{context}: net inflow at {v} is {Fraction(w, den)}, expected 0"
+                )
 
     def support_size(self) -> int:
         return len(self.vals)
@@ -181,6 +203,19 @@ def product_graph(g, h) -> Graph:
     return Graph(adj, coords)
 
 
+def product_lift(verts, nh: int, factor: int, flow: ArcFlow, copies, scale) -> list:
+    """(flow, scale) pieces that put a flow on one factor of a product G x H
+    into some of that factor's copies, for ArcFlow.combine.
+
+    Vertex (x, y) of the product is verts[x * nh + y].  A flow on H
+    (factor 1) goes into the copies {x} x H for x in copies, a flow on G
+    (factor 0) into the copies G x {y} for y in copies.
+    """
+    if factor:
+        return [(flow.relabeled(verts[x * nh:(x + 1) * nh]), scale) for x in copies]
+    return [(flow.relabeled(verts[y::nh]), scale) for y in copies]
+
+
 @dataclass
 class MsfProblem:
     """Multi-way single-commodity flow problem: per-vertex surpluses and
@@ -210,17 +245,7 @@ class MsfProblem:
 
 def verify_msf(flow: ArcFlow, problem: MsfProblem) -> None:
     """Exact rational conservation check of a flow against an MSF problem."""
-    required = problem.net_required()
-    net = flow.net_ints()
-    den = flow.den
-    keys = set(net) | set(required)
-    for v in keys:
-        have = -Fraction(net.get(v, 0), den)
-        want = required.get(v, Fraction(0))
-        if have != want:
-            raise StructureMismatchError(
-                f"vertex {v}: net outflow {have} != required {want}"
-            )
+    flow.check_net({v: -x for v, x in problem.net_required().items()}, "msf")
 
 
 def solve_msf(problem: MsfProblem, strategy: str = "tree") -> ArcFlow:
@@ -240,7 +265,6 @@ def solve_msf(problem: MsfProblem, strategy: str = "tree") -> ArcFlow:
         return ArcFlow()
     if strategy == "direct-matching":
         vals = {}
-        den = 1
         for s, amount in problem.surplus.items():
             if amount == 0:
                 continue
@@ -249,9 +273,8 @@ def solve_msf(problem: MsfProblem, strategy: str = "tree") -> ArcFlow:
                 raise InvalidParameterError(
                     f"source {s} has no unique matching sink with equal demand"
                 )
-            den = _lcm(den, amount.denominator)
             vals[(s, sinks[0])] = amount
-        flow = ArcFlow(den, {a: int(w * den) for a, w in vals.items()})
+        flow = ArcFlow.from_fractions(vals)
         verify_msf(flow, problem)
         return flow
     if strategy == "through-class-decomposition":
@@ -266,10 +289,7 @@ def solve_msf(problem: MsfProblem, strategy: str = "tree") -> ArcFlow:
     parent = g.bfs_tree(next(iter(required)))
     if any(v not in parent for v in required):
         raise NoFlowError("imbalanced vertices not all in one component")
-    den = 1
-    for x in required.values():
-        den = _lcm(den, x.denominator)
-    excess = {v: int(required.get(v, 0) * den) for v in parent}
+    excess = {v: required.get(v, 0) for v in parent}
     vals: dict = {}
     for v in reversed(parent):
         p = parent[v]
@@ -281,6 +301,6 @@ def solve_msf(problem: MsfProblem, strategy: str = "tree") -> ArcFlow:
         elif e < 0:
             vals[(p, v)] = vals.get((p, v), 0) - e
         excess[p] += e
-    flow = ArcFlow(den, vals)
+    flow = ArcFlow.from_fractions(vals)
     verify_msf(flow, problem)
     return flow

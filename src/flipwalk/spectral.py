@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from .combinatorics import catalan
+from .decomposition import face_contains_center
 from .errors import (
     EnumerationTooLargeError,
     InvalidDistributionError,
@@ -287,21 +289,7 @@ def brute_force_expansion(graph) -> CutReport:
 
 
 def _central_triangles(m: int) -> list:
-    out = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            for c in range(b + 1, m):
-                arcs = ((b - a, a, b), (c - b, b, c), (m - (c - a), c, a))
-                ok = True
-                for ln, _, w in arcs:
-                    if 2 * ln > m or (
-                        2 * ln == m and not (0 < (1 - 2 * w) % (2 * m) < m)
-                    ):
-                        ok = False
-                        break
-                if ok:
-                    out.append((a, b, c))
-    return out
+    return [t for t in combinations(range(m), 3) if face_contains_center(t, m)]
 
 
 def _tri_arcs(tri: tuple, m: int) -> tuple:

@@ -17,6 +17,9 @@ from flipwalk.cli import (
 from flipwalk.errors import InvalidParameterError, SchemaMismatchError
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
 def _summary(out_dir, command):
     with open(os.path.join(out_dir, f"{command}_summary.json")) as fh:
         return json.load(fh)
@@ -38,6 +41,15 @@ def test_sample_rejects_bad_thin_and_steps(tmp_path, capsys, flag, value):
     out = tmp_path / "out"
     rc = main(["--command", "sample", "--n", "3", "--seed", "1", flag, value,
                "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_epsilon_must_be_finite_and_positive(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    rc = main(["--command", "analyze", "--n", "4", "--epsilon", value, "--out", str(out)])
     assert rc == EXIT_USAGE
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
@@ -75,6 +87,14 @@ def test_flow_summary_certifies(tmp_path):
     doc = _summary(tmp_path, "flow")
     assert doc[0]["conservation_certified"] is True
     assert doc[0]["congestion"]["normalization"] == "uniform"
+
+
+def test_flow_summary_matches_golden(tmp_path):
+    """rho, argmax_arc, the matching bounds and the pairing totals for
+    n = 2..7, byte for byte."""
+    assert main(["--command", "flow", "--n-range", "2..7", "--out", str(tmp_path)]) == EXIT_OK
+    with open(os.path.join(GOLDEN, "flow_summary_n2-7.json"), "rb") as fh:
+        assert (tmp_path / "flow_summary.json").read_bytes() == fh.read()
 
 
 def test_cut_and_lattice_commands(tmp_path):
@@ -176,6 +196,21 @@ def test_config_file_bad_n_exits_usage(tmp_path, line):
     cfg.write_text(f"command = cut\n{line}\n")
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, key",
+    [("run.cfg", "command = analyze\nnrange = 2..3\n", "nrange"),
+     ("run.json", json.dumps({"command": "cut", "n": 8, "foo": 1}), "foo")],
+    ids=["key-value", "json"],
+)
+def test_config_file_unknown_key_exits_usage(tmp_path, capsys, name, text, key):
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
     assert not out.exists()
 
 

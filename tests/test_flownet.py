@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipwalk.combinatorics import catalan
 from flipwalk.decomposition import boundary_matchings, oriented_partition
-from flipwalk.errors import InvalidParameterError, NoFlowError
+from flipwalk.errors import InvalidParameterError, NoFlowError, StructureMismatchError
 from flipwalk.flownet import (
     aggregate_flow,
     cartesian_flow_combine,
@@ -49,6 +51,40 @@ def test_arcflow_combine_and_reverse():
     assert s.value(1, 0) == Fraction(1, 3)
     r = s.reversed()
     assert r.value(1, 0) == s.value(0, 1)
+
+
+# small random flows on vertices 0..5; vertex 9 is never touched
+ARCS = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda a: a[0] != a[1])
+FLOWS = st.builds(
+    ArcFlow, st.integers(1, 12), st.dictionaries(ARCS, st.integers(-20, 20), max_size=8)
+)
+SCALES = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(FLOWS, SCALES), max_size=4))
+def test_arcflow_combine_is_linear(pieces):
+    total = ArcFlow.combine(pieces)
+    arcs = {(0, 1)}.union(*(flow.vals for flow, _ in pieces))
+    for u, v in arcs:
+        expect = sum((scale * flow.value(u, v) for flow, scale in pieces), Fraction(0))
+        assert total.value(u, v) == expect
+
+
+@PROPERTY
+@given(FLOWS, st.integers(0, 5), SCALES.filter(bool))
+def test_check_net_is_exact(flow, v, delta):
+    net = flow.net()
+    flow.check_net(net, "exact")
+    flow.check_net({**net, 9: 0}, "explicit zero")
+    with pytest.raises(StructureMismatchError):
+        flow.check_net({**net, v: net.get(v, 0) + delta}, "wrong value")
+    with pytest.raises(StructureMismatchError):
+        flow.check_net({**net, 9: delta}, "missing vertex")
+    for leak in net:
+        with pytest.raises(StructureMismatchError):
+            flow.check_net({u: x for u, x in net.items() if u != leak}, "leak")
 
 
 def test_congestion_subadditive_over_decomposition():
