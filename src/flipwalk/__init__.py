@@ -32,10 +32,9 @@ from .flows import (
     MsfProblem,
     congestion_report,
     expansion_lower_bound,
-    product_graph,
     solve_msf,
 )
-from .graph import Graph
+from .graph import Graph, product_graph
 from .kangulation import (
     FlipGraph,
     KAngulation,

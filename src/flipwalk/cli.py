@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -100,9 +99,9 @@ class ExperimentConfig:
             raise InvalidParameterError("sampling requires a seed (field 'seed')")
         if self.fmt not in ("json", "csv", "dot"):
             raise InvalidParameterError(f"format must be json|csv|dot, got {self.fmt!r}")
-        if not 0 < self.epsilon < math.inf:
+        if not 0 < self.epsilon < 1:
             raise InvalidParameterError(
-                f"epsilon must be finite and positive (field 'epsilon' = {self.epsilon})"
+                f"epsilon must be in (0, 1) (field 'epsilon' = {self.epsilon})"
             )
         if self.steps < 0:
             raise InvalidParameterError(f"steps must be >= 0 (field 'steps' = {self.steps})")

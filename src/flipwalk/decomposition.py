@@ -69,9 +69,6 @@ class ClassPartition:
     classes: list
     vertex_class: list
 
-    def class_of(self, v: int) -> int:
-        return self.vertex_class[v]
-
 
 @dataclass
 class BoundaryMatching:

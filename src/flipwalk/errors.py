@@ -45,10 +45,6 @@ class NoFlowError(FlipwalkError):
 class NumericFailureError(FlipwalkError):
     """An iterative numeric routine failed to converge."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class SchemaMismatchError(FlipwalkError, ValueError):
     """Summaries with incompatible schemas were mixed in one report."""

@@ -6,6 +6,7 @@ pairing flow.  All flow values are exact rationals.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,10 +19,9 @@ from .flows import (
     CongestionReport,
     MsfProblem,
     congestion_report,
-    product_graph,
     product_lift,
 )
-from .graph import Graph
+from .graph import Graph, product_graph
 from .kangulation import build_flip_graph
 
 
@@ -291,6 +291,11 @@ def _route(vals: dict, path: list, amount: Fraction) -> None:
         vals[arc] = vals.get(arc, Fraction(0)) + amount
 
 
+def _shares(points: list) -> dict:
+    """Each distinct point's share of the list, in first-appearance order."""
+    return {p: Fraction(c, len(points)) for p, c in Counter(points).items()}
+
+
 @dataclass
 class ProjectionRestrictionResult:
     flow: ArcFlow
@@ -407,47 +412,17 @@ def projection_restriction_combine(graph, classes: list) -> ProjectionRestrictio
             share = demand / len(edges)
             for arc in edges:
                 comp[arc] = comp.get(arc, Fraction(0)) + share
-        # weights: entry/exit multiplicity per class on the path
+        # inside each class on the path, route from entry to exit points: the
+        # shares are uniform over the class at the path's ends and follow the
+        # crossing edges' endpoints elsewhere
         for t, ci in enumerate(qp):
-            cls = classes[ci]
-            sz = len(cls)
-            if t == 0:
-                out_w = {}
-                for x, _ in hop_edges[0]:
-                    out_w[x] = out_w.get(x, 0) + 1
-                etot = len(hop_edges[0])
-                for z in cls:
-                    for w, cnt in out_w.items():
-                        if z == w:
-                            continue
-                        _route(comp, paths[ci][(z, w)], demand * cnt / (sz * etot))
-            elif t == len(qp) - 1:
-                in_w = {}
-                for _, y_ in hop_edges[-1]:
-                    in_w[y_] = in_w.get(y_, 0) + 1
-                etot = len(hop_edges[-1])
-                for z, cnt in in_w.items():
-                    for u in cls:
-                        if u == z:
-                            continue
-                        _route(comp, paths[ci][(z, u)], demand * cnt / (etot * sz))
-            else:
-                in_w = {}
-                for _, y_ in hop_edges[t - 1]:
-                    in_w[y_] = in_w.get(y_, 0) + 1
-                out_w = {}
-                for x, _ in hop_edges[t]:
-                    out_w[x] = out_w.get(x, 0) + 1
-                e_in, e_out = len(hop_edges[t - 1]), len(hop_edges[t])
-                for z, ci_n in in_w.items():
-                    for w, co_n in out_w.items():
-                        if z == w:
-                            continue
-                        _route(
-                            comp,
-                            paths[ci][(z, w)],
-                            demand * ci_n * co_n / (e_in * e_out),
-                        )
+            uniform = dict.fromkeys(classes[ci], Fraction(1, len(classes[ci])))
+            entry = _shares([y for _, y in hop_edges[t - 1]]) if t else uniform
+            exit_ = _shares([x for x, _ in hop_edges[t]]) if t < len(hop_edges) else uniform
+            for z, a in entry.items():
+                for w, b in exit_.items():
+                    if z != w:
+                        _route(comp, paths[ci][(z, w)], demand * a * b)
         # component conservation: class i sends demand, class j receives it
         commodity = ArcFlow.from_fractions(comp)
         expected = dict.fromkeys(classes[i], -demand / len(classes[i]))

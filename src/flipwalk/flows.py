@@ -1,5 +1,5 @@
 """Flow primitives: exact sparse arc flows, congestion reports, MSF problems,
-and Cartesian products of graphs.
+and lifts of factor flows into Cartesian products.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InvalidParameterError, NoFlowError, StructureMismatchError
-from .graph import Graph
 
 
 class ArcFlow:
@@ -187,20 +186,6 @@ def expansion_lower_bound(report: CongestionReport) -> Fraction:
     if report.rho == 0:
         raise InvalidParameterError("zero congestion: no flow routed")
     return Fraction(1, 2) / report.rho
-
-
-def product_graph(g, h) -> Graph:
-    """Cartesian product G box H; vertex (x, y) has index x * |V(H)| + y."""
-    nh = h.num_vertices
-    adj = []
-    coords = []
-    for x in range(g.num_vertices):
-        for y in range(nh):
-            nbrs = [x * nh + y2 for y2 in h.adj[y]]
-            nbrs += [x2 * nh + y for x2 in g.adj[x]]
-            adj.append(sorted(nbrs))
-            coords.append((x, y))
-    return Graph(adj, coords)
 
 
 def product_lift(verts, nh: int, factor: int, flow: ArcFlow, copies, scale) -> list:

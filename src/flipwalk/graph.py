@@ -88,3 +88,17 @@ class Graph:
         lines += [f"  v{i} -- v{j};" for i, j in self.edges()]
         lines.append("}")
         return "\n".join(lines)
+
+
+def product_graph(g, h) -> Graph:
+    """Cartesian product G box H; vertex (x, y) has index x * |V(H)| + y."""
+    nh = h.num_vertices
+    adj = []
+    coords = []
+    for x in range(g.num_vertices):
+        for y in range(nh):
+            nbrs = [x * nh + y2 for y2 in h.adj[y]]
+            nbrs += [x2 * nh + y for x2 in g.adj[x]]
+            adj.append(sorted(nbrs))
+            coords.append((x, y))
+    return Graph(adj, coords)

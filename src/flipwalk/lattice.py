@@ -5,11 +5,13 @@ subgraph induced by a fixed block partition of the grid.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
 
 from .errors import EnumerationTooLargeError, InvalidParameterError, StructureMismatchError
-from .graph import Graph
+from .graph import Graph, product_graph
 
 LATTICE_ENUM_CAP = 4  # grids beyond 4x4 points explode
 
@@ -39,6 +41,15 @@ def _on_segment(p, a, b) -> bool:
     return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[
         1
     ] <= max(a[1], b[1])
+
+
+def _neighbours(edges) -> dict:
+    """Point -> set of the points joined to it by an edge."""
+    nbrs = {}
+    for p, q in edges:
+        nbrs.setdefault(p, set()).add(q)
+        nbrs.setdefault(q, set()).add(p)
+    return nbrs
 
 
 @dataclass(frozen=True)
@@ -81,15 +92,10 @@ class LatticeTriangulation:
 
     def triangles(self) -> list:
         """All area-1/2 faces; with every edge present they are the faces."""
-        es = set(self.edges)
-        nbrs = {}
-        for p, q in self.edges:
-            nbrs.setdefault(p, set()).add(q)
-            nbrs.setdefault(q, set()).add(p)
+        nbrs = _neighbours(self.edges)
         tris = set()
         for p, q in self.edges:
-            common = nbrs[p] & nbrs[q]
-            for w in common:
+            for w in nbrs[p] & nbrs[q]:
                 if abs(_cross(p, q, w)) == 1:
                     tris.add(tuple(sorted((p, q, w))))
         return sorted(tris)
@@ -115,38 +121,37 @@ def flips_lattice(t: LatticeTriangulation) -> list:
     """All flips of t: interior edges whose two incident unimodular triangles
     form a strictly convex quadrilateral, with the diagonal swapped.
 
+    Every edge of a unimodular triangulation is primitive, and its apexes w1,
+    w2 sit at cross products +1 and -1, so segment w1w2 meets line pq at the
+    half-integer point (w1 + w2)/2.  The only such point strictly inside a
+    primitive segment is its midpoint, so the quadrilateral p w1 q w2 is
+    strictly convex iff w1 + w2 == p + q.
+
     Returns (neighbor, removed_edge, inserted_edge) triples.
     """
     n = t.n
-    es = set(t.edges)
-    nbrs = {}
-    for p, q in t.edges:
-        nbrs.setdefault(p, set()).add(q)
-        nbrs.setdefault(q, set()).add(p)
+    nbrs = _neighbours(t.edges)
     out = []
-    for p, q in t.edges:
-        on_hull = (
-            (p[0] == q[0] and p[0] in (0, n - 1))
-            or (p[1] == q[1] and p[1] in (0, n - 1))
-        )
-        if on_hull:
-            continue
-        apexes = [
-            w
-            for w in nbrs[p] & nbrs[q]
-            if abs(_cross(p, q, w)) == 1
-        ]
-        sides = [w for w in apexes if _cross(p, q, w) > 0], [
-            w for w in apexes if _cross(p, q, w) < 0
-        ]
-        if len(sides[0]) != 1 or len(sides[1]) != 1:
+    for i, (p, q) in enumerate(t.edges):
+        if (p[0] == q[0] and p[0] in (0, n - 1)) or (p[1] == q[1] and p[1] in (0, n - 1)):
+            continue  # hull edge
+        left, right = [], []
+        for w in nbrs[p] & nbrs[q]:
+            c = _cross(p, q, w)
+            if c == 1:
+                left.append(w)
+            elif c == -1:
+                right.append(w)
+        if len(left) != 1 or len(right) != 1:
             raise StructureMismatchError(f"edge {(p, q)} does not bound two faces")
-        w1, w2 = sides[0][0], sides[1][0]
-        if not _segments_cross(p, q, w1, w2):
+        (w1,), (w2,) = left, right
+        if w1[0] + w2[0] != p[0] + q[0] or w1[1] + w2[1] != p[1] + q[1]:
             continue  # non-convex quadrilateral: no flip on this edge
         new_edge = _norm_edge(w1, w2)
-        new_edges = tuple(sorted((es - {(p, q)}) | {new_edge}))
-        out.append((LatticeTriangulation(n, new_edges), (p, q), new_edge))
+        new_edges = list(t.edges)
+        del new_edges[i]
+        insort(new_edges, new_edge)
+        out.append((LatticeTriangulation(n, tuple(new_edges)), (p, q), new_edge))
     return out
 
 
@@ -175,38 +180,26 @@ class LatticeFlipGraph(Graph):
 
 
 def enumerate_lattice(n: int) -> LatticeFlipGraph:
-    """Full flip graph of the n x n grid by BFS from the canonical
-    all-negative-slope triangulation."""
+    """Full flip graph of the n x n grid, discovered from the canonical
+    all-negative-slope triangulation; vertices are sorted by edge tuple."""
     if n > LATTICE_ENUM_CAP:
         raise EnumerationTooLargeError(n, LATTICE_ENUM_CAP)
     start = canonical_lattice_triangulation(n)
-    if n == 1:
-        return LatticeFlipGraph(1, [start], [[]])
-    index = {start.edges: 0}
-    vertices = [start]
-    adj = [[]]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for vi in frontier:
-            for nbr, _, _ in flips_lattice(vertices[vi]):
-                j = index.get(nbr.edges)
-                if j is None:
-                    j = len(vertices)
-                    index[nbr.edges] = j
-                    vertices.append(nbr)
-                    adj.append([])
-                    nxt.append(j)
-                if j not in adj[vi]:
-                    adj[vi].append(j)
-                if vi not in adj[j]:
-                    adj[j].append(vi)
-        frontier = nxt
-    order = sorted(range(len(vertices)), key=lambda i: vertices[i].edges)
-    rank = {old: new for new, old in enumerate(order)}
-    vertices = [vertices[i] for i in order]
-    adj = [sorted(rank[w] for w in adj[i]) for i in order]
-    return LatticeFlipGraph(n, vertices, adj)
+    states = {start.edges: start}
+    nbr_keys = {}  # edges -> the neighbours' edge tuples, as stored in states
+    pending = [start]
+    while pending:
+        t = pending.pop()
+        keys = nbr_keys[t.edges] = []
+        for nbr, _, _ in flips_lattice(t):
+            stored = states.setdefault(nbr.edges, nbr)
+            if stored is nbr:
+                pending.append(nbr)
+            keys.append(stored.edges)
+    order = sorted(states)
+    index = {key: i for i, key in enumerate(order)}
+    adj = [sorted(index[k] for k in nbr_keys[key]) for key in order]
+    return LatticeFlipGraph(n, [states[key] for key in order], adj)
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +332,11 @@ def block_partial_triangulation(n: int, block: int) -> set:
                 forced.add(_norm_edge((x, y), (x + 1, y)))
     for x in range(n - 1):
         for y in range(n - 1):
-            different_x = (x // block) != ((x + 1) // block)
-            different_y = (y // block) != ((y + 1) // block)
-            if different_x or different_y:
-                forced.add(_norm_edge((x, y), (x + 1, y)))
-                forced.add(_norm_edge((x, y + 1), (x + 1, y + 1)))
-                forced.add(_norm_edge((x, y), (x, y + 1)))
-                forced.add(_norm_edge((x + 1, y), (x + 1, y + 1)))
-                forced.add(_norm_edge((x, y + 1), (x + 1, y)))
+            if x // block != (x + 1) // block or y // block != (y + 1) // block:
+                # the crossing cell's four sides and negative-slope diagonal
+                forced.update([((x, y), (x + 1, y)), ((x, y + 1), (x + 1, y + 1)),
+                               ((x, y), (x, y + 1)), ((x + 1, y), (x + 1, y + 1)),
+                               ((x, y + 1), (x + 1, y))])
     return forced
 
 
@@ -354,60 +344,36 @@ def product_subgraph(n: int, block: int) -> LatticeFlipGraph:
     """Subgraph of F_n induced by triangulations extending the fixed block
     partial triangulation: isomorphic to the Cartesian product of the
     per-block flip graphs, verified by explicit coordinates."""
-    if n % block != 0:
-        raise InvalidParameterError(f"block {block} does not divide {n}")
     forced = block_partial_triangulation(n, block)
     sub = enumerate_lattice(block)
-    nblocks = n // block
-    offsets = [
-        (bx * block, by * block) for bx in range(nblocks) for by in range(nblocks)
+    # placed[b][s]: block state s translated into block b (translation keeps
+    # each edge's endpoint order)
+    placed = [
+        [{((ax + ox, ay + oy), (bx + ox, by + oy)) for (ax, ay), (bx, by) in s.edges}
+         for s in sub.vertices]
+        for ox in range(0, n, block)
+        for oy in range(0, n, block)
     ]
-
-    def translate(t: LatticeTriangulation, off):
-        ox, oy = off
-        return [
-            _norm_edge((a[0] + ox, a[1] + oy), (b[0] + ox, b[1] + oy))
-            for a, b in t.edges
-        ]
-
+    coords = list(product(range(sub.num_vertices), repeat=len(placed)))
     vertices = []
-    coords = []
-
-    def build(idx: int, acc: set, coord: tuple):
-        if idx == len(offsets):
-            t = LatticeTriangulation(n, tuple(sorted(acc)))
-            t.validate()
-            vertices.append(t)
-            coords.append(coord)
-            return
-        for si, s in enumerate(sub.vertices):
-            build(idx + 1, acc | set(translate(s, offsets[idx])), coord + (si,))
-
-    build(0, set(forced), ())
-    index = {v.edges: i for i, v in enumerate(vertices)}
+    for coord in coords:
+        edges = forced.union(*(placed[b][s] for b, s in enumerate(coord)))
+        t = LatticeTriangulation(n, tuple(sorted(edges)))
+        t.validate()
+        vertices.append(t)
     # adjacency from actual flips restricted to the subgraph
-    adj = [[] for _ in vertices]
-    for i, v in enumerate(vertices):
+    index = {v.edges: i for i, v in enumerate(vertices)}
+    adj = []
+    for v in vertices:
+        nbrs = []
         for nbr, removed, _ in flips_lattice(v):
             j = index.get(nbr.edges)
-            if j is None:
-                continue
-            if removed in forced:
-                raise StructureMismatchError(
-                    "an internal flip removed a constrained edge"
-                )
-            adj[i].append(j)
-    adj = [sorted(a) for a in adj]
-    # verify the Cartesian-product structure via the coordinates
-    coord_index = {c: i for i, c in enumerate(coords)}
-    for i, ci in enumerate(coords):
-        expected = {
-            coord_index[ci[:pos] + (sj,) + ci[pos + 1:]]
-            for pos in range(len(offsets))
-            for sj in sub.adj[ci[pos]]
-        }
-        if expected != set(adj[i]):
-            raise StructureMismatchError(
-                f"vertex {i}: induced flips do not match the product adjacency"
-            )
+            if j is not None:
+                if removed in forced:
+                    raise StructureMismatchError("an internal flip removed a constrained edge")
+                nbrs.append(j)
+        adj.append(sorted(nbrs))
+    # the left fold indexes coordinates in the same lexicographic order
+    if adj != reduce(product_graph, [sub] * len(placed)).adj:
+        raise StructureMismatchError("induced flips do not match the product adjacency")
     return LatticeFlipGraph(n, vertices, adj, coords)

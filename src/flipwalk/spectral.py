@@ -97,19 +97,6 @@ class ChainAnalysis:
     def second_eigenvector(self) -> np.ndarray:
         return self._second_eigenpair()[1]
 
-    def summary(self) -> dict:
-        lo, hi = cheeger_bounds(self)
-        tau, mode = mixing_time(self, return_mode=True)
-        return {
-            "vertices": self.num_states,
-            "degree": self.delta,
-            "spectral_gap": self.spectral_gap(),
-            "mixing_time": tau,
-            "mixing_mode": mode,
-            "cheeger_lower": lo,
-            "cheeger_upper": hi,
-        }
-
 
 def build_chain(graph) -> ChainAnalysis:
     """Lazy flip-walk chain: half-stay, otherwise uniform over the
@@ -367,8 +354,10 @@ def sample_walk(graph, steps: int, seed: int, start: int, thin: int = 1) -> dict
     """
     if start < 0 or start >= graph.num_vertices:
         raise InvalidParameterError(f"invalid start vertex {start}")
-    rng = np.random.default_rng(seed)
     delta = graph.degree
+    if delta < 1:
+        raise InvalidParameterError("graph has no edges; the walk cannot move")
+    rng = np.random.default_rng(seed)
     n = graph.num_vertices
     counts = np.zeros(n, dtype=np.int64)
     state = start

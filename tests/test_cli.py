@@ -46,13 +46,20 @@ def test_sample_rejects_bad_thin_and_steps(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "1", "2"])
 def test_epsilon_must_be_finite_and_positive(tmp_path, capsys, value):
     out = tmp_path / "out"
     rc = main(["--command", "analyze", "--n", "4", "--epsilon", value, "--out", str(out)])
     assert rc == EXIT_USAGE
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sample_on_edgeless_graph_exits_usage(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["--command", "sample", "--n", "1", "--seed", "1", "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_parse_n_range():

@@ -1,5 +1,7 @@
 """Flow primitives and the recursive congestion machinery."""
 
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipwalk.combinatorics import catalan
-from flipwalk.decomposition import boundary_matchings, oriented_partition
+from flipwalk.decomposition import boundary_matchings, central_partition, oriented_partition
 from flipwalk.errors import InvalidParameterError, NoFlowError, StructureMismatchError
 from flipwalk.flownet import (
     aggregate_flow,
@@ -284,19 +286,49 @@ def test_projres_k4_oriented():
     assert res.report.normalization == "chain"
 
 
-def test_projres_two_class_toy_chains():
+def _toy_chain(joins):
     cyc = [[1, 3], [0, 2], [1, 3], [0, 2]]
+    adj = [list(a) for a in cyc] + [[x + 4 for x in a] for a in cyc]
+    for u, v in joins:
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph([sorted(a) for a in adj])
 
-    def toy(joins):
-        adj = [list(a) for a in cyc] + [[x + 4 for x in a] for a in cyc]
-        for u, v in joins:
-            adj[u].append(v)
-            adj[v].append(u)
-        return Graph([sorted(a) for a in adj])
 
-    for joins in ([(0, 4)], [(0, 4), (1, 5), (2, 6), (3, 7)]):
-        res = projection_restriction_combine(toy(joins), [[0, 1, 2, 3], [4, 5, 6, 7]])
+_TOY_JOINS = {"toy-1": [(0, 4)], "toy-4": [(0, 4), (1, 5), (2, 6), (3, 7)]}
+
+
+def test_projres_two_class_toy_chains():
+    for joins in _TOY_JOINS.values():
+        res = projection_restriction_combine(_toy_chain(joins), [[0, 1, 2, 3], [4, 5, 6, 7]])
         assert res.satisfied
+
+
+def _projres_case(case):
+    if case in _TOY_JOINS:
+        return _toy_chain(_TOY_JOINS[case]), [[0, 1, 2, 3], [4, 5, 6, 7]]
+    name, n = case.split("-")
+    g = _graph(3, int(n))
+    part = oriented_partition(g) if name == "oriented" else central_partition(g)
+    return g, [c.member_indices for c in part.classes]
+
+
+_PROJRES_CASES = [f"{p}-{n}" for p in ("oriented", "central") for n in range(3, 7)]
+_PROJRES_CASES += list(_TOY_JOINS)
+
+
+@pytest.mark.parametrize("case", _PROJRES_CASES)
+def test_projres_matches_golden(case):
+    """The combined flow (denominator and values in dict order) and every
+    reported quantity, against tests/golden/projection_restriction.json."""
+    with open(os.path.join(os.path.dirname(__file__), "golden", "projection_restriction.json")) as fh:
+        want = json.load(fh)[case]
+    res = projection_restriction_combine(*_projres_case(case))
+    assert res.flow.den == want["den"]
+    assert [[u, v, w] for (u, v), w in res.flow.vals.items()] == want["vals"]
+    for key in ("measured", "bound", "rho_max", "rho_bar", "gamma"):
+        assert str(getattr(res, key)) == want[key], key
+    assert list(res.report.argmax_arc) == want["argmax_arc"]
 
 
 def test_projres_rejects_non_partition():

@@ -1,10 +1,16 @@
 """Lattice triangulation flip graphs and the block product subgraph."""
 
+import hashlib
+import json
+import os
+
 import pytest
 
 from flipwalk.errors import EnumerationTooLargeError, InvalidParameterError
 from flipwalk.lattice import (
     LatticeTriangulation,
+    _cross,
+    _segments_cross,
     block_partial_triangulation,
     canonical_lattice_triangulation,
     count_triangulations_recursive,
@@ -13,6 +19,8 @@ from flipwalk.lattice import (
     product_subgraph,
 )
 from flipwalk.spectral import brute_force_expansion
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def test_single_cell_two_triangulations():
@@ -130,3 +138,57 @@ def test_json_and_dot_exports():
     assert doc["n"] == 2 and len(doc["vertices"]) == 2
     dot = g.to_dot()
     assert dot.count(" -- ") == 1
+
+
+_GOLDEN_BUILDS = {
+    "enumerate_lattice(1)": lambda: enumerate_lattice(1),
+    "enumerate_lattice(2)": lambda: enumerate_lattice(2),
+    "enumerate_lattice(3)": lambda: enumerate_lattice(3),
+    "product_subgraph(2, 1)": lambda: product_subgraph(2, 1),
+    "product_subgraph(2, 2)": lambda: product_subgraph(2, 2),
+    "product_subgraph(4, 2)": lambda: product_subgraph(4, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_BUILDS))
+def test_lattice_graph_matches_golden(case):
+    """JSON, DOT and coordinates, byte for byte, against
+    tests/golden/lattice_graphs.json."""
+    with open(os.path.join(GOLDEN, "lattice_graphs.json")) as fh:
+        want = json.load(fh)[case]
+    g = _GOLDEN_BUILDS[case]()
+    assert g.to_json() == want["json"]
+    assert g.to_dot() == want["dot"]
+    coords = None if g.coords is None else [list(c) for c in g.coords]
+    assert coords == want["coords"]
+
+
+@pytest.mark.slow
+def test_enumerate_lattice_4_matches_golden_hash():
+    doc = enumerate_lattice(4).to_json().encode()
+    assert hashlib.sha256(doc).hexdigest() == (
+        "8ea2a0b5aa47be67ce94e8186f849aea07094bdc18852b803a95774a7fc53ed3"
+    )
+
+
+def test_parallelogram_rule_matches_segment_crossing():
+    """For an interior edge pq with apexes w1 (left) and w2 (right), the
+    quadrilateral p w1 q w2 is strictly convex iff w1 + w2 == p + q."""
+    checked = 0
+    for t in enumerate_lattice(3).vertices:
+        nbrs = {}
+        for p, q in t.edges:
+            nbrs.setdefault(p, set()).add(q)
+            nbrs.setdefault(q, set()).add(p)
+        flipped = {removed for _, removed, _ in flips_lattice(t)}
+        for p, q in t.edges:
+            apexes = [w for w in nbrs[p] & nbrs[q] if abs(_cross(p, q, w)) == 1]
+            if len(apexes) < 2:
+                continue  # hull edge
+            (w1,) = [w for w in apexes if _cross(p, q, w) > 0]
+            (w2,) = [w for w in apexes if _cross(p, q, w) < 0]
+            rule = (w1[0] + w2[0], w1[1] + w2[1]) == (p[0] + q[0], p[1] + q[1])
+            assert rule == _segments_cross(p, q, w1, w2)
+            assert rule == ((p, q) in flipped)
+            checked += 1
+    assert checked == 64 * 8
