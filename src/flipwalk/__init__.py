@@ -29,10 +29,8 @@ from .flownet import (
 from .flows import (
     ArcFlow,
     CongestionReport,
-    MsfProblem,
     congestion_report,
     expansion_lower_bound,
-    solve_msf,
 )
 from .graph import Graph, product_graph
 from .kangulation import (

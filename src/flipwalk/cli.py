@@ -1,7 +1,8 @@
 """Command-line surface: experiment configs, reproducible runs, exports.
 
-Exit codes: 0 success, 2 usage/config error, 3 lemma-check violation
-(with witness), 4 resource cap exceeded.
+Exit codes: 0 success, 2 usage/config error (or an unusable --out or
+cache directory), 3 lemma-check violation (with witness), 4 resource cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -97,6 +98,8 @@ class ExperimentConfig:
             raise InvalidParameterError(f"cap must be positive (field 'cap' = {self.cap})")
         if self.command == "sample" and self.seed is None:
             raise InvalidParameterError("sampling requires a seed (field 'seed')")
+        if self.seed is not None and self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0 (field 'seed' = {self.seed})")
         if self.fmt not in ("json", "csv", "dot"):
             raise InvalidParameterError(f"format must be json|csv|dot, got {self.fmt!r}")
         if not 0 < self.epsilon < 1:
@@ -404,6 +407,7 @@ def run(cfg: ExperimentConfig) -> int:
         return EXIT_USAGE
     try:
         summaries = _RUNNERS[cfg.command](cfg)
+        _write(cfg, f"{cfg.command}_summary.json", _dump(summaries))
     except LemmaViolationError as exc:
         print(f"lemma violation: {exc} (witness: {exc.witness})", file=sys.stderr)
         return EXIT_VIOLATION
@@ -413,7 +417,9 @@ def run(cfg: ExperimentConfig) -> int:
     except FlipwalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write(cfg, f"{cfg.command}_summary.json", _dump(summaries))
+    except OSError as exc:  # --out or the cache directory is unusable
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(_dump(summaries), end="")
     return EXIT_OK
 
@@ -473,7 +479,7 @@ def main(argv=None) -> int:
             return EXIT_USAGE if exc.code not in (0, None) else 0
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, undecodable or bad JSON
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return run(cfg)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .combinatorics import catalan, fuss_catalan
 from .errors import (
@@ -16,7 +16,8 @@ from .errors import (
     LemmaViolationError,
     StructureMismatchError,
 )
-from .kangulation import FlipGraph, _enumerate_local, _face_from
+from .graph import product_graph
+from .kangulation import FlipGraph, _enumerate_local, _face_from, build_flip_graph
 
 
 @lru_cache(maxsize=None)
@@ -46,10 +47,8 @@ class ClassDescriptor:
 
     defining_polygon: tuple
     member_indices: list
-    cartesian_factors: list  # [(k, n_i), ...] aligned with sub_polygons
-    sub_polygons: list  # [(start_vertex, end_vertex), ...]; arcs of the polygon
+    cartesian_factors: list  # [(k, n_i), ...], one per arc of the polygon
     coords: list = field(repr=False)  # per member: tuple of factor state indices
-    coord_index: dict = field(repr=False)  # coords tuple -> member position
 
     @property
     def size(self) -> int:
@@ -75,35 +74,23 @@ class BoundaryMatching:
     class_a: int
     class_b: int
     edges: list  # [(vertex_in_a, vertex_in_b), ...]
-    boundary_a: set
-    boundary_b: set
 
     @property
     def size(self) -> int:
         return len(self.edges)
 
 
-def _subdiagonals(diags, lo: int, hi: int) -> tuple:
-    """Diagonals lying strictly inside the arc lo..hi, relabeled to 0-base."""
-    out = [
-        (a - lo, b - lo)
-        for a, b in diags
-        if lo <= a and b <= hi and not (a == lo and b == hi)
-    ]
-    return tuple(sorted(out))
-
-
-def _wrap_subdiagonals(diags, lo: int, hi: int, m: int) -> tuple:
-    """Diagonals inside the wrap-around arc lo..m-1..hi, relabeled mod m."""
-    inside = lambda v: v >= lo or v <= hi
+def _subdiagonals(diags, lo: int, hi: int, m: int) -> tuple:
+    """Diagonals strictly inside the cyclic arc lo..hi of the m-gon (which
+    may wrap past m-1), relabeled so that lo becomes vertex 0."""
+    span = (hi - lo) % m
     out = []
     for a, b in diags:
-        if inside(a) and inside(b):
-            x, y = (a - lo) % m, (b - lo) % m
-            if x > y:
-                x, y = y, x
-            if not (x == 0 and y == (hi - lo) % m):
-                out.append((x, y))
+        x, y = (a - lo) % m, (b - lo) % m
+        if x > y:
+            x, y = y, x
+        if y <= span and (x, y) != (0, span):
+            out.append((x, y))
     return tuple(sorted(out))
 
 
@@ -134,22 +121,16 @@ def _build_classes(graph: FlipGraph, key_of, arcs_of, kind: str) -> ClassPartiti
                 if ni == 0:
                     coord.append(0)
                     continue
-                if hi > lo:
-                    sub = _subdiagonals(diags, lo, hi)
-                else:
-                    sub = _wrap_subdiagonals(diags, lo, hi, m)
-                coord.append(_local_index(k, ni)[sub])
+                coord.append(_local_index(k, ni)[_subdiagonals(diags, lo, hi, m)])
             coords.append(tuple(coord))
             vertex_class[idx] = ci
         desc = ClassDescriptor(
             defining_polygon=poly,
             member_indices=members,
             cartesian_factors=factors,
-            sub_polygons=arcs,
             coords=coords,
-            coord_index={c: pos for pos, c in enumerate(coords)},
         )
-        if desc.size != desc.expected_size() or len(desc.coord_index) != desc.size:
+        if desc.size != desc.expected_size() or len(set(coords)) != desc.size:
             raise StructureMismatchError(
                 f"class {poly}: size {desc.size} != product {desc.expected_size()}"
             )
@@ -262,7 +243,7 @@ def boundary_matchings(partition: ClassPartition) -> list:
                     witness=(ca, cb),
                 )
             if edges or partition.kind == "central":
-                out.append(BoundaryMatching(ca, cb, edges, ba, bb))
+                out.append(BoundaryMatching(ca, cb, edges))
     return out
 
 
@@ -351,60 +332,21 @@ def boundary_projection(partition: ClassPartition, a: int, b: int):
 def verify_class_product_structure(partition: ClassPartition) -> None:
     """Check each class induces exactly the Cartesian product of its factors.
 
-    Uses the canonical coordinate map: every intra-class edge must change
-    exactly one coordinate, by a flip of that factor, and the intra-class
-    edge count must equal the product formula.
+    The members, taken in coordinate order, must induce the adjacency of the
+    left-fold product of the factor flip graphs: factor states are in the
+    canonical order the coordinates index, and the fold indexes coordinate
+    tuples lexicographically.
     """
     g = partition.graph
-    vc = partition.vertex_class
-    k = g.k
-    intra = [0] * len(partition.classes)
-    pos_of = [
-        {v: i for i, v in enumerate(c.member_indices)} for c in partition.classes
-    ]
-    for i, j in g.edges():
-        if vc[i] != vc[j]:
-            continue
-        c = partition.classes[vc[i]]
-        ci = c.coords[pos_of[vc[i]][i]]
-        cj = c.coords[pos_of[vc[j]][j]]
-        diffs = [t for t in range(len(ci)) if ci[t] != cj[t]]
-        if len(diffs) != 1:
-            raise StructureMismatchError(
-                f"edge ({i},{j}) changes {len(diffs)} coordinates"
-            )
-        t = diffs[0]
-        _, ni = c.cartesian_factors[t]
-        states = _enumerate_local(k, ni)
-        da, db = set(states[ci[t]]), set(states[cj[t]])
-        if len(da - db) != 1 or len(db - da) != 1:
-            raise StructureMismatchError(
-                f"edge ({i},{j}) is not a factor flip in factor {t}"
-            )
-        intra[vc[i]] += 1
     for ci, c in enumerate(partition.classes):
-        expected = 0
-        for t, (kk, ni) in enumerate(c.cartesian_factors):
-            e_factor = fuss_catalan(kk, ni) * (ni - 1) * (kk - 2) // 2 if ni >= 1 else 0
-            other = 1
-            for s, (kk2, nj) in enumerate(c.cartesian_factors):
-                if s != t:
-                    other *= fuss_catalan(kk2, nj)
-            expected += e_factor * other
-        if intra[ci] != expected:
+        order = [v for _, v in sorted(zip(c.coords, c.member_indices))]
+        pos = {v: i for i, v in enumerate(order)}
+        induced = [sorted(pos[w] for w in g.adj[v] if w in pos) for v in order]
+        factors = [build_flip_graph(k, max(ni, 1)) for k, ni in c.cartesian_factors]
+        if induced != reduce(product_graph, factors).adj:
             raise StructureMismatchError(
-                f"class {ci}: {intra[ci]} intra edges, product predicts {expected}"
+                f"class {ci} does not induce the product of its factor flip graphs"
             )
-
-
-def classify_edges(partition: ClassPartition) -> dict:
-    """Count intra-class edges and matching edges; they must cover all edges."""
-    g = partition.graph
-    vc = partition.vertex_class
-    intra = sum(1 for i, j in g.edges() if vc[i] == vc[j])
-    matchings = boundary_matchings(partition)
-    cross = sum(bm.size for bm in matchings)
-    return {"intra": intra, "cross": cross, "total": g.num_edges()}
 
 
 def partition_to_json(partition: ClassPartition, full_edge_lists: bool = False) -> str:

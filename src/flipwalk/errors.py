@@ -38,10 +38,6 @@ class StructureMismatchError(FlipwalkError):
     """A structural isomorphism claimed by the theory failed to verify."""
 
 
-class NoFlowError(FlipwalkError):
-    """A flow problem is infeasible (e.g. disconnected support)."""
-
-
 class NumericFailureError(FlipwalkError):
     """An iterative numeric routine failed to converge."""
 

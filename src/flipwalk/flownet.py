@@ -17,7 +17,6 @@ from .errors import InvalidParameterError, StructureMismatchError
 from .flows import (
     ArcFlow,
     CongestionReport,
-    MsfProblem,
     congestion_report,
     product_lift,
 )
@@ -565,28 +564,3 @@ def hierarchical_pairing_flow(n: int):
         "demands_certified": True,
     }
     return flow, report, details
-
-
-# ---------------------------------------------------------------------------
-# MSF via the class machinery
-
-
-def solve_msf_by_classes(problem: MsfProblem) -> ArcFlow:
-    """Solve a class-to-graph MSF on a k=3 flip graph with the recursive
-    distribution flow: sources must be exactly one oriented class with a
-    uniform surplus, sinks all vertices with a uniform deficit."""
-    g = problem.graph
-    if getattr(g, "k", None) != 3:
-        raise InvalidParameterError("class decomposition requires a k=3 flip graph")
-    st = oriented_structure(g.n)
-    sources = {v for v, s in problem.surplus.items() if s}
-    sigma = {problem.surplus[v] for v in sources}
-    delta = set(problem.deficit.values())
-    if len(sigma) != 1 or len(delta) != 1:
-        raise InvalidParameterError("class strategy needs uniform surplus and deficit")
-    if set(problem.deficit) != set(range(g.num_vertices)):
-        raise InvalidParameterError("class strategy needs the whole graph as sink set")
-    for t, members in enumerate(st.members):
-        if sources == set(members):
-            return ArcFlow.combine([(r_dist(g.n, t), delta.pop())])
-    raise InvalidParameterError("source set is not an oriented class")

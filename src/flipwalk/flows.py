@@ -1,5 +1,5 @@
-"""Flow primitives: exact sparse arc flows, congestion reports, MSF problems,
-and lifts of factor flows into Cartesian products.
+"""Flow primitives: exact sparse arc flows, congestion reports, and lifts of
+factor flows into Cartesian products.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InvalidParameterError, NoFlowError, StructureMismatchError
+from .errors import InvalidParameterError, StructureMismatchError
 
 
 class ArcFlow:
@@ -117,10 +117,6 @@ class ArcFlow:
         arc = max(self.vals, key=lambda a: self.vals[a])
         return Fraction(self.vals[arc], self.den), arc
 
-    def items_fractions(self):
-        for arc, w in self.vals.items():
-            yield arc, Fraction(w, self.den)
-
 
 @dataclass
 class CongestionReport:
@@ -199,93 +195,3 @@ def product_lift(verts, nh: int, factor: int, flow: ArcFlow, copies, scale) -> l
     if factor:
         return [(flow.relabeled(verts[x * nh:(x + 1) * nh]), scale) for x in copies]
     return [(flow.relabeled(verts[y::nh]), scale) for y in copies]
-
-
-@dataclass
-class MsfProblem:
-    """Multi-way single-commodity flow problem: per-vertex surpluses and
-    deficits on one graph; feasible only when they balance."""
-
-    graph: object
-    surplus: dict  # vertex -> Fraction
-    deficit: dict  # vertex -> Fraction
-
-    def validate(self) -> None:
-        total_s = sum(self.surplus.values(), Fraction(0))
-        total_d = sum(self.deficit.values(), Fraction(0))
-        if total_s != total_d:
-            raise InvalidParameterError(
-                f"unbalanced MSF problem: surplus {total_s} != deficit {total_d}"
-            )
-
-    def net_required(self) -> dict:
-        """Required net outflow per vertex (Def. conditions 1-4 combined)."""
-        net = {}
-        for v, s in self.surplus.items():
-            net[v] = net.get(v, Fraction(0)) + s
-        for v, d in self.deficit.items():
-            net[v] = net.get(v, Fraction(0)) - d
-        return {v: x for v, x in net.items() if x}
-
-
-def verify_msf(flow: ArcFlow, problem: MsfProblem) -> None:
-    """Exact rational conservation check of a flow against an MSF problem."""
-    flow.check_net({v: -x for v, x in problem.net_required().items()}, "msf")
-
-
-def solve_msf(problem: MsfProblem, strategy: str = "tree") -> ArcFlow:
-    """Solve an MSF problem.
-
-    Strategies:
-      tree              -- push imbalances along a BFS spanning tree (general).
-      direct-matching   -- route across a perfect matching between sources and
-                           sinks; each matching arc carries its surplus.
-      through-class-decomposition -- delegate to the recursive class-flow
-                           machinery (flownet.solve_msf_by_classes).
-    """
-    problem.validate()
-    g = problem.graph
-    required = problem.net_required()
-    if not required:
-        return ArcFlow()
-    if strategy == "direct-matching":
-        vals = {}
-        for s, amount in problem.surplus.items():
-            if amount == 0:
-                continue
-            sinks = [v for v in g.adj[s] if problem.deficit.get(v, 0) == amount]
-            if len(sinks) != 1 or problem.surplus.get(sinks[0], 0) != 0:
-                raise InvalidParameterError(
-                    f"source {s} has no unique matching sink with equal demand"
-                )
-            vals[(s, sinks[0])] = amount
-        flow = ArcFlow.from_fractions(vals)
-        verify_msf(flow, problem)
-        return flow
-    if strategy == "through-class-decomposition":
-        from .flownet import solve_msf_by_classes
-
-        flow = solve_msf_by_classes(problem)
-        verify_msf(flow, problem)
-        return flow
-    if strategy != "tree":
-        raise InvalidParameterError(f"unknown MSF strategy: {strategy}")
-    # BFS tree from some vertex carrying nonzero imbalance
-    parent = g.bfs_tree(next(iter(required)))
-    if any(v not in parent for v in required):
-        raise NoFlowError("imbalanced vertices not all in one component")
-    excess = {v: required.get(v, 0) for v in parent}
-    vals: dict = {}
-    for v in reversed(parent):
-        p = parent[v]
-        if p is None:
-            continue
-        e = excess[v]
-        if e > 0:
-            vals[(v, p)] = vals.get((v, p), 0) + e
-        elif e < 0:
-            vals[(p, v)] = vals.get((p, v), 0) - e
-        excess[p] += e
-    flow = ArcFlow.from_fractions(vals)
-    verify_msf(flow, problem)
-    return flow

@@ -67,13 +67,6 @@ class ChainAnalysis:
     def transition_matrix(self) -> np.ndarray:
         return self.operator().toarray()
 
-    def transition_row_exact(self, i: int) -> dict:
-        """Row i of P as exact rationals (sums to 1 exactly)."""
-        off = Fraction(1, 2 * self.delta)
-        row = {j: off for j in self.graph.adj[i]}
-        row[i] = 1 - off * len(self.graph.adj[i])
-        return row
-
     def _second_eigenpair(self) -> tuple:
         """(lambda_2, eigenvector) by Lanczos; dense for N <= 2, where
         ARPACK cannot return two eigenpairs."""
@@ -395,6 +388,8 @@ def chi_square_survival(stat: float, dof: int) -> float:
 
 
 def _gammq(a: float, x: float) -> float:
+    # near x = a both expansions need on the order of sqrt(a) terms, so their
+    # term caps grow with sqrt(a); 500 terms alone are too few from dof ~ 10^4
     if x < a + 1.0:
         return 1.0 - _gamma_series(a, x)
     return _gamma_cf(a, x)
@@ -405,7 +400,7 @@ def _gamma_series(a: float, x: float) -> float:
     ap = a
     total = 1.0 / a
     delta = total
-    for _ in range(500):
+    for _ in range(500 + 20 * int(math.sqrt(a))):
         ap += 1.0
         delta *= x / ap
         total += delta
@@ -421,7 +416,7 @@ def _gamma_cf(a: float, x: float) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, 500):
+    for i in range(1, 500 + 20 * int(math.sqrt(a))):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b

@@ -55,6 +55,29 @@ def test_epsilon_must_be_finite_and_positive(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, cache_is_file",
+    [
+        (["--command", "sample", "--n", "4", "--seed", "-1", "--out", "{out}"], False),
+        (["--config", "{file}"], False),
+        (["--command", "enumerate", "--n", "3", "--out", "{file}"], False),
+        (["--command", "sample", "--n", "3", "--seed", "1", "--out", "{out}"], True),
+    ],
+    ids=["negative-seed", "non-utf8-config", "out-is-file", "cache-dir-is-file"],
+)
+def test_bad_input_exits_usage_without_traceback(
+    tmp_path, capsys, monkeypatch, argv, cache_is_file
+):
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"\xff\xfe{")  # exists, and is not UTF-8
+    if cache_is_file:
+        monkeypatch.setenv("FLIPWALK_CACHE_DIR", str(afile))
+    rc = main([a.format(file=afile, out=tmp_path / "out") for a in argv])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 def test_sample_on_edgeless_graph_exits_usage(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["--command", "sample", "--n", "1", "--seed", "1", "--out", str(out)])

@@ -1,5 +1,7 @@
 """Oriented and central class partitions and their cardinality lemmas."""
 
+import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
@@ -11,14 +13,14 @@ from flipwalk.decomposition import (
     boundary_projection,
     central_face,
     central_partition,
-    classify_edges,
     face_contains_center,
     oriented_partition,
     partition_to_json,
     verify_class_product_structure,
     verify_matching_inequality,
 )
-from flipwalk.errors import InvalidParameterError
+from flipwalk.errors import InvalidParameterError, StructureMismatchError
+from flipwalk.graph import Graph
 from flipwalk.kangulation import build_flip_graph
 
 
@@ -168,19 +170,25 @@ def test_central_records_empty_pairs():
     assert any(bm.size == 0 for bm in bms)
 
 
-def test_edge_classification_covers_all_edges():
-    for kind, part in [
-        ("oriented", oriented_partition(_graph(3, 5))),
-        ("central", central_partition(_graph(3, 5))),
-    ]:
-        counts = classify_edges(part)
-        assert counts["intra"] + counts["cross"] == counts["total"], kind
-
-
 def test_class_product_structure():
     verify_class_product_structure(oriented_partition(_graph(3, 6)))
     verify_class_product_structure(central_partition(_graph(3, 6)))
     verify_class_product_structure(central_partition(_graph(4, 4)))
+
+
+@pytest.mark.parametrize(
+    "build, k, n",
+    [(oriented_partition, 3, 6), (central_partition, 3, 6), (central_partition, 4, 4)],
+)
+def test_class_product_structure_rejects_dropped_edge(build, k, n):
+    part = build(_graph(k, n))
+    vc = part.vertex_class
+    i, j = next((i, j) for i, j in part.graph.edges() if vc[i] == vc[j])
+    adj = [list(nbrs) for nbrs in part.graph.adj]
+    adj[i].remove(j)
+    adj[j].remove(i)
+    with pytest.raises(StructureMismatchError):
+        verify_class_product_structure(dataclasses.replace(part, graph=Graph(adj)))
 
 
 def test_boundary_projection_all_pairs_k5():
@@ -229,3 +237,45 @@ def test_central_factor_bound_k3():
     for c in central_partition(g).classes:
         for _, ni in c.cartesian_factors:
             assert ni <= 3
+
+
+# sha256 of each partition's classes as JSON: per class, the defining
+# polygon, member indices, Cartesian factors and member coordinates.
+CLASS_STRUCTURE_SHA256 = {
+    (3, 2, "central"): "14ad0ba03ca1eac1267ed77f8e0e8abc54757e09334d52b0b8ced794d02ebf3a",
+    (3, 2, "oriented"): "0c985e892b3f0a6d315ca04b41b80977d0ab0f08ef608df66a580400a26c825a",
+    (3, 3, "central"): "26ab02ffb25031a3019356a85dafe3cf4a963de0bd6305b58db6c48199bb4ebe",
+    (3, 3, "oriented"): "6265abb19e5d987665277fbea35d94a2ce1b69e0eb1c28d203ccea724d62da2f",
+    (3, 4, "central"): "c8a4e6f1c3f86614eb427419aa16a51fc36f6a3995f21d18124e86a7f7834318",
+    (3, 4, "oriented"): "1f21077375d41a572527f14d4315b28329b533853f4afb11a70117cc646d5d9c",
+    (3, 5, "central"): "ac039ca206c608e027c4a47a6867c2902cd4566370878189204b64ac1edeb19a",
+    (3, 5, "oriented"): "586a21c0db14e40ddfd8e6c558ab0a1fccdbeb8adc17774ca9bd781165b6f063",
+    (3, 6, "central"): "3d629e69ab8f573eb3395d9be6a42c819a9eaf994569d7995e374907b1bff3f0",
+    (3, 6, "oriented"): "dcc87133f20e0ef46e633ce43e492d503f7e5badcdb16d61457de389071cb658",
+    (3, 7, "central"): "69e6d03d1bbe473f03d6cb7771758b37f99611edc28d59dba018630a6d2170cd",
+    (3, 7, "oriented"): "661ac3aa5ae036cb703a58a57084e379811b5759f29a309a98d1c1210772836c",
+    (3, 8, "central"): "ddbb4896eb1bdceef50282959a0c0552ca62a799613c400cb1d1c351c59aa22b",
+    (3, 8, "oriented"): "50c670717c1775fd8eec504a3db0603f504bb9f5a91d84f68b14827cac49ba00",
+    (4, 2, "central"): "99c6dd170268ce10e1a0d532762c3d366dc3ca725bd9306f8494698a0ed36f6d",
+    (4, 3, "central"): "142af32cc7aff7d69a8a9f87c0e7b454dd985d214e7205a19a638517bba9bbef",
+    (4, 4, "central"): "fcc2e9d07bd3e5beb5b762b1fc9531787873d90b3639ce1277afe256e7e9f611",
+    (4, 5, "central"): "89f8fab5b7e3b88cbf9bb0070fc7fd1a64b7fad9675aba5f6c530d06ed4675c9",
+    (5, 2, "central"): "a3d3392527b2aac8135f53713d49c2f760a010f9b2bc4c00cee375a34bdfd12a",
+    (5, 3, "central"): "43e3845d8039bbdacb7ecf37cd2a7af6df0d5cb9997176ebbc04fb87620b93d4",
+    (5, 4, "central"): "03431b3ff058aa0e7efc81a934d2c6614feca4eb6a847686ba2620ffbd2edf67",
+}
+
+
+def test_class_structure_matches_golden_hashes():
+    for (k, n, kind), digest in CLASS_STRUCTURE_SHA256.items():
+        build = oriented_partition if kind == "oriented" else central_partition
+        doc = [
+            [
+                list(c.defining_polygon),
+                list(c.member_indices),
+                [list(f) for f in c.cartesian_factors],
+                [list(x) for x in c.coords],
+            ]
+            for c in build(_graph(k, n)).classes
+        ]
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest, (k, n, kind)

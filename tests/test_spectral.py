@@ -38,16 +38,6 @@ def test_k2_transition_matrix():
     assert np.allclose(chain.transition_matrix(), [[0.5, 0.5], [0.5, 0.5]])
 
 
-def test_rows_sum_to_one_exactly():
-    chain = build_chain(_graph(4, 3))
-    for i in range(chain.num_states):
-        row = chain.transition_row_exact(i)
-        assert sum(row.values()) == 1
-        off = [v for j, v in row.items() if j != i]
-        assert all(v == Fraction(1, 8) for v in off)  # 2(n-1)(k-2) = 8
-        assert len(off) == 4
-
-
 def test_k5_row_mass():
     chain = build_chain(_graph(3, 5))
     p = chain.transition_matrix()
@@ -60,6 +50,13 @@ def test_doubly_stochastic():
     p = build_chain(_graph(3, 4)).transition_matrix()
     assert np.allclose(p.sum(axis=0), 1.0)
     assert np.allclose(p.sum(axis=1), 1.0)
+    # k = 4, n = 3: 2(n-1)(k-2) = 8, so each row is four moves of exactly
+    # 1/8 and a stay of 1/2, and sums to 1 exactly
+    p = build_chain(_graph(4, 3)).transition_matrix()
+    off = p - np.diag(np.diag(p))
+    assert ((off == 0) | (off == 0.125)).all()
+    assert ((off == 0.125).sum(axis=1) == 4).all()
+    assert (p.sum(axis=1) == 1.0).all()
 
 
 def test_tvd_basic():
@@ -248,6 +245,19 @@ def test_chi_square_survival_reference_values():
     assert abs(chi_square_survival(3.841458820694124, 1) - 0.05) < 1e-9
     assert chi_square_survival(0.0, 5) == 1.0
     assert abs(chi_square_survival(4.0, 4) - math.exp(-2.0) * (1 + 2.0)) < 1e-12
+
+
+def test_chi_square_survival_matches_scipy():
+    # dof 16795, 58785 and 208011 are C_n - 1 for n = 10, 11, 12: the
+    # degrees of freedom of `sample` at those sizes
+    from scipy.special import chdtrc
+
+    for dof in (1, 2, 5, 100, 16795, 58785, 208011):
+        for z in (-3, -1, 0, 1, 3):
+            stat = dof + z * math.sqrt(2 * dof)
+            if stat <= 0:
+                continue
+            assert abs(chi_square_survival(stat, dof) - chdtrc(dof, stat)) < 1e-8, (dof, z)
 
 
 def test_mixing_time_cap():
