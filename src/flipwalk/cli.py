@@ -226,7 +226,7 @@ def _cached_graph(k: int, n: int, cap: int):
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(graph.to_json_dict(), fh, sort_keys=True)
+            fh.write(graph.to_json())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -380,6 +380,8 @@ def _run_sample(cfg: ExperimentConfig) -> list:
             "steps": cfg.steps, "thin": cfg.thin,
             "recorded": res["recorded"], "chi_square": res["chi_square"],
             "dof": res["dof"], "p_value": res["p_value"],
+            "expected_per_state": res["expected_per_state"],
+            "chi_square_reliable": res["chi_square_reliable"],
             "final_state": res["final_state"],
         }
         if cfg.full_edge_lists:

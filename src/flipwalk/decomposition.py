@@ -17,7 +17,7 @@ from .errors import (
     StructureMismatchError,
 )
 from .graph import product_graph
-from .kangulation import FlipGraph, _enumerate_local, _face_from, build_flip_graph
+from .kangulation import FlipGraph, _enumerate_local, _faces, _mask, build_flip_graph, faces_of
 
 
 @lru_cache(maxsize=None)
@@ -36,8 +36,8 @@ def _local_apex(k: int, n: int) -> tuple:
     m = (k - 2) * n + 2
     out = []
     for diags in _enumerate_local(k, n):
-        face = _face_from(0, m - 1, frozenset(diags))
-        out.append(face[1:-1])  # interior vertices of the root face
+        face, _ = next(_faces(_mask(diags, m), m))
+        out.append(tuple(face[1:-1]))  # interior vertices of the root face
     return tuple(out)
 
 
@@ -145,8 +145,8 @@ def oriented_partition(graph: FlipGraph) -> ClassPartition:
     m = graph.m
 
     def key_of(t):
-        face = _face_from(0, m - 1, frozenset(t.diagonals))
-        return face  # (0, apex, m-1)
+        face, _ = next(_faces(_mask(t.diagonals, m), m))
+        return tuple(face)  # (0, apex, m-1)
 
     def arcs_of(poly):
         apex = poly[1]
@@ -186,8 +186,6 @@ def face_contains_center(face: tuple, m: int) -> bool:
 
 def central_face(t) -> tuple:
     """The unique face of t containing the (perturbed) polygon center."""
-    from .kangulation import faces_of
-
     hits = [f for f in faces_of(t) if face_contains_center(f, t.m)]
     if len(hits) != 1:
         raise StructureMismatchError(

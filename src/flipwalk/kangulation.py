@@ -2,13 +2,18 @@
 
 Polygon vertices are labeled 0..m-1 counterclockwise, m = (k-2)n + 2.
 A k-angulation is stored as its sorted tuple of diagonals (a, b), a < b;
-two equal k-angulations are bit-identical (canonical form).
+two equal k-angulations are bit-identical (canonical form).  Flips and the
+flip-graph build work on integer states instead: bit i of a state mask is
+the m-gon's i-th diagonal in lexicographic order, and `KAngulation` is the
+public view of a mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations, product
+from operator import itemgetter
 
 import numpy as np
 
@@ -51,26 +56,12 @@ class KAngulation:
             raise InvalidParameterError(f"k must be >= 3, got {k}")
         if (m - 2) % (k - 2) != 0 or m < k:
             raise InvalidParameterError(f"no k-angulation of an {m}-gon for k={k}")
-        n = self.n
         diags = self.diagonals
         if list(diags) != sorted(diags):
             raise InvalidParameterError("diagonals not in canonical sorted order")
-        if len(diags) != n - 1:
-            raise InvalidParameterError(
-                f"expected {n - 1} diagonals, got {len(diags)}"
-            )
-        for a, b in diags:
-            if not (0 <= a < b < m) or b - a < 2 or (a == 0 and b == m - 1):
-                raise InvalidParameterError(f"({a},{b}) is not a diagonal of the {m}-gon")
-        for i in range(len(diags)):
-            for j in range(i + 1, len(diags)):
-                if diagonals_cross(diags[i], diags[j]):
-                    raise InvalidParameterError(
-                        f"diagonals {diags[i]} and {diags[j]} cross"
-                    )
-        for face in faces_of(self):
-            if len(face) != k:
-                raise InvalidParameterError(f"face {face} is not a {k}-gon")
+        if len(diags) != self.n - 1:
+            raise InvalidParameterError(f"expected {self.n - 1} diagonals, got {len(diags)}")
+        _flip_moves(_mask(diags, m), k, m)  # raises unless each diagonal bounds two k-gons
 
 
 @lru_cache(maxsize=None)
@@ -82,41 +73,24 @@ def _enumerate_local(k: int, n: int) -> tuple:
     """
     if n <= 1:
         return ((),)
-    m = polygon_size(k, n)
     results = []
-    # compositions of n-1 into k-1 parts >= 0 determine the root face
-    def compose(parts_left: int, total: int, prefix: tuple):
-        if parts_left == 1:
-            yield prefix + (total,)
-            return
-        for first in range(total + 1):
-            yield from compose(parts_left - 1, total - first, prefix + (first,))
-
-    for parts in compose(k - 1, n - 1, ()):
+    # compositions of n-1 into k-1 parts >= 0 (stars and bars: k-2 bars
+    # among n+k-3 slots) determine the root face
+    slots = n + k - 3
+    for bars in combinations(range(slots), k - 2):
+        parts = [b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,))]
         # root face vertices: 0 = c_0 < c_1 < ... < c_{k-2} < c_{k-1} = m-1
         cs = [0]
         for p in parts:
             cs.append(cs[-1] + (k - 2) * p + 1)
-        face_diags = [
-            (cs[i], cs[i + 1]) for i in range(k - 1) if cs[i + 1] - cs[i] > 1
+        face_diags = tuple((a, b) for a, b in zip(cs, cs[1:]) if b - a > 1)
+        sub_lists = [
+            [tuple((a + base, b + base) for a, b in s) for s in _enumerate_local(k, p)]
+            for base, p in zip(cs, parts)
+            if p >= 1
         ]
-        sub_lists = []
-        for i, p in enumerate(parts):
-            if p >= 1:
-                base = cs[i]
-                subs = _enumerate_local(k, p)
-                sub_lists.append(
-                    [tuple((a + base, b + base) for a, b in s) for s in subs]
-                )
-        # cartesian product over the non-trivial gaps
-        def combine(idx: int, acc: tuple):
-            if idx == len(sub_lists):
-                results.append(tuple(sorted(acc + tuple(face_diags))))
-                return
-            for s in sub_lists[idx]:
-                combine(idx + 1, acc + s)
-
-        combine(0, ())
+        for subs in product(*sub_lists):
+            results.append(tuple(sorted(chain(face_diags, *subs))))
     results.sort()
     return tuple(results)
 
@@ -136,27 +110,57 @@ def enumerate_kangulations(
     return [KAngulation(k, m, d) for d in _enumerate_local(k, n)]
 
 
-def _face_from(start: int, end: int, chord_set: frozenset) -> tuple:
-    """Face of the subdivision adjacent to chord (start, end), on the side
-    of the vertices strictly between start and end.
+@lru_cache(maxsize=None)
+def _polygon(m: int) -> tuple:
+    """The m-gon's diagonals in lexicographic order (bit i of a state mask is
+    diagonal i, so ascending bits give the canonical sorted tuple), their ids,
+    and per id the mask of the diagonals it crosses."""
+    diags = [(a, b) for a in range(m) for b in range(a + 2, m) if (a, b) != (0, m - 1)]
+    cross = [sum(1 << j for j, e in enumerate(diags) if diagonals_cross(d, e)) for d in diags]
+    return diags, {d: i for i, d in enumerate(diags)}, cross
 
-    Greedy farthest-step walk; valid in convex position with non-crossing
-    chords because nearer chord endpoints are nested under farther ones.
-    The first step must not traverse the bounding chord itself.
-    """
-    verts = [start]
-    v = start
-    while v != end:
-        nxt = v + 1
-        top = end - 1 if v == start else end
-        # farthest w with chord (v, w) present
-        for w in range(top, v + 1, -1):
-            if (v, w) in chord_set:
-                nxt = w
-                break
-        verts.append(nxt)
-        v = nxt
-    return tuple(verts)
+
+def _mask(diagonals, m: int) -> int:
+    ids = _polygon(m)[1]
+    mask = 0
+    for d in diagonals:
+        if d not in ids:
+            raise InvalidParameterError(f"{d} is not a diagonal of the {m}-gon")
+        mask |= 1 << ids[d]
+    return mask
+
+
+def _faces(mask: int, m: int):
+    """Yield (face, rest) per face, the root face on edge (0, m-1) first: the
+    face's vertices in increasing order, and the vertices that the face
+    across its first-to-last chord adds, in circular order ([] for the root).
+
+    nbr[v] is a bitmask of v's higher neighbours, edge (v, v+1) included.  A
+    step goes to the highest neighbour not past the bounding chord (nor onto
+    it on the first step); in convex position with non-crossing chords,
+    nearer endpoints nest under farther ones, so this greedy walk traces
+    the face."""
+    diags = _polygon(m)[0]
+    nbr = [2 << v for v in range(m)]
+    while mask:
+        low = mask & -mask
+        a, b = diags[low.bit_length() - 1]
+        nbr[a] |= 1 << b
+        mask ^= low
+    stack = [(0, m - 1, [])]
+    while stack:
+        a, b, rest = stack.pop()
+        face = [a]
+        v = (nbr[a] & ((1 << b) - 1)).bit_length() - 1
+        below = (2 << b) - 1
+        while v != b:
+            face.append(v)
+            v = (nbr[v] & below).bit_length() - 1
+        face.append(b)
+        yield face, rest
+        for i in range(len(face) - 1):
+            if face[i + 1] - face[i] > 1:
+                stack.append((face[i], face[i + 1], face[i + 2:] + face[:i]))
 
 
 def faces_of(t: KAngulation) -> list:
@@ -165,63 +169,51 @@ def faces_of(t: KAngulation) -> list:
     The face list has exactly n entries; each face is listed with its
     vertices in increasing label order.
     """
-    chord_set = frozenset(t.diagonals)
-    faces = []
-    stack = [(0, t.m - 1)]  # region bounded by chord/edge (a, b) and the arc a..b
-    while stack:
-        a, b = stack.pop()
-        face = _face_from(a, b, chord_set)
-        faces.append(face)
-        for i in range(len(face) - 1):
-            u, w = face[i], face[i + 1]
-            if w - u > 1:
-                stack.append((u, w))
-    return faces
+    return [tuple(face) for face, _ in _faces(_mask(t.diagonals, t.m), t.m)]
 
 
-def flips(t: KAngulation) -> list:
-    """All flips of t as (neighbor, removed_diagonal, inserted_diagonal).
+def _flip_moves(mask: int, k: int, m: int) -> list:
+    """All flips of the state `mask` as (neighbour mask, removed id, inserted
+    id), grouped by removed diagonal in face-walk order.
 
     For each diagonal, the two incident k-gons form a 2k-2-gon; the diagonal
     joins an opposite vertex pair and may be replaced by any of the other
     k-2 opposite-pair diagonals.
     """
-    faces = faces_of(t)
-    face_lookup = {}
-    for f in faces:
-        for i in range(len(f)):
-            u, w = f[i], f[(i + 1) % len(f)]
-            face_lookup.setdefault((min(u, w), max(u, w)), []).append(f)
-    out = []
-    diag_set = set(t.diagonals)
-    for d in t.diagonals:
-        inc = face_lookup.get(d, [])
-        if len(inc) != 2:
-            raise InvalidParameterError(f"diagonal {d} does not bound two faces")
-        f_in = inc[0] if all(d[0] <= v <= d[1] for v in inc[0]) else inc[1]
-        f_out = inc[1] if f_in is inc[0] else inc[0]
-        a, b = d
-        # 2k-2-gon in circular order: inner face a..b ascending, then outer
-        # face from b back around to a
-        inner = list(f_in)  # ascending, starts at a ends at b
-        rest = [v for v in f_out if v not in (a, b)]
-        after_b = sorted(v for v in rest if v > b)
-        before_a = sorted(v for v in rest if v < a)
-        cycle = inner + after_b + before_a
-        h = len(cycle) // 2  # k - 1 opposite pairs
-        pos = {v: i for i, v in enumerate(cycle)}
-        assert (pos[b] - pos[a]) % len(cycle) == h, "flipped diagonal not opposite"
-        for i in range(h):
-            u, w = cycle[i], cycle[i + h]
-            nd = (min(u, w), max(u, w))
-            if nd == d:
-                continue
-            assert not any(
-                diagonals_cross(nd, other) for other in diag_set if other != d
-            )
-            new_diags = tuple(sorted((diag_set - {d}) | {nd}))
-            out.append((KAngulation(t.k, t.m, new_diags), d, nd))
-    return out
+    diags, ids, cross = _polygon(m)
+    moves = []
+    seen = 0
+    for face, rest in _faces(mask, m):
+        if len(face) != k:
+            raise InvalidParameterError(f"face {tuple(face)} is not a {k}-gon")
+        if not rest:
+            continue  # the root face lies on the polygon edge (0, m-1)
+        d = ids[face[0], face[-1]]
+        seen |= 1 << d
+        others = mask ^ (1 << d)
+        # cycle face + rest has 2k-2 vertices; face[i] is opposite rest[i-1]
+        for u, w in zip(face[1:-1], rest):
+            nd = ids[u, w] if u < w else ids[w, u]
+            if cross[nd] & others:
+                raise InvalidParameterError(
+                    f"flipping {diags[d]} to {diags[nd]} crosses another diagonal"
+                )
+            moves.append((others | 1 << nd, d, nd))
+    if seen != mask:
+        raise InvalidParameterError("a diagonal does not bound two faces")
+    return moves
+
+
+def flips(t: KAngulation) -> list:
+    """All flips of t as (neighbor, removed_diagonal, inserted_diagonal),
+    in the order of the removed diagonal in t.diagonals."""
+    diags = _polygon(t.m)[0]
+    moves = sorted(_flip_moves(_mask(t.diagonals, t.m), t.k, t.m), key=itemgetter(1))
+    return [
+        (KAngulation(t.k, t.m, tuple(e for i, e in enumerate(diags) if x >> i & 1)),
+         diags[d], diags[nd])
+        for x, d, nd in moves
+    ]
 
 
 class FlipGraph(Graph):
@@ -321,6 +313,7 @@ def build_flip_graph(
 ) -> FlipGraph:
     """Materialize the flip graph on all k-angulations of the (k-2)n+2-gon."""
     verts = enumerate_kangulations(k, n, cap=cap)
-    index = {v.diagonals: i for i, v in enumerate(verts)}
-    adj = [sorted(index[nbr.diagonals] for nbr, _, _ in flips(v)) for v in verts]
+    m = polygon_size(k, n)
+    index = {_mask(v.diagonals, m): i for i, v in enumerate(verts)}  # in vertex order
+    adj = [sorted(index[y] for y, _, _ in _flip_moves(x, k, m)) for x in index]
     return FlipGraph(k, n, verts, adj)

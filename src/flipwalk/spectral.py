@@ -343,7 +343,9 @@ def sample_walk(graph, steps: int, seed: int, start: int, thin: int = 1) -> dict
 
     The histogram records the initial state and every thin-th subsequent
     state.  Thinning de-correlates consecutive samples so the chi-square
-    statistic is meaningful; thin=1 keeps the raw trajectory.
+    statistic is meaningful; thin=1 keeps the raw trajectory.  The
+    chi-square approximation needs about 5 expected samples per state;
+    `chi_square_reliable` says whether the run had them.
     """
     if start < 0 or start >= graph.num_vertices:
         raise InvalidParameterError(f"invalid start vertex {start}")
@@ -377,6 +379,8 @@ def sample_walk(graph, steps: int, seed: int, start: int, thin: int = 1) -> dict
         "chi_square": stat,
         "dof": n - 1,
         "p_value": pvalue,
+        "expected_per_state": expected,
+        "chi_square_reliable": expected >= 5,
     }
 
 

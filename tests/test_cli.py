@@ -112,6 +112,23 @@ def test_sample_deterministic_and_requires_seed(tmp_path):
     assert (tmp_path / "sample_summary.json").read_bytes() == first
 
 
+@pytest.mark.parametrize(
+    "flags, recorded, reliable",
+    [
+        # the graph-walk bench call: 201 samples over 16,796 states
+        (["--k", "3", "--n", "10", "--seed", "1", "--thin", "50"], 201, False),
+        (["--n", "4", "--seed", "1", "--steps", "100000", "--thin", "50"], 2001, True),
+    ],
+)
+def test_sample_says_whether_chi_square_is_reliable(tmp_path, flags, recorded, reliable):
+    assert main(["--command", "sample", *flags, "--out", str(tmp_path)]) == EXIT_OK
+    (doc,) = json.loads((tmp_path / "sample_summary.json").read_text())
+    assert doc["recorded"] == recorded
+    assert doc["expected_per_state"] == recorded / (doc["dof"] + 1)
+    assert doc["chi_square_reliable"] is reliable
+    assert 0.0 <= doc["p_value"] <= 1.0
+
+
 def test_flow_summary_certifies(tmp_path):
     assert main(["--command", "flow", "--n", "3", "--out", str(tmp_path)]) == EXIT_OK
     doc = _summary(tmp_path, "flow")

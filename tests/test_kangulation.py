@@ -1,6 +1,8 @@
 """Enumeration, flips, and flip-graph invariants for polygon k-angulations."""
 
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -18,6 +20,13 @@ from flipwalk.kangulation import (
     flip_graph_from_json_dict,
     flips,
 )
+
+with open(os.path.join(os.path.dirname(__file__), "golden", "flip_graphs.json")) as fh:
+    GOLDEN = json.load(fh)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_crossing_predicate():
@@ -93,6 +102,21 @@ def test_flip_involution():
             assert len(back) == 1
 
 
+@pytest.mark.parametrize(
+    "diagonals, m",
+    [
+        (((0, 2), (1, 3), (3, 5)), 6),  # the root face is a 4-gon
+        (((0, 2), (0, 3), (1, 3)), 5),  # flipping (0, 3) to (2, 4) crosses (1, 3)
+        (((0, 2), (1, 3)), 4),  # (1, 3) bounds no face of the walk
+        (((0, 1),), 4),  # a polygon edge
+    ],
+)
+def test_flips_reject_invalid_triangulations(diagonals, m):
+    """These are checks, not asserts, so `python -O` keeps them."""
+    with pytest.raises(InvalidParameterError):
+        flips(KAngulation(3, m, diagonals))
+
+
 def test_flip_graph_small():
     g = build_flip_graph(3, 2)
     assert g.num_vertices == 2 and g.num_edges() == 1
@@ -136,6 +160,40 @@ def test_json_round_trip():
     assert g2.to_json() == g.to_json()
 
 
+@pytest.mark.parametrize("size", sorted(GOLDEN["graphs"]))
+def test_flip_graph_matches_golden_hashes(size):
+    """JSON and DOT exports, byte for byte, against tests/golden/flip_graphs.json."""
+    k, n = map(int, size.split(","))
+    g = build_flip_graph(k, n)
+    want = GOLDEN["graphs"][size]
+    assert _sha256(g.to_json()) == want["json_sha256"]
+    assert _sha256(g.to_dot()) == want["dot_sha256"]
+
+
+@pytest.mark.parametrize("size", sorted(GOLDEN["flips"]))
+def test_flips_match_golden(size):
+    """Every (neighbour, removed, inserted) triple of every state, in order."""
+    k, n = map(int, size.split(","))
+    got = [
+        [[[list(d) for d in nbr.diagonals], list(r), list(i)] for nbr, r, i in flips(t)]
+        for t in enumerate_kangulations(k, n)
+    ]
+    assert got == GOLDEN["flips"][size]
+
+
+@pytest.mark.parametrize("k, n_max", [(3, 7), (4, 4), (5, 3), (6, 3)])
+def test_adjacency_equals_one_diagonal_difference(k, n_max):
+    """Independent oracle, with no face walk: two k-angulations are adjacent
+    exactly when their diagonal sets differ in one diagonal each."""
+    for n in range(1, n_max + 1):
+        g = build_flip_graph(k, n)
+        sets = [frozenset(v.diagonals) for v in g.vertices]
+        oracle = [
+            [j for j, y in enumerate(sets) if len(x - y) == 1] for x in sets
+        ]
+        assert g.adj == oracle, (k, n)
+
+
 def test_dot_export_mentions_all_vertices():
     g = build_flip_graph(3, 3)
     dot = g.to_dot()
@@ -159,6 +217,13 @@ def test_orbit_eccentricities_give_the_diameter():
 def test_eccentricities_reject_disconnected_graph():
     with pytest.raises(InvalidParameterError):
         eccentricities(Graph([[1], [0], [3], [2]]), [0])
+
+
+@pytest.mark.slow
+def test_flip_graph_n11_matches_golden_hash():
+    assert _sha256(build_flip_graph(3, 11).to_json()) == (
+        "215b1a2720120adb2cb92255063a7044fb854d738099f6da529f5efd99e5e71c"
+    )
 
 
 @pytest.mark.slow
