@@ -5,15 +5,17 @@ subgraph induced by a fixed block partition of the grid.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import combinations, compress, product
+from math import gcd
+from operator import or_
 
 from .errors import EnumerationTooLargeError, InvalidParameterError, StructureMismatchError
 from .graph import Graph, product_graph
 
 LATTICE_ENUM_CAP = 4  # grids beyond 4x4 points explode
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits -> 0/1 bytes
 
 
 def _cross(o, a, b) -> int:
@@ -43,19 +45,140 @@ def _on_segment(p, a, b) -> bool:
     ] <= max(a[1], b[1])
 
 
-def _neighbours(edges) -> dict:
-    """Point -> set of the points joined to it by an edge."""
-    nbrs = {}
-    for p, q in edges:
-        nbrs.setdefault(p, set()).add(q)
-        nbrs.setdefault(q, set()).add(p)
-    return nbrs
+def _ids_of(mask: int):
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+class _Grid:
+    """The n x n grid's primitive segments in lexicographic order, so bit i of
+    a state mask is segment i and ascending bits give the sorted edge tuple.
+
+    Per segment pq: `apexes` holds its apex candidates, the points w with
+    cross product c = +1 or -1, as (mask of pw and qw, w, c); `union` ORs
+    those masks; `cross` is the mask of the segments pq strictly crosses;
+    `memo` maps a state's `union` pattern to the flip decision (see
+    `_flip_moves`).
+    """
+
+    def __init__(self, n: int):
+        points = [(x, y) for x in range(n) for y in range(n)]
+        self.segs = [
+            (p, q) for p, q in combinations(points, 2)
+            if gcd(q[0] - p[0], q[1] - p[1]) == 1
+        ]
+        self.ids = {e: i for i, e in enumerate(self.segs)}
+        self.hull = self.interior = 0
+        self.apexes, self.union, self.cross = [], [], []
+        for i, (p, q) in enumerate(self.segs):
+            on_hull = (p[0] == q[0] and p[0] in (0, n - 1)) or (
+                p[1] == q[1] and p[1] in (0, n - 1))
+            if on_hull:
+                self.hull |= 1 << i
+            else:
+                self.interior |= 1 << i
+            apexes = [
+                (self.bit(p, w) | self.bit(q, w), w, c)
+                for w in points if (c := _cross(p, q, w)) in (1, -1)
+            ]
+            self.apexes.append(apexes)
+            self.union.append(reduce(or_, (two for two, _, _ in apexes), 0))
+            self.cross.append(sum(
+                1 << j for j, e in enumerate(self.segs) if _segments_cross(p, q, *e)))
+        self.memo = [{} for _ in self.segs]
+
+    def bit(self, p, q) -> int:
+        return 1 << self.ids[_norm_edge(p, q)]
+
+    def mask(self, edges) -> int:
+        """The state mask of an edge list; an edge that is not a normalized
+        primitive segment of the grid, or is repeated, is rejected."""
+        mask = 0
+        for e in edges:
+            i = self.ids.get(e)
+            if i is None:
+                raise InvalidParameterError(
+                    f"edge {e} is not a normalized primitive segment of the grid")
+            if mask >> i & 1:
+                raise InvalidParameterError(f"edge {e} is repeated")
+            mask |= 1 << i
+        return mask
+
+    def bits(self, mask: int) -> str:
+        """Bit i of the mask as character i."""
+        return f"{mask:0{len(self.segs)}b}"[::-1]
+
+    def edges(self, mask: int) -> tuple:
+        return tuple(compress(self.segs, self.bits(mask).encode().translate(_BIT_BYTES)))
+
+    def sort_key(self, mask: int) -> int:
+        """Key that sorts masks in ascending order of their edge tuples.
+
+        Two sorted edge tuples of equal length first differ at the lowest
+        bit where their masks differ, and the tuple holding that edge is the
+        smaller one.  So the key is the complement with bit 0 read as the
+        most significant digit."""
+        return int(self.bits(mask), 2) ^ ((1 << len(self.segs)) - 1)
+
+    def faces(self, mask: int):
+        """(edge id, apex) for every area-1/2 triangle of the state and each
+        of its three edges."""
+        for i in _ids_of(mask):
+            for two, w, _ in self.apexes[i]:
+                if mask & two == two:
+                    yield i, w
+
+
+@lru_cache(maxsize=None)
+def _grid(n: int) -> _Grid:
+    return _Grid(n)
+
+
+def _flip_moves(mask: int, grid: _Grid) -> list:
+    """All flips of the state `mask` as (neighbour mask, removed id, inserted
+    id), in increasing order of the removed edge.
+
+    Every edge of a unimodular triangulation is primitive, and its apexes w1,
+    w2 sit at cross products +1 and -1, so segment w1w2 meets line pq at the
+    half-integer point (w1 + w2)/2.  The only such point strictly inside a
+    primitive segment is its midpoint, so the quadrilateral p w1 q w2 is
+    strictly convex iff w1 + w2 == p + q.  The decision depends only on the
+    state's apex-candidate edges around pq, so it is memoized on that pattern;
+    a pattern whose edge does not bound exactly two faces raises and is never
+    stored.
+    """
+    moves = []
+    union, memos = grid.union, grid.memo
+    m = mask & grid.interior
+    while m:  # _ids_of inlined: the generator costs a fifth of the enumeration
+        low = m & -m
+        m ^= low
+        i = low.bit_length() - 1
+        local = mask & union[i]
+        memo = memos[i]
+        new = memo.get(local)
+        if new is None:
+            left = [w for two, w, c in grid.apexes[i] if c == 1 and local & two == two]
+            right = [w for two, w, c in grid.apexes[i] if c == -1 and local & two == two]
+            if len(left) != 1 or len(right) != 1:
+                raise StructureMismatchError(f"edge {grid.segs[i]} does not bound two faces")
+            (w1,), (w2,) = left, right
+            (p, q) = grid.segs[i]
+            convex = w1[0] + w2[0] == p[0] + q[0] and w1[1] + w2[1] == p[1] + q[1]
+            new = memo[local] = grid.ids[_norm_edge(w1, w2)] if convex else -1
+        if new >= 0:
+            moves.append((mask ^ low | 1 << new, i, new))
+    return moves
 
 
 @dataclass(frozen=True)
 class LatticeTriangulation:
     """Full (unimodular) triangulation of the n x n lattice point grid,
-    stored as the sorted tuple of all its edges (unit hull edges included)."""
+    stored as the sorted tuple of all its edges (unit hull edges included).
+    It is the public view of a state mask over the grid's segment table."""
 
     n: int
     edges: tuple
@@ -68,37 +191,33 @@ class LatticeTriangulation:
             if self.edges:
                 raise InvalidParameterError("1x1 grid admits no edges")
             return
+        grid = _grid(n)
+        mask = grid.mask(self.edges)
         expected_edges = n * n + 2 * (n - 1) ** 2 - 1
         if len(self.edges) != expected_edges:
             raise InvalidParameterError(
                 f"expected {expected_edges} edges, got {len(self.edges)}"
             )
-        es = set(self.edges)
-        for i in range(n - 1):
-            for fixed in (0, n - 1):
-                if _norm_edge((i, fixed), (i + 1, fixed)) not in es:
-                    raise InvalidParameterError("missing hull edge")
-                if _norm_edge((fixed, i), (fixed, i + 1)) not in es:
-                    raise InvalidParameterError("missing hull edge")
-        edges = list(self.edges)
-        for i in range(len(edges)):
-            for j in range(i + 1, len(edges)):
-                if _segments_cross(*edges[i], *edges[j]):
-                    raise InvalidParameterError(
-                        f"edges {edges[i]} and {edges[j]} cross"
-                    )
-        if len(self.triangles()) != 2 * (n - 1) ** 2:
+        missing = grid.hull & ~mask
+        if missing:
+            raise InvalidParameterError(f"missing hull edge {grid.segs[next(_ids_of(missing))]}")
+        for i in _ids_of(mask):
+            crossed = grid.cross[i] & mask
+            if crossed:
+                j = next(_ids_of(crossed))
+                raise InvalidParameterError(
+                    f"edges {grid.segs[i]} and {grid.segs[j]} cross"
+                )
+        if sum(1 for _ in grid.faces(mask)) != 3 * 2 * (n - 1) ** 2:
             raise InvalidParameterError("face count is not 2(n-1)^2")
 
     def triangles(self) -> list:
         """All area-1/2 faces; with every edge present they are the faces."""
-        nbrs = _neighbours(self.edges)
-        tris = set()
-        for p, q in self.edges:
-            for w in nbrs[p] & nbrs[q]:
-                if abs(_cross(p, q, w)) == 1:
-                    tris.add(tuple(sorted((p, q, w))))
-        return sorted(tris)
+        grid = _grid(self.n)
+        return sorted({
+            tuple(sorted((*grid.segs[i], w)))
+            for i, w in grid.faces(grid.mask(self.edges))
+        })
 
 
 def canonical_lattice_triangulation(n: int) -> LatticeTriangulation:
@@ -118,41 +237,15 @@ def canonical_lattice_triangulation(n: int) -> LatticeTriangulation:
 
 
 def flips_lattice(t: LatticeTriangulation) -> list:
-    """All flips of t: interior edges whose two incident unimodular triangles
-    form a strictly convex quadrilateral, with the diagonal swapped.
-
-    Every edge of a unimodular triangulation is primitive, and its apexes w1,
-    w2 sit at cross products +1 and -1, so segment w1w2 meets line pq at the
-    half-integer point (w1 + w2)/2.  The only such point strictly inside a
-    primitive segment is its midpoint, so the quadrilateral p w1 q w2 is
-    strictly convex iff w1 + w2 == p + q.
-
-    Returns (neighbor, removed_edge, inserted_edge) triples.
-    """
-    n = t.n
-    nbrs = _neighbours(t.edges)
-    out = []
-    for i, (p, q) in enumerate(t.edges):
-        if (p[0] == q[0] and p[0] in (0, n - 1)) or (p[1] == q[1] and p[1] in (0, n - 1)):
-            continue  # hull edge
-        left, right = [], []
-        for w in nbrs[p] & nbrs[q]:
-            c = _cross(p, q, w)
-            if c == 1:
-                left.append(w)
-            elif c == -1:
-                right.append(w)
-        if len(left) != 1 or len(right) != 1:
-            raise StructureMismatchError(f"edge {(p, q)} does not bound two faces")
-        (w1,), (w2,) = left, right
-        if w1[0] + w2[0] != p[0] + q[0] or w1[1] + w2[1] != p[1] + q[1]:
-            continue  # non-convex quadrilateral: no flip on this edge
-        new_edge = _norm_edge(w1, w2)
-        new_edges = list(t.edges)
-        del new_edges[i]
-        insort(new_edges, new_edge)
-        out.append((LatticeTriangulation(n, tuple(new_edges)), (p, q), new_edge))
-    return out
+    """All flips of t as (neighbor, removed_edge, inserted_edge) triples, in
+    the order of the removed edge in t.edges: interior edges whose two
+    incident unimodular triangles form a strictly convex quadrilateral, with
+    the diagonal swapped."""
+    grid = _grid(t.n)
+    return [
+        (LatticeTriangulation(t.n, grid.edges(nbr)), grid.segs[i], grid.segs[j])
+        for nbr, i, j in _flip_moves(grid.mask(t.edges), grid)
+    ]
 
 
 class LatticeFlipGraph(Graph):
@@ -166,7 +259,8 @@ class LatticeFlipGraph(Graph):
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "vertices": [[list(map(list, e)) for e in v.edges] for v in self.vertices],
+            # json writes the edge tuples as nested lists
+            "vertices": [v.edges for v in self.vertices],
             **super().to_json_dict(),
         }
 
@@ -184,22 +278,33 @@ def enumerate_lattice(n: int) -> LatticeFlipGraph:
     all-negative-slope triangulation; vertices are sorted by edge tuple."""
     if n > LATTICE_ENUM_CAP:
         raise EnumerationTooLargeError(n, LATTICE_ENUM_CAP)
-    start = canonical_lattice_triangulation(n)
-    states = {start.edges: start}
-    nbr_keys = {}  # edges -> the neighbours' edge tuples, as stored in states
+    grid = _grid(n)
+    start = grid.mask(canonical_lattice_triangulation(n).edges)
+    # found: mask -> discovery id; each row holds the stored id objects, so
+    # the 431,064 neighbour entries at n = 4 share 46,456 ints
+    found = {start: 0}
+    rows = [None]
     pending = [start]
     while pending:
-        t = pending.pop()
-        keys = nbr_keys[t.edges] = []
-        for nbr, _, _ in flips_lattice(t):
-            stored = states.setdefault(nbr.edges, nbr)
-            if stored is nbr:
+        mask = pending.pop()
+        row = rows[found[mask]] = []
+        for nbr, _, _ in _flip_moves(mask, grid):
+            j = found.get(nbr)
+            if j is None:
+                j = found[nbr] = len(rows)
+                rows.append(None)
                 pending.append(nbr)
-            keys.append(stored.edges)
-    order = sorted(states)
-    index = {key: i for i, key in enumerate(order)}
-    adj = [sorted(index[k] for k in nbr_keys[key]) for key in order]
-    return LatticeFlipGraph(n, [states[key] for key in order], adj)
+            row.append(j)
+    order = sorted(found, key=grid.sort_key)
+    rank = [0] * len(order)
+    for r, mask in enumerate(order):
+        rank[found[mask]] = r
+    for d, row in enumerate(rows):
+        rows[d] = sorted(rank[j] for j in row)
+    adj = [rows[found[mask]] for mask in order]
+    del found, rows, rank
+    vertices = [LatticeTriangulation(n, grid.edges(mask)) for mask in order]
+    return LatticeFlipGraph(n, vertices, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -346,30 +451,35 @@ def product_subgraph(n: int, block: int) -> LatticeFlipGraph:
     per-block flip graphs, verified by explicit coordinates."""
     forced = block_partial_triangulation(n, block)
     sub = enumerate_lattice(block)
-    # placed[b][s]: block state s translated into block b (translation keeps
-    # each edge's endpoint order)
+    grid = _grid(n)
+    forced_mask = grid.mask(forced)
+    # placed[b][s]: block state s translated into block b, as a mask
+    # (translation keeps each edge's endpoint order)
     placed = [
-        [{((ax + ox, ay + oy), (bx + ox, by + oy)) for (ax, ay), (bx, by) in s.edges}
+        [grid.mask(((ax + ox, ay + oy), (bx + ox, by + oy)) for (ax, ay), (bx, by) in s.edges)
          for s in sub.vertices]
         for ox in range(0, n, block)
         for oy in range(0, n, block)
     ]
     coords = list(product(range(sub.num_vertices), repeat=len(placed)))
+    masks = [
+        reduce(or_, (placed[b][s] for b, s in enumerate(coord)), forced_mask)
+        for coord in coords
+    ]
     vertices = []
-    for coord in coords:
-        edges = forced.union(*(placed[b][s] for b, s in enumerate(coord)))
-        t = LatticeTriangulation(n, tuple(sorted(edges)))
+    for mask in masks:
+        t = LatticeTriangulation(n, grid.edges(mask))
         t.validate()
         vertices.append(t)
     # adjacency from actual flips restricted to the subgraph
-    index = {v.edges: i for i, v in enumerate(vertices)}
+    index = {mask: i for i, mask in enumerate(masks)}
     adj = []
-    for v in vertices:
+    for mask in masks:
         nbrs = []
-        for nbr, removed, _ in flips_lattice(v):
-            j = index.get(nbr.edges)
+        for nbr, removed, _ in _flip_moves(mask, grid):
+            j = index.get(nbr)
             if j is not None:
-                if removed in forced:
+                if forced_mask >> removed & 1:
                     raise StructureMismatchError("an internal flip removed a constrained edge")
                 nbrs.append(j)
         adj.append(sorted(nbrs))

@@ -3,8 +3,11 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipwalk.errors import EnumerationTooLargeError, InvalidParameterError
 from flipwalk.lattice import (
@@ -93,6 +96,14 @@ def test_validate_rejects_missing_hull_edge():
         LatticeTriangulation(2, broken).validate()
 
 
+def test_validate_names_a_crossing_pair():
+    t = canonical_lattice_triangulation(3)
+    edges = [e for e in t.edges if e != ((1, 1), (2, 0))] + [((0, 0), (1, 1))]
+    with pytest.raises(InvalidParameterError, match=re.escape(
+            "edges ((0, 0), (1, 1)) and ((0, 1), (1, 0)) cross")):
+        LatticeTriangulation(3, tuple(sorted(edges))).validate()
+
+
 def test_product_subgraph_is_hypercube():
     h = product_subgraph(4, 2)
     assert h.num_vertices == 16
@@ -163,7 +174,6 @@ def test_lattice_graph_matches_golden(case):
     assert coords == want["coords"]
 
 
-@pytest.mark.slow
 def test_enumerate_lattice_4_matches_golden_hash():
     doc = enumerate_lattice(4).to_json().encode()
     assert hashlib.sha256(doc).hexdigest() == (
@@ -192,3 +202,73 @@ def test_parallelogram_rule_matches_segment_crossing():
             assert rule == ((p, q) in flipped)
             checked += 1
     assert checked == 64 * 8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_flips_match_golden(n):
+    """Every (neighbour, removed, inserted) triple of every state, in order,
+    against tests/golden/lattice_flips.json."""
+    with open(os.path.join(GOLDEN, "lattice_flips.json")) as fh:
+        want = json.load(fh)[str(n)]
+    states = [tuple(tuple(map(tuple, e)) for e in s) for s in want["states"]]
+    assert [v.edges for v in enumerate_lattice(n).vertices] == states
+    index = {s: i for i, s in enumerate(states)}
+    for s, flips in zip(states, want["flips"]):
+        got = [
+            [index[nbr.edges], list(map(list, r)), list(map(list, ins))]
+            for nbr, r, ins in flips_lattice(LatticeTriangulation(n, s))
+        ]
+        assert got == flips
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_flips_are_single_edge_exchanges(n):
+    """With no flip rule: two triangulations are adjacent iff their edge sets
+    differ by exactly one edge, and flipping the inserted edge back restores
+    the state.  The state count is pinned by the recursive oracle."""
+    vertices = enumerate_lattice(n).vertices
+    assert len(vertices) == count_triangulations_recursive(n)
+    edge_sets = [set(v.edges) for v in vertices]
+    for t, es in zip(vertices, edge_sets):
+        exchanges = {o.edges for o, os in zip(vertices, edge_sets) if len(es - os) == 1}
+        flips = flips_lattice(t)
+        assert {nbr.edges for nbr, _, _ in flips} == exchanges
+        for nbr, removed, inserted in flips:
+            assert set(nbr.edges) == es - {removed} | {inserted}
+            (back,) = [(b, r) for b, rem, r in flips_lattice(nbr) if rem == inserted]
+            assert back == (t, removed)
+
+
+_CANONICAL_3 = canonical_lattice_triangulation(3).edges
+
+
+@pytest.mark.parametrize(
+    "edges, bad",
+    [
+        (tuple((q, p) for p, q in _CANONICAL_3), (_CANONICAL_3[0][1], _CANONICAL_3[0][0])),
+        (_CANONICAL_3[:-1] + (_CANONICAL_3[0],), _CANONICAL_3[0]),
+        (_CANONICAL_3[:-1] + (((0, 0), (5, 5)),), ((0, 0), (5, 5))),
+        (_CANONICAL_3[:-1] + (((0, 0), (2, 2)),), ((0, 0), (2, 2))),
+    ],
+    ids=["reversed", "repeated", "off-grid", "not-primitive"],
+)
+def test_edges_outside_the_grid_table_are_rejected(edges, bad):
+    t = LatticeTriangulation(3, edges)
+    for check in (flips_lattice, LatticeTriangulation.validate):
+        with pytest.raises(InvalidParameterError, match=re.escape(str(bad))):
+            check(t)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.integers(min_value=1, max_value=200), st.randoms(use_true_random=False))
+def test_random_flip_walk_stays_valid_and_symmetric(steps, rnd):
+    """A flip walk from the canonical n = 4 state keeps validate() true, and
+    each step's new state lists the old one among its flips."""
+    t = canonical_lattice_triangulation(4)
+    flips = flips_lattice(t)
+    for _ in range(steps):
+        nxt = rnd.choice(flips)[0]
+        nxt.validate()
+        flips = flips_lattice(nxt)
+        assert t in [nbr for nbr, _, _ in flips]
+        t = nxt
