@@ -9,16 +9,23 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+
+import numpy as np
 
 from .combinatorics import catalan
 from .decomposition import boundary_matchings, boundary_projection, oriented_partition
 from .errors import InvalidParameterError, StructureMismatchError
 from .flows import (
+    LIMIT,
     ArcFlow,
     CongestionReport,
+    bound,
+    coalesce,
     congestion_report,
+    narrowed,
     product_lift,
+    scaled,
 )
 from .graph import Graph, product_graph
 from .kangulation import build_flip_graph
@@ -36,9 +43,11 @@ class OrientedStructure:
     sizes: list
     members: list
     factor_ns: list  # per class: (left n, right n)
-    by_coord: list  # per class: members in coordinate order, (x, y) at x * C_right + y
-    matching: dict  # ordered (a, b) -> [(u in a, v in b), ...]
+    by_coord: list  # per class: int64 members in coordinate order, (x, y) at x * C_right + y
+    matching: dict  # ordered (a, b) -> int64 rows (u in a, v in b)
     bproj: dict  # ordered (a, b) -> (factor_index, sub_class_index)
+    class_of: np.ndarray  # vertex -> class
+    coord_of: np.ndarray  # vertex -> x * C_right + y in its class
 
 
 @lru_cache(maxsize=None)
@@ -48,11 +57,15 @@ def oriented_structure(n: int) -> OrientedStructure:
     sizes = [c.size for c in part.classes]
     members = [c.member_indices for c in part.classes]
     factor_ns = [tuple(ni for _, ni in c.cartesian_factors) for c in part.classes]
-    by_coord = [[v for _, v in sorted(zip(c.coords, c.member_indices))] for c in part.classes]
+    by_coord = [
+        np.array([v for _, v in sorted(zip(c.coords, c.member_indices))], dtype=np.int64)
+        for c in part.classes
+    ]
     matching = {}
     for bm in boundary_matchings(part):
-        matching[(bm.class_a, bm.class_b)] = bm.edges
-        matching[(bm.class_b, bm.class_a)] = [(v, u) for u, v in bm.edges]
+        edges = np.array(bm.edges, dtype=np.int64).reshape(-1, 2)
+        matching[(bm.class_a, bm.class_b)] = edges
+        matching[(bm.class_b, bm.class_a)] = edges[:, ::-1]
     bproj = {}
     k = len(part.classes)
     for a in range(k):
@@ -60,8 +73,12 @@ def oriented_structure(n: int) -> OrientedStructure:
             if a != b:
                 fi, sub = boundary_projection(part, a, b)
                 bproj[(a, b)] = (fi, sub["apex"] - 1)
+    coord_of = np.empty(graph.num_vertices, dtype=np.int64)
+    for verts in by_coord:
+        coord_of[verts] = np.arange(len(verts))
     return OrientedStructure(
-        n, graph, part, sizes, members, factor_ns, by_coord, matching, bproj
+        n, graph, part, sizes, members, factor_ns, by_coord, matching, bproj,
+        np.array(part.vertex_class, dtype=np.int64), coord_of,
     )
 
 
@@ -88,7 +105,7 @@ def pair_flow(n: int, a: int, b: int) -> ArcFlow:
         pieces += product_lift(st.by_coord[a], nh, fi, base, range(other), Fraction(cb, ca))
     # transmit across the matching
     arcs = st.matching[(a, b)]
-    tran = ArcFlow(len(arcs), {(u, v): cb for u, v in arcs})
+    tran = ArcFlow.of(len(arcs), arcs[:, 0], arcs[:, 1], np.full(len(arcs), cb))
     pieces.append((tran, 1))
     # distribute within class b from the boundary toward a
     fj, sub2 = st.bproj[(b, a)]
@@ -147,39 +164,215 @@ def aggregate_flow(n: int) -> ArcFlow:
     return ArcFlow.combine(pieces).reduce()
 
 
+# ---------------------------------------------------------------------------
+# per-source flows, batched: the flows of many sources as stacked rows
+
+
+def _offsets(lens: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(lens)))
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(s, s + l) over the pairs (s, l)."""
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lens, lens)
+
+
+def _lcm(a: np.ndarray, b) -> np.ndarray:
+    """Elementwise lcm of a and b (an int or an integer array), exactly."""
+    if a.dtype != object and bound(a) * (bound(b) if isinstance(b, np.ndarray) else b) >= LIMIT:
+        a = a.astype(object)
+    return np.lcm(a, b)
+
+
+@dataclass
+class SourceRows:
+    """The flows of a batch of sources, one block of rows per source: source
+    i's flow has numerator num[j] on arc (src[j], dst[j]) for j in
+    start[i]:start[i+1], over the denominator den[i], with its arcs in
+    first-insertion order and none repeated."""
+
+    den: np.ndarray
+    start: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    num: np.ndarray
+
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.start)
+
+    def source_of_row(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.den)), self.lengths())
+
+    def take(self, idx: np.ndarray) -> "SourceRows":
+        lens = self.lengths()[idx]
+        rows = _ranges(self.start[idx], lens)
+        return SourceRows(
+            self.den[idx], _offsets(lens), self.src[rows], self.dst[rows], self.num[rows]
+        )
+
+    def followed_by(self, other: "SourceRows") -> "SourceRows":
+        """Each source's rows here, then its rows in other (same sources)."""
+        la, lb = self.lengths(), other.lengths()
+        start = _offsets(la + lb)
+        at_a = np.arange(len(self.num)) + np.repeat(start[:-1] - self.start[:-1], la)
+        at_b = np.arange(len(other.num)) + np.repeat(start[:-1] + la - other.start[:-1], lb)
+        cols = []
+        for a, b in ((self.src, other.src), (self.dst, other.dst), (self.num, other.num)):
+            out = np.empty(len(a) + len(b), dtype=np.result_type(a, b))
+            out[at_a], out[at_b] = a, b
+            cols.append(out)
+        return SourceRows(self.den, start, *cols)
+
+    def flow(self, i: int) -> ArcFlow:
+        a, b = self.start[i], self.start[i + 1]
+        return ArcFlow.of(int(self.den[i]), self.src[a:b], self.dst[a:b], narrowed(self.num[a:b]))
+
+
+def _shuffle_rows(n: int, t: int, coords: np.ndarray, factor_rows) -> SourceRows:
+    """Shuffle components of the sources at coordinates coords of class t:
+    source (x, y) sends C_l units along the per-source flow of y in its
+    copy {x} x K_r, then each (x, y') passes one unit to every member of
+    its copy K_l x {y'} along the per-source flow of x.  factor_rows(f,
+    ids) gives the per-source flows of K_f for the sources ids."""
+    st = oriented_structure(n)
+    l, r = st.factor_ns[t]
+    cl, cr = catalan(l), catalan(r)
+    verts = st.by_coord[t]
+    x, y = np.divmod(coords, cr)
+    k = len(coords)
+    parts = []  # (lifted rows over their factor's denominators, scale)
+    if r >= 2:
+        h = factor_rows(r, y)
+        base = (x * cr)[h.source_of_row()]
+        lifted = SourceRows(h.den, h.start, verts[base + h.src], verts[base + h.dst], h.num)
+        parts.append((lifted, cl))
+    if l >= 2:
+        g = factor_rows(l, x)
+        lens = np.repeat(g.lengths(), cr)
+        rows = _ranges(np.repeat(g.start[:-1], cr), lens)
+        copy = np.repeat(np.tile(np.arange(cr), k), lens)
+        src, dst = verts[g.src[rows] * cr + copy], verts[g.dst[rows] * cr + copy]
+        parts.append((SourceRows(g.den, _offsets(g.lengths() * cr), src, dst, g.num[rows]), 1))
+    den = np.ones(k, dtype=np.int64)
+    for rows, _ in parts:
+        den = _lcm(den, rows.den)
+    pieces = []
+    for rows, scale in parts:
+        mult = (den // rows.den * scale)[rows.source_of_row()]
+        pieces.append(SourceRows(den, rows.start, rows.src, rows.dst, scaled(rows.num, mult)))
+    if not pieces:
+        none = np.zeros(0, dtype=np.int64)
+        return SourceRows(den, np.zeros(k + 1, dtype=np.int64), none, none, none)
+    # the two parts' arcs (moves inside a row, moves inside a column) differ
+    return pieces[0] if len(pieces) == 1 else pieces[0].followed_by(pieces[1])
+
+
+def _source_rows(n: int, t: int, ids: np.ndarray) -> SourceRows:
+    """Per-source flows of the sources ids, all in class t of K_n: C_n/|C_t|
+    times the shuffle component plus r_dist(n, t), summed arc by arc as
+    ArcFlow.combine would (every value is positive, so no sum cancels).
+    Factor flows come from the tables."""
+    st = oriented_structure(n)
+    sh = _shuffle_rows(n, t, st.coord_of[ids], _table_rows)
+    dist = r_dist(n, t)
+    q = Fraction(catalan(n), st.sizes[t])
+    eff = scaled(sh.den, q.denominator)
+    den = np.where(sh.lengths() > 0, _lcm(eff, dist.den), dist.den)
+    dist_mult = den // dist.den
+    sid = sh.source_of_row()
+    num = scaled(sh.num, (den // eff * q.numerator)[sid])
+    # r_dist's value on an arc of the shuffle goes into that row; r_dist's
+    # other arcs follow the shuffle's, in r_dist's order
+    at = dist.arc_index(sh.src, sh.dst)
+    hit = np.flatnonzero(at >= 0)
+    extra = scaled(dist.num[at[hit]], dist_mult[sid[hit]])
+    if num.dtype != object and bound(num) + bound(extra) >= LIMIT:
+        num = num.astype(object)
+    num[hit] += extra
+    covered = np.zeros((len(ids), len(dist.num)), dtype=bool)
+    covered[sid[hit], at[hit]] = True
+    who, arc = np.nonzero(~covered)
+    rest = SourceRows(
+        den,
+        _offsets(np.bincount(who, minlength=len(ids))),
+        dist.src[arc],
+        dist.dst[arc],
+        scaled(dist.num[arc], dist_mult[who]),
+    )
+    return SourceRows(den, sh.start, sh.src, sh.dst, num).followed_by(rest)
+
+
+@lru_cache(maxsize=None)
+def _source_table(n: int):
+    """(rows, row_of): the per-source flows of every source of K_n, class by
+    class, and each vertex's index into them."""
+    st = oriented_structure(n)
+    parts = [_source_rows(n, t, np.asarray(m)) for t, m in enumerate(st.members)]
+    row_of = np.empty(catalan(n), dtype=np.int64)
+    row_of[np.concatenate(st.members)] = np.arange(catalan(n))
+    rows = SourceRows(
+        np.concatenate([p.den for p in parts]),
+        _offsets(np.concatenate([p.lengths() for p in parts])),
+        *(np.concatenate([getattr(p, c) for p in parts]) for c in ("src", "dst", "num")),
+    )
+    return rows, row_of
+
+
+def _table_rows(n: int, ids: np.ndarray) -> SourceRows:
+    rows, row_of = _source_table(n)
+    return rows.take(row_of[ids])
+
+
+def _factor_rows(f: int, ids: np.ndarray, n: int) -> SourceRows:
+    """Per-source flows of K_f for verify_unit_demands(n): from the table up
+    to K_(n-2), built for just these sources (all in one class) on K_(n-1),
+    whose table would be the largest."""
+    if f < n - 1:
+        return _table_rows(f, ids)
+    classes = oriented_structure(f).class_of[ids]
+    if (classes != classes[0]).any():
+        raise InvalidParameterError("factor sources span classes")
+    return _source_rows(f, int(classes[0]), ids)
+
+
 def shuffle_source_flow(n: int, s: int) -> ArcFlow:
     """Per-source component of the class-internal product flow: source s
     sends one unit to every member of its own class."""
     st = oriented_structure(n)
-    t = st.partition.vertex_class[s]
-    c = st.partition.classes[t]
-    x, y = c.coords[c.member_indices.index(s)]
-    l, r = st.factor_ns[t]
-    cl, cr = catalan(l), catalan(r)
-    verts = st.by_coord[t]
-    pieces = []
-    # factors with one state carry no flow; skipping them keeps them out of
-    # per_source_flow's small LRU
-    if r >= 2:
-        pieces += product_lift(verts, cr, 1, per_source_flow(r, y), [x], cl)
-    if l >= 2:
-        pieces += product_lift(verts, cr, 0, per_source_flow(l, x), range(cr), 1)
-    return ArcFlow.combine(pieces)
+    t = int(st.class_of[s])
+    return _shuffle_rows(n, t, st.coord_of[[s]], _table_rows).flow(0)
 
 
-@lru_cache(maxsize=32)
 def per_source_flow(n: int, s: int) -> ArcFlow:
     """Full per-source flow on K_n: one unit from s to every other vertex."""
     if n <= 1:
         return ArcFlow()
     st = oriented_structure(n)
-    t = st.partition.vertex_class[s]
-    return ArcFlow.combine(
-        [
-            (shuffle_source_flow(n, s), Fraction(catalan(n), st.sizes[t])),
-            (r_dist(n, t), 1),
-        ]
-    )
+    return _source_rows(n, int(st.class_of[s]), np.array([s])).flow(0)
+
+
+# rows per chunk of sources that verify_unit_demands builds at once
+CHUNK_ROWS = 1 << 14
+
+
+def _source_chunks(n: int, t: int):
+    """The coordinates of class t in chunks of about CHUNK_ROWS shuffle rows.
+    When one factor is K_(n-1) (the other has one state) a chunk's factor
+    sources share their class of K_(n-1)."""
+    st = oriented_structure(n)
+    sz = st.sizes[t]
+    size = max(1, CHUNK_ROWS // (sz * max(n - 3, 1)))
+    coords = np.arange(sz)
+    if n - 1 >= 2 and n - 1 in st.factor_ns[t]:
+        group = oriented_structure(n - 1).class_of
+        coords = coords[np.argsort(group, kind="stable")]
+        cuts = np.flatnonzero(np.diff(group[coords])) + 1
+    else:
+        cuts = []
+    for block in np.split(coords, cuts):
+        for i in range(0, len(block), size):
+            yield block[i:i + size]
 
 
 def verify_unit_demands(n: int) -> dict:
@@ -188,22 +381,44 @@ def verify_unit_demands(n: int) -> dict:
 
     The flow for source s in class T is (C_n/|C_T|) * shuffle_s + r_dist_T.
     Every pair flow and distribution flow is net-verified from its arcs at
-    construction time; here the per-source shuffle component is additionally
-    verified from its arcs for every source, which pins the per-source net
-    to exactly -(C_n - 1) at s and +1 everywhere else.  Exact rationals
-    throughout.
+    construction time.  Here each source's shuffle component is built from
+    the per-source flows of its class's factors, summed arc by arc, and its
+    net inflow is checked exactly against -(|C_T| - 1) at s, 1 at every
+    other member of T and 0 elsewhere, which pins the per-source net to
+    exactly -(C_n - 1) at s and +1 everywhere else.  The sources of a class
+    go in chunks of stacked rows.
     """
     if n <= 1:
         return {"n": n, "sources": 0, "ok": True}
     st = oriented_structure(n)
     for t in range(len(st.sizes)):
         r_dist(n, t)  # net-verified on construction
+    size = catalan(n)
+    factor_rows = partial(_factor_rows, n=n)
     count = 0
     for t, sz in enumerate(st.sizes):
-        unit = dict.fromkeys(st.members[t], 1)
-        for s in st.members[t]:
-            shuffle_source_flow(n, s).check_net({**unit, s: 1 - sz}, f"source {s}: shuffle")
-            count += 1
+        members = st.by_coord[t]
+        for coords in _source_chunks(n, t):
+            rows = _shuffle_rows(n, t, coords, factor_rows)
+            k = len(coords)
+            sid = rows.source_of_row()
+            at, num = coalesce((sid * size + rows.src) * size + rows.dst, rows.num)
+            cell = sid[at] * size
+            net = np.zeros(k * size, dtype=num.dtype)
+            np.subtract.at(net, cell + rows.src[at], num)
+            np.add.at(net, cell + rows.dst[at], num)
+            want = np.zeros((k, size), dtype=np.int64)
+            want[:, members] = 1
+            want[np.arange(k), members[coords]] = 1 - sz
+            bad = np.flatnonzero(net != scaled(want, rows.den[:, None]).ravel())
+            if len(bad):
+                i, v = divmod(int(bad[0]), size)
+                den = int(rows.den[i])
+                raise StructureMismatchError(
+                    f"class {t} source {members[coords[i]]}: shuffle: net inflow at {v} "
+                    f"is {Fraction(int(net[bad[0]]), den)}, expected {int(want[i, v])}"
+                )
+            count += k
     return {"n": n, "sources": count, "ok": True}
 
 
@@ -211,12 +426,20 @@ def matching_arc_values(n: int):
     """Un-normalized aggregate flow on every inter-class matching arc."""
     st = oriented_structure(n)
     agg = aggregate_flow(n)
+    pairs = [(ab, arcs) for ab, arcs in st.matching.items() if ab[0] < ab[1]]
+    if not pairs:
+        return []
+    arcs = np.concatenate([a for _, a in pairs])
+    fwd = agg.numerators_at(arcs[:, 0], arcs[:, 1]).tolist()
+    bwd = agg.numerators_at(arcs[:, 1], arcs[:, 0]).tolist()
+    den = agg.den
     out = []
-    for (a, b), arcs in st.matching.items():
-        if a < b:
-            for u, v in arcs:
-                out.append(((a, b), (u, v), agg.value(u, v)))
-                out.append(((b, a), (v, u), agg.value(v, u)))
+    i = 0
+    for (a, b), block in pairs:
+        for u, v in block.tolist():
+            out.append(((a, b), (u, v), Fraction(fwd[i], den)))
+            out.append(((b, a), (v, u), Fraction(bwd[i], den)))
+            i += 1
     return out
 
 

@@ -1,13 +1,16 @@
 """Flow primitives and the recursive congestion machinery."""
 
+import hashlib
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flipwalk import flownet
 from flipwalk.combinatorics import catalan
 from flipwalk.decomposition import central_partition, oriented_partition
 from flipwalk.errors import InvalidParameterError, StructureMismatchError
@@ -31,6 +34,9 @@ from flipwalk.flows import (
 )
 from flipwalk.graph import Graph
 from flipwalk.kangulation import build_flip_graph
+from flipwalk.spectral import build_chain, cheeger_bounds, shortest_side_cut
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def _graph(k, n, _cache={}):
@@ -66,16 +72,44 @@ FLOWS = st.builds(
 )
 SCALES = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+# numerators at the int64 guard: sums and scalings of these pass 2**63
+NEAR_2_62 = st.one_of(
+    st.integers(2**62 - 40, 2**62 + 40),
+    st.integers(-(2**62) - 40, -(2**62) + 40),
+    st.integers(-20, 20),
+)
+BIG_FLOWS = st.builds(
+    ArcFlow, st.integers(1, 12), st.dictionaries(ARCS, NEAR_2_62, max_size=8)
+)
+
+
+# three int64 numerators under 2**62 whose sum is past 2**63
+_THREE_NEAR = [(ArcFlow(1, {(0, 1): 2**62 - 1, (1, 2): 5}), 1)] * 3
 
 
 @PROPERTY
-@given(st.lists(st.tuples(FLOWS, SCALES), max_size=4))
+@given(st.one_of(st.lists(st.tuples(FLOWS, SCALES), max_size=4),
+                 st.lists(st.tuples(BIG_FLOWS, SCALES), max_size=4)))
+@example(_THREE_NEAR)
+@example(_THREE_NEAR + [(ArcFlow(3, {(0, 1): -(2**62) + 7}), Fraction(-2, 5))])
 def test_arcflow_combine_is_linear(pieces):
+    """combine and check_net against a Python-int reference built from each
+    piece's vals view, also for numerators near 2**62."""
     total = ArcFlow.combine(pieces)
-    arcs = {(0, 1)}.union(*(flow.vals for flow, _ in pieces))
-    for u, v in arcs:
-        expect = sum((scale * flow.value(u, v) for flow, scale in pieces), Fraction(0))
-        assert total.value(u, v) == expect
+    want: dict = {}
+    for flow, scale in pieces:
+        for arc, w in flow.vals.items():
+            want[arc] = want.get(arc, 0) + scale * Fraction(w, flow.den)
+    for u, v in {(0, 1)}.union(want):
+        assert total.value(u, v) == want.get((u, v), 0)
+    assert total.vals == {a: x * total.den for a, x in want.items() if x}
+    net: dict = {}
+    for (u, v), x in want.items():
+        net[u] = net.get(u, 0) - x
+        net[v] = net.get(v, 0) + x
+    total.check_net(net, "reference")
+    with pytest.raises(StructureMismatchError):
+        total.check_net({**net, 9: Fraction(1, total.den)}, "off by one")
 
 
 @PROPERTY
@@ -125,6 +159,77 @@ def test_unit_demands_certified_small():
     for n in (2, 3, 4):
         stats = verify_unit_demands(n)
         assert stats["ok"] and stats["sources"] == catalan(n)
+
+
+@pytest.mark.slow
+def test_unit_demands_certified_n9():
+    assert verify_unit_demands(9)["sources"] == 4862
+
+
+@pytest.mark.parametrize("f", [4, 5])
+def test_unit_demands_catch_a_changed_factor_numerator(monkeypatch, f):
+    """One numerator of one factor per-source flow, on K_4 (from the table)
+    or K_5 (built on demand), raised by one: certification must fail."""
+    real = flownet._factor_rows
+    changed = []
+
+    def tampered(g, ids, n):
+        rows = real(g, ids, n)
+        if g == f and not changed and len(rows.num):
+            rows.num = rows.num.copy()
+            rows.num[0] += 1
+            changed.append(g)
+        return rows
+
+    monkeypatch.setattr(flownet, "_factor_rows", tampered)
+    with pytest.raises(StructureMismatchError, match=r"class \d+ source \d+: shuffle"):
+        verify_unit_demands(6)
+    assert changed == [f]
+
+
+_GOLDEN_FLOWS = {
+    "aggregate_flow": aggregate_flow,
+    "r_dist": r_dist,
+    "pair_flow": pair_flow,
+    "per_source_flow": per_source_flow,
+}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_flows_match_golden(n):
+    """Denominator, arcs and arc order of every aggregate, r_dist and pair
+    flow (n <= 8) and every per-source flow (n <= 7), against the sha256 of
+    (den, list(vals.items())) in tests/golden/flows.json."""
+    with open(os.path.join(GOLDEN, "flows.json")) as fh:
+        golden = json.load(fh)
+    checked = 0
+    for name, want in golden.items():
+        func, args = re.fullmatch(r"(\w+)\((.*)\)", name).groups()
+        args = [int(a) for a in args.split(",")]
+        if args[0] != n:
+            continue
+        flow = _GOLDEN_FLOWS[func](*args)
+        got = hashlib.sha256(repr((flow.den, list(flow.vals.items()))).encode()).hexdigest()
+        assert got == want, name
+        checked += 1
+    assert checked == 1 + (n >= 2) * n * n + (n <= 7) * catalan(n)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_flow_bound_below_cheeger_and_cut(n):
+    """1/(2 rho) of the recursive flow is a lower bound on the expansion, so
+    it sits below the upper end of the Cheeger bracket and, exactly, below
+    |dS| / min(|S|, |S^c|) of the shortest-side cut when both sides are
+    nonempty."""
+    g = _graph(3, n)
+    bound = expansion_lower_bound(congestion_report(aggregate_flow(n), g.num_vertices))
+    assert float(bound) <= cheeger_bounds(build_chain(g))[1]
+    cut = shortest_side_cut(n)
+    if n <= 3:
+        assert cut.degenerate and cut.side_size == 0
+        return
+    assert cut.side_size and cut.other_size
+    assert bound <= Fraction(cut.boundary_size, min(cut.side_size, cut.other_size))
 
 
 def test_aggregate_equals_sum_of_sources():
