@@ -8,9 +8,11 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -198,12 +200,27 @@ def parse_config(argv) -> ExperimentConfig:
     return cfg
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector.  A cache file is hundreds of
+    thousands of small lists with no cycles, and the collector's repeated
+    passes over them cost about as much as encoding or parsing them."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _cached_graph(k: int, n: int, cap: int):
     """Build a flip graph, memoized on disk under FLIPWALK_CACHE_DIR.
 
     The cap is checked before the cache is read, so it means the same with a
-    warm cache or a cold one.  A cache file that does not parse, or whose
-    k, n, vertex count or edge count is wrong, is rebuilt and rewritten; a
+    warm cache or a cold one.  A cache file that does not parse, whose k, n,
+    vertex count or edge count is wrong, or whose edge list the loader
+    rejects (see `flip_graph_from_json_dict`) is rebuilt and rewritten; a
     file is written whole to a temporary name and then renamed into place.
     """
     count = fuss_catalan(k, n)
@@ -215,7 +232,7 @@ def _cached_graph(k: int, n: int, cap: int):
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"flipgraph_k{k}_n{n}.json")
     try:
-        with open(path) as fh:
+        with open(path) as fh, _gc_paused():
             graph = flip_graph_from_json_dict(json.load(fh))
         shape = (graph.k, graph.n, graph.num_vertices, graph.num_edges())
         if shape == (k, n, count, count * (n - 1) * (k - 2) // 2):
@@ -225,7 +242,7 @@ def _cached_graph(k: int, n: int, cap: int):
     graph = build_flip_graph(k, n, cap=cap)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w") as fh, _gc_paused():
             fh.write(graph.to_json())
         os.replace(tmp, path)
     finally:

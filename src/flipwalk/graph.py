@@ -1,9 +1,10 @@
 """The one undirected graph type behind flip graphs, lattice flip graphs and
-Cartesian products: sorted adjacency lists, one BFS, a cached CSR view.
+Cartesian products: sorted adjacency lists or CSR arrays, one BFS.
 
-Python loops (walks, flows, class decompositions, JSON export) read `adj`
-one vertex at a time, which is faster on lists than on CSR slices; the CSR
-arrays are derived once, on demand, for the numpy/scipy consumers.
+A graph is built from either form and derives the other on first use.
+Python loops (walks, flows, class decompositions) read `adj` one vertex at
+a time, which is faster on lists than on CSR slices; the numpy/scipy
+consumers, the edge list and the JSON export read the CSR arrays.
 """
 
 from __future__ import annotations
@@ -13,46 +14,73 @@ import json
 import numpy as np
 
 
+def _frozen_int32(a) -> np.ndarray:
+    a = np.asarray(a, dtype=np.int32)
+    a.flags.writeable = False
+    return a
+
+
 class Graph:
-    """Undirected graph on 0..N-1 as sorted adjacency lists.
+    """Undirected graph on 0..N-1, from sorted adjacency lists `adj` or from
+    CSR arrays `csr=(indptr, indices)` with each row sorted.
 
     `coords` optionally holds a coordinate tuple per vertex (product graphs).
     """
 
-    def __init__(self, adj: list, coords: list | None = None):
-        self.adj = adj
+    def __init__(self, adj: list | None = None, coords: list | None = None,
+                 *, csr: tuple | None = None):
+        self._adj = adj
+        self._csr = None if csr is None else tuple(map(_frozen_int32, csr))
         self.coords = coords
-        self._csr = None
+
+    @property
+    def adj(self) -> list:
+        """Sorted neighbour list per vertex, built from the CSR on first use."""
+        if self._adj is None:
+            indptr, indices = self._csr
+            flat, bounds = indices.tolist(), indptr.tolist()
+            self._adj = [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        return self._adj
 
     @property
     def num_vertices(self) -> int:
-        return len(self.adj)
+        return len(self._adj) if self._csr is None else self._csr[0].size - 1
 
     @property
     def degree(self) -> int:
         """Maximum degree."""
-        return max(map(len, self.adj), default=0)
+        if self._csr is None:
+            return max(map(len, self._adj), default=0)
+        return int(np.diff(self._csr[0]).max(initial=0))
 
     def num_edges(self) -> int:
-        return sum(map(len, self.adj)) // 2
+        if self._csr is None:
+            return sum(map(len, self._adj)) // 2
+        return int(self._csr[0][-1]) // 2
+
+    def _edge_array(self) -> np.ndarray:
+        """(E, 2) array of the edges (i, j), i < j, by i and then j."""
+        indptr, indices = self.csr()
+        src = np.repeat(np.arange(self.num_vertices, dtype=np.int32), np.diff(indptr))
+        keep = src < indices
+        return np.stack([src[keep], indices[keep]], axis=1)
 
     def edges(self):
-        for i, nbrs in enumerate(self.adj):
-            for j in nbrs:
-                if i < j:
-                    yield (i, j)
+        """The edges (i, j), i < j, by i and then j."""
+        return zip(*self._edge_array().T.tolist())
 
     def bfs_tree(self, root: int, allowed=None) -> dict:
         """BFS parent map from root, optionally inside the vertex set
         `allowed`; keys are in BFS order and each level is processed in
         sorted order, so a vertex's parent is its smallest neighbour on the
         previous level."""
+        adj = self.adj
         parent = {root: None}
         frontier = [root]
         while frontier:
             nxt = []
             for v in frontier:
-                for w in self.adj[v]:
+                for w in adj[v]:
                     if w not in parent and (allowed is None or w in allowed):
                         parent[w] = v
                         nxt.append(w)
@@ -60,7 +88,7 @@ class Graph:
         return parent
 
     def is_connected(self) -> bool:
-        return not self.adj or len(self.bfs_tree(0)) == self.num_vertices
+        return not self.num_vertices or len(self.bfs_tree(0)) == self.num_vertices
 
     def csr(self) -> tuple:
         """(indptr, indices) as read-only int32 arrays, built on first use."""
@@ -71,12 +99,11 @@ class Graph:
             indices = np.fromiter(
                 (j for nbrs in self.adj for j in nbrs), np.int32, count=int(indptr[-1])
             )
-            indptr.flags.writeable = indices.flags.writeable = False
-            self._csr = (indptr, indices)
+            self._csr = (_frozen_int32(indptr), _frozen_int32(indices))
         return self._csr
 
     def to_json_dict(self) -> dict:
-        return {"edges": [[i, j] for i, j in self.edges()]}
+        return {"edges": self._edge_array().tolist()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)

@@ -61,7 +61,7 @@ class _Grid:
     cross product c = +1 or -1, as (mask of pw and qw, w, c); `union` ORs
     those masks; `cross` is the mask of the segments pq strictly crosses;
     `memo` maps a state's `union` pattern to the flip decision (see
-    `_flip_moves`).
+    `_flip_moves`), and `face_memo` maps it to the number of faces on pq.
     """
 
     def __init__(self, n: int):
@@ -89,6 +89,7 @@ class _Grid:
             self.cross.append(sum(
                 1 << j for j, e in enumerate(self.segs) if _segments_cross(p, q, *e)))
         self.memo = [{} for _ in self.segs]
+        self.face_memo = [{} for _ in self.segs]
 
     def bit(self, p, q) -> int:
         return 1 << self.ids[_norm_edge(p, q)]
@@ -201,6 +202,7 @@ class LatticeTriangulation:
         missing = grid.hull & ~mask
         if missing:
             raise InvalidParameterError(f"missing hull edge {grid.segs[next(_ids_of(missing))]}")
+        faces = 0  # area-1/2 triangles, once per edge
         for i in _ids_of(mask):
             crossed = grid.cross[i] & mask
             if crossed:
@@ -208,7 +210,13 @@ class LatticeTriangulation:
                 raise InvalidParameterError(
                     f"edges {grid.segs[i]} and {grid.segs[j]} cross"
                 )
-        if sum(1 for _ in grid.faces(mask)) != 3 * 2 * (n - 1) ** 2:
+            local = mask & grid.union[i]
+            count = grid.face_memo[i].get(local)
+            if count is None:
+                count = grid.face_memo[i][local] = sum(
+                    1 for two, _, _ in grid.apexes[i] if local & two == two)
+            faces += count
+        if faces != 3 * 2 * (n - 1) ** 2:
             raise InvalidParameterError("face count is not 2(n-1)^2")
 
     def triangles(self) -> list:

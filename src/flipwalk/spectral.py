@@ -153,21 +153,38 @@ def mixing_time(
     return (tau, mode) if return_mode else tau
 
 
+def _mixing_floor(gap: float, eps: float) -> int:
+    """A step count below the mixing time, so TVD checks can start there.
+
+    For a reversible lazy chain with second eigenvalue 1 - gap, the start
+    x where the second eigenvector f peaks in |f| has TVD at least
+    (1 - gap)^t / 2 after t steps, so nothing mixes before
+    (1/gap - 1) log(1/(2 eps)) steps (Levin-Peres-Wilmer, Thm 12.5).  That
+    x is among the starts of every mode: all starts, an orbit of every
+    start (the TVD is constant on orbits), or the extreme entries of f.  One
+    step is taken off for the rounding of the float gap.
+    """
+    if gap <= 1e-12:
+        return 0
+    return max(0, math.floor((1 / gap - 1) * math.log(1 / (2 * eps))) - 1)
+
+
 def _mixing_block(chain: ChainAnalysis, starts: list, eps: float) -> int:
     """Least t at which every start's TVD to uniform is below eps.
 
     Point masses at the starts are stepped as the columns of an
-    N x MIXING_CHUNK block, X <- P @ X.  The TVD from a fixed start never
-    rises, so a column is dropped once it is below eps, and a later chunk
-    is first checked at the running maximum.  A connected lazy chain mixes
-    within log(N/eps)/gap steps (Levin-Peres-Wilmer, Thm 12.4); running past
-    twice that means the chain is disconnected or the arithmetic failed.
+    N x MIXING_CHUNK block, X <- P @ X.  No TVD is checked before
+    `_mixing_floor`.  The TVD from a fixed start never rises,
+    so a column is dropped once it is below eps, and a later chunk is first
+    checked at the running maximum.  A connected lazy chain mixes within
+    log(N/eps)/gap steps (Levin-Peres-Wilmer, Thm 12.4); running past twice
+    that means the chain is disconnected or the arithmetic failed.
     """
     n = chain.num_states
     p = chain.operator()
     gap = chain.spectral_gap()
     limit = 2 * math.log(n / eps) / gap + 10 if gap > 1e-12 else 0
-    tau = 0
+    tau = _mixing_floor(gap, eps)
     for lo in range(0, len(starts), MIXING_CHUNK):
         cols = starts[lo:lo + MIXING_CHUNK]
         x = np.zeros((n, len(cols)))

@@ -1,0 +1,125 @@
+"""Per-state reference for k-angulation enumeration and flips.
+
+This is the earlier, one-state-at-a-time implementation: states are Python
+int bitmasks over the polygon's diagonals in lexicographic order, faces are
+walked on per-vertex neighbour bitmasks with `int.bit_length()`, and the
+graph index is a `{mask: index}` dict.  The package's batched routine must
+give the same vertex order, adjacency and flip lists.
+"""
+
+from functools import lru_cache
+from itertools import chain, combinations, product
+
+
+@lru_cache(maxsize=None)
+def enumerate_local(k: int, n: int) -> tuple:
+    """All k-angulations of the (k-2)n+2-gon as sorted diagonal tuples."""
+    if n <= 1:
+        return ((),)
+    results = []
+    slots = n + k - 3
+    for bars in combinations(range(slots), k - 2):
+        parts = [b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,))]
+        cs = [0]
+        for p in parts:
+            cs.append(cs[-1] + (k - 2) * p + 1)
+        face_diags = tuple((a, b) for a, b in zip(cs, cs[1:]) if b - a > 1)
+        sub_lists = [
+            [tuple((a + base, b + base) for a, b in s) for s in enumerate_local(k, p)]
+            for base, p in zip(cs, parts)
+            if p >= 1
+        ]
+        for subs in product(*sub_lists):
+            results.append(tuple(sorted(chain(face_diags, *subs))))
+    results.sort()
+    return tuple(results)
+
+
+def _crosses(d1, d2) -> bool:
+    (a, b), (c, d) = d1, d2
+    return (a < c < b < d) or (c < a < d < b)
+
+
+@lru_cache(maxsize=None)
+def _polygon(m: int) -> tuple:
+    diags = [(a, b) for a in range(m) for b in range(a + 2, m) if (a, b) != (0, m - 1)]
+    cross = [sum(1 << j for j, e in enumerate(diags) if _crosses(d, e)) for d in diags]
+    return diags, {d: i for i, d in enumerate(diags)}, cross
+
+
+def _mask(diagonals, m: int) -> int:
+    ids = _polygon(m)[1]
+    mask = 0
+    for d in diagonals:
+        mask |= 1 << ids[d]
+    return mask
+
+
+def _faces(mask: int, m: int):
+    diags = _polygon(m)[0]
+    nbr = [2 << v for v in range(m)]
+    while mask:
+        low = mask & -mask
+        a, b = diags[low.bit_length() - 1]
+        nbr[a] |= 1 << b
+        mask ^= low
+    stack = [(0, m - 1, [])]
+    while stack:
+        a, b, rest = stack.pop()
+        face = [a]
+        v = (nbr[a] & ((1 << b) - 1)).bit_length() - 1
+        below = (2 << b) - 1
+        while v != b:
+            face.append(v)
+            v = (nbr[v] & below).bit_length() - 1
+        face.append(b)
+        yield face, rest
+        for i in range(len(face) - 1):
+            if face[i + 1] - face[i] > 1:
+                stack.append((face[i], face[i + 1], face[i + 2:] + face[:i]))
+
+
+def flip_moves(mask: int, k: int, m: int) -> list:
+    """(neighbour mask, removed id, inserted id) per flip, in face-walk order."""
+    diags, ids, cross = _polygon(m)
+    moves = []
+    seen = 0
+    for face, rest in _faces(mask, m):
+        if len(face) != k:
+            raise ValueError(f"face {tuple(face)} is not a {k}-gon")
+        if not rest:
+            continue
+        d = ids[face[0], face[-1]]
+        seen |= 1 << d
+        others = mask ^ (1 << d)
+        for u, w in zip(face[1:-1], rest):
+            nd = ids[u, w] if u < w else ids[w, u]
+            if cross[nd] & others:
+                raise ValueError(f"flipping {diags[d]} to {diags[nd]} crosses another diagonal")
+            moves.append((others | 1 << nd, d, nd))
+    if seen != mask:
+        raise ValueError("a diagonal does not bound two faces")
+    return moves
+
+
+def flips(k: int, m: int, diagonals: tuple) -> list:
+    """(neighbour diagonals, removed, inserted) per flip, ordered by the
+    removed diagonal's position in `diagonals`."""
+    diags = _polygon(m)[0]
+    moves = sorted(flip_moves(_mask(diagonals, m), k, m), key=lambda move: move[1])
+    return [
+        (tuple(e for i, e in enumerate(diags) if x >> i & 1), diags[d], diags[nd])
+        for x, d, nd in moves
+    ]
+
+
+def build_csr(k: int, n: int) -> tuple:
+    """(vertices, indptr, indices) of the flip graph as Python lists."""
+    m = (k - 2) * n + 2
+    verts = enumerate_local(k, n)
+    index = {_mask(v, m): i for i, v in enumerate(verts)}
+    indptr, indices = [0], []
+    for x in index:
+        indices += sorted(index[y] for y, _, _ in flip_moves(x, k, m))
+        indptr.append(len(indices))
+    return verts, indptr, indices

@@ -10,11 +10,13 @@ from flipwalk.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ExperimentConfig,
+    _cached_graph,
     main,
     parse_config,
     report_table,
 )
 from flipwalk.errors import InvalidParameterError, SchemaMismatchError
+from flipwalk.kangulation import build_flip_graph
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -235,6 +237,46 @@ def test_damaged_cache_file_is_rebuilt(tmp_path, monkeypatch, damage):
     assert (out / "sample_summary.json").read_bytes() == summary
     assert path.read_text() == good
     assert list(cache.iterdir()) == [path]
+
+
+def _rewire(doc):
+    """Move one end of the first edge to a vertex that is not a neighbour:
+    the edge count stays, two degrees change."""
+    i, j = doc["edges"][0]
+    nbrs = {b if a == i else a for a, b in doc["edges"] if i in (a, b)}
+    doc["edges"][0] = [i, min(set(range(len(doc["vertices"]))) - nbrs - {i})]
+
+
+def _bool_index(doc):
+    e = next(e for e in doc["edges"] if 1 in e)
+    e[e.index(1)] = True  # json writes true, and Python reads it back as == 1
+
+
+EDGE_CORRUPTIONS = {
+    "negative-index": lambda doc: doc["edges"][0].__setitem__(0, -1),
+    "index-past-end": lambda doc: doc["edges"][0].__setitem__(1, len(doc["vertices"])),
+    "self-loop": lambda doc: doc["edges"][0].__setitem__(1, doc["edges"][0][0]),
+    "repeated-edge": lambda doc: doc["edges"].__setitem__(1, list(doc["edges"][0])),
+    "float-index": lambda doc: doc["edges"][0].__setitem__(1, doc["edges"][0][1] + 0.0),
+    "string-index": lambda doc: doc["edges"][0].__setitem__(1, str(doc["edges"][0][1])),
+    "bool-index": _bool_index,
+    "wrong-degree": _rewire,
+}
+
+
+@pytest.mark.parametrize("corrupt", EDGE_CORRUPTIONS.values(), ids=EDGE_CORRUPTIONS.keys())
+def test_cache_rejects_bad_edges(tmp_path, monkeypatch, corrupt):
+    """Each corruption keeps k, n, the vertex count and the edge count, so
+    only the loader's edge checks can catch it; the file is then rebuilt."""
+    monkeypatch.setenv("FLIPWALK_CACHE_DIR", str(tmp_path))
+    fresh = build_flip_graph(3, 4)
+    path = tmp_path / "flipgraph_k3_n4.json"
+    doc = json.loads(fresh.to_json())
+    corrupt(doc)
+    path.write_text(json.dumps(doc, sort_keys=True))
+    graph = _cached_graph(3, 4, cap=100)
+    assert graph.adj == fresh.adj
+    assert graph.to_json() == fresh.to_json() == path.read_text()
 
 
 @pytest.mark.parametrize("line", ["n_range = 5-7", "n = five", "n_range = 2..x"])

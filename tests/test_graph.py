@@ -26,3 +26,14 @@ def test_csr_matches_adjacency_and_is_cached():
     assert indptr.tolist() == [0, 2, 4, 6, 8, 10, 12]
     assert indices.tolist() == [j for nbrs in HEXAGON.adj for j in nbrs]
     assert HEXAGON.csr()[1] is indices
+
+
+def test_graph_from_csr_matches_graph_from_lists():
+    """A CSR-built graph derives the same lists, counts, edges and JSON."""
+    g = Graph(csr=HEXAGON.csr())
+    assert g._adj is None  # lists are built on first read
+    assert g.num_vertices == 6 and g.degree == 2 and g.num_edges() == 6
+    assert list(g.edges()) == list(HEXAGON.edges())
+    assert g.to_json() == HEXAGON.to_json()
+    assert g.adj == HEXAGON.adj
+    assert g.bfs_tree(0) == HEXAGON.bfs_tree(0)

@@ -5,6 +5,10 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_flips import build_csr as reference_csr
+from reference_flips import flips as reference_flips
 
 from flipwalk.combinatorics import catalan, fuss_catalan
 from flipwalk.errors import EnumerationTooLargeError, InvalidParameterError
@@ -64,6 +68,33 @@ def test_validate_rejects_crossing_and_wrong_count():
         KAngulation(3, 6, ((0, 2),)).validate()
     for t in enumerate_kangulations(4, 3):
         t.validate()
+
+
+@st.composite
+def diagonal_sets(draw):
+    """(k, m, sorted tuple of n-1 distinct diagonals of the m-gon), m <= 9:
+    a k-angulation with up to three of its diagonals swapped for others."""
+    k = draw(st.sampled_from([3, 4]))
+    n = draw(st.integers(1, 7 if k == 3 else 3))
+    m = (k - 2) * n + 2
+    diags = [(a, b) for a in range(m) for b in range(a + 2, m) if (a, b) != (0, m - 1)]
+    chosen = list(draw(st.sampled_from(enumerate_kangulations(k, n))).diagonals)
+    for _ in range(draw(st.integers(0, 3)) if n >= 2 else 0):
+        chosen.pop(draw(st.integers(0, len(chosen) - 1)))
+        chosen.append(draw(st.sampled_from([d for d in diags if d not in chosen])))
+    return k, m, tuple(sorted(chosen))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(diagonal_sets())
+def test_validate_accepts_exactly_the_kangulations(case):
+    k, m, diags = case
+    t = KAngulation(k, m, diags)
+    if diags in {v.diagonals for v in enumerate_kangulations(k, t.n)}:
+        t.validate()
+    else:
+        with pytest.raises(InvalidParameterError):
+            t.validate()
 
 
 def test_faces_partition_polygon():
@@ -194,6 +225,32 @@ def test_adjacency_equals_one_diagonal_difference(k, n_max):
         assert g.adj == oracle, (k, n)
 
 
+REFERENCE_SIZES = (
+    [(3, n) for n in range(1, 11)] + [(4, n) for n in range(1, 6)]
+    + [(5, n) for n in range(1, 5)] + [(6, n) for n in range(1, 4)]
+)
+
+
+@pytest.mark.parametrize("k, n", REFERENCE_SIZES)
+def test_build_matches_per_state_reference(k, n):
+    """Vertex order and CSR arrays equal the per-state build's."""
+    verts, indptr, indices = reference_csr(k, n)
+    g = build_flip_graph(k, n)
+    assert [v.diagonals for v in g.vertices] == list(verts)
+    got_indptr, got_indices = g.csr()
+    assert got_indptr.tolist() == indptr
+    assert got_indices.tolist() == indices
+
+
+@pytest.mark.parametrize("k, n", REFERENCE_SIZES)
+def test_flips_match_per_state_reference(k, n):
+    """(neighbour, removed, inserted) of every state, in order."""
+    m = (k - 2) * n + 2
+    for t in enumerate_kangulations(k, n):
+        got = [(nbr.diagonals, r, i) for nbr, r, i in flips(t)]
+        assert got == reference_flips(k, m, t.diagonals), t.diagonals
+
+
 def test_dot_export_mentions_all_vertices():
     g = build_flip_graph(3, 3)
     dot = g.to_dot()
@@ -219,10 +276,17 @@ def test_eccentricities_reject_disconnected_graph():
         eccentricities(Graph([[1], [0], [3], [2]]), [0])
 
 
-@pytest.mark.slow
 def test_flip_graph_n11_matches_golden_hash():
     assert _sha256(build_flip_graph(3, 11).to_json()) == (
         "215b1a2720120adb2cb92255063a7044fb854d738099f6da529f5efd99e5e71c"
+    )
+
+
+@pytest.mark.slow
+def test_flip_graph_n12_matches_golden_hash():
+    """Written from the per-state build (tests/reference_flips.py)."""
+    assert _sha256(build_flip_graph(3, 12).to_json()) == (
+        "0770d6c931a7a92a8c6dc1882b6759b7e6467e4629fd7823d521437c80e4831f"
     )
 
 

@@ -124,6 +124,32 @@ def test_orbit_start_mixing_matches_all_starts(monkeypatch):
         assert got == (tau, "exact-orbit-starts"), kn
 
 
+@pytest.mark.parametrize("eps", [0.25, 0.05])
+def test_mixing_floor_changes_no_mixing_time(monkeypatch, eps):
+    """TVD checks start at the Levin-Peres-Wilmer floor; every tau and mode
+    equals the one checked from step 0, in every mode: all starts, orbit
+    starts, and the eigenvector-extreme starts of a plain Graph copy."""
+    sizes = [(3, n) for n in range(2, 10)] + [(4, n) for n in range(2, 6)]
+
+    def results():
+        out = {}
+        for cap in (spectral.EXACT_START_CAP, 0):
+            monkeypatch.setattr(spectral, "EXACT_START_CAP", cap)
+            for kn in sizes:
+                for g in (_graph(*kn), Graph(csr=_graph(*kn).csr())):
+                    out[cap, kn, type(g)] = mixing_time(build_chain(g), eps, return_mode=True)
+        monkeypatch.undo()
+        return out
+
+    skipped = results()
+    assert spectral._mixing_floor(build_chain(_graph(3, 9)).spectral_gap(), 0.25) == 27
+    monkeypatch.setattr(spectral, "_mixing_floor", lambda gap, eps: 0)
+    unskipped = results()
+    assert skipped == unskipped
+    assert {mode for _, mode in skipped.values()} == {
+        "exact-all-starts", "exact-orbit-starts", "heuristic-start"}
+
+
 def test_orbit_start_mixing_n9():
     chain = build_chain(_graph(3, 9))
     assert mixing_time(chain, return_mode=True) == (55, "exact-orbit-starts")
