@@ -1,18 +1,16 @@
 """Command-line surface: experiment configs, reproducible runs, exports.
 
-Exit codes: 0 success, 2 usage/config error (or an unusable --out or
-cache directory), 3 lemma-check violation (with witness), 4 resource cap
-exceeded.
+Every command builds the flip graphs it needs in memory.  Exit codes: 0
+success, 2 usage/config error (or an unusable --out directory), 3
+lemma-check violation (with witness), 4 resource cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,7 +33,7 @@ from .kangulation import (
     DEFAULT_ENUMERATION_CAP,
     build_flip_graph,
     enumerate_kangulations,
-    flip_graph_from_json_dict,
+    flip_graph_from_json_dict,  # noqa: F401 (bench/trace_cli.py wraps it under this name)
 )
 from .lattice import count_triangulations_recursive, enumerate_lattice, product_subgraph
 from .spectral import (
@@ -200,57 +198,6 @@ def parse_config(argv) -> ExperimentConfig:
     return cfg
 
 
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector.  A cache file is hundreds of
-    thousands of small lists with no cycles, and the collector's repeated
-    passes over them cost about as much as encoding or parsing them."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _cached_graph(k: int, n: int, cap: int):
-    """Build a flip graph, memoized on disk under FLIPWALK_CACHE_DIR.
-
-    The cap is checked before the cache is read, so it means the same with a
-    warm cache or a cold one.  A cache file that does not parse, whose k, n,
-    vertex count or edge count is wrong, or whose edge list the loader
-    rejects (see `flip_graph_from_json_dict`) is rebuilt and rewritten; a
-    file is written whole to a temporary name and then renamed into place.
-    """
-    count = fuss_catalan(k, n)
-    if count > cap:
-        raise EnumerationTooLargeError(count, cap)
-    cache_dir = os.environ.get("FLIPWALK_CACHE_DIR")
-    if not cache_dir:
-        return build_flip_graph(k, n, cap=cap)
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"flipgraph_k{k}_n{n}.json")
-    try:
-        with open(path) as fh, _gc_paused():
-            graph = flip_graph_from_json_dict(json.load(fh))
-        shape = (graph.k, graph.n, graph.num_vertices, graph.num_edges())
-        if shape == (k, n, count, count * (n - 1) * (k - 2) // 2):
-            return graph
-    except (FileNotFoundError, ValueError, KeyError, TypeError, IndexError):
-        pass  # missing, unparsable or malformed: rebuild below
-    graph = build_flip_graph(k, n, cap=cap)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh, _gc_paused():
-            fh.write(graph.to_json())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return graph
-
-
 def _write(cfg: ExperimentConfig, name: str, text: str) -> str:
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, name)
@@ -272,7 +219,7 @@ def _run_enumerate(cfg: ExperimentConfig) -> list:
     for n in cfg.ns:
         expected = fuss_catalan(cfg.k, n)
         if cfg.fmt in ("dot",) or n <= 9:
-            graph = _cached_graph(cfg.k, n, cfg.cap)
+            graph = build_flip_graph(cfg.k, n, cap=cfg.cap)
             count = graph.num_vertices
             if cfg.fmt == "dot":
                 _write(cfg, f"flipgraph_k{cfg.k}_n{n}.dot", graph.to_dot())
@@ -290,7 +237,7 @@ def _run_enumerate(cfg: ExperimentConfig) -> list:
 def _run_analyze(cfg: ExperimentConfig) -> list:
     summaries = []
     for n in cfg.ns:
-        graph = _cached_graph(cfg.k, n, cfg.cap)
+        graph = build_flip_graph(cfg.k, n, cap=cfg.cap)
         chain = build_chain(graph)
         gap = chain.spectral_gap()
         tau, mode = mixing_time(chain, cfg.epsilon, return_mode=True)
@@ -321,7 +268,7 @@ def _run_flow(cfg: ExperimentConfig) -> list:
         raise InvalidParameterError("flow command requires k = 3")
     summaries = []
     for n in cfg.ns:
-        graph = _cached_graph(3, n, cfg.cap)
+        graph = build_flip_graph(3, n, cap=cfg.cap)
         _, report = uniform_flow_recursive(graph)
         verify_unit_demands(n)
         worst = max((v for _, _, v in matching_arc_values(n)), default=0) if n >= 2 else 0
@@ -390,7 +337,7 @@ def _run_lattice(cfg: ExperimentConfig) -> list:
 def _run_sample(cfg: ExperimentConfig) -> list:
     summaries = []
     for n in cfg.ns:
-        graph = _cached_graph(cfg.k, n, cfg.cap)
+        graph = build_flip_graph(cfg.k, n, cap=cfg.cap)
         res = sample_walk(graph, cfg.steps, seed=cfg.seed, start=0, thin=cfg.thin)
         doc = {
             "command": "sample", "k": cfg.k, "n": n, "seed": cfg.seed,
@@ -436,7 +383,7 @@ def run(cfg: ExperimentConfig) -> int:
     except FlipwalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:  # --out or the cache directory is unusable
+    except OSError as exc:  # --out is unusable
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(_dump(summaries), end="")

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 
+import numpy as np
+
 from .combinatorics import catalan, fuss_catalan
 from .errors import (
     InvalidParameterError,
@@ -17,28 +19,27 @@ from .errors import (
     StructureMismatchError,
 )
 from .graph import product_graph
-from .kangulation import FlipGraph, _enumerate_local, _faces, _mask, build_flip_graph, faces_of
+from .kangulation import (
+    FLIP_CHUNK,
+    FlipGraph,
+    _enumerate_rows,
+    _face_array,
+    _face_rows,
+    _polygon,
+    _row_keys,
+    _rows_of,
+    build_flip_graph,
+)
 
 
 @lru_cache(maxsize=None)
-def _local_index(k: int, n: int) -> dict:
-    """Canonical-order index of the k-angulations of the (k-2)n+2-gon."""
-    return {d: i for i, d in enumerate(_enumerate_local(k, n))}
-
-
-@lru_cache(maxsize=None)
-def _local_apex(k: int, n: int) -> tuple:
-    """For each local state of K_{k,n}: apex tuple of the face on edge (m-1, 0).
-
-    For k = 3 this is the single apex vertex; used to classify factor states
-    into oriented sub-classes.
-    """
-    m = (k - 2) * n + 2
-    out = []
-    for diags in _enumerate_local(k, n):
-        face, _ = next(_faces(_mask(diags, m), m))
-        out.append(tuple(face[1:-1]))  # interior vertices of the root face
-    return tuple(out)
+def _local_apex(n: int) -> np.ndarray:
+    """For each triangulation of the (n+2)-gon, in canonical order: the apex
+    of its triangle on edge (n+1, 0).  Classifies factor states into
+    oriented sub-classes."""
+    apex = _face_rows(_enumerate_rows(3, n), 3, n + 2)[0][:, 1]
+    apex.flags.writeable = False
+    return apex
 
 
 @dataclass
@@ -80,20 +81,6 @@ class BoundaryMatching:
         return len(self.edges)
 
 
-def _subdiagonals(diags, lo: int, hi: int, m: int) -> tuple:
-    """Diagonals strictly inside the cyclic arc lo..hi of the m-gon (which
-    may wrap past m-1), relabeled so that lo becomes vertex 0."""
-    span = (hi - lo) % m
-    out = []
-    for a, b in diags:
-        x, y = (a - lo) % m, (b - lo) % m
-        if x > y:
-            x, y = y, x
-        if y <= span and (x, y) != (0, span):
-            out.append((x, y))
-    return tuple(sorted(out))
-
-
 def _arc_factor(k: int, arc_len: int) -> int:
     """Sub-flip-graph parameter n_i for a sub-polygon spanning arc_len edges."""
     ni, rem = divmod(arc_len - 1, k - 2)
@@ -102,57 +89,63 @@ def _arc_factor(k: int, arc_len: int) -> int:
     return ni
 
 
-def _build_classes(graph: FlipGraph, key_of, arcs_of, kind: str) -> ClassPartition:
+def _factor_coords(rel: np.ndarray, span: int, k: int, ni: int) -> np.ndarray:
+    """Canonical index, among the k-angulations of the sub-polygon on an arc
+    of span polygon edges, of each state's diagonals strictly inside the
+    arc.  rel holds the states' (count, n-1, 2) diagonal ends, renumbered so
+    that the arc starts at vertex 0."""
+    if ni <= 1:
+        return np.zeros(len(rel), dtype=np.int64)
+    x, y = np.moveaxis(np.sort(rel, axis=2), 2, 0)
+    inside = (y <= span) & ((x != 0) | (y != span))
+    if (inside.sum(axis=1) != ni - 1).any():
+        raise StructureMismatchError(f"an arc of {span} edges does not hold {ni - 1} diagonals")
+    sub = _polygon(span + 1)
+    ids = np.sort(sub.pair_id[x[inside], y[inside]].reshape(-1, ni - 1), axis=1)
+    want = _row_keys(ids.astype(sub.dtype))
+    keys = _row_keys(_enumerate_rows(k, ni))
+    at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    if (keys[at] != want).any():
+        raise StructureMismatchError(f"an arc of {span} edges does not hold a {k}-angulation")
+    return at
+
+
+def _build_classes(graph: FlipGraph, keys: np.ndarray, kind: str) -> ClassPartition:
+    """Classes by key (keys[v] is vertex v's defining face, ascending), in
+    key order.  A member's coordinates come from the arcs between
+    consecutive vertices of its face; an oriented face's last arc is the
+    special edge (m-1, 0), which holds no factor."""
     k, m = graph.k, graph.m
-    buckets = {}
-    for idx, t in enumerate(graph.vertices):
-        buckets.setdefault(key_of(t), []).append(idx)
+    polys, vertex_class = np.unique(keys, axis=0, return_inverse=True)
     classes = []
-    vertex_class = [-1] * graph.num_vertices
-    for ci, poly in enumerate(sorted(buckets)):
-        members = buckets[poly]
-        arcs = arcs_of(poly)
+    for ci, poly in enumerate(map(tuple, polys.tolist())):
+        members = np.flatnonzero(vertex_class == ci)
+        ends = _polygon(m).ends[graph.rows[members]]
+        arcs = list(zip(poly, poly[1:] + poly[:1]))[:len(poly) - (kind == "oriented")]
         factors = [(k, _arc_factor(k, (hi - lo) % m)) for lo, hi in arcs]
-        coords = []
-        for idx in members:
-            diags = graph.vertices[idx].diagonals
-            coord = []
-            for (lo, hi), (_, ni) in zip(arcs, factors):
-                if ni == 0:
-                    coord.append(0)
-                    continue
-                coord.append(_local_index(k, ni)[_subdiagonals(diags, lo, hi, m)])
-            coords.append(tuple(coord))
-            vertex_class[idx] = ci
+        coords = np.stack([
+            _factor_coords((ends - lo) % m, (hi - lo) % m, k, ni)
+            for (lo, hi), (_, ni) in zip(arcs, factors)
+        ], axis=1)
         desc = ClassDescriptor(
             defining_polygon=poly,
-            member_indices=members,
+            member_indices=members.tolist(),
             cartesian_factors=factors,
-            coords=coords,
+            coords=list(map(tuple, coords.tolist())),
         )
-        if desc.size != desc.expected_size() or len(set(coords)) != desc.size:
+        if desc.size != desc.expected_size() or len(set(desc.coords)) != desc.size:
             raise StructureMismatchError(
                 f"class {poly}: size {desc.size} != product {desc.expected_size()}"
             )
         classes.append(desc)
-    return ClassPartition(kind, graph, classes, vertex_class)
+    return ClassPartition(kind, graph, classes, vertex_class.ravel().tolist())
 
 
 def oriented_partition(graph: FlipGraph) -> ClassPartition:
     """Partition of K_n by the triangle on the special edge (m-1, 0)."""
     if graph.k != 3:
         raise InvalidParameterError("oriented partition is defined for k = 3 only")
-    m = graph.m
-
-    def key_of(t):
-        face, _ = next(_faces(_mask(t.diagonals, m), m))
-        return tuple(face)  # (0, apex, m-1)
-
-    def arcs_of(poly):
-        apex = poly[1]
-        return [(0, apex), (apex, m - 1)]
-
-    part = _build_classes(graph, key_of, arcs_of, "oriented")
+    part = _build_classes(graph, _face_rows(graph.rows, 3, graph.m)[0], "oriented")
     if len(part.classes) != graph.n:
         raise StructureMismatchError(
             f"expected {graph.n} oriented classes, got {len(part.classes)}"
@@ -170,41 +163,44 @@ def face_contains_center(face: tuple, m: int) -> bool:
     at angle 1), the perturbed center lies inside iff the midpoint's angle
     falls in the open half-turn counterclockwise of the diameter's far end.
     """
-    verts = list(face)
-    arcs = []
-    for i in range(len(verts)):
-        u = verts[i]
-        w = verts[(i + 1) % len(verts)]
-        arcs.append(((w - u) % m, u, w))
-    for ln, _, w in arcs:
-        if 2 * ln > m:
-            return False
-        if 2 * ln == m and not (0 < (1 - 2 * w) % (2 * m) < m):
-            return False
-    return True
+    return bool(_contains_center(np.asarray(face), m))
+
+
+def _contains_center(faces: np.ndarray, m: int) -> np.ndarray:
+    """`face_contains_center` of each face along the last axis of faces."""
+    w = np.roll(faces, -1, axis=-1)
+    twice = 2 * ((w - faces) % m)
+    tie = (1 - 2 * w) % (2 * m)
+    return ((twice < m) | ((twice == m) & (0 < tie) & (tie < m))).all(axis=-1)
+
+
+def _central_face_rows(rows: np.ndarray, k: int, m: int) -> np.ndarray:
+    """The face of each state that contains the (perturbed) polygon center,
+    vertices ascending."""
+    if len(rows) > FLIP_CHUNK:  # bound the (chunk, n, k) face tables
+        return np.concatenate([_central_face_rows(rows[lo:lo + FLIP_CHUNK], k, m)
+                               for lo in range(0, len(rows), FLIP_CHUNK)])
+    faces = _face_array(rows, k, m)
+    hits = _contains_center(faces, m)
+    count = hits.sum(axis=1)
+    if (count != 1).any():
+        s = int(np.argmax(count != 1))
+        diags = tuple(_polygon(m).diags[i] for i in rows[s].tolist())
+        raise StructureMismatchError(
+            f"{count[s]} central faces found for {diags}; expected 1"
+        )
+    return faces[hits]
 
 
 def central_face(t) -> tuple:
     """The unique face of t containing the (perturbed) polygon center."""
-    hits = [f for f in faces_of(t) if face_contains_center(f, t.m)]
-    if len(hits) != 1:
-        raise StructureMismatchError(
-            f"{len(hits)} central faces found for {t.diagonals}; expected 1"
-        )
-    return hits[0]
+    row = _rows_of([t.diagonals], t.m, len(t.diagonals))
+    return tuple(_central_face_rows(row, t.k, t.m)[0].tolist())
 
 
 def central_partition(graph: FlipGraph) -> ClassPartition:
     """Partition of a flip graph by the k-gon containing the polygon center."""
-    m = graph.m
-
-    def arcs_of(poly):
-        arcs = []
-        for i in range(len(poly)):
-            arcs.append((poly[i], poly[(i + 1) % len(poly)]))
-        return arcs
-
-    return _build_classes(graph, central_face, arcs_of, "central")
+    return _build_classes(graph, _central_face_rows(graph.rows, graph.k, graph.m), "central")
 
 
 def boundary_matchings(partition: ClassPartition) -> list:
@@ -303,12 +299,9 @@ def boundary_projection(partition: ClassPartition, a: int, b: int):
         raise StructureMismatchError(
             f"boundary of class {a} toward {b} projects to a trivial factor"
         )
-    apexes = _local_apex(3, factor_n)
-    wanted = {
-        ca.member_indices[pos]
-        for pos, coord in enumerate(ca.coords)
-        if apexes[coord[factor_index]][0] == sub_apex
-    }
+    apexes = _local_apex(factor_n)
+    on_side = apexes[np.array(ca.coords)[:, factor_index]] == sub_apex
+    wanted = set(np.array(ca.member_indices)[on_side].tolist())
     vc = partition.vertex_class
     actual = {
         u for u in ca.member_indices for w in g.adj[u] if vc[w] == b
@@ -318,7 +311,7 @@ def boundary_projection(partition: ClassPartition, a: int, b: int):
             f"boundary of class {a} toward {b} is not the lift of sub-class "
             f"apex {sub_apex} in factor {factor_index}"
         )
-    sub_size = sum(1 for ap in apexes if ap[0] == sub_apex)
+    sub_size = int((apexes == sub_apex).sum())
     return factor_index, {
         "factor_n": factor_n,
         "apex": sub_apex,

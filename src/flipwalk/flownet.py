@@ -336,14 +336,6 @@ def _factor_rows(f: int, ids: np.ndarray, n: int) -> SourceRows:
     return _source_rows(f, int(classes[0]), ids)
 
 
-def shuffle_source_flow(n: int, s: int) -> ArcFlow:
-    """Per-source component of the class-internal product flow: source s
-    sends one unit to every member of its own class."""
-    st = oriented_structure(n)
-    t = int(st.class_of[s])
-    return _shuffle_rows(n, t, st.coord_of[[s]], _table_rows).flow(0)
-
-
 def per_source_flow(n: int, s: int) -> ArcFlow:
     """Full per-source flow on K_n: one unit from s to every other vertex."""
     if n <= 1:

@@ -166,12 +166,6 @@ class ArcFlow:
     def reversed(self) -> "ArcFlow":
         return ArcFlow.of(self.den, self.dst, self.src, self.num)
 
-    def relabeled(self, vmap) -> "ArcFlow":
-        """The flow with vertex u renamed vmap[u]; vmap must be injective on
-        the flow's vertices."""
-        vmap = np.asarray(vmap, dtype=np.int64)
-        return ArcFlow.of(self.den, vmap[self.src], vmap[self.dst], self.num)
-
     def arc_index(self, src, dst) -> np.ndarray:
         """Index of each arc (src[i], dst[i]) in the flow's arrays, -1 off
         the support."""

@@ -12,7 +12,7 @@ of a row.  The canonical vertex order is the lexicographic order of rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from typing import NamedTuple
 
@@ -24,7 +24,7 @@ from .graph import Graph
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
 ECC_CHUNK = 16  # BFS starts per csgraph call: 16 x 208012 float64 is 27 MB at n = 12
-FLIP_CHUNK = 4096  # states per _flip_rows batch in build_flip_graph
+FLIP_CHUNK = 4096  # states per face-walk batch, and per flip batch in build_flip_graph
 
 Diagonal = tuple  # (a, b) with a < b
 
@@ -63,7 +63,7 @@ class KAngulation:
             raise InvalidParameterError("diagonals not in canonical sorted order")
         if len(diags) != self.n - 1:
             raise InvalidParameterError(f"expected {self.n - 1} diagonals, got {len(diags)}")
-        _flip_rows(_rows_of([diags], m, len(diags)), k, m)  # raises unless a k-angulation
+        _face_rows(_rows_of([diags], m, len(diags)), k, m)  # raises unless a k-angulation
 
 
 class _Polygon(NamedTuple):
@@ -71,7 +71,6 @@ class _Polygon(NamedTuple):
     the canonical sorted tuple) and the tables the array routines use."""
 
     diags: list  # id -> (a, b)
-    index: dict  # (a, b) -> id
     ends: np.ndarray  # (D, 2): id -> (a, b)
     pair_id: np.ndarray  # (m, m): id of the diagonal {a, b}, else -1
     cross: np.ndarray  # (D, D) bool: the two diagonals cross
@@ -89,7 +88,7 @@ def _polygon(m: int) -> _Polygon:
     dtype = np.dtype(np.uint8 if len(diags) <= 256 else ">u2")
     for table in (ends, pair_id, cross):
         table.flags.writeable = False
-    return _Polygon(diags, {e: i for i, e in enumerate(diags)}, ends, pair_id, cross, dtype)
+    return _Polygon(diags, ends, pair_id, cross, dtype)
 
 
 @lru_cache(maxsize=None)
@@ -141,14 +140,6 @@ def _enumerate_rows(k: int, n: int) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=None)
-def _enumerate_local(k: int, n: int) -> tuple:
-    """All k-angulations of the (k-2)n+2-gon as sorted diagonal tuples, in
-    canonical order."""
-    diags = _polygon(polygon_size(k, n)).diags
-    return tuple(tuple(map(diags.__getitem__, r)) for r in _enumerate_rows(k, n).tolist())
-
-
 def _check_size(k: int, n: int, cap: int) -> int:
     if k < 3:
         raise InvalidParameterError(f"k must be >= 3, got {k}")
@@ -165,60 +156,23 @@ def enumerate_kangulations(
 ) -> list:
     """All k-angulations of the (k-2)n+2-gon, each once, in canonical order."""
     _check_size(k, n, cap)
-    m = polygon_size(k, n)
-    return [KAngulation(k, m, d) for d in _enumerate_local(k, n)]
+    return _views(k, polygon_size(k, n), _enumerate_rows(k, n))
 
 
-def _mask(diagonals, m: int) -> int:
-    ids = _polygon(m).index
-    mask = 0
-    for d in diagonals:
-        if d not in ids:
-            raise InvalidParameterError(f"{d} is not a diagonal of the {m}-gon")
-        mask |= 1 << ids[d]
-    return mask
-
-
-def _faces(mask: int, m: int):
-    """Yield (face, rest) per face, the root face on edge (0, m-1) first: the
-    face's vertices in increasing order, and the vertices that the face
-    across its first-to-last chord adds, in circular order ([] for the root).
-
-    nbr[v] is a bitmask of v's higher neighbours, edge (v, v+1) included.  A
-    step goes to the highest neighbour not past the bounding chord (nor onto
-    it on the first step); in convex position with non-crossing chords,
-    nearer endpoints nest under farther ones, so this greedy walk traces
-    the face."""
+def _views(k: int, m: int, rows: np.ndarray) -> list:
+    """The KAngulation view of each id row."""
     diags = _polygon(m).diags
-    nbr = [2 << v for v in range(m)]
-    while mask:
-        low = mask & -mask
-        a, b = diags[low.bit_length() - 1]
-        nbr[a] |= 1 << b
-        mask ^= low
-    stack = [(0, m - 1, [])]
-    while stack:
-        a, b, rest = stack.pop()
-        face = [a]
-        v = (nbr[a] & ((1 << b) - 1)).bit_length() - 1
-        below = (2 << b) - 1
-        while v != b:
-            face.append(v)
-            v = (nbr[v] & below).bit_length() - 1
-        face.append(b)
-        yield face, rest
-        for i in range(len(face) - 1):
-            if face[i + 1] - face[i] > 1:
-                stack.append((face[i], face[i + 1], face[i + 2:] + face[:i]))
+    return [KAngulation(k, m, tuple(map(diags.__getitem__, r))) for r in rows.tolist()]
 
 
 def faces_of(t: KAngulation) -> list:
     """All faces of the k-angulation, each as a tuple of polygon vertices.
 
-    The face list has exactly n entries; each face is listed with its
-    vertices in increasing label order.
+    The face list has exactly n entries, the face on side (m-1, 0) first;
+    each face is listed with its vertices in increasing label order.
     """
-    return [tuple(face) for face, _ in _faces(_mask(t.diagonals, t.m), t.m)]
+    row = _rows_of([t.diagonals], t.m, len(t.diagonals))
+    return [tuple(face) for face in _face_array(row, t.k, t.m)[0].tolist()]
 
 
 def _rows_of(states, m: int, width: int) -> np.ndarray:
@@ -229,7 +183,7 @@ def _rows_of(states, m: int, width: int) -> np.ndarray:
     poly = _polygon(m)
     try:
         pairs = np.array(states, dtype=np.int64).reshape(len(states), width, 2)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"states are not lists of {width} (a, b) pairs") from exc
     a, b = pairs[..., 0], pairs[..., 1]
     ok = (0 <= a) & (a < b) & (b < m)
@@ -244,35 +198,41 @@ def _rows_of(states, m: int, width: int) -> np.ndarray:
     return ids.astype(poly.dtype)
 
 
-def _flip_rows(rows: np.ndarray, k: int, m: int) -> tuple:
-    """All flips of a batch of states, one per row of `rows` (its diagonal
-    ids, ascending): (nbrs, removed, inserted), where nbrs[s, f] is the row
-    of state s's f-th neighbour, reached by replacing diagonal removed[s, f]
-    with inserted[s, f].  Flips come by removed diagonal, ascending, and
-    then by the inserted diagonal's end on the removed one's inner face.
+def _face_rows(rows: np.ndarray, k: int, m: int) -> tuple:
+    """The faces of a batch of states, one per row of `rows` (its diagonal
+    ids, ascending): (root, inner, outer).  root[s] is the face on side
+    (m-1, 0), its k vertices ascending.  inner[s, j] and outer[s, j] are the
+    k-2 vertices that the two faces beside diagonal j = (a, b) add to it:
+    the inner face's from a up to b, the outer face's from b on around the
+    polygon to a.  Every face but the root is the inner face of one
+    diagonal, its first-to-last chord.
 
-    The two faces beside a diagonal (a, b) are walked as offsets around the
-    polygon: far[s, v, r] is the largest offset d <= r at which v + d
-    (mod m) is joined to v by a side or a diagonal.  From a, the inner
-    face's next vertex is the farthest neighbour short of b, and each later
-    step goes to the farthest neighbour not past b; in convex position with
-    non-crossing diagonals, nearer endpoints nest under farther ones, so
-    the walk traces the face.  The outer face is the same walk from b to a
-    around the rest of the polygon.  Together the faces form a 2k-2-gon in
-    which (a, b) joins an opposite pair, and each of the other k-2 opposite
-    pairs is a flip.
+    The faces are walked as offsets around the polygon: far[s, v, r] is the
+    largest offset d <= r at which v + d (mod m) is joined to v by a side or
+    a diagonal.  From a, the inner face's next vertex is the farthest
+    neighbour short of b, and each later step goes to the farthest
+    neighbour not past b; in convex position with non-crossing diagonals,
+    nearer endpoints nest under farther ones, so the walk traces the face.
+    The outer face is the same walk from b to a around the rest of the
+    polygon.  Side (m-1, 0) lies outside every diagonal, and no wider
+    diagonal can separate it from the outer face of the widest one, so
+    that face is the root.
 
     Raises InvalidParameterError if two diagonals of a state cross or a face
     beside a diagonal is not a k-gon (a state with no diagonal must be the
-    k-gon itself), so a state that passes is a k-angulation, and so is each
-    of its flips.
+    k-gon itself), so a state that passes is a k-angulation.
     """
+    if len(rows) > FLIP_CHUNK:  # bound the (chunk, m, m) walk tables
+        parts = (_face_rows(rows[lo:lo + FLIP_CHUNK], k, m)
+                 for lo in range(0, len(rows), FLIP_CHUNK))
+        return tuple(map(np.concatenate, zip(*parts)))
     poly = _polygon(m)
     count, width = rows.shape
     if width == 0:
         if m != k:
             raise InvalidParameterError(f"the {m}-gon with no diagonal is not a {k}-gon")
-        return rows[:, :0, None], rows[:, :0], rows[:, :0]
+        empty = np.zeros((count, 0, k - 2), dtype=np.int64)
+        return np.tile(np.arange(m), (count, 1)), empty, empty
     crossed = poly.cross[rows[:, :, None], rows[:, None, :]].any(axis=(1, 2))
     if crossed.any():
         s = int(np.argmax(crossed))
@@ -303,9 +263,41 @@ def _flip_rows(rows: np.ndarray, k: int, m: int) -> tuple:
         raise InvalidParameterError(
             f"a face beside {poly.diags[rows[s, j]]} is not a {k}-gon"
         )
+    inner, outer = np.moveaxis(np.stack(path, axis=2), 3, 0)
+    widest = np.arange(count), np.argmax(b - a, axis=1)
+    root = np.sort(np.concatenate([ends[widest], outer[widest]], axis=1), axis=1)
+    return root, inner, outer
+
+
+def _face_array(rows: np.ndarray, k: int, m: int) -> np.ndarray:
+    """(count, n, k) array: the root face of each state, then the inner face
+    of each diagonal, every face's vertices ascending."""
+    root, inner, _ = _face_rows(rows, k, m)
+    ends = _polygon(m).ends[rows]
+    return np.concatenate(
+        [root[:, None], np.concatenate([ends[..., :1], inner, ends[..., 1:]], axis=2)],
+        axis=1,
+    )
+
+
+def _flip_rows(rows: np.ndarray, k: int, m: int) -> tuple:
+    """All flips of a batch of states, one per row of `rows` (its diagonal
+    ids, ascending): (nbrs, removed, inserted), where nbrs[s, f] is the row
+    of state s's f-th neighbour, reached by replacing diagonal removed[s, f]
+    with inserted[s, f].  Flips come by removed diagonal, ascending, and
+    then by the inserted diagonal's end on the removed one's inner face.
+
+    The two faces beside a diagonal (see `_face_rows`) form a 2k-2-gon in
+    which the diagonal joins an opposite pair, and each of the other k-2
+    opposite pairs is a flip.  A state that is not a k-angulation raises
+    InvalidParameterError, so each flip of a state that passes is one too.
+    """
+    _, inner, outer = _face_rows(rows, k, m)
+    count, width = rows.shape
+    if width == 0:
+        return rows[:, :0, None], rows[:, :0], rows[:, :0]
     # the inner face's i-th vertex is opposite the outer face's i-th vertex
-    path = np.stack(path, axis=2)
-    inserted = poly.pair_id[path[..., 0], path[..., 1]].astype(rows.dtype)
+    inserted = _polygon(m).pair_id[inner, outer].astype(rows.dtype)
     removed = np.broadcast_to(rows[:, :, None], inserted.shape)
     keep = np.arange(width - 1) + (np.arange(width - 1) >= np.arange(width)[:, None])
     others = np.broadcast_to(
@@ -323,8 +315,8 @@ def flips(t: KAngulation) -> list:
     row = _rows_of([t.diagonals], t.m, len(t.diagonals))
     nbrs, removed, inserted = _flip_rows(row, t.k, t.m)
     return [
-        (KAngulation(t.k, t.m, tuple(map(diags.__getitem__, r))), diags[d], diags[nd])
-        for r, d, nd in zip(nbrs[0].tolist(), removed[0].tolist(), inserted[0].tolist())
+        (nbr, diags[d], diags[nd])
+        for nbr, d, nd in zip(_views(t.k, t.m, nbrs[0]), removed[0].tolist(), inserted[0].tolist())
     ]
 
 
@@ -337,34 +329,19 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 class FlipGraph(Graph):
     """Explicit flip graph on all k-angulations in canonical vertex order.
 
-    Vertex i is row i of `rows`.  A graph loaded from JSON keeps the vertex
-    lists as they were read and decodes them on first use, since a walk
-    never reads them.
+    Vertex i is row i of `rows`, the (N, n-1) array of each vertex's
+    diagonal ids, ascending.
     """
 
-    def __init__(self, k: int, n: int, rows, indptr, indices):
+    def __init__(self, k: int, n: int, rows: np.ndarray, indptr, indices):
         super().__init__(csr=(indptr, indices))
         self.k, self.n, self.m = k, n, polygon_size(k, n)
-        self._rows = rows
-        self._vertices = None
+        self.rows = rows
 
-    @property
-    def rows(self) -> np.ndarray:
-        """(N, n-1) array: each vertex's diagonal ids, ascending."""
-        if not isinstance(self._rows, np.ndarray):
-            self._rows = _rows_of(self._rows, self.m, self.n - 1)
-        return self._rows
-
-    @property
+    @cached_property
     def vertices(self) -> list:
         """The KAngulation view of every vertex, built on first use."""
-        if self._vertices is None:
-            diags = _polygon(self.m).diags
-            self._vertices = [
-                KAngulation(self.k, self.m, tuple(map(diags.__getitem__, r)))
-                for r in self.rows.tolist()
-            ]
-        return self._vertices
+        return _views(self.k, self.m, self.rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -384,14 +361,20 @@ class FlipGraph(Graph):
 def flip_graph_from_json_dict(doc: dict) -> FlipGraph:
     """Rebuild a FlipGraph from its JSON export.
 
-    Every edge must be a pair of integer vertex indices (not bools) in
-    range, with no self-loop and no repeat, and every vertex must have the
-    flip degree (n-1)(k-2); anything else raises InvalidParameterError.
+    k and n must be integers within the enumeration cap, and the vertex
+    lists must be the k-angulations in canonical order.  Every edge must be
+    a pair of integer vertex indices (not bools) in range, with no self-loop
+    and no repeat, and every vertex must have the flip degree (n-1)(k-2).
+    Anything else raises InvalidParameterError (EnumerationTooLargeError
+    past the cap).
     """
     k, n, vertices, edges = doc["k"], doc["n"], doc["vertices"], doc["edges"]
-    count = len(vertices)
     if type(k) is not int or type(n) is not int or set(map(type, chain.from_iterable(edges))) - {int}:
         raise InvalidParameterError("k, n and the edges' vertex indices must be integers")
+    count = _check_size(k, n, DEFAULT_ENUMERATION_CAP)
+    rows = _enumerate_rows(k, n)
+    if not np.array_equal(_rows_of(vertices, polygon_size(k, n), n - 1), rows):
+        raise InvalidParameterError("the vertex lists are not the k-angulations in canonical order")
     try:
         ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
     except (OverflowError, ValueError) as exc:
@@ -410,7 +393,7 @@ def flip_graph_from_json_dict(doc: dict) -> FlipGraph:
     if (degrees != (n - 1) * (k - 2)).any():
         raise InvalidParameterError(f"a vertex degree is not {(n - 1) * (k - 2)}")
     indptr = np.concatenate([[0], np.cumsum(degrees)])
-    return FlipGraph(k, n, vertices, indptr, dst)
+    return FlipGraph(k, n, rows, indptr, dst)
 
 
 def _transform_diagonals(diags, m: int, rot: int, reflect: bool) -> tuple:

@@ -460,7 +460,7 @@ def product_subgraph(n: int, block: int) -> LatticeFlipGraph:
     forced = block_partial_triangulation(n, block)
     sub = enumerate_lattice(block)
     grid = _grid(n)
-    forced_mask = grid.mask(forced)
+    forced_bits = grid.mask(forced)
     # placed[b][s]: block state s translated into block b, as a mask
     # (translation keeps each edge's endpoint order)
     placed = [
@@ -471,7 +471,7 @@ def product_subgraph(n: int, block: int) -> LatticeFlipGraph:
     ]
     coords = list(product(range(sub.num_vertices), repeat=len(placed)))
     masks = [
-        reduce(or_, (placed[b][s] for b, s in enumerate(coord)), forced_mask)
+        reduce(or_, (placed[b][s] for b, s in enumerate(coord)), forced_bits)
         for coord in coords
     ]
     vertices = []
@@ -487,7 +487,7 @@ def product_subgraph(n: int, block: int) -> LatticeFlipGraph:
         for nbr, removed, _ in _flip_moves(mask, grid):
             j = index.get(nbr)
             if j is not None:
-                if forced_mask >> removed & 1:
+                if forced_bits >> removed & 1:
                     raise StructureMismatchError("an internal flip removed a constrained edge")
                 nbrs.append(j)
         adj.append(sorted(nbrs))

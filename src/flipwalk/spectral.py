@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .combinatorics import catalan
-from .decomposition import face_contains_center
+from .decomposition import _contains_center
 from .errors import (
     EnumerationTooLargeError,
     InvalidDistributionError,
@@ -286,7 +286,8 @@ def brute_force_expansion(graph) -> CutReport:
 
 
 def _central_triangles(m: int) -> list:
-    return [t for t in combinations(range(m), 3) if face_contains_center(t, m)]
+    tris = np.array(list(combinations(range(m), 3))).reshape(-1, 3)
+    return list(map(tuple, tris[_contains_center(tris, m)].tolist()))
 
 
 def _tri_arcs(tri: tuple, m: int) -> tuple:

@@ -1,5 +1,6 @@
 """CLI: configs, exit codes, determinism, exports, report tables."""
 
+import hashlib
 import json
 import os
 
@@ -10,13 +11,11 @@ from flipwalk.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ExperimentConfig,
-    _cached_graph,
     main,
     parse_config,
     report_table,
 )
 from flipwalk.errors import InvalidParameterError, SchemaMismatchError
-from flipwalk.kangulation import build_flip_graph
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -58,22 +57,17 @@ def test_epsilon_must_be_finite_and_positive(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize(
-    "argv, cache_is_file",
+    "argv",
     [
-        (["--command", "sample", "--n", "4", "--seed", "-1", "--out", "{out}"], False),
-        (["--config", "{file}"], False),
-        (["--command", "enumerate", "--n", "3", "--out", "{file}"], False),
-        (["--command", "sample", "--n", "3", "--seed", "1", "--out", "{out}"], True),
+        ["--command", "sample", "--n", "4", "--seed", "-1", "--out", "{out}"],
+        ["--config", "{file}"],
+        ["--command", "enumerate", "--n", "3", "--out", "{file}"],
     ],
-    ids=["negative-seed", "non-utf8-config", "out-is-file", "cache-dir-is-file"],
+    ids=["negative-seed", "non-utf8-config", "out-is-file"],
 )
-def test_bad_input_exits_usage_without_traceback(
-    tmp_path, capsys, monkeypatch, argv, cache_is_file
-):
+def test_bad_input_exits_usage_without_traceback(tmp_path, capsys, argv):
     afile = tmp_path / "afile"
     afile.write_bytes(b"\xff\xfe{")  # exists, and is not UTF-8
-    if cache_is_file:
-        monkeypatch.setenv("FLIPWALK_CACHE_DIR", str(afile))
     rc = main([a.format(file=afile, out=tmp_path / "out") for a in argv])
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
@@ -146,6 +140,18 @@ def test_flow_summary_matches_golden(tmp_path):
         assert (tmp_path / "flow_summary.json").read_bytes() == fh.read()
 
 
+with open(os.path.join(GOLDEN, "cli_summaries.json")) as fh:
+    CLI_RUNS = json.load(fh)["runs"]
+
+
+@pytest.mark.parametrize("run", CLI_RUNS, ids=[" ".join(r["argv"][1:]) for r in CLI_RUNS])
+def test_cli_outputs_match_golden(tmp_path, run):
+    """Every summary and export the run writes, by sha256."""
+    assert main([*run["argv"], "--out", str(tmp_path)]) == EXIT_OK
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == run["sha256"]
+
+
 def test_cut_and_lattice_commands(tmp_path):
     out = str(tmp_path)
     assert main(["--command", "cut", "--n", "8", "--out", out]) == EXIT_OK
@@ -162,6 +168,12 @@ def test_enumerate_cap_exit_code(tmp_path):
     rc = main(["--command", "enumerate", "--n", "14", "--cap", "1000",
                "--out", str(tmp_path)])
     assert rc == EXIT_CAP
+
+
+def test_analyze_cap_exit_code(tmp_path):
+    """The cap holds on the flip-graph build path: K_5 has 42 states."""
+    assert main(["--command", "analyze", "--n", "5", "--cap", "3",
+                 "--out", str(tmp_path)]) == EXIT_CAP
 
 
 def test_malformed_config_exits_usage_without_artifacts(tmp_path):
@@ -188,95 +200,6 @@ def test_json_config(tmp_path):
     out = str(tmp_path / "out")
     assert main(["--config", str(cfg), "--out", out]) == EXIT_OK
     assert [d["n"] for d in _summary(tmp_path / "out", "cut")] == [8, 9]
-
-
-def test_cache_dir_round_trip(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("FLIPWALK_CACHE_DIR", str(cache))
-    out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
-    assert main(["--command", "analyze", "--n", "3", "--out", out1]) == EXIT_OK
-    assert (cache / "flipgraph_k3_n3.json").exists()
-    assert main(["--command", "analyze", "--n", "3", "--out", out2]) == EXIT_OK
-    b1 = (tmp_path / "o1" / "analyze_summary.json").read_bytes()
-    b2 = (tmp_path / "o2" / "analyze_summary.json").read_bytes()
-    assert b1 == b2
-
-
-def test_cap_holds_with_warm_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("FLIPWALK_CACHE_DIR", str(tmp_path / "cache"))
-    out = str(tmp_path / "out")
-    assert main(["--command", "analyze", "--n", "5", "--out", out]) == EXIT_OK
-    assert main(["--command", "analyze", "--n", "5", "--cap", "3", "--out", out]) == EXIT_CAP
-
-
-def _drop_an_edge(text):
-    doc = json.loads(text)
-    doc["edges"].pop()
-    return json.dumps(doc, sort_keys=True)
-
-
-@pytest.mark.parametrize(
-    "damage",
-    [lambda text: text[: len(text) // 2], lambda text: text.replace('"n": 5', '"n": 4'),
-     _drop_an_edge],
-    ids=["truncated", "wrong-n", "edge-missing"],
-)
-def test_damaged_cache_file_is_rebuilt(tmp_path, monkeypatch, damage):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("FLIPWALK_CACHE_DIR", str(cache))
-    out = tmp_path / "out"
-    args = ["--command", "sample", "--n", "5", "--seed", "3", "--steps", "500",
-            "--out", str(out)]
-    assert main(args) == EXIT_OK
-    path = cache / "flipgraph_k3_n5.json"
-    good, summary = path.read_text(), (out / "sample_summary.json").read_bytes()
-    damaged = damage(good)
-    assert damaged != good
-    path.write_text(damaged)
-    assert main(args) == EXIT_OK
-    assert (out / "sample_summary.json").read_bytes() == summary
-    assert path.read_text() == good
-    assert list(cache.iterdir()) == [path]
-
-
-def _rewire(doc):
-    """Move one end of the first edge to a vertex that is not a neighbour:
-    the edge count stays, two degrees change."""
-    i, j = doc["edges"][0]
-    nbrs = {b if a == i else a for a, b in doc["edges"] if i in (a, b)}
-    doc["edges"][0] = [i, min(set(range(len(doc["vertices"]))) - nbrs - {i})]
-
-
-def _bool_index(doc):
-    e = next(e for e in doc["edges"] if 1 in e)
-    e[e.index(1)] = True  # json writes true, and Python reads it back as == 1
-
-
-EDGE_CORRUPTIONS = {
-    "negative-index": lambda doc: doc["edges"][0].__setitem__(0, -1),
-    "index-past-end": lambda doc: doc["edges"][0].__setitem__(1, len(doc["vertices"])),
-    "self-loop": lambda doc: doc["edges"][0].__setitem__(1, doc["edges"][0][0]),
-    "repeated-edge": lambda doc: doc["edges"].__setitem__(1, list(doc["edges"][0])),
-    "float-index": lambda doc: doc["edges"][0].__setitem__(1, doc["edges"][0][1] + 0.0),
-    "string-index": lambda doc: doc["edges"][0].__setitem__(1, str(doc["edges"][0][1])),
-    "bool-index": _bool_index,
-    "wrong-degree": _rewire,
-}
-
-
-@pytest.mark.parametrize("corrupt", EDGE_CORRUPTIONS.values(), ids=EDGE_CORRUPTIONS.keys())
-def test_cache_rejects_bad_edges(tmp_path, monkeypatch, corrupt):
-    """Each corruption keeps k, n, the vertex count and the edge count, so
-    only the loader's edge checks can catch it; the file is then rebuilt."""
-    monkeypatch.setenv("FLIPWALK_CACHE_DIR", str(tmp_path))
-    fresh = build_flip_graph(3, 4)
-    path = tmp_path / "flipgraph_k3_n4.json"
-    doc = json.loads(fresh.to_json())
-    corrupt(doc)
-    path.write_text(json.dumps(doc, sort_keys=True))
-    graph = _cached_graph(3, 4, cap=100)
-    assert graph.adj == fresh.adj
-    assert graph.to_json() == fresh.to_json() == path.read_text()
 
 
 @pytest.mark.parametrize("line", ["n_range = 5-7", "n = five", "n_range = 2..x"])

@@ -7,6 +7,8 @@ import os
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_flips import _faces as reference_faces
+from reference_flips import _mask as reference_mask
 from reference_flips import build_csr as reference_csr
 from reference_flips import flips as reference_flips
 
@@ -15,6 +17,8 @@ from flipwalk.errors import EnumerationTooLargeError, InvalidParameterError
 from flipwalk.graph import Graph
 from flipwalk.kangulation import (
     KAngulation,
+    _face_array,
+    _enumerate_rows,
     build_flip_graph,
     diameter,
     diagonals_cross,
@@ -191,6 +195,58 @@ def test_json_round_trip():
     assert g2.to_json() == g.to_json()
 
 
+def _rewire(doc):
+    """Move one end of the first edge to a vertex that is not a neighbour:
+    the edge count stays, two degrees change."""
+    i, j = doc["edges"][0]
+    nbrs = {b if a == i else a for a, b in doc["edges"] if i in (a, b)}
+    doc["edges"][0] = [i, min(set(range(len(doc["vertices"]))) - nbrs - {i})]
+
+
+def _bool_index(doc):
+    e = next(e for e in doc["edges"] if 1 in e)
+    e[e.index(1)] = True  # json writes true, and Python reads it back as == 1
+
+
+def _swap_vertices(doc):
+    vs = doc["vertices"]
+    vs[0], vs[41] = vs[41], vs[0]
+
+
+CORRUPTIONS = {
+    "negative-index": lambda doc: doc["edges"][0].__setitem__(0, -1),
+    "index-past-end": lambda doc: doc["edges"][0].__setitem__(1, len(doc["vertices"])),
+    "self-loop": lambda doc: doc["edges"][0].__setitem__(1, doc["edges"][0][0]),
+    "repeated-edge": lambda doc: doc["edges"].__setitem__(1, list(doc["edges"][0])),
+    "float-index": lambda doc: doc["edges"][0].__setitem__(1, doc["edges"][0][1] + 0.0),
+    "string-index": lambda doc: doc["edges"][0].__setitem__(1, str(doc["edges"][0][1])),
+    "bool-index": _bool_index,
+    "wrong-degree": _rewire,
+    "swapped-vertices": _swap_vertices,
+    "vertex-missing": lambda doc: doc["vertices"].pop(),
+    "crossing-vertex": lambda doc: doc["vertices"][0].__setitem__(0, [1, 3]),
+    "huge-vertex-end": lambda doc: doc["vertices"][0][0].__setitem__(1, 2**70),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+def test_loader_rejects_corrupt_export(corrupt):
+    """Each corruption of the k = 3 n = 5 export keeps k and n, and all but
+    the vertex ones keep the vertex and edge counts, so only the loader's
+    own checks can catch it."""
+    doc = json.loads(build_flip_graph(3, 5).to_json())
+    corrupt(doc)
+    with pytest.raises(InvalidParameterError):
+        flip_graph_from_json_dict(json.loads(json.dumps(doc)))
+
+
+def test_loader_checks_the_cap():
+    doc = json.loads(build_flip_graph(3, 2).to_json())
+    doc["n"] = 30
+    with pytest.raises(EnumerationTooLargeError):
+        flip_graph_from_json_dict(doc)
+
+
 @pytest.mark.parametrize("size", sorted(GOLDEN["graphs"]))
 def test_flip_graph_matches_golden_hashes(size):
     """JSON and DOT exports, byte for byte, against tests/golden/flip_graphs.json."""
@@ -244,11 +300,17 @@ def test_build_matches_per_state_reference(k, n):
 
 @pytest.mark.parametrize("k, n", REFERENCE_SIZES)
 def test_flips_match_per_state_reference(k, n):
-    """(neighbour, removed, inserted) of every state, in order."""
+    """(neighbour, removed, inserted) of every state, in order, and every
+    state's faces from one batched walk: the root face first, then the
+    same set of faces as the per-state walk."""
     m = (k - 2) * n + 2
-    for t in enumerate_kangulations(k, n):
+    faces = _face_array(_enumerate_rows(k, n), k, m).tolist()
+    for t, got_faces in zip(enumerate_kangulations(k, n), faces, strict=True):
         got = [(nbr.diagonals, r, i) for nbr, r, i in flips(t)]
         assert got == reference_flips(k, m, t.diagonals), t.diagonals
+        want = [face for face, _ in reference_faces(reference_mask(t.diagonals, m), m)]
+        assert got_faces[0] == want[0], t.diagonals
+        assert sorted(got_faces) == sorted(want), t.diagonals
 
 
 def test_dot_export_mentions_all_vertices():
