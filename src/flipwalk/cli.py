@@ -313,7 +313,7 @@ def _run_lattice(cfg: ExperimentConfig) -> list:
     summaries = []
     for n in cfg.ns:
         if cfg.block:
-            graph = product_subgraph(n, cfg.block)
+            graph = product_subgraph(n, cfg.block, cap=cfg.cap)
             doc = {
                 "command": "lattice", "n": n, "block": cfg.block,
                 "vertices": graph.num_vertices, "edges": graph.num_edges(),

@@ -1,10 +1,11 @@
 """The one undirected graph type behind flip graphs, lattice flip graphs and
-Cartesian products: sorted adjacency lists or CSR arrays, one BFS.
+Cartesian products: sorted adjacency lists or CSR arrays.
 
 A graph is built from either form and derives the other on first use.
-Python loops (walks, flows, class decompositions) read `adj` one vertex at
-a time, which is faster on lists than on CSR slices; the numpy/scipy
-consumers, the edge list and the JSON export read the CSR arrays.
+Python loops (walks, flows, class decompositions, the BFS tree) read `adj`
+one vertex at a time, which is faster on lists than on CSR slices; the
+numpy/scipy consumers, connectivity, the edge list and the JSON export read
+the CSR arrays.
 """
 
 from __future__ import annotations
@@ -18,6 +19,12 @@ def _frozen_int32(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.int32)
     a.flags.writeable = False
     return a
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The index ranges lo[i]..hi[i], concatenated."""
+    sizes = hi - lo
+    return np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
 
 
 class Graph:
@@ -88,7 +95,18 @@ class Graph:
         return parent
 
     def is_connected(self) -> bool:
-        return not self.num_vertices or len(self.bfs_tree(0)) == self.num_vertices
+        """BFS from vertex 0 on the CSR arrays, one numpy step per level."""
+        if not self.num_vertices:
+            return True
+        indptr, indices = self.csr()
+        seen = np.zeros(self.num_vertices, dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            nbrs = indices[_ranges(indptr[frontier], indptr[frontier + 1])]
+            frontier = np.unique(nbrs[~seen[nbrs]])
+            seen[frontier] = True
+        return bool(seen.all())
 
     def csr(self) -> tuple:
         """(indptr, indices) as read-only int32 arrays, built on first use."""

@@ -1,21 +1,34 @@
 """Integer-lattice triangulation flip graphs at desk scale, with an
 independent region-recursion counting oracle and the Cartesian-product
 subgraph induced by a fixed block partition of the grid.
+
+A state is a bool row over the grid's primitive segments (column i is
+segment i), stored packed: the complemented row, big-endian, in whole 64-bit
+words (two at n = 4), so that byte order is edge-tuple order.  One batched
+routine, `_flip_batch`, finds the flips of a block of rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, compress, product
 from math import gcd
-from operator import or_
+
+import numpy as np
 
 from .errors import EnumerationTooLargeError, InvalidParameterError, StructureMismatchError
-from .graph import Graph, product_graph
+from .graph import Graph, _ranges, product_graph
+from .kangulation import DEFAULT_ENUMERATION_CAP
 
 LATTICE_ENUM_CAP = 4  # grids beyond 4x4 points explode
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits -> 0/1 bytes
+# g(n), the number of full triangulations of the n x n grid, up to LATTICE_ENUM_CAP
+LATTICE_COUNTS = {1: 1, 2: 2, 3: 64, 4: 46456}
+# largest grid side of a product subgraph: the segment count grows as n**4
+# and the crossing table as n**8 (about 1 s to build at n = 8)
+LATTICE_GRID_CAP = 8
+FLIP_CHUNK = 4096  # states per _flip_batch call; bounds its (chunk, edge, side, apex) tables
+_BIT = np.array([0x80 >> b for b in range(8)], dtype=np.uint8)  # bit of a column in its byte
 
 
 def _cross(o, a, b) -> int:
@@ -45,92 +58,98 @@ def _on_segment(p, a, b) -> bool:
     ] <= max(a[1], b[1])
 
 
-def _ids_of(mask: int):
-    """The set bits of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
-
-
 class _Grid:
-    """The n x n grid's primitive segments in lexicographic order, so bit i of
-    a state mask is segment i and ascending bits give the sorted edge tuple.
+    """The n x n grid's primitive segments in lexicographic order, so column
+    i of a state row is segment i and ascending ids give the sorted edge tuple.
 
-    Per segment pq: `apexes` holds its apex candidates, the points w with
-    cross product c = +1 or -1, as (mask of pw and qw, w, c); `union` ORs
-    those masks; `cross` is the mask of the segments pq strictly crosses;
-    `memo` maps a state's `union` pattern to the flip decision (see
-    `_flip_moves`), and `face_memo` maps it to the number of faces on pq.
+    Per segment pq and side (0: cross product +1, 1: -1), `apex` lists the
+    grid points w (index x * n + y) that make an area-1/2 triangle pqw and
+    `legs` the ids of pw and qw; rows are padded with point 0 and leg
+    `size`, a column that a padded state row never sets.  `inserted[i, a,
+    b]` is the id of the segment joining left apex a and right apex b when
+    p w_a q w_b is a parallelogram (w_a + w_b = p + q), else -1.  `tally`
+    maps a side's apex hits to (number of faces, sum of their apex slots).
     """
 
     def __init__(self, n: int):
+        if n < 1:
+            raise InvalidParameterError("grid side must be >= 1")
         points = [(x, y) for x in range(n) for y in range(n)]
         self.segs = [
             (p, q) for p, q in combinations(points, 2)
             if gcd(q[0] - p[0], q[1] - p[1]) == 1
         ]
         self.ids = {e: i for i, e in enumerate(self.segs)}
-        self.hull = self.interior = 0
-        self.apexes, self.union, self.cross = [], [], []
-        for i, (p, q) in enumerate(self.segs):
-            on_hull = (p[0] == q[0] and p[0] in (0, n - 1)) or (
-                p[1] == q[1] and p[1] in (0, n - 1))
-            if on_hull:
-                self.hull |= 1 << i
-            else:
-                self.interior |= 1 << i
-            apexes = [
-                (self.bit(p, w) | self.bit(q, w), w, c)
-                for w in points if (c := _cross(p, q, w)) in (1, -1)
-            ]
-            self.apexes.append(apexes)
-            self.union.append(reduce(or_, (two for two, _, _ in apexes), 0))
-            self.cross.append(sum(
-                1 << j for j, e in enumerate(self.segs) if _segments_cross(p, q, *e)))
-        self.memo = [{} for _ in self.segs]
-        self.face_memo = [{} for _ in self.segs]
+        self.n = n
+        self.size = size = len(self.segs)
+        p, q = np.array(self.segs, dtype=np.int64).reshape(size, 2, 2).transpose(1, 0, 2)
+        self.hull = ((p[:, 0] == q[:, 0]) & np.isin(p[:, 0], (0, n - 1))) | (
+            (p[:, 1] == q[:, 1]) & np.isin(p[:, 1], (0, n - 1)))
+        self.interior = np.flatnonzero(~self.hull)
+        pts = np.array(points, dtype=np.int64).reshape(-1, 2)
+        seg_of = np.full((len(pts) + 1,) * 2, size, dtype=np.int64)  # last row: padding
+        pi, qi = p @ (n, 1), q @ (n, 1)
+        seg_of[pi, qi] = seg_of[qi, pi] = np.arange(size)
+        d, w = (q - p)[:, None], pts[None] - p[:, None]
+        cross = d[..., 0] * w[..., 1] - d[..., 1] * w[..., 0]  # (segment, point)
+        sides = np.stack([cross == 1, cross == -1], axis=1)
+        width = max(1, int(sides.sum(axis=2).max(initial=0)))
+        # each side's apex points first, in point order
+        order = np.argsort(~sides, axis=2, kind="stable")[..., :width]
+        real = np.take_along_axis(sides, order, axis=2)
+        self.apex = np.where(real, order, 0)
+        self.legs = np.stack([seg_of[np.where(real, end[:, None, None], len(pts)), order]
+                              for end in (pi, qi)], axis=-1).astype(np.int32)
+        self.tally = np.stack([np.ones(width), np.arange(width)], axis=1).astype(np.uint8)
+        wl, wr = pts[self.apex[:, 0]], pts[self.apex[:, 1]]
+        mid = (p + q)[:, None, None]
+        parallelogram = (wl[:, :, None] + wr[:, None] == mid).all(axis=3)
+        parallelogram &= real[:, 0, :, None] & real[:, 1, None, :]
+        self.inserted = np.where(
+            parallelogram, seg_of[self.apex[:, 0, :, None], self.apex[:, 1, None, :]], -1)
 
-    def bit(self, p, q) -> int:
-        return 1 << self.ids[_norm_edge(p, q)]
+    @cached_property
+    def crossing(self) -> np.ndarray:
+        """crossing[i, j]: segments i and j cross strictly inside both."""
+        return np.array([[_segments_cross(*a, *b) for b in self.segs] for a in self.segs],
+                        dtype=bool).reshape(self.size, self.size)
 
-    def mask(self, edges) -> int:
-        """The state mask of an edge list; an edge that is not a normalized
+    def row(self, edges) -> np.ndarray:
+        """The state row of an edge list; an edge that is not a normalized
         primitive segment of the grid, or is repeated, is rejected."""
-        mask = 0
+        row = np.zeros(self.size, dtype=bool)
         for e in edges:
             i = self.ids.get(e)
             if i is None:
                 raise InvalidParameterError(
                     f"edge {e} is not a normalized primitive segment of the grid")
-            if mask >> i & 1:
+            if row[i]:
                 raise InvalidParameterError(f"edge {e} is repeated")
-            mask |= 1 << i
-        return mask
+            row[i] = True
+        return row
 
-    def bits(self, mask: int) -> str:
-        """Bit i of the mask as character i."""
-        return f"{mask:0{len(self.segs)}b}"[::-1]
+    def check(self, row: np.ndarray) -> None:
+        """Raise InvalidParameterError unless the state row is a full
+        triangulation: the edge count, every hull edge, no crossing pair, and
+        2(n-1)^2 area-1/2 triangles (counted once per edge)."""
+        n = self.n
+        expected_edges = n * n + 2 * (n - 1) ** 2 - 1
+        ids = np.flatnonzero(row)
+        if ids.size != expected_edges:
+            raise InvalidParameterError(f"expected {expected_edges} edges, got {ids.size}")
+        missing = np.flatnonzero(self.hull & ~row)
+        if missing.size:
+            raise InvalidParameterError(f"missing hull edge {self.segs[missing[0]]}")
+        crossed = self.crossing[ids][:, ids]
+        if crossed.any():
+            i, j = ids[np.argwhere(crossed)[0]]
+            raise InvalidParameterError(f"edges {self.segs[i]} and {self.segs[j]} cross")
+        if _apex_hits(row[None], np.zeros_like(ids), ids, self).sum() != 3 * 2 * (n - 1) ** 2:
+            raise InvalidParameterError("face count is not 2(n-1)^2")
 
-    def edges(self, mask: int) -> tuple:
-        return tuple(compress(self.segs, self.bits(mask).encode().translate(_BIT_BYTES)))
-
-    def sort_key(self, mask: int) -> int:
-        """Key that sorts masks in ascending order of their edge tuples.
-
-        Two sorted edge tuples of equal length first differ at the lowest
-        bit where their masks differ, and the tuple holding that edge is the
-        smaller one.  So the key is the complement with bit 0 read as the
-        most significant digit."""
-        return int(self.bits(mask), 2) ^ ((1 << len(self.segs)) - 1)
-
-    def faces(self, mask: int):
-        """(edge id, apex) for every area-1/2 triangle of the state and each
-        of its three edges."""
-        for i in _ids_of(mask):
-            for two, w, _ in self.apexes[i]:
-                if mask & two == two:
-                    yield i, w
+    def edge_lists(self, keys: np.ndarray) -> list:
+        """The sorted edge tuple of each packed state."""
+        return [tuple(compress(self.segs, r)) for r in _unpack(keys, self.size).tolist()]
 
 
 @lru_cache(maxsize=None)
@@ -138,48 +157,93 @@ def _grid(n: int) -> _Grid:
     return _Grid(n)
 
 
-def _flip_moves(mask: int, grid: _Grid) -> list:
-    """All flips of the state `mask` as (neighbour mask, removed id, inserted
-    id), in increasing order of the removed edge.
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """Packed states of bool rows: each row complemented, packed big-endian
+    (column 0 is the most significant bit) into whole 64-bit words, as a
+    uint8 array.  Two sorted edge tuples of equal length first differ at the
+    lowest column where their rows differ, and the tuple holding that edge
+    is the smaller one, so byte order of packed states is edge-tuple order."""
+    count, width = rows.shape
+    out = np.full((count, 8 * max(1, -(-width // 64))), 0xFF, dtype=np.uint8)
+    out[:, :-(-width // 8)] = ~np.packbits(rows, axis=1)
+    return out
 
-    Every edge of a unimodular triangulation is primitive, and its apexes w1,
-    w2 sit at cross products +1 and -1, so segment w1w2 meets line pq at the
-    half-integer point (w1 + w2)/2.  The only such point strictly inside a
-    primitive segment is its midpoint, so the quadrilateral p w1 q w2 is
-    strictly convex iff w1 + w2 == p + q.  The decision depends only on the
-    state's apex-candidate edges around pq, so it is memoized on that pattern;
-    a pattern whose edge does not bound exactly two faces raises and is never
-    stored.
+
+def _unpack(keys: np.ndarray, width: int) -> np.ndarray:
+    return np.unpackbits(keys, axis=1, count=width) == 0
+
+
+def _key(keys: np.ndarray) -> np.ndarray:
+    """One byte string per packed state, ordered as the states are."""
+    keys = np.ascontiguousarray(keys)
+    return keys.view(f"S{keys.shape[1]}").ravel()
+
+
+def _lookup(sorted_keys: np.ndarray, want: np.ndarray) -> tuple:
+    """(position of each wanted key in the nonempty sorted_keys, whether it
+    is there)."""
+    at = np.searchsorted(sorted_keys, want)
+    return at, sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == want
+
+
+def _apex_hits(rows: np.ndarray, state: np.ndarray, edge: np.ndarray, grid: _Grid) -> np.ndarray:
+    """hits[k, side, a]: both legs of apex a on that side of edge[k] are in
+    row state[k] of the bool state rows."""
+    padded = np.zeros((len(rows), grid.size + 1), dtype=bool)
+    padded[:, :-1] = rows
+    at = grid.legs[edge]
+    at += (state * (grid.size + 1)).astype(at.dtype)[:, None, None, None]
+    legs = padded.ravel()[at]
+    return legs[..., 0] & legs[..., 1]
+
+
+def _flip_batch(rows: np.ndarray, grid: _Grid) -> tuple:
+    """Every flip of a batch of states, one bool row each, as index arrays
+    (state, removed id, inserted id), by state and then by removed edge.
+
+    Every edge of a unimodular triangulation is primitive, and its apexes
+    w1, w2 sit at cross products +1 and -1, so segment w1w2 meets line pq at
+    the half-integer point (w1 + w2)/2.  The only such point strictly inside
+    a primitive segment is its midpoint, so the quadrilateral p w1 q w2 is
+    strictly convex iff w1 + w2 == p + q.  A present interior edge that does
+    not bound exactly one face on each side raises StructureMismatchError.
     """
-    moves = []
-    union, memos = grid.union, grid.memo
-    m = mask & grid.interior
-    while m:  # _ids_of inlined: the generator costs a fifth of the enumeration
-        low = m & -m
-        m ^= low
-        i = low.bit_length() - 1
-        local = mask & union[i]
-        memo = memos[i]
-        new = memo.get(local)
-        if new is None:
-            left = [w for two, w, c in grid.apexes[i] if c == 1 and local & two == two]
-            right = [w for two, w, c in grid.apexes[i] if c == -1 and local & two == two]
-            if len(left) != 1 or len(right) != 1:
-                raise StructureMismatchError(f"edge {grid.segs[i]} does not bound two faces")
-            (w1,), (w2,) = left, right
-            (p, q) = grid.segs[i]
-            convex = w1[0] + w2[0] == p[0] + q[0] and w1[1] + w2[1] == p[1] + q[1]
-            new = memo[local] = grid.ids[_norm_edge(w1, w2)] if convex else -1
-        if new >= 0:
-            moves.append((mask ^ low | 1 << new, i, new))
-    return moves
+    state, j = np.nonzero(rows[:, grid.interior])
+    edge = grid.interior[j]
+    # per side: the number of faces, and the sum of their apex slots
+    tally = _apex_hits(rows, state, edge, grid).view(np.uint8) @ grid.tally
+    bad = (tally[..., 0] != 1).any(axis=1)
+    if bad.any():
+        i = edge[bad.argmax()]
+        raise StructureMismatchError(f"edge {grid.segs[i]} does not bound two faces")
+    new = grid.inserted[edge, tally[:, 0, 1], tally[:, 1, 1]]
+    keep = new >= 0
+    return state[keep], edge[keep], new[keep]
+
+
+def _flipped(keys: np.ndarray, removed: np.ndarray, inserted: np.ndarray) -> np.ndarray:
+    """Each packed state of `keys` (changed in place) with edge removed[k]
+    taken out and edge inserted[k] put in."""
+    flat = np.arange(len(keys))
+    keys[flat, removed >> 3] ^= _BIT[removed & 7]
+    keys[flat, inserted >> 3] ^= _BIT[inserted & 7]
+    return keys
+
+
+def _flip_keys(keys: np.ndarray, grid: _Grid):
+    """Flips of packed states, FLIP_CHUNK at a time: per chunk (first
+    state, state offsets, removed ids, inserted ids, packed neighbours)."""
+    for lo in range(0, len(keys), FLIP_CHUNK):
+        part = keys[lo:lo + FLIP_CHUNK]
+        state, removed, inserted = _flip_batch(_unpack(part, grid.size), grid)
+        yield lo, state, removed, inserted, _flipped(part[state], removed, inserted)
 
 
 @dataclass(frozen=True)
 class LatticeTriangulation:
     """Full (unimodular) triangulation of the n x n lattice point grid,
     stored as the sorted tuple of all its edges (unit hull edges included).
-    It is the public view of a state mask over the grid's segment table."""
+    It is the public view of a state row over the grid's segment table."""
 
     n: int
     edges: tuple
@@ -193,38 +257,17 @@ class LatticeTriangulation:
                 raise InvalidParameterError("1x1 grid admits no edges")
             return
         grid = _grid(n)
-        mask = grid.mask(self.edges)
-        expected_edges = n * n + 2 * (n - 1) ** 2 - 1
-        if len(self.edges) != expected_edges:
-            raise InvalidParameterError(
-                f"expected {expected_edges} edges, got {len(self.edges)}"
-            )
-        missing = grid.hull & ~mask
-        if missing:
-            raise InvalidParameterError(f"missing hull edge {grid.segs[next(_ids_of(missing))]}")
-        faces = 0  # area-1/2 triangles, once per edge
-        for i in _ids_of(mask):
-            crossed = grid.cross[i] & mask
-            if crossed:
-                j = next(_ids_of(crossed))
-                raise InvalidParameterError(
-                    f"edges {grid.segs[i]} and {grid.segs[j]} cross"
-                )
-            local = mask & grid.union[i]
-            count = grid.face_memo[i].get(local)
-            if count is None:
-                count = grid.face_memo[i][local] = sum(
-                    1 for two, _, _ in grid.apexes[i] if local & two == two)
-            faces += count
-        if faces != 3 * 2 * (n - 1) ** 2:
-            raise InvalidParameterError("face count is not 2(n-1)^2")
+        grid.check(grid.row(self.edges))
 
     def triangles(self) -> list:
         """All area-1/2 faces; with every edge present they are the faces."""
         grid = _grid(self.n)
+        row = grid.row(self.edges)
+        ids = np.flatnonzero(row)
+        e, side, a = np.nonzero(_apex_hits(row[None], np.zeros_like(ids), ids, grid))
         return sorted({
-            tuple(sorted((*grid.segs[i], w)))
-            for i, w in grid.faces(grid.mask(self.edges))
+            tuple(sorted((*grid.segs[i], divmod(w, self.n))))
+            for i, w in zip(ids[e].tolist(), grid.apex[ids[e], side, a].tolist())
         })
 
 
@@ -250,19 +293,26 @@ def flips_lattice(t: LatticeTriangulation) -> list:
     incident unimodular triangles form a strictly convex quadrilateral, with
     the diagonal swapped."""
     grid = _grid(t.n)
+    ((_, _, removed, inserted, nbrs),) = _flip_keys(_pack(grid.row(t.edges)[None]), grid)
     return [
-        (LatticeTriangulation(t.n, grid.edges(nbr)), grid.segs[i], grid.segs[j])
-        for nbr, i, j in _flip_moves(grid.mask(t.edges), grid)
+        (LatticeTriangulation(t.n, edges), grid.segs[i], grid.segs[j])
+        for edges, i, j in zip(grid.edge_lists(nbrs), removed.tolist(), inserted.tolist())
     ]
 
 
 class LatticeFlipGraph(Graph):
-    """Flip graph of n x n lattice triangulations (or a subgraph of it)."""
+    """Flip graph of n x n lattice triangulations (or a subgraph of it),
+    held as CSR arrays; vertex i is row i of `keys`, its packed state."""
 
-    def __init__(self, n: int, vertices: list, adj: list, coords: list | None = None):
-        super().__init__(adj, coords)
+    def __init__(self, n: int, keys: np.ndarray, indptr, indices, coords: list | None = None):
+        super().__init__(coords=coords, csr=(indptr, indices))
         self.n = n
-        self.vertices = vertices
+        self.keys = keys
+
+    @cached_property
+    def vertices(self) -> list:
+        """The LatticeTriangulation view of every vertex, built on first use."""
+        return [LatticeTriangulation(self.n, e) for e in _grid(self.n).edge_lists(self.keys)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -283,36 +333,50 @@ class LatticeFlipGraph(Graph):
 
 def enumerate_lattice(n: int) -> LatticeFlipGraph:
     """Full flip graph of the n x n grid, discovered from the canonical
-    all-negative-slope triangulation; vertices are sorted by edge tuple."""
+    all-negative-slope triangulation; vertices are sorted by edge tuple.
+
+    The search runs level by level on packed states and flips each state
+    once, keeping each flip's (removed, inserted) ids.  In an undirected
+    graph a neighbour of level d lies on level d - 1, d or d + 1, so each
+    new level is its sorted unique neighbours minus the previous and current
+    levels.  The found states are sorted once; then, FLIP_CHUNK vertices at
+    a time, each neighbour is rebuilt from its flip and looked up among them."""
     if n > LATTICE_ENUM_CAP:
         raise EnumerationTooLargeError(n, LATTICE_ENUM_CAP)
     grid = _grid(n)
-    start = grid.mask(canonical_lattice_triangulation(n).edges)
-    # found: mask -> discovery id; each row holds the stored id objects, so
-    # the 431,064 neighbour entries at n = 4 share 46,456 ints
-    found = {start: 0}
-    rows = [None]
-    pending = [start]
-    while pending:
-        mask = pending.pop()
-        row = rows[found[mask]] = []
-        for nbr, _, _ in _flip_moves(mask, grid):
-            j = found.get(nbr)
-            if j is None:
-                j = found[nbr] = len(rows)
-                rows.append(None)
-                pending.append(nbr)
-            row.append(j)
-    order = sorted(found, key=grid.sort_key)
-    rank = [0] * len(order)
-    for r, mask in enumerate(order):
-        rank[found[mask]] = r
-    for d, row in enumerate(rows):
-        rows[d] = sorted(rank[j] for j in row)
-    adj = [rows[found[mask]] for mask in order]
-    del found, rows, rank
-    vertices = [LatticeTriangulation(n, grid.edges(mask)) for mask in order]
-    return LatticeFlipGraph(n, vertices, adj)
+    cur = _pack(grid.row(canonical_lattice_triangulation(n).edges)[None])
+    levels, degs, flips = [], [], []
+    prev = _key(cur)  # the start level stands in for the level before it
+    while len(cur):
+        levels.append(cur)
+        level = []
+        for lo, state, removed, inserted, nbrs in _flip_keys(cur, grid):
+            degs.append(np.bincount(state, minlength=min(FLIP_CHUNK, len(cur) - lo)))
+            # segment ids fit int16 up to LATTICE_ENUM_CAP (86 at n = 4)
+            flips.append(np.stack([removed, inserted], axis=1).astype(np.int16))
+            level.append(_key(nbrs))
+        here = _key(cur)
+        cand = np.unique(np.concatenate(level))
+        new = cand[~(_lookup(prev, cand)[1] | _lookup(here, cand)[1])]
+        prev, cur = here, new.view(np.uint8).reshape(len(new), cur.shape[1])
+    found = np.concatenate(levels)  # in discovery order
+    count = len(found)
+    order = np.argsort(_key(found))  # discovery id of each vertex
+    keys, deg, flips = found[order], np.concatenate(degs), np.concatenate(flips)
+    first = np.zeros(count + 1, dtype=np.int64)  # flips of discovery id d: first[d]..first[d+1]
+    np.cumsum(deg, out=first[1:])
+    indptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(deg[order], out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    sorted_keys = _key(keys)
+    for lo in range(0, count, FLIP_CHUNK):
+        d = order[lo:lo + FLIP_CHUNK]
+        at = _ranges(first[d], first[d + 1])
+        src = np.repeat(np.arange(lo, lo + len(d)), deg[d])
+        nbrs = _flipped(found[order[src]], flips[at, 0], flips[at, 1])
+        dst = np.searchsorted(sorted_keys, _key(nbrs))
+        indices[indptr[lo]:indptr[lo + len(d)]] = np.sort(src * count + dst) % count
+    return LatticeFlipGraph(n, keys, indptr, indices)
 
 
 # ---------------------------------------------------------------------------
@@ -453,45 +517,66 @@ def block_partial_triangulation(n: int, block: int) -> set:
     return forced
 
 
-def product_subgraph(n: int, block: int) -> LatticeFlipGraph:
+def product_subgraph(
+    n: int, block: int, cap: int = DEFAULT_ENUMERATION_CAP
+) -> LatticeFlipGraph:
     """Subgraph of F_n induced by triangulations extending the fixed block
     partial triangulation: isomorphic to the Cartesian product of the
-    per-block flip graphs, verified by explicit coordinates."""
-    forced = block_partial_triangulation(n, block)
+    per-block flip graphs, verified by explicit coordinates.
+
+    Before anything is built, a grid side above LATTICE_GRID_CAP, a block
+    above LATTICE_ENUM_CAP, or more than `cap` states,
+    g(block)^((n/block)^2), raise EnumerationTooLargeError."""
+    if n < 1 or block < 1:
+        raise InvalidParameterError("grid side and block must be >= 1")
+    if n % block != 0:
+        raise InvalidParameterError(f"block {block} does not divide {n}")
+    if n > LATTICE_GRID_CAP:
+        raise EnumerationTooLargeError(n, LATTICE_GRID_CAP)
+    if block > LATTICE_ENUM_CAP:
+        raise EnumerationTooLargeError(block, LATTICE_ENUM_CAP)
+    count = LATTICE_COUNTS[block] ** ((n // block) ** 2)
+    if count > cap:
+        raise EnumerationTooLargeError(count, cap)
+    grid, sub_grid = _grid(n), _grid(block)
+    forced = grid.row(block_partial_triangulation(n, block))
     sub = enumerate_lattice(block)
-    grid = _grid(n)
-    forced_bits = grid.mask(forced)
-    # placed[b][s]: block state s translated into block b, as a mask
+    sub_rows = _unpack(sub.keys, sub_grid.size)
+    # placed[b]: the ids of block b's segments, translated into the grid
     # (translation keeps each edge's endpoint order)
     placed = [
-        [grid.mask(((ax + ox, ay + oy), (bx + ox, by + oy)) for (ax, ay), (bx, by) in s.edges)
-         for s in sub.vertices]
+        [grid.ids[((ax + ox, ay + oy), (bx + ox, by + oy))]
+         for (ax, ay), (bx, by) in sub_grid.segs]
         for ox in range(0, n, block)
         for oy in range(0, n, block)
     ]
     coords = list(product(range(sub.num_vertices), repeat=len(placed)))
-    masks = [
-        reduce(or_, (placed[b][s] for b, s in enumerate(coord)), forced_bits)
-        for coord in coords
-    ]
-    vertices = []
-    for mask in masks:
-        t = LatticeTriangulation(n, grid.edges(mask))
-        t.validate()
-        vertices.append(t)
+    keys = []
+    for lo in range(0, count, FLIP_CHUNK):
+        part = np.array(coords[lo:lo + FLIP_CHUNK]).reshape(-1, len(placed))
+        rows = np.tile(forced, (len(part), 1))
+        for ids, s in zip(placed, part.T):
+            rows[:, ids] |= sub_rows[s]
+        for row in rows:
+            grid.check(row)
+        keys.append(_pack(rows))
+    keys = np.concatenate(keys)
     # adjacency from actual flips restricted to the subgraph
-    index = {mask: i for i, mask in enumerate(masks)}
-    adj = []
-    for mask in masks:
-        nbrs = []
-        for nbr, removed, _ in _flip_moves(mask, grid):
-            j = index.get(nbr)
-            if j is not None:
-                if forced_bits >> removed & 1:
-                    raise StructureMismatchError("an internal flip removed a constrained edge")
-                nbrs.append(j)
-        adj.append(sorted(nbrs))
+    order = np.argsort(_key(keys))
+    sorted_keys = _key(keys[order])
+    indptr, parts = np.zeros(count + 1, dtype=np.int64), []
+    for lo, state, removed, _, nbrs in _flip_keys(keys, grid):
+        at, inside = _lookup(sorted_keys, _key(nbrs))
+        if forced[removed[inside]].any():
+            raise StructureMismatchError("an internal flip removed a constrained edge")
+        state, dst = state[inside], order[at[inside]]
+        hi = min(lo + FLIP_CHUNK, count)
+        indptr[lo + 1:hi + 1] = np.bincount(state, minlength=hi - lo)
+        parts.append(np.sort((state + lo) * count + dst) % count)
+    np.cumsum(indptr, out=indptr)
+    indices = np.concatenate(parts)
     # the left fold indexes coordinates in the same lexicographic order
-    if adj != reduce(product_graph, [sub] * len(placed)).adj:
+    want = reduce(product_graph, [sub] * len(placed)).csr()
+    if not (np.array_equal(indptr, want[0]) and np.array_equal(indices, want[1])):
         raise StructureMismatchError("induced flips do not match the product adjacency")
-    return LatticeFlipGraph(n, vertices, adj, coords)
+    return LatticeFlipGraph(n, keys, indptr, indices, coords)

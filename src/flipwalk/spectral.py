@@ -69,7 +69,9 @@ class ChainAnalysis:
 
     def _second_eigenpair(self) -> tuple:
         """(lambda_2, eigenvector) by Lanczos; dense for N <= 2, where
-        ARPACK cannot return two eigenpairs."""
+        ARPACK cannot return two eigenpairs.  With Lanczos, lambda_2 is the
+        Rayleigh quotient of the eigenvector, which is closer to exact than
+        eigsh's Ritz value."""
         if self._eig is None:
             n = self.num_states
             if n <= 2:
@@ -80,8 +82,8 @@ class ChainAnalysis:
 
                 v0 = np.random.default_rng(EIGSH_SEED).standard_normal(n)
                 evals, evecs = eigsh(self.operator(), k=2, which="LA", v0=v0, tol=0)
-                i = int(np.argmin(evals))
-                self._eig = (float(evals[i]), evecs[:, i])
+                vec = evecs[:, int(np.argmin(evals))]
+                self._eig = (float(vec @ (self.operator() @ vec) / (vec @ vec)), vec)
         return self._eig
 
     def spectral_gap(self) -> float:

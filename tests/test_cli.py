@@ -3,9 +3,12 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from flipwalk import lattice
 from flipwalk.cli import (
     EXIT_CAP,
     EXIT_OK,
@@ -229,10 +232,40 @@ def test_config_file_unknown_key_exits_usage(tmp_path, capsys, name, text, key):
 @pytest.mark.parametrize(
     "flags, code",
     [(["--n", "5"], EXIT_CAP), (["--n", "4", "--block", "0"], EXIT_USAGE),
-     (["--n", "4", "--block", "-1"], EXIT_USAGE)],
+     (["--n", "4", "--block", "-1"], EXIT_USAGE),
+     # 46456^4 block-product states; 2^4 = 16 states over --cap 15
+     (["--n", "8", "--block", "4"], EXIT_CAP),
+     (["--n", "4", "--block", "2", "--cap", "15"], EXIT_CAP),
+     # one state, but a grid side over LATTICE_GRID_CAP
+     (["--n", "9", "--block", "1"], EXIT_CAP),
+     (["--n", "1000000", "--block", "1"], EXIT_CAP)],
 )
-def test_lattice_cap_and_block_exit_codes(tmp_path, flags, code):
+def test_lattice_cap_and_block_exit_codes(tmp_path, monkeypatch, flags, code):
+    """Each case exits before any grid's segment table is built."""
+    def no_grid(n):
+        raise AssertionError(f"the n = {n} grid was built")
+
+    monkeypatch.setattr(lattice, "_grid", no_grid)
     assert main(["--command", "lattice", *flags, "--out", str(tmp_path)]) == code
+
+
+def test_lattice_and_flow_import_no_scipy(tmp_path):
+    """`lattice` and `flow` never load scipy: importing it alone costs
+    about 0.12 s, more than `lattice --n 3` itself."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from flipwalk.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['--command', 'lattice', '--n', '3', '--out', {str(tmp_path)!r}]) == 0\n"
+        f"    assert main(['--command', 'flow', '--n', '5', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_dot_export(tmp_path):

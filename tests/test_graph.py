@@ -37,3 +37,11 @@ def test_graph_from_csr_matches_graph_from_lists():
     assert g.to_json() == HEXAGON.to_json()
     assert g.adj == HEXAGON.adj
     assert g.bfs_tree(0) == HEXAGON.bfs_tree(0)
+
+
+def test_is_connected_reads_the_csr_only():
+    """Connectivity of a CSR-built graph never builds the adjacency lists."""
+    g = Graph(csr=HEXAGON.csr())
+    assert g.is_connected() and g._adj is None
+    split = Graph(csr=Graph([[1], [0], [3], [2]]).csr())
+    assert not split.is_connected() and split._adj is None

@@ -8,10 +8,17 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_lattice import enumerate_graph as reference_graph
+from reference_lattice import flip_moves as reference_moves
+from reference_lattice import grid as reference_grid
 
 from flipwalk.errors import EnumerationTooLargeError, InvalidParameterError
 from flipwalk.lattice import (
+    LATTICE_COUNTS,
     LatticeTriangulation,
+    _flip_batch,
+    _grid,
+    _unpack,
     _cross,
     _segments_cross,
     block_partial_triangulation,
@@ -272,3 +279,58 @@ def test_random_flip_walk_stays_valid_and_symmetric(steps, rnd):
         flips = flips_lattice(nxt)
         assert t in [nbr for nbr, _, _ in flips]
         t = nxt
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_flips_match_reference(n):
+    """The batched routine against the per-state one in
+    tests/reference_lattice.py: the same vertices in the same order, the
+    same adjacency, and every state's (removed, inserted) flips in order."""
+    g = enumerate_lattice(n)
+    vertices, adj = reference_graph(n, canonical_lattice_triangulation(n).edges)
+    grid, ref = _grid(n), reference_grid(n)
+    assert grid.segs == ref.segs
+    assert g.num_vertices == len(vertices) == LATTICE_COUNTS[n]
+    assert grid.edge_lists(g.keys) == vertices
+    assert g.adj == adj
+    state, removed, inserted = _flip_batch(_unpack(g.keys, grid.size), grid)
+    want = [(s, i, j) for s, edges in enumerate(vertices)
+            for _, i, j in reference_moves(ref.mask(edges), ref)]
+    assert list(zip(state.tolist(), removed.tolist(), inserted.tolist())) == want
+
+
+def _block_coords(t, block, sub_states):
+    """The coordinate of a product-subgraph vertex, read off its edges: per
+    block, the index of the block triangulation it restricts to."""
+    coord = []
+    for ox in range(0, t.n, block):
+        for oy in range(0, t.n, block):
+            inside = tuple(
+                ((ax - ox, ay - oy), (bx - ox, by - oy)) for (ax, ay), (bx, by) in t.edges
+                if all(ox <= x < ox + block and oy <= y < oy + block
+                       for x, y in ((ax, ay), (bx, by))))
+            coord.append(sub_states.index(inside))
+    return tuple(coord)
+
+
+@pytest.mark.parametrize(
+    "build, block",
+    [(lambda: enumerate_lattice(3), None), (lambda: product_subgraph(4, 2), 2)],
+    ids=["enumerate_lattice(3)", "product_subgraph(4, 2)"],
+)
+def test_json_round_trip(build, block):
+    """Parsing to_json() back gives valid triangulations, the same vertices
+    and edge list, and (read off the edges) the same block coordinates."""
+    g = build()
+    doc = json.loads(g.to_json())
+    vertices = [LatticeTriangulation(doc["n"], tuple(tuple(map(tuple, e)) for e in v))
+                for v in doc["vertices"]]
+    for v in vertices:
+        v.validate()
+    assert vertices == g.vertices
+    assert [tuple(e) for e in doc["edges"]] == list(g.edges())
+    if block is None:
+        assert g.coords is None
+    else:
+        sub_states = [v.edges for v in enumerate_lattice(block).vertices]
+        assert [_block_coords(v, block, sub_states) for v in vertices] == g.coords
