@@ -320,7 +320,7 @@ def _run_lattice(cfg: ExperimentConfig) -> list:
                 "connected": graph.is_connected(),
             }
         else:
-            graph = enumerate_lattice(n)
+            graph = enumerate_lattice(n, cap=cfg.cap)
             doc = {
                 "command": "lattice", "n": n,
                 "vertices": graph.num_vertices, "edges": graph.num_edges(),

@@ -18,15 +18,13 @@ from .errors import (
     LemmaViolationError,
     StructureMismatchError,
 )
-from .graph import product_graph
+from .graph import FLIP_CHUNK, _lookup, _row_keys, product_graph
 from .kangulation import (
-    FLIP_CHUNK,
     FlipGraph,
     _enumerate_rows,
     _face_array,
     _face_rows,
     _polygon,
-    _row_keys,
     _rows_of,
     build_flip_graph,
 )
@@ -102,10 +100,8 @@ def _factor_coords(rel: np.ndarray, span: int, k: int, ni: int) -> np.ndarray:
         raise StructureMismatchError(f"an arc of {span} edges does not hold {ni - 1} diagonals")
     sub = _polygon(span + 1)
     ids = np.sort(sub.pair_id[x[inside], y[inside]].reshape(-1, ni - 1), axis=1)
-    want = _row_keys(ids.astype(sub.dtype))
-    keys = _row_keys(_enumerate_rows(k, ni))
-    at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-    if (keys[at] != want).any():
+    at, found = _lookup(_row_keys(_enumerate_rows(k, ni)), _row_keys(ids.astype(sub.dtype)))
+    if not found.all():
         raise StructureMismatchError(f"an arc of {span} edges does not hold a {k}-angulation")
     return at
 

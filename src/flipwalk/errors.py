@@ -10,10 +10,10 @@ class InvalidParameterError(FlipwalkError, ValueError):
 
 
 class EnumerationTooLargeError(FlipwalkError):
-    """An enumeration would exceed the configured cap."""
+    """A size (an enumeration's, unless `quantity` names another) exceeds its cap."""
 
-    def __init__(self, requested, cap):
-        super().__init__(f"enumeration size {requested} exceeds cap {cap}")
+    def __init__(self, requested, cap, quantity="enumeration size"):
+        super().__init__(f"{quantity} {requested} exceeds cap {cap}")
         self.requested = requested
         self.cap = cap
 

@@ -27,7 +27,7 @@ from .flows import (
     product_lift,
     scaled,
 )
-from .graph import Graph, product_graph
+from .graph import Graph, _ranges, product_graph
 from .kangulation import build_flip_graph
 
 
@@ -172,12 +172,6 @@ def _offsets(lens: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(lens)))
 
 
-def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The concatenation of arange(s, s + l) over the pairs (s, l)."""
-    ends = np.cumsum(lens)
-    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lens, lens)
-
-
 def _lcm(a: np.ndarray, b) -> np.ndarray:
     """Elementwise lcm of a and b (an int or an integer array), exactly."""
     if a.dtype != object and bound(a) * (bound(b) if isinstance(b, np.ndarray) else b) >= LIMIT:
@@ -206,7 +200,7 @@ class SourceRows:
 
     def take(self, idx: np.ndarray) -> "SourceRows":
         lens = self.lengths()[idx]
-        rows = _ranges(self.start[idx], lens)
+        rows = _ranges(self.start[idx], self.start[idx + 1])
         return SourceRows(
             self.den[idx], _offsets(lens), self.src[rows], self.dst[rows], self.num[rows]
         )
@@ -250,7 +244,7 @@ def _shuffle_rows(n: int, t: int, coords: np.ndarray, factor_rows) -> SourceRows
     if l >= 2:
         g = factor_rows(l, x)
         lens = np.repeat(g.lengths(), cr)
-        rows = _ranges(np.repeat(g.start[:-1], cr), lens)
+        rows = _ranges(np.repeat(g.start[:-1], cr), np.repeat(g.start[1:], cr))
         copy = np.repeat(np.tile(np.arange(cr), k), lens)
         src, dst = verts[g.src[rows] * cr + copy], verts[g.dst[rows] * cr + copy]
         parts.append((SourceRows(g.den, _offsets(g.lengths() * cr), src, dst, g.num[rows]), 1))

@@ -4,8 +4,9 @@ Cartesian products: sorted adjacency lists or CSR arrays.
 A graph is built from either form and derives the other on first use.
 Python loops (walks, flows, class decompositions, the BFS tree) read `adj`
 one vertex at a time, which is faster on lists than on CSR slices; the
-numpy/scipy consumers, connectivity, the edge list and the JSON export read
-the CSR arrays.
+numpy/scipy consumers, the edge list, the JSON export and `sweep`, the one
+array traversal (connectivity and eccentricities), read the CSR arrays.
+The state modules' shared array helpers live here too.
 """
 
 from __future__ import annotations
@@ -21,10 +22,61 @@ def _frozen_int32(a) -> np.ndarray:
     return a
 
 
+FLIP_CHUNK = 4096  # states per batch of the face walk and of either flip routine
+
+
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The index ranges lo[i]..hi[i], concatenated."""
     sizes = hi - lo
     return np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One byte string per row of a nonempty-width array; with one byte per
+    column, or big-endian columns, byte order is row order."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(f"S{rows.shape[1] * rows.itemsize}").ravel()
+
+
+def _lookup(sorted_keys: np.ndarray, want: np.ndarray) -> tuple:
+    """(position of each wanted key in the nonempty sorted_keys, whether it
+    is there)."""
+    at = np.searchsorted(sorted_keys, want)
+    return at, sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == want
+
+
+def sweep(graph, starts) -> tuple:
+    """Bit-parallel BFS from every start (Then et al., "The More the
+    Merrier", PVLDB 2014): (eccentricity, reaches every vertex) per start,
+    as arrays.
+
+    Starts run 64 to a pass, one uint64 bit each.  A vertex's word holds the
+    bits of the starts that have reached it; each level pushes the words
+    newly set on the frontier to its neighbours' words, so a vertex joins
+    the frontier once per distance at which some start of the pass first
+    reaches it.  A start's eccentricity is the last level on which its bit
+    is new somewhere."""
+    indptr, indices = graph.csr()
+    starts = np.asarray(starts, dtype=np.int64)
+    ecc = np.zeros(len(starts), dtype=np.int64)
+    full = np.zeros(len(starts), dtype=bool)
+    for lo in range(0, len(starts), 64):
+        part = starts[lo:lo + 64]
+        bits = np.uint64(1) << np.arange(len(part), dtype=np.uint64)
+        seen = np.zeros(graph.num_vertices, dtype=np.uint64)
+        np.bitwise_or.at(seen, part, bits)
+        new, level = seen, 0
+        while (frontier := np.flatnonzero(new)).size:
+            word = new[frontier]
+            ecc[lo:lo + 64][(np.bitwise_or.reduce(word) & bits) != 0] = level
+            a, b = indptr[frontier], indptr[frontier + 1]
+            new = np.zeros_like(seen)
+            np.bitwise_or.at(new, indices[_ranges(a, b)], np.repeat(word, b - a))
+            new &= ~seen
+            seen |= new
+            level += 1
+        full[lo:lo + 64] = (np.bitwise_and.reduce(seen) & bits) != 0
+    return ecc, full
 
 
 class Graph:
@@ -95,18 +147,8 @@ class Graph:
         return parent
 
     def is_connected(self) -> bool:
-        """BFS from vertex 0 on the CSR arrays, one numpy step per level."""
-        if not self.num_vertices:
-            return True
-        indptr, indices = self.csr()
-        seen = np.zeros(self.num_vertices, dtype=bool)
-        seen[0] = True
-        frontier = np.zeros(1, dtype=np.int64)
-        while frontier.size:
-            nbrs = indices[_ranges(indptr[frontier], indptr[frontier + 1])]
-            frontier = np.unique(nbrs[~seen[nbrs]])
-            seen[frontier] = True
-        return bool(seen.all())
+        """`sweep` from vertex 0 on the CSR arrays."""
+        return not self.num_vertices or bool(sweep(self, [0])[1][0])
 
     def csr(self) -> tuple:
         """(indptr, indices) as read-only int32 arrays, built on first use."""

@@ -20,11 +20,9 @@ import numpy as np
 
 from .combinatorics import fuss_catalan
 from .errors import EnumerationTooLargeError, InvalidParameterError
-from .graph import Graph
+from .graph import FLIP_CHUNK, Graph, _lookup, _row_keys, sweep
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
-ECC_CHUNK = 16  # BFS starts per csgraph call: 16 x 208012 float64 is 27 MB at n = 12
-FLIP_CHUNK = 4096  # states per face-walk batch, and per flip batch in build_flip_graph
 
 Diagonal = tuple  # (a, b) with a < b
 
@@ -320,12 +318,6 @@ def flips(t: KAngulation) -> list:
     ]
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One byte string per row; big-endian ids make byte order row order."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(f"S{rows.shape[1] * rows.itemsize}").ravel()
-
-
 class FlipGraph(Graph):
     """Explicit flip graph on all k-angulations in canonical vertex order.
 
@@ -396,57 +388,40 @@ def flip_graph_from_json_dict(doc: dict) -> FlipGraph:
     return FlipGraph(k, n, rows, indptr, dst)
 
 
-def _transform_diagonals(diags, m: int, rot: int, reflect: bool) -> tuple:
-    out = []
-    for a, b in diags:
-        if reflect:
-            a, b = (m - a) % m, (m - b) % m
-        a, b = (a + rot) % m, (b + rot) % m
-        out.append((a, b) if a < b else (b, a))
-    return tuple(sorted(out))
-
-
 def orbit_representatives(graph: FlipGraph) -> list:
-    """One vertex per orbit of the polygon's dihedral symmetry group.
+    """The first vertex of each orbit of the polygon's dihedral symmetry
+    group, which acts on k-angulations by graph automorphisms, so vertex
+    eccentricities are constant on orbits.
 
-    Rotations and reflections of the polygon act on k-angulations and induce
-    graph automorphisms, so vertex eccentricities are constant on orbits.
+    Each of the 2m maps v -> v + r or r - v (mod m) permutes the diagonal
+    ids; every row is mapped, sorted and looked up among the canonical rows,
+    and the running minimum of the indices found is each vertex's orbit
+    label.  The representatives are the vertices labelled with themselves.
     """
-    m = graph.m
-    seen = set()
-    reps = []
-    for i, v in enumerate(graph.vertices):
-        if v.diagonals in seen:
-            continue
-        reps.append(i)
-        for reflect in (False, True):
-            for rot in range(m):
-                seen.add(_transform_diagonals(v.diagonals, m, rot, reflect))
-    return reps
+    rows, m = graph.rows, graph.m
+    label = np.arange(len(rows))
+    if rows.shape[1]:
+        poly, keys, v = _polygon(m), _row_keys(rows), np.arange(m)
+        for image in chain(v[None] + v[:, None], v[:, None] - v[None]):
+            perm = poly.pair_id[image[poly.ends[:, 0]] % m, image[poly.ends[:, 1]] % m]
+            at, found = _lookup(keys, _row_keys(np.sort(perm.astype(poly.dtype)[rows], axis=1)))
+            if not found.all():
+                raise InvalidParameterError("a symmetry image leaves the enumerated states")
+            np.minimum(label, at, out=label)
+    return np.flatnonzero(label == np.arange(len(rows))).tolist()
 
 
-def eccentricities(graph: FlipGraph, starts: list) -> list:
-    """BFS eccentricity of each start vertex (scipy csgraph, ECC_CHUNK
-    starts per call so the distance block stays ECC_CHUNK x N)."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
-
-    indptr, indices = graph.csr()
-    n = graph.num_vertices
-    mat = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
-    out = []
-    for lo in range(0, len(starts), ECC_CHUNK):
-        dist = shortest_path(mat, unweighted=True, indices=starts[lo:lo + ECC_CHUNK])
-        if np.isinf(dist).any():
-            raise InvalidParameterError("graph is disconnected")
-        out.extend(int(d) for d in dist.max(axis=1))
-    return out
+def eccentricities(graph: Graph, starts: list) -> list:
+    """BFS eccentricity of each start vertex (one `sweep`)."""
+    ecc, full = sweep(graph, starts)
+    if not full.all():
+        raise InvalidParameterError("graph is disconnected")
+    return ecc.tolist()
 
 
 def diameter(graph: FlipGraph) -> int:
     """Exact diameter via per-orbit eccentricities."""
-    reps = orbit_representatives(graph)
-    return max(eccentricities(graph, reps))
+    return max(eccentricities(graph, orbit_representatives(graph)))
 
 
 def build_flip_graph(
@@ -464,9 +439,8 @@ def build_flip_graph(
         keys = _row_keys(rows)
         for lo in range(0, count, FLIP_CHUNK):
             nbrs = _flip_rows(rows[lo:lo + FLIP_CHUNK], k, m)[0]
-            want = _row_keys(nbrs.reshape(-1, n - 1))
-            at = np.searchsorted(keys, want)
-            if (keys[np.minimum(at, count - 1)] != want).any():
+            at, found = _lookup(keys, _row_keys(nbrs.reshape(-1, n - 1)))
+            if not found.all():
                 raise InvalidParameterError("a flip leaves the enumerated states")
             at = np.sort(at.reshape(-1, degree), axis=1).ravel()
             indices[lo * degree:lo * degree + at.size] = at

@@ -18,7 +18,7 @@ from math import gcd
 import numpy as np
 
 from .errors import EnumerationTooLargeError, InvalidParameterError, StructureMismatchError
-from .graph import Graph, _ranges, product_graph
+from .graph import FLIP_CHUNK, Graph, _lookup, _ranges, _row_keys, product_graph
 from .kangulation import DEFAULT_ENUMERATION_CAP
 
 LATTICE_ENUM_CAP = 4  # grids beyond 4x4 points explode
@@ -27,7 +27,6 @@ LATTICE_COUNTS = {1: 1, 2: 2, 3: 64, 4: 46456}
 # largest grid side of a product subgraph: the segment count grows as n**4
 # and the crossing table as n**8 (about 1 s to build at n = 8)
 LATTICE_GRID_CAP = 8
-FLIP_CHUNK = 4096  # states per _flip_batch call; bounds its (chunk, edge, side, apex) tables
 _BIT = np.array([0x80 >> b for b in range(8)], dtype=np.uint8)  # bit of a column in its byte
 
 
@@ -171,19 +170,6 @@ def _pack(rows: np.ndarray) -> np.ndarray:
 
 def _unpack(keys: np.ndarray, width: int) -> np.ndarray:
     return np.unpackbits(keys, axis=1, count=width) == 0
-
-
-def _key(keys: np.ndarray) -> np.ndarray:
-    """One byte string per packed state, ordered as the states are."""
-    keys = np.ascontiguousarray(keys)
-    return keys.view(f"S{keys.shape[1]}").ravel()
-
-
-def _lookup(sorted_keys: np.ndarray, want: np.ndarray) -> tuple:
-    """(position of each wanted key in the nonempty sorted_keys, whether it
-    is there)."""
-    at = np.searchsorted(sorted_keys, want)
-    return at, sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == want
 
 
 def _apex_hits(rows: np.ndarray, state: np.ndarray, edge: np.ndarray, grid: _Grid) -> np.ndarray:
@@ -331,9 +317,11 @@ class LatticeFlipGraph(Graph):
         return self._dot("latticeflip", labels)
 
 
-def enumerate_lattice(n: int) -> LatticeFlipGraph:
+def enumerate_lattice(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> LatticeFlipGraph:
     """Full flip graph of the n x n grid, discovered from the canonical
     all-negative-slope triangulation; vertices are sorted by edge tuple.
+    A grid side above LATTICE_ENUM_CAP, or more than `cap` states, raise
+    EnumerationTooLargeError before anything is built.
 
     The search runs level by level on packed states and flips each state
     once, keeping each flip's (removed, inserted) ids.  In an undirected
@@ -341,12 +329,16 @@ def enumerate_lattice(n: int) -> LatticeFlipGraph:
     new level is its sorted unique neighbours minus the previous and current
     levels.  The found states are sorted once; then, FLIP_CHUNK vertices at
     a time, each neighbour is rebuilt from its flip and looked up among them."""
+    if n < 1:
+        raise InvalidParameterError("grid side must be >= 1")
     if n > LATTICE_ENUM_CAP:
-        raise EnumerationTooLargeError(n, LATTICE_ENUM_CAP)
+        raise EnumerationTooLargeError(n, LATTICE_ENUM_CAP, "grid side")
+    if LATTICE_COUNTS[n] > cap:
+        raise EnumerationTooLargeError(LATTICE_COUNTS[n], cap)
     grid = _grid(n)
     cur = _pack(grid.row(canonical_lattice_triangulation(n).edges)[None])
     levels, degs, flips = [], [], []
-    prev = _key(cur)  # the start level stands in for the level before it
+    prev = _row_keys(cur)  # the start level stands in for the level before it
     while len(cur):
         levels.append(cur)
         level = []
@@ -354,27 +346,27 @@ def enumerate_lattice(n: int) -> LatticeFlipGraph:
             degs.append(np.bincount(state, minlength=min(FLIP_CHUNK, len(cur) - lo)))
             # segment ids fit int16 up to LATTICE_ENUM_CAP (86 at n = 4)
             flips.append(np.stack([removed, inserted], axis=1).astype(np.int16))
-            level.append(_key(nbrs))
-        here = _key(cur)
+            level.append(_row_keys(nbrs))
+        here = _row_keys(cur)
         cand = np.unique(np.concatenate(level))
         new = cand[~(_lookup(prev, cand)[1] | _lookup(here, cand)[1])]
         prev, cur = here, new.view(np.uint8).reshape(len(new), cur.shape[1])
     found = np.concatenate(levels)  # in discovery order
     count = len(found)
-    order = np.argsort(_key(found))  # discovery id of each vertex
+    order = np.argsort(_row_keys(found))  # discovery id of each vertex
     keys, deg, flips = found[order], np.concatenate(degs), np.concatenate(flips)
     first = np.zeros(count + 1, dtype=np.int64)  # flips of discovery id d: first[d]..first[d+1]
     np.cumsum(deg, out=first[1:])
     indptr = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(deg[order], out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
-    sorted_keys = _key(keys)
+    sorted_keys = _row_keys(keys)
     for lo in range(0, count, FLIP_CHUNK):
         d = order[lo:lo + FLIP_CHUNK]
         at = _ranges(first[d], first[d + 1])
         src = np.repeat(np.arange(lo, lo + len(d)), deg[d])
         nbrs = _flipped(found[order[src]], flips[at, 0], flips[at, 1])
-        dst = np.searchsorted(sorted_keys, _key(nbrs))
+        dst = np.searchsorted(sorted_keys, _row_keys(nbrs))
         indices[indptr[lo]:indptr[lo + len(d)]] = np.sort(src * count + dst) % count
     return LatticeFlipGraph(n, keys, indptr, indices)
 
@@ -532,9 +524,9 @@ def product_subgraph(
     if n % block != 0:
         raise InvalidParameterError(f"block {block} does not divide {n}")
     if n > LATTICE_GRID_CAP:
-        raise EnumerationTooLargeError(n, LATTICE_GRID_CAP)
+        raise EnumerationTooLargeError(n, LATTICE_GRID_CAP, "grid side")
     if block > LATTICE_ENUM_CAP:
-        raise EnumerationTooLargeError(block, LATTICE_ENUM_CAP)
+        raise EnumerationTooLargeError(block, LATTICE_ENUM_CAP, "block side")
     count = LATTICE_COUNTS[block] ** ((n // block) ** 2)
     if count > cap:
         raise EnumerationTooLargeError(count, cap)
@@ -562,11 +554,11 @@ def product_subgraph(
         keys.append(_pack(rows))
     keys = np.concatenate(keys)
     # adjacency from actual flips restricted to the subgraph
-    order = np.argsort(_key(keys))
-    sorted_keys = _key(keys[order])
+    order = np.argsort(_row_keys(keys))
+    sorted_keys = _row_keys(keys[order])
     indptr, parts = np.zeros(count + 1, dtype=np.int64), []
     for lo, state, removed, _, nbrs in _flip_keys(keys, grid):
-        at, inside = _lookup(sorted_keys, _key(nbrs))
+        at, inside = _lookup(sorted_keys, _row_keys(nbrs))
         if forced[removed[inside]].any():
             raise StructureMismatchError("an internal flip removed a constrained edge")
         state, dst = state[inside], order[at[inside]]

@@ -1,14 +1,19 @@
-"""Per-state reference for k-angulation enumeration and flips.
+"""Per-state reference for k-angulation enumeration, flips, dihedral
+orbits and eccentricities.
 
 This is the earlier, one-state-at-a-time implementation: states are Python
 int bitmasks over the polygon's diagonals in lexicographic order, faces are
 walked on per-vertex neighbour bitmasks with `int.bit_length()`, and the
 graph index is a `{mask: index}` dict.  The package's batched routine must
-give the same vertex order, adjacency and flip lists.
+give the same vertex order, adjacency and flip lists.  Orbits are found by
+mapping each vertex's diagonals one rotation or reflection at a time, and
+eccentricities come from scipy's csgraph BFS, not the package's own.
 """
 
 from functools import lru_cache
 from itertools import chain, combinations, product
+
+import numpy as np
 
 
 @lru_cache(maxsize=None)
@@ -123,3 +128,44 @@ def build_csr(k: int, n: int) -> tuple:
         indices += sorted(index[y] for y, _, _ in flip_moves(x, k, m))
         indptr.append(len(indices))
     return verts, indptr, indices
+
+
+def _transform_diagonals(diags, m: int, rot: int, reflect: bool) -> tuple:
+    out = []
+    for a, b in diags:
+        if reflect:
+            a, b = (m - a) % m, (m - b) % m
+        a, b = (a + rot) % m, (b + rot) % m
+        out.append((a, b) if a < b else (b, a))
+    return tuple(sorted(out))
+
+
+def orbit_representatives(k: int, n: int) -> list:
+    """The first vertex, in canonical order, of each dihedral orbit."""
+    m = (k - 2) * n + 2
+    seen = set()
+    reps = []
+    for i, diagonals in enumerate(enumerate_local(k, n)):
+        if diagonals in seen:
+            continue
+        reps.append(i)
+        for reflect in (False, True):
+            for rot in range(m):
+                seen.add(_transform_diagonals(diagonals, m, rot, reflect))
+    return reps
+
+
+def eccentricities(graph, starts) -> list:
+    """Eccentricity of each start from scipy csgraph's unweighted shortest
+    paths, 16 starts per call; None for a start that misses a vertex."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    indptr, indices = graph.csr()
+    size = graph.num_vertices
+    mat = csr_matrix((np.ones(indices.size), indices, indptr), shape=(size, size))
+    out = []
+    for lo in range(0, len(starts), 16):
+        dist = shortest_path(mat, unweighted=True, indices=starts[lo:lo + 16]).max(axis=1)
+        out += [None if np.isinf(d) else int(d) for d in dist]
+    return out

@@ -229,35 +229,49 @@ def test_config_file_unknown_key_exits_usage(tmp_path, capsys, name, text, key):
     assert not out.exists()
 
 
+LATTICE_CAP_CASES = [
+    (["--n", "5"], EXIT_CAP, "grid side 5 exceeds cap 4"),
+    (["--n", "4", "--block", "0"], EXIT_USAGE, None),
+    (["--n", "4", "--block", "-1"], EXIT_USAGE, None),
+    # 46456^4 block-product states; 2^4 = 16 states over --cap 15
+    (["--n", "8", "--block", "4"], EXIT_CAP, f"enumeration size {46456 ** 4} exceeds cap"),
+    (["--n", "4", "--block", "2", "--cap", "15"], EXIT_CAP, "enumeration size 16 exceeds cap 15"),
+    # one state, but a grid side over LATTICE_GRID_CAP
+    (["--n", "9", "--block", "1"], EXIT_CAP, "grid side 9 exceeds cap 8"),
+    (["--n", "1000000", "--block", "1"], EXIT_CAP, "grid side 1000000 exceeds cap 8"),
+    # 46456 states over --cap 1000, with no block
+    (["--n", "4", "--cap", "1000"], EXIT_CAP, "enumeration size 46456 exceeds cap 1000"),
+    (["--n", "5", "--block", "5"], EXIT_CAP, "block side 5 exceeds cap 4"),
+]
+
+
 @pytest.mark.parametrize(
-    "flags, code",
-    [(["--n", "5"], EXIT_CAP), (["--n", "4", "--block", "0"], EXIT_USAGE),
-     (["--n", "4", "--block", "-1"], EXIT_USAGE),
-     # 46456^4 block-product states; 2^4 = 16 states over --cap 15
-     (["--n", "8", "--block", "4"], EXIT_CAP),
-     (["--n", "4", "--block", "2", "--cap", "15"], EXIT_CAP),
-     # one state, but a grid side over LATTICE_GRID_CAP
-     (["--n", "9", "--block", "1"], EXIT_CAP),
-     (["--n", "1000000", "--block", "1"], EXIT_CAP)],
+    "flags, code, message", LATTICE_CAP_CASES,
+    ids=[f"flags{i}-{code}" for i, (_, code, _) in enumerate(LATTICE_CAP_CASES)],
 )
-def test_lattice_cap_and_block_exit_codes(tmp_path, monkeypatch, flags, code):
-    """Each case exits before any grid's segment table is built."""
+def test_lattice_cap_and_block_exit_codes(tmp_path, monkeypatch, capsys, flags, code, message):
+    """Each case exits before any grid's segment table is built, and a cap
+    names the capped quantity."""
     def no_grid(n):
         raise AssertionError(f"the n = {n} grid was built")
 
     monkeypatch.setattr(lattice, "_grid", no_grid)
     assert main(["--command", "lattice", *flags, "--out", str(tmp_path)]) == code
+    if message:
+        assert f"resource cap: {message}" in capsys.readouterr().err
 
 
 def test_lattice_and_flow_import_no_scipy(tmp_path):
-    """`lattice` and `flow` never load scipy: importing it alone costs
-    about 0.12 s, more than `lattice --n 3` itself."""
+    """`lattice`, `flow` and the diameter never load scipy: importing it
+    alone costs about 0.12 s, more than `lattice --n 3` itself."""
     script = (
         "import contextlib, io, sys\n"
         "from flipwalk.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main(['--command', 'lattice', '--n', '3', '--out', {str(tmp_path)!r}]) == 0\n"
         f"    assert main(['--command', 'flow', '--n', '5', '--out', {str(tmp_path)!r}]) == 0\n"
+        "from flipwalk.kangulation import build_flip_graph, diameter\n"
+        "assert diameter(build_flip_graph(3, 6)) == 7\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = os.path.join(os.path.dirname(__file__), "..", "src")

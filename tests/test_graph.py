@@ -1,8 +1,11 @@
 """The shared graph type: BFS tree rule, connectivity, CSR view."""
 
 import numpy as np
+import pytest
+from reference_flips import eccentricities as reference_eccentricities
 
 from flipwalk.graph import Graph
+from flipwalk.lattice import enumerate_lattice
 
 # a 6-cycle 0-4-2-3-1-5-0: BFS from 0 discovers 2 before 1 on level two
 HEXAGON = Graph([[4, 5], [3, 5], [3, 4], [1, 2], [0, 2], [0, 1]])
@@ -14,10 +17,25 @@ def test_bfs_tree_processes_each_level_in_sorted_order():
     assert HEXAGON.bfs_tree(0, allowed={0, 2, 3, 4}) == {0: None, 4: 0, 2: 4, 3: 2}
 
 
+def _csgraph_connected(g) -> bool:
+    return reference_eccentricities(g, [0])[0] is not None
+
+
 def test_is_connected():
-    assert HEXAGON.is_connected()
-    assert Graph([]).is_connected() and Graph([[]]).is_connected()
-    assert not Graph([[1], [0], []]).is_connected()
+    assert Graph([]).is_connected()
+    for g, want in [(HEXAGON, True), (Graph([[]]), True), (Graph([[1], [0], []]), False)]:
+        assert g.is_connected() == _csgraph_connected(g) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_is_connected_matches_csgraph_on_lattice_graphs(n):
+    """Each lattice flip graph is connected, and cutting every edge at its
+    last vertex leaves it disconnected (from n = 2 on)."""
+    g = enumerate_lattice(n)
+    assert g.is_connected() and _csgraph_connected(g)
+    last = g.num_vertices - 1
+    cut = Graph([[j for j in nbrs if j != last] for nbrs in g.adj[:-1]] + [[]])
+    assert cut.is_connected() == _csgraph_connected(cut) == (n == 1)
 
 
 def test_csr_matches_adjacency_and_is_cached():

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from reference_flips import _faces as reference_faces
 from reference_flips import _mask as reference_mask
 from reference_flips import build_csr as reference_csr
+from reference_flips import eccentricities as reference_eccentricities
 from reference_flips import flips as reference_flips
+from reference_flips import orbit_representatives as reference_orbits
 
 from flipwalk.combinatorics import catalan, fuss_catalan
 from flipwalk.errors import EnumerationTooLargeError, InvalidParameterError
@@ -27,6 +29,7 @@ from flipwalk.kangulation import (
     faces_of,
     flip_graph_from_json_dict,
     flips,
+    orbit_representatives,
 )
 
 with open(os.path.join(os.path.dirname(__file__), "golden", "flip_graphs.json")) as fh:
@@ -333,6 +336,28 @@ def test_orbit_eccentricities_give_the_diameter():
         assert max(eccentricities(g, list(range(g.num_vertices)))) == diameter(g), (k, n)
 
 
+ORBIT_SIZES = (
+    [(3, n) for n in range(1, 11)] + [(4, n) for n in range(1, 7)]
+    + [(5, n) for n in range(1, 6)]
+)
+
+
+@pytest.mark.parametrize("k, n", ORBIT_SIZES)
+def test_orbit_representatives_match_reference(k, n):
+    """The orbit labels give the per-vertex loop's list, n = 1 included."""
+    assert orbit_representatives(build_flip_graph(k, n)) == reference_orbits(k, n)
+
+
+@pytest.mark.parametrize("k, n", ORBIT_SIZES)
+def test_eccentricities_match_csgraph(k, n):
+    """From every vertex up to n = 7 (1428 starts at k = 4 n = 6) and from
+    the orbit starts above it (733 at k = 3 n = 10), so the larger sizes run
+    several 64-start passes, the last one partial."""
+    g = build_flip_graph(k, n)
+    starts = list(range(g.num_vertices)) if n <= 7 else orbit_representatives(g)
+    assert eccentricities(g, starts) == reference_eccentricities(g, starts)
+
+
 def test_eccentricities_reject_disconnected_graph():
     with pytest.raises(InvalidParameterError):
         eccentricities(Graph([[1], [0], [3], [2]]), [0])
@@ -352,7 +377,6 @@ def test_flip_graph_n12_matches_golden_hash():
     )
 
 
-@pytest.mark.slow
 def test_diameter_bound_n11():
     g = build_flip_graph(3, 11)
     assert diameter(g) == 2 * 11 - 6 == 16
@@ -362,3 +386,9 @@ def test_diameter_bound_n11():
 def test_diameter_bound_n12():
     g = build_flip_graph(3, 12)
     assert diameter(g) == 2 * 12 - 6 == 18
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k, n, want", [(4, 8, 12), (5, 7, 10)])
+def test_diameter_k4_k5(k, n, want):
+    assert diameter(build_flip_graph(k, n)) == want
