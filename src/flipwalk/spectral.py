@@ -25,9 +25,11 @@ from .errors import (
 )
 from .kangulation import FlipGraph, orbit_representatives
 
-EXACT_START_CAP = 2000  # all-starts exact mixing below this size
+EXACT_START_CAP = 2000  # all-starts exact mixing up to this size (not flip graphs)
 EXACT_ANALYSIS_CAP = 300_000  # beyond this, mixing analysis is refused
-MIXING_CHUNK = 256  # point-mass columns stepped together by _mixing_block
+# point-mass columns stepped together by _mixing_block; at k = 3 n = 10 and 11
+# 64 was the fastest of 32..512, with a quarter of 256's block memory
+MIXING_CHUNK = 64
 EIGSH_SEED = 7  # fixed Lanczos start vector, so reruns are byte-identical
 
 
@@ -115,8 +117,11 @@ def tvd(mu, nu) -> float:
 
 
 def _tvd_to_uniform(x: np.ndarray):
-    """TVD to uniform of a distribution, or of each column of a block."""
-    return 0.5 * np.abs(x - 1.0 / x.shape[0]).sum(axis=0)
+    """TVD to uniform of a distribution, or of each column of a block; the
+    difference block is the only temporary."""
+    d = x - 1.0 / x.shape[0]
+    np.abs(d, out=d)
+    return 0.5 * d.sum(axis=0)
 
 
 def mixing_time(
@@ -127,12 +132,12 @@ def mixing_time(
 ):
     """Least t with worst-start TVD below eps.
 
-    Up to EXACT_START_CAP states every point-mass start is stepped
-    ("exact-all-starts").  A larger flip graph steps one start per orbit of
-    the polygon's dihedral group, which acts by automorphisms of the chain,
-    so the TVD from a start is constant on its orbit and the result is still
-    exact ("exact-orbit-starts").  Any other larger graph steps the extreme
-    entries of the second eigenvector, and the result is a heuristic lower
+    A flip graph, at every size, steps one start per orbit of the polygon's
+    dihedral group, which acts by automorphisms of the chain, so the TVD
+    from a start is constant on its orbit and the result is exact
+    ("exact-orbit-starts").  Any other graph steps every point-mass start
+    up to EXACT_START_CAP states ("exact-all-starts"), and above it the
+    extreme entries of the second eigenvector, which gives a heuristic lower
     bound ("heuristic-start").  States beyond `cap` are refused.
     """
     key = (eps,)
@@ -142,10 +147,10 @@ def mixing_time(
     n = chain.num_states
     if n > cap:
         raise EnumerationTooLargeError(n, cap)
-    if n <= EXACT_START_CAP:
-        starts, mode = list(range(n)), "exact-all-starts"
-    elif isinstance(chain.graph, FlipGraph):
+    if isinstance(chain.graph, FlipGraph):
         starts, mode = orbit_representatives(chain.graph), "exact-orbit-starts"
+    elif n <= EXACT_START_CAP:
+        starts, mode = list(range(n)), "exact-all-starts"
     else:
         order = np.argsort(chain.second_eigenvector())
         starts = sorted({int(i) for i in (order[0], order[1], order[-2], order[-1])})
@@ -175,7 +180,8 @@ def _mixing_block(chain: ChainAnalysis, starts: list, eps: float) -> int:
     """Least t at which every start's TVD to uniform is below eps.
 
     Point masses at the starts are stepped as the columns of an
-    N x MIXING_CHUNK block, X <- P @ X.  No TVD is checked before
+    N x MIXING_CHUNK block, X <- P @ X; with the one temporary of a TVD
+    check, at most two such blocks are held at once.  No TVD is checked before
     `_mixing_floor`.  The TVD from a fixed start never rises,
     so a column is dropped once it is below eps, and a later chunk is first
     checked at the running maximum.  A connected lazy chain mixes within

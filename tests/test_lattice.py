@@ -211,6 +211,13 @@ def test_parallelogram_rule_matches_segment_crossing():
     assert checked == 64 * 8
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_crossing_table_matches_segment_crossing(n):
+    grid = _grid(n)
+    want = [[_segments_cross(*a, *b) for b in grid.segs] for a in grid.segs]
+    assert grid.crossing.tolist() == want
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_flips_match_golden(n):
     """Every (neighbour, removed, inserted) triple of every state, in order,

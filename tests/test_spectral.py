@@ -128,14 +128,26 @@ def test_gap_is_the_rayleigh_quotient(n):
     assert abs(chain.spectral_gap() - exact) / exact < 3e-14
 
 
-def test_orbit_start_mixing_matches_all_starts(monkeypatch):
-    sizes = [(3, n) for n in range(2, 9)] + [(4, n) for n in range(2, 5)]
-    all_starts = {kn: mixing_time(build_chain(_graph(*kn)), return_mode=True) for kn in sizes}
-    monkeypatch.setattr(spectral, "EXACT_START_CAP", 0)
-    for kn, (tau, mode) in all_starts.items():
-        assert mode == "exact-all-starts", kn
-        got = mixing_time(build_chain(_graph(*kn)), return_mode=True)
-        assert got == (tau, "exact-orbit-starts"), kn
+def test_orbit_start_mixing_matches_all_starts():
+    """A flip graph's orbit starts give the tau of stepping every start."""
+    sizes = [(3, n) for n in range(2, 9)] + [(4, n) for n in range(2, 7)] + [
+        (5, n) for n in range(2, 6)]
+    for kn in sizes:
+        chain = build_chain(_graph(*kn))
+        for eps in (0.25, 0.05):
+            tau, mode = mixing_time(chain, eps, return_mode=True)
+            assert mode == "exact-orbit-starts", (kn, eps)
+            all_starts = list(range(chain.num_states))
+            assert tau == spectral._mixing_block(chain, all_starts, eps), (kn, eps)
+
+
+def test_tvd_to_uniform_matches_two_temporary_form():
+    x = np.random.default_rng(5).random((1430, 37))
+    x /= x.sum(axis=0)
+    want = 0.5 * np.abs(x - 1 / x.shape[0]).sum(axis=0)
+    assert np.array_equal(spectral._tvd_to_uniform(x), want)
+    col = np.ascontiguousarray(x[:, 3])
+    assert spectral._tvd_to_uniform(col) == 0.5 * np.abs(col - 1 / col.size).sum()
 
 
 @pytest.mark.parametrize("eps", [0.25, 0.05])
@@ -167,6 +179,22 @@ def test_mixing_floor_changes_no_mixing_time(monkeypatch, eps):
 def test_orbit_start_mixing_n9():
     chain = build_chain(_graph(3, 9))
     assert mixing_time(chain, return_mode=True) == (55, "exact-orbit-starts")
+
+
+@pytest.mark.parametrize("k, n, want", [
+    (4, 5, 18), (4, 6, 29), (4, 7, 42), (5, 5, 21), (5, 6, 33),
+    *(pytest.param(*case, marks=pytest.mark.slow)
+      for case in [(4, 8, 59), (5, 7, 49), (3, 10, 72), (3, 11, 90)]),
+])
+def test_kangulation_mixing_trend(k, n, want):
+    """tau from orbit starts, inside the Levin-Peres-Wilmer sandwich
+    (t_rel - 1) log(1/(2 eps)) <= tau <= t_rel log(N/eps), t_rel = 1/gap."""
+    eps = 0.25
+    chain = build_chain(build_flip_graph(k, n))
+    tau, mode = mixing_time(chain, eps, return_mode=True)
+    assert (tau, mode) == (want, "exact-orbit-starts")
+    t_rel = 1 / chain.spectral_gap()
+    assert (t_rel - 1) * math.log(1 / (2 * eps)) <= tau <= t_rel * math.log(chain.num_states / eps)
 
 
 def test_heuristic_start_on_other_large_graphs(monkeypatch):
