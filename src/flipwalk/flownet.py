@@ -21,11 +21,11 @@ from .flows import (
     ArcFlow,
     CongestionReport,
     bound,
-    coalesce,
     congestion_report,
     narrowed,
     product_lift,
     scaled,
+    summable,
 )
 from .graph import Graph, _ranges, product_graph
 from .kangulation import build_flip_graph
@@ -387,12 +387,12 @@ def verify_unit_demands(n: int) -> dict:
         for coords in _source_chunks(n, t):
             rows = _shuffle_rows(n, t, coords, factor_rows)
             k = len(coords)
-            sid = rows.source_of_row()
-            at, num = coalesce((sid * size + rows.src) * size + rows.dst, rows.num)
-            cell = sid[at] * size
+            # net inflow is linear in the rows, so repeated arcs need no merging
+            cell = rows.source_of_row() * size
+            num = summable(rows.num)
             net = np.zeros(k * size, dtype=num.dtype)
-            np.subtract.at(net, cell + rows.src[at], num)
-            np.add.at(net, cell + rows.dst[at], num)
+            np.subtract.at(net, cell + rows.src, num)
+            np.add.at(net, cell + rows.dst, num)
             want = np.zeros((k, size), dtype=np.int64)
             want[:, members] = 1
             want[np.arange(k), members[coords]] = 1 - sz

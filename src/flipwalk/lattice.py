@@ -4,8 +4,16 @@ subgraph induced by a fixed block partition of the grid.
 
 A state is a bool row over the grid's primitive segments (column i is
 segment i), stored packed: the complemented row, big-endian, in whole 64-bit
-words (two at n = 4), so that byte order is edge-tuple order.  One batched
-routine, `_flip_batch`, finds the flips of a block of rows.
+words (two at n = 4), so that byte order is edge-tuple order.
+
+A chunk of states is also held bit-sliced: one plane of 64-bit words per
+segment, bit s of a plane set when state s holds that segment.  One kernel,
+`_flip_planes`, finds the flips of a whole chunk with AND/OR over planes;
+`_Grid.check` validates a chunk the same way.  `enumerate_lattice` keys each
+state by the XOR of one fixed 64-bit word per segment (Zobrist hashing), so
+a flip's key is its parent's key XOR two words; each arc's target is
+resolved by key during the search and then checked exactly against the
+packed state that key names.
 """
 
 from __future__ import annotations
@@ -28,6 +36,17 @@ LATTICE_COUNTS = {1: 1, 2: 2, 3: 64, 4: 46456}
 # and the crossing table as n**8 (1.6M pairs at n = 8, built by broadcasting)
 LATTICE_GRID_CAP = 8
 _BIT = np.array([0x80 >> b for b in range(8)], dtype=np.uint8)  # bit of a column in its byte
+_WORD = np.dtype("<u8")  # a plane word: state s is bit s % 64 of word s // 64
+_PAIR_WORDS = 1 << 22  # plane words (32 MB) per temporary of the crossing check
+
+
+def _splitmix64(count: int) -> np.ndarray:
+    """The first `count` outputs of splitmix64 from seed 0, in numpy's
+    wrapping uint64 arithmetic (no numpy.random import)."""
+    x = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
 def _cross(o, a, b) -> int:
@@ -66,8 +85,9 @@ class _Grid:
     `legs` the ids of pw and qw; rows are padded with point 0 and leg
     `size`, a column that a padded state row never sets.  `inserted[i, a,
     b]` is the id of the segment joining left apex a and right apex b when
-    p w_a q w_b is a parallelogram (w_a + w_b = p + q), else -1.  `tally`
-    maps a side's apex hits to (number of faces, sum of their apex slots).
+    p w_a q w_b is a parallelogram (w_a + w_b = p + q), else -1; `flips`
+    lists its valid entries as (segment, a, b, inserted) arrays, by segment.
+    `zobrist` holds one fixed 64-bit word per segment.
     """
 
     def __init__(self, n: int):
@@ -99,13 +119,15 @@ class _Grid:
         self.apex = np.where(real, order, 0)
         self.legs = np.stack([seg_of[np.where(real, end[:, None, None], len(pts)), order]
                               for end in (pi, qi)], axis=-1).astype(np.int32)
-        self.tally = np.stack([np.ones(width), np.arange(width)], axis=1).astype(np.uint8)
         wl, wr = pts[self.apex[:, 0]], pts[self.apex[:, 1]]
         mid = (p + q)[:, None, None]
         parallelogram = (wl[:, :, None] + wr[:, None] == mid).all(axis=3)
         parallelogram &= real[:, 0, :, None] & real[:, 1, None, :]
         self.inserted = np.where(
             parallelogram, seg_of[self.apex[:, 0, :, None], self.apex[:, 1, None, :]], -1)
+        valid = np.nonzero(parallelogram)
+        self.flips = (*valid, self.inserted[valid])
+        self.zobrist = _splitmix64(size)
 
     @cached_property
     def crossing(self) -> np.ndarray:
@@ -136,24 +158,45 @@ class _Grid:
             row[i] = True
         return row
 
-    def check(self, row: np.ndarray) -> None:
-        """Raise InvalidParameterError unless the state row is a full
+    def check(self, rows: np.ndarray) -> None:
+        """Raise InvalidParameterError unless every bool state row is a full
         triangulation: the edge count, every hull edge, no crossing pair, and
-        2(n-1)^2 area-1/2 triangles (counted once per edge)."""
-        n = self.n
+        2(n-1)^2 area-1/2 triangles (counted once per edge).  The error
+        names the first failing test of the first bad row.
+
+        The last three tests run on the chunk's planes, over the segments
+        that some row holds: the AND of the hull planes, the OR of the ANDs
+        of crossing pairs, and a bit-sliced sum of the apex hit planes."""
+        n, count = self.n, len(rows)
         expected_edges = n * n + 2 * (n - 1) ** 2 - 1
+        planes = _planes(rows)
+        live = np.flatnonzero(planes[:-1].any(axis=1))
+        hull = np.bitwise_and.reduce(planes[np.flatnonzero(self.hull)], axis=0)
+        crossed = np.zeros_like(hull)
+        first, second = np.nonzero(np.triu(self.crossing[np.ix_(live, live)]))
+        step = max(1, _PAIR_WORDS // planes.shape[1])
+        for lo in range(0, len(first), step):
+            both = planes[live[first[lo:lo + step]]]
+            both &= planes[live[second[lo:lo + step]]]
+            crossed |= np.bitwise_or.reduce(both, axis=0)
+        hits = _hit_planes(planes, live, self) & planes[live, None, None]
+        faces = _sums_to(hits.reshape(-1, planes.shape[1]), 3 * 2 * (n - 1) ** 2)
+        edges = np.count_nonzero(rows, axis=1)
+        bad = (edges != expected_edges) | _bits(~hull | crossed | ~faces, count)
+        if not bad.any():
+            return
+        row = rows[bad.argmax()]
         ids = np.flatnonzero(row)
         if ids.size != expected_edges:
             raise InvalidParameterError(f"expected {expected_edges} edges, got {ids.size}")
         missing = np.flatnonzero(self.hull & ~row)
         if missing.size:
             raise InvalidParameterError(f"missing hull edge {self.segs[missing[0]]}")
-        crossed = self.crossing[ids][:, ids]
-        if crossed.any():
-            i, j = ids[np.argwhere(crossed)[0]]
+        crossing = self.crossing[ids][:, ids]
+        if crossing.any():
+            i, j = ids[np.argwhere(crossing)[0]]
             raise InvalidParameterError(f"edges {self.segs[i]} and {self.segs[j]} cross")
-        if _apex_hits(row[None], np.zeros_like(ids), ids, self).sum() != 3 * 2 * (n - 1) ** 2:
-            raise InvalidParameterError("face count is not 2(n-1)^2")
+        raise InvalidParameterError("face count is not 2(n-1)^2")
 
     def edge_lists(self, keys: np.ndarray) -> list:
         """The sorted edge tuple of each packed state."""
@@ -181,39 +224,100 @@ def _unpack(keys: np.ndarray, width: int) -> np.ndarray:
     return np.unpackbits(keys, axis=1, count=width) == 0
 
 
-def _apex_hits(rows: np.ndarray, state: np.ndarray, edge: np.ndarray, grid: _Grid) -> np.ndarray:
-    """hits[k, side, a]: both legs of apex a on that side of edge[k] are in
-    row state[k] of the bool state rows."""
-    padded = np.zeros((len(rows), grid.size + 1), dtype=bool)
-    padded[:, :-1] = rows
-    at = grid.legs[edge]
-    at += (state * (grid.size + 1)).astype(at.dtype)[:, None, None, None]
-    legs = padded.ravel()[at]
-    return legs[..., 0] & legs[..., 1]
+def _planes(rows: np.ndarray) -> np.ndarray:
+    """The bit planes of a chunk of bool state rows: plane j holds bit s
+    when row s has segment j, and a last, all-zero plane stands for the
+    padding leg `size`.  Bits past the last row are zero."""
+    count, size = rows.shape
+    out = np.zeros((size + 1, 8 * max(1, -(-count // 64))), dtype=np.uint8)
+    out[:size, :-(-count // 8)] = np.packbits(np.ascontiguousarray(rows.T), axis=1,
+                                               bitorder="little")
+    return out.view(_WORD)
 
 
-def _flip_batch(rows: np.ndarray, grid: _Grid) -> tuple:
-    """Every flip of a batch of states, one bool row each, as index arrays
-    (state, removed id, inserted id), by state and then by removed edge.
+def _bits(planes: np.ndarray, count: int) -> np.ndarray:
+    """planes unpacked to bools: [..., s] is bit s, for the first count states."""
+    return np.unpackbits(planes.view(np.uint8), axis=-1, count=count,
+                         bitorder="little").view(bool)
+
+
+def _hit_planes(planes: np.ndarray, edges: np.ndarray, grid: _Grid) -> np.ndarray:
+    """hits[k, side, a]: the plane of states that hold both legs of apex a
+    on that side of segment edges[k]."""
+    legs = grid.legs[edges]
+    return planes[legs[..., 0]] & planes[legs[..., 1]]
+
+
+def _sums_to(planes: np.ndarray, total: int) -> np.ndarray:
+    """The plane of states with exactly `total` of the planes set.
+
+    The count is bit-sliced: planes are added in pairs, each pair a
+    ripple-carry add of two equal-width binary numbers held one plane per
+    digit, until one number is left; its digits are then matched to
+    total's."""
+    digits = [planes]
+    while len(digits[0]) > 1:
+        if len(digits[0]) % 2:
+            digits = [np.concatenate([d, np.zeros_like(d[:1])]) for d in digits]
+        carry, out = np.zeros_like(digits[0][0::2]), []
+        for d in digits:
+            x, y = d[0::2], d[1::2]
+            half = x ^ y
+            out.append(half ^ carry)
+            carry = (x & y) | (carry & half)
+        digits = out + [carry]
+    word = np.zeros(planes.shape[1:], dtype=_WORD)
+    if total >> len(digits) or not len(planes):
+        return word if total else ~word
+    off = word.copy()
+    for b, d in enumerate(digits):
+        off |= d[0] if total >> b & 1 == 0 else ~d[0]
+    return ~off
+
+
+def _flip_planes(planes: np.ndarray, count: int, grid: _Grid) -> tuple:
+    """Every flip of a chunk of `count` states held as planes, as index
+    arrays (state, removed id, inserted id), by state and then by removed
+    edge.
 
     Every edge of a unimodular triangulation is primitive, and its apexes
     w1, w2 sit at cross products +1 and -1, so segment w1w2 meets line pq at
     the half-integer point (w1 + w2)/2.  The only such point strictly inside
     a primitive segment is its midpoint, so the quadrilateral p w1 q w2 is
-    strictly convex iff w1 + w2 == p + q.  A present interior edge that does
-    not bound exactly one face on each side raises StructureMismatchError.
+    strictly convex iff w1 + w2 == p + q: one entry of `grid.flips`.  A
+    present interior edge that does not bound exactly one face on each side
+    (a running seen-once/seen-twice pair of planes per side) raises
+    StructureMismatchError, for the first such (state, edge).
     """
-    state, j = np.nonzero(rows[:, grid.interior])
-    edge = grid.interior[j]
-    # per side: the number of faces, and the sum of their apex slots
-    tally = _apex_hits(rows, state, edge, grid).view(np.uint8) @ grid.tally
-    bad = (tally[..., 0] != 1).any(axis=1)
+    edges = grid.interior[planes[grid.interior].any(axis=1)]
+    held = planes[edges]
+    hits = _hit_planes(planes, edges, grid)
+    once = np.zeros_like(hits[:, :, 0])
+    twice = once.copy()
+    for h in hits.transpose(2, 0, 1, 3):
+        twice |= once & h
+        once |= h
+    single = once & ~twice
+    bad = held & ~(single[:, 0] & single[:, 1])
     if bad.any():
-        i = edge[bad.argmax()]
-        raise StructureMismatchError(f"edge {grid.segs[i]} does not bound two faces")
-    new = grid.inserted[edge, tally[:, 0, 1], tally[:, 1, 1]]
-    keep = new >= 0
-    return state[keep], edge[keep], new[keep]
+        k = np.nonzero(_bits(bad, count).T)[1][0]
+        raise StructureMismatchError(f"edge {grid.segs[edges[k]]} does not bound two faces")
+    at = np.full(grid.size, -1)
+    at[edges] = np.arange(len(edges))
+    edge, a, b, new = grid.flips
+    k = at[edge]
+    keep = k >= 0
+    k, a, b = k[keep], a[keep], b[keep]
+    state, c = np.nonzero(_bits(held[k] & hits[k, 0, a] & hits[k, 1, b], count).T)
+    return state, edge[keep][c], new[keep][c]
+
+
+def _flips(keys: np.ndarray, grid: _Grid):
+    """Flips of packed states, FLIP_CHUNK at a time: per chunk (first
+    state, state offsets, removed ids, inserted ids)."""
+    for lo in range(0, len(keys), FLIP_CHUNK):
+        part = _unpack(keys[lo:lo + FLIP_CHUNK], grid.size)
+        yield lo, *_flip_planes(_planes(part), len(part), grid)
 
 
 def _flipped(keys: np.ndarray, removed: np.ndarray, inserted: np.ndarray) -> np.ndarray:
@@ -223,15 +327,6 @@ def _flipped(keys: np.ndarray, removed: np.ndarray, inserted: np.ndarray) -> np.
     keys[flat, removed >> 3] ^= _BIT[removed & 7]
     keys[flat, inserted >> 3] ^= _BIT[inserted & 7]
     return keys
-
-
-def _flip_keys(keys: np.ndarray, grid: _Grid):
-    """Flips of packed states, FLIP_CHUNK at a time: per chunk (first
-    state, state offsets, removed ids, inserted ids, packed neighbours)."""
-    for lo in range(0, len(keys), FLIP_CHUNK):
-        part = keys[lo:lo + FLIP_CHUNK]
-        state, removed, inserted = _flip_batch(_unpack(part, grid.size), grid)
-        yield lo, state, removed, inserted, _flipped(part[state], removed, inserted)
 
 
 @dataclass(frozen=True)
@@ -252,14 +347,14 @@ class LatticeTriangulation:
                 raise InvalidParameterError("1x1 grid admits no edges")
             return
         grid = _grid(n)
-        grid.check(grid.row(self.edges))
+        grid.check(grid.row(self.edges)[None])
 
     def triangles(self) -> list:
         """All area-1/2 faces; with every edge present they are the faces."""
         grid = _grid(self.n)
         row = grid.row(self.edges)
         ids = np.flatnonzero(row)
-        e, side, a = np.nonzero(_apex_hits(row[None], np.zeros_like(ids), ids, grid))
+        e, side, a = np.nonzero(_hit_planes(_planes(row[None]), ids, grid)[..., 0])
         return sorted({
             tuple(sorted((*grid.segs[i], divmod(w, self.n))))
             for i, w in zip(ids[e].tolist(), grid.apex[ids[e], side, a].tolist())
@@ -288,7 +383,9 @@ def flips_lattice(t: LatticeTriangulation) -> list:
     incident unimodular triangles form a strictly convex quadrilateral, with
     the diagonal swapped."""
     grid = _grid(t.n)
-    ((_, _, removed, inserted, nbrs),) = _flip_keys(_pack(grid.row(t.edges)[None]), grid)
+    keys = _pack(grid.row(t.edges)[None])
+    ((_, state, removed, inserted),) = _flips(keys, grid)
+    nbrs = _flipped(keys[state], removed, inserted)
     return [
         (LatticeTriangulation(t.n, edges), grid.segs[i], grid.segs[j])
         for edges, i, j in zip(grid.edge_lists(nbrs), removed.tolist(), inserted.tolist())
@@ -332,12 +429,18 @@ def enumerate_lattice(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> LatticeFlip
     A grid side above LATTICE_ENUM_CAP, or more than `cap` states, raise
     EnumerationTooLargeError before anything is built.
 
-    The search runs level by level on packed states and flips each state
-    once, keeping each flip's (removed, inserted) ids.  In an undirected
-    graph a neighbour of level d lies on level d - 1, d or d + 1, so each
-    new level is its sorted unique neighbours minus the previous and current
-    levels.  The found states are sorted once; then, FLIP_CHUNK vertices at
-    a time, each neighbour is rebuilt from its flip and looked up among them."""
+    The search runs level by level and flips each state once, keeping each
+    flip's (removed, inserted) ids.  A state's key is the XOR of
+    `grid.zobrist` over its edges, so a flip's key is its parent's key XOR
+    the words of the two edges it swaps.  In an undirected graph a
+    neighbour of level d lies on level d - 1, d or d + 1, so each new level
+    is its unique neighbour keys minus those of the previous and current
+    levels, each built from one of its flips; the level's keys stay sorted,
+    and every flip's target id is looked up among the three.  The found
+    states are sorted once by packed state; then, FLIP_CHUNK vertices at a
+    time, each neighbour is rebuilt from its flip and must equal the state
+    its key resolved to, so a key collision raises StructureMismatchError
+    instead of merging two states."""
     if n < 1:
         raise InvalidParameterError("grid side must be >= 1")
     if n > LATTICE_ENUM_CAP:
@@ -345,38 +448,56 @@ def enumerate_lattice(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> LatticeFlip
     if LATTICE_COUNTS[n] > cap:
         raise EnumerationTooLargeError(LATTICE_COUNTS[n], cap)
     grid = _grid(n)
-    cur = _pack(grid.row(canonical_lattice_triangulation(n).edges)[None])
-    levels, degs, flips = [], [], []
-    prev = _row_keys(cur)  # the start level stands in for the level before it
+    z = grid.zobrist
+    start = grid.row(canonical_lattice_triangulation(n).edges)
+    cur, key = _pack(start[None]), np.bitwise_xor.reduce(z[start], keepdims=True)
+    base, prev, prev_base = 0, key, 0  # the start level stands in for the level before it
+    levels, degs, flips, targets = [], [], [], []
     while len(cur):
         levels.append(cur)
-        level = []
-        for lo, state, removed, inserted, nbrs in _flip_keys(cur, grid):
-            degs.append(np.bincount(state, minlength=min(FLIP_CHUNK, len(cur) - lo)))
-            # segment ids fit int16 up to LATTICE_ENUM_CAP (86 at n = 4)
-            flips.append(np.stack([removed, inserted], axis=1).astype(np.int16))
-            level.append(_row_keys(nbrs))
-        here = _row_keys(cur)
-        cand = np.unique(np.concatenate(level))
-        new = cand[~(_lookup(prev, cand)[1] | _lookup(here, cand)[1])]
-        prev, cur = here, new.view(np.uint8).reshape(len(new), cur.shape[1])
-    found = np.concatenate(levels)  # in discovery order
+        state, removed, inserted = (np.concatenate(a) for a in zip(*(
+            (lo + s, r, i) for lo, s, r, i in _flips(cur, grid))))
+        degs.append(np.bincount(state, minlength=len(cur)))
+        # segment ids fit int16 up to LATTICE_ENUM_CAP (86 at n = 4)
+        flips.append(np.stack([removed, inserted], axis=1).astype(np.int16))
+        nbr = key[state] ^ z[removed] ^ z[inserted]
+        by_key = np.argsort(nbr)
+        head = np.ones(len(nbr), dtype=bool)
+        head[1:] = nbr[by_key[1:]] != nbr[by_key[:-1]]
+        cand, rep = nbr[by_key[head]], by_key[head]  # one flip per distinct key
+        at_prev, in_prev = _lookup(prev, cand)
+        at_here, in_here = _lookup(key, cand)
+        fresh = ~(in_prev | in_here)
+        ids = np.where(in_prev, prev_base + at_prev, np.where(
+            in_here, base + at_here, base + len(cur) + np.cumsum(fresh) - 1))
+        target = np.empty(len(nbr), dtype=np.int32)
+        target[by_key] = ids[np.cumsum(head) - 1]
+        targets.append(target)
+        rep = rep[fresh]
+        prev, prev_base, base = key, base, base + len(cur)
+        key, cur = cand[fresh], _flipped(cur[state[rep]], removed[rep], inserted[rep])
+    # in discovery order; the per-level lists are dropped to keep the peak down
+    found, deg = np.concatenate(levels), np.concatenate(degs)
+    flips, target = np.concatenate(flips), np.concatenate(targets)
+    del levels, degs, targets
     count = len(found)
     order = np.argsort(_row_keys(found))  # discovery id of each vertex
-    keys, deg, flips = found[order], np.concatenate(degs), np.concatenate(flips)
+    rank = np.empty(count, dtype=np.int64)
+    rank[order] = np.arange(count)
+    keys = found[order]
     first = np.zeros(count + 1, dtype=np.int64)  # flips of discovery id d: first[d]..first[d+1]
     np.cumsum(deg, out=first[1:])
     indptr = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(deg[order], out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
-    sorted_keys = _row_keys(keys)
     for lo in range(0, count, FLIP_CHUNK):
         d = order[lo:lo + FLIP_CHUNK]
         at = _ranges(first[d], first[d + 1])
         src = np.repeat(np.arange(lo, lo + len(d)), deg[d])
-        nbrs = _flipped(found[order[src]], flips[at, 0], flips[at, 1])
-        dst = np.searchsorted(sorted_keys, _row_keys(nbrs))
-        indices[indptr[lo]:indptr[lo + len(d)]] = np.sort(src * count + dst) % count
+        dst = target[at]
+        if not np.array_equal(_flipped(keys[src], flips[at, 0], flips[at, 1]), found[dst]):
+            raise StructureMismatchError("a flip's key resolved to a different state")
+        indices[indptr[lo]:indptr[lo + len(d)]] = np.sort(src * count + rank[dst]) % count
     return LatticeFlipGraph(n, keys, indptr, indices)
 
 
@@ -558,15 +679,15 @@ def product_subgraph(
         rows = np.tile(forced, (len(part), 1))
         for ids, s in zip(placed, part.T):
             rows[:, ids] |= sub_rows[s]
-        for row in rows:
-            grid.check(row)
+        grid.check(rows)
         keys.append(_pack(rows))
     keys = np.concatenate(keys)
     # adjacency from actual flips restricted to the subgraph
     order = np.argsort(_row_keys(keys))
     sorted_keys = _row_keys(keys[order])
     indptr, parts = np.zeros(count + 1, dtype=np.int64), []
-    for lo, state, removed, _, nbrs in _flip_keys(keys, grid):
+    for lo, state, removed, inserted in _flips(keys, grid):
+        nbrs = _flipped(keys[lo + state], removed, inserted)
         at, inside = _lookup(sorted_keys, _row_keys(nbrs))
         if forced[removed[inside]].any():
             raise StructureMismatchError("an internal flip removed a constrained edge")

@@ -5,12 +5,17 @@ int bitmask over the grid's primitive segments in lexicographic order, each
 interior edge's flip decision is memoized on the state's apex-candidate
 edges around it, and the graph index is a `{mask: id}` dict.  The package's
 batched routine must give the same vertex order, adjacency and flip lists.
+
+`gather_flips` is the earlier batched routine on the package's `_Grid`
+tables: one fancy-index gather per (state, interior edge, side, apex, leg).
 """
 
 from functools import lru_cache, reduce
 from itertools import combinations, compress
 from math import gcd
 from operator import or_
+
+import numpy as np
 
 
 def _cross(o, a, b) -> int:
@@ -129,3 +134,25 @@ def enumerate_graph(n: int, start_edges) -> tuple:
         rank[found[mask]] = r
     adj = [sorted(rank[j] for j in rows[found[mask]]) for mask in order]
     return [g.edges(mask) for mask in order], adj
+
+
+def gather_flips(rows, grid) -> tuple:
+    """(state, removed id, inserted id) of every flip of the bool state rows,
+    by state and then by removed edge, read off `grid.legs` and
+    `grid.inserted` with one gather per leg.  A present interior edge that
+    does not bound exactly one face on each side raises ValueError naming it."""
+    state, j = np.nonzero(rows[:, grid.interior])
+    edge = grid.interior[j]
+    padded = np.zeros((len(rows), grid.size + 1), dtype=bool)
+    padded[:, :-1] = rows
+    at = grid.legs[edge] + (state * (grid.size + 1))[:, None, None, None]
+    legs = padded.ravel()[at]
+    hits = legs[..., 0] & legs[..., 1]  # (flip, side, apex slot)
+    faces = hits.sum(axis=2)
+    bad = (faces != 1).any(axis=1)
+    if bad.any():
+        raise ValueError(f"edge {grid.segs[edge[bad.argmax()]]} does not bound two faces")
+    slot = hits.argmax(axis=2)
+    new = grid.inserted[edge, slot[:, 0], slot[:, 1]]
+    keep = new >= 0
+    return state[keep], edge[keep], new[keep]

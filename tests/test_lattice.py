@@ -5,19 +5,25 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_lattice import enumerate_graph as reference_graph
 from reference_lattice import flip_moves as reference_moves
+from reference_lattice import gather_flips
 from reference_lattice import grid as reference_grid
 
-from flipwalk.errors import EnumerationTooLargeError, InvalidParameterError
+from flipwalk.errors import EnumerationTooLargeError, InvalidParameterError, StructureMismatchError
 from flipwalk.lattice import (
+    _WORD,
     LATTICE_COUNTS,
     LatticeTriangulation,
-    _flip_batch,
+    _flip_planes,
+    _flips,
     _grid,
+    _planes,
+    _sums_to,
     _unpack,
     _cross,
     _segments_cross,
@@ -288,9 +294,16 @@ def test_random_flip_walk_stays_valid_and_symmetric(steps, rnd):
         t = nxt
 
 
+def _kernel_flips(keys, grid) -> list:
+    """(state, removed, inserted) of every flip, from the plane kernel run
+    FLIP_CHUNK states at a time."""
+    return [(lo + s, i, j) for lo, state, removed, inserted in _flips(keys, grid)
+            for s, i, j in zip(state.tolist(), removed.tolist(), inserted.tolist())]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_batched_flips_match_reference(n):
-    """The batched routine against the per-state one in
+    """The plane kernel against the per-state routine in
     tests/reference_lattice.py: the same vertices in the same order, the
     same adjacency, and every state's (removed, inserted) flips in order."""
     g = enumerate_lattice(n)
@@ -300,10 +313,103 @@ def test_batched_flips_match_reference(n):
     assert g.num_vertices == len(vertices) == LATTICE_COUNTS[n]
     assert grid.edge_lists(g.keys) == vertices
     assert g.adj == adj
-    state, removed, inserted = _flip_batch(_unpack(g.keys, grid.size), grid)
     want = [(s, i, j) for s, edges in enumerate(vertices)
             for _, i, j in reference_moves(ref.mask(edges), ref)]
-    assert list(zip(state.tolist(), removed.tolist(), inserted.tolist())) == want
+    assert _kernel_flips(g.keys, grid) == want
+
+
+def test_kernel_matches_gather_routine_on_product_states():
+    """The plane kernel against the earlier gather routine (kept in
+    tests/reference_lattice.py) on every product_subgraph(6, 2) state."""
+    keys = product_subgraph(6, 2).keys
+    grid = _grid(6)
+    state, removed, inserted = gather_flips(_unpack(keys, grid.size), grid)
+    want = list(zip(state.tolist(), removed.tolist(), inserted.tolist()))
+    assert _kernel_flips(keys, grid) == want
+
+
+@pytest.mark.parametrize("row, edge", [(0, 0), (5, 3), (70, 10), (70, 40), (99, 73)])
+def test_corrupted_row_names_the_same_edge(row, edge):
+    """A row with one interior edge removed, among 100 good n = 4 rows (two
+    plane words): the kernel raises on the same edge as the gather routine."""
+    grid = _grid(4)
+    rows = _unpack(enumerate_lattice(4).keys[:100], grid.size)
+    present = np.intersect1d(np.flatnonzero(rows[row]), grid.interior)
+    rows[row, present[edge % len(present)]] = False
+    with pytest.raises(ValueError) as old:
+        gather_flips(rows, grid)
+    with pytest.raises(StructureMismatchError) as new:
+        _flip_planes(_planes(rows), len(rows), grid)
+    assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_key_collision_raises(n, monkeypatch):
+    """With the removed and inserted edges of the canonical state's first
+    flip sharing one key word, that flip's key equals its parent's: the
+    exact arc check must raise rather than return a merged graph."""
+    grid = _grid(n)
+    ((nbr, removed, inserted), *_) = flips_lattice(canonical_lattice_triangulation(n))
+    z = grid.zobrist.copy()
+    z[grid.ids[inserted]] = z[grid.ids[removed]]
+    monkeypatch.setattr(grid, "zobrist", z)
+    with pytest.raises(StructureMismatchError, match="resolved to a different state"):
+        enumerate_lattice(n)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 64, 100])
+def test_sums_to_counts_set_planes(count):
+    """The bit-sliced plane sum against numpy's per-state count, for every
+    total from 0 to one past the number of planes."""
+    rng = np.random.default_rng(count)
+    planes = rng.integers(0, 1 << 63, size=(count, 3), dtype=np.uint64).astype(_WORD)
+    planes[: count // 3] = ~np.zeros(3, dtype=_WORD)  # some counts reach the top
+    per_state = np.unpackbits(planes.view(np.uint8), axis=1, bitorder="little").sum(axis=0)
+    for total in range(count + 2):
+        got = np.unpackbits(_sums_to(planes, total).view(np.uint8), bitorder="little")
+        assert (got == (per_state == total)).all()
+
+
+def _swap(edges, out, into):
+    return tuple(sorted([e for e in edges if e != out] + ([into] if into else [])))
+
+
+_C3 = canonical_lattice_triangulation(3).edges
+_DEFECTS = {  # a row per check, each passing every earlier check
+    "count": (_swap(_C3, ((0, 1), (1, 0)), None), "expected 16 edges, got 15"),
+    "hull": (_swap(_C3, ((0, 0), (1, 0)), ((0, 0), (1, 1))), "missing hull edge ((0, 0), (1, 0))"),
+    "crossing": (_swap(_C3, ((1, 1), (2, 0)), ((0, 0), (1, 1))),
+                 "edges ((0, 0), (1, 1)) and ((0, 1), (1, 0)) cross"),
+    "faces": (_C3, "face count is not 2(n-1)^2"),
+}
+
+
+@pytest.mark.parametrize("first", sorted(_DEFECTS))
+def test_batched_check_names_the_first_bad_row(first, monkeypatch):
+    """A 69-row chunk of n = 3 rows holding one row of each defect kind
+    raises the per-row message of its first bad row.
+
+    A row that passes the edge count, hull and crossing tests is a full
+    triangulation, so the face count is reached by blinding the leg table
+    for the triangle (0,0) (1,0) (0,1); the good rows avoid that triangle,
+    and the "faces" row (the canonical state) holds it."""
+    grid = _grid(3)
+    good = [grid.row(v.edges) for v in enumerate_lattice(3).vertices
+            if ((0, 1), (1, 0)) not in v.edges]
+    legs = grid.legs.copy()
+    cut = grid.ids[((0, 1), (1, 0))]
+    ((side, slot),) = np.argwhere((grid.apex[cut] == 0) & (grid.legs[cut, ..., 0] < grid.size))
+    legs[cut, side, slot, 0] = grid.size
+    monkeypatch.setattr(grid, "legs", legs)
+    kinds = [first] + [k for k in sorted(_DEFECTS) if k != first]
+    rows = good[:20] + [grid.row(_DEFECTS[k][0]) for k in kinds] + good * 2
+    rows = np.array(rows[:69])
+    grid.check(np.array(good * 3))
+    for k in kinds:
+        with pytest.raises(InvalidParameterError, match=re.escape(_DEFECTS[k][1])):
+            grid.check(grid.row(_DEFECTS[k][0])[None])
+    with pytest.raises(InvalidParameterError, match=re.escape(_DEFECTS[first][1])):
+        grid.check(rows)
 
 
 def _block_coords(t, block, sub_states):
