@@ -18,7 +18,7 @@ from .errors import (
     LemmaViolationError,
     StructureMismatchError,
 )
-from .graph import FLIP_CHUNK, _lookup, _row_keys, product_graph
+from .graph import FLIP_CHUNK, _lookup, _row_keys, graph_from_arcs, product_graph
 from .kangulation import (
     FlipGraph,
     _enumerate_rows,
@@ -297,12 +297,10 @@ def boundary_projection(partition: ClassPartition, a: int, b: int):
         )
     apexes = _local_apex(factor_n)
     on_side = apexes[np.array(ca.coords)[:, factor_index]] == sub_apex
-    wanted = set(np.array(ca.member_indices)[on_side].tolist())
-    vc = partition.vertex_class
-    actual = {
-        u for u in ca.member_indices for w in g.adj[u] if vc[w] == b
-    }
-    if wanted != actual:
+    members = np.array(ca.member_indices)
+    src, dst = g.arcs(members)
+    actual = set(src[np.isin(dst, cb.member_indices)].tolist())
+    if set(members[on_side].tolist()) != actual:
         raise StructureMismatchError(
             f"boundary of class {a} toward {b} is not the lift of sub-class "
             f"apex {sub_apex} in factor {factor_index}"
@@ -324,13 +322,16 @@ def verify_class_product_structure(partition: ClassPartition) -> None:
     canonical order the coordinates index, and the fold indexes coordinate
     tuples lexicographically.
     """
-    g = partition.graph
+    src, dst = partition.graph.arcs()
     for ci, c in enumerate(partition.classes):
-        order = [v for _, v in sorted(zip(c.coords, c.member_indices))]
-        pos = {v: i for i, v in enumerate(order)}
-        induced = [sorted(pos[w] for w in g.adj[v] if w in pos) for v in order]
+        # members by coordinate tuple (lexsort's last key is its first)
+        order = np.array(c.member_indices)[np.lexsort(np.array(c.coords).T[::-1])]
+        pos = np.full(partition.graph.num_vertices, -1)
+        pos[order] = np.arange(c.size)
+        inside = (pos[src] >= 0) & (pos[dst] >= 0)
+        induced = graph_from_arcs(c.size, pos[src[inside]], pos[dst[inside]]).csr()
         factors = [build_flip_graph(k, max(ni, 1)) for k, ni in c.cartesian_factors]
-        if induced != reduce(product_graph, factors).adj:
+        if not all(map(np.array_equal, induced, reduce(product_graph, factors).csr())):
             raise StructureMismatchError(
                 f"class {ci} does not induce the product of its factor flip graphs"
             )

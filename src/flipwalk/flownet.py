@@ -27,7 +27,7 @@ from .flows import (
     scaled,
     summable,
 )
-from .graph import Graph, _ranges, product_graph
+from .graph import _ranges, graph_from_arcs, product_graph
 from .kangulation import build_flip_graph
 
 
@@ -533,14 +533,12 @@ def projection_restriction_combine(graph, classes: list) -> ProjectionRestrictio
     """
     n_verts = graph.num_vertices
     delta = graph.degree
-    vclass = {}
-    for ci, cls in enumerate(classes):
-        for v in cls:
-            if v in vclass:
-                raise InvalidParameterError(f"vertex {v} in two classes")
-            vclass[v] = ci
-    if len(vclass) != n_verts:
+    members = [v for cls in classes for v in cls]
+    if sorted(members) != list(range(n_verts)):
         raise InvalidParameterError("classes do not partition the vertices")
+    vc = np.empty(n_verts, dtype=np.int64)
+    vc[members] = np.repeat(np.arange(len(classes)), list(map(len, classes)))
+    vclass = vc.tolist()
     q_edge = Fraction(1, 2 * delta * n_verts)
 
     # restriction flows: canonical BFS paths inside each class; within[arc]
@@ -580,7 +578,8 @@ def projection_restriction_combine(graph, classes: list) -> ProjectionRestrictio
         if ci != cj:
             cross_edges.setdefault((ci, cj), []).append((i, j))
             cross_edges.setdefault((cj, ci), []).append((j, i))
-    quotient = Graph([sorted({b for (a, b) in cross_edges if a == ci}) for ci in range(k)])
+    pairs = np.array(list(cross_edges), dtype=np.int64).reshape(-1, 2)
+    quotient = graph_from_arcs(k, pairs[:, 0], pairs[:, 1])
     qtrees = {i: quotient.bfs_tree(i) for i in range(k)}
     pi_bar = [Fraction(len(cls), n_verts) for cls in classes]
     fbar: dict = {}
@@ -602,10 +601,9 @@ def projection_restriction_combine(graph, classes: list) -> ProjectionRestrictio
         rho_bar = max(rho_bar, val / qbar)
 
     # gamma: worst escape probability
-    gamma = Fraction(0)
-    for v in range(n_verts):
-        ext = sum(1 for w in graph.adj[v] if vclass[w] != vclass[v])
-        gamma = max(gamma, Fraction(ext, 2 * delta))
+    src, dst = graph.arcs()
+    ext = np.bincount(src[vc[src] != vc[dst]], minlength=n_verts)
+    gamma = Fraction(int(ext.max()), 2 * delta)
 
     # within-class demands pi(z) pi(u) = 1/N^2, routed on the restriction paths
     pieces = [(ArcFlow(n_verts * n_verts, within), 1)]

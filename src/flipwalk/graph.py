@@ -1,12 +1,11 @@
 """The one undirected graph type behind flip graphs, lattice flip graphs and
-Cartesian products: sorted adjacency lists or CSR arrays.
+Cartesian products, held as CSR arrays.
 
-A graph is built from either form and derives the other on first use.
-Python loops (walks, flows, class decompositions, the BFS tree) read `adj`
-one vertex at a time, which is faster on lists than on CSR slices; the
-numpy/scipy consumers, the edge list, the JSON export and `sweep`, the one
-array traversal (connectivity and eccentricities), read the CSR arrays.
-The state modules' shared array helpers live here too.
+A graph is the pair (indptr, indices) of read-only int32 arrays, each row
+sorted; nothing else is stored.  Every reader walks those arrays: the edge
+list, the JSON export, the BFS tree, `sweep` (the one array traversal:
+connectivity and eccentricities) and the numpy Kronecker-sum product.  The
+state modules' shared array helpers live here too.
 """
 
 from __future__ import annotations
@@ -80,49 +79,42 @@ def sweep(graph, starts) -> tuple:
 
 
 class Graph:
-    """Undirected graph on 0..N-1, from sorted adjacency lists `adj` or from
-    CSR arrays `csr=(indptr, indices)` with each row sorted.
+    """Undirected graph on 0..N-1 from CSR arrays, each row sorted: vertex
+    v's neighbours are indices[indptr[v]:indptr[v + 1]]."""
 
-    `coords` optionally holds a coordinate tuple per vertex (product graphs).
-    """
-
-    def __init__(self, adj: list | None = None, coords: list | None = None,
-                 *, csr: tuple | None = None):
-        self._adj = adj
-        self._csr = None if csr is None else tuple(map(_frozen_int32, csr))
-        self.coords = coords
-
-    @property
-    def adj(self) -> list:
-        """Sorted neighbour list per vertex, built from the CSR on first use."""
-        if self._adj is None:
-            indptr, indices = self._csr
-            flat, bounds = indices.tolist(), indptr.tolist()
-            self._adj = [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        return self._adj
+    def __init__(self, indptr, indices):
+        self._csr = (_frozen_int32(indptr), _frozen_int32(indices))
 
     @property
     def num_vertices(self) -> int:
-        return len(self._adj) if self._csr is None else self._csr[0].size - 1
+        return self._csr[0].size - 1
 
     @property
     def degree(self) -> int:
         """Maximum degree."""
-        if self._csr is None:
-            return max(map(len, self._adj), default=0)
         return int(np.diff(self._csr[0]).max(initial=0))
 
     def num_edges(self) -> int:
-        if self._csr is None:
-            return sum(map(len, self._adj)) // 2
         return int(self._csr[0][-1]) // 2
+
+    def csr(self) -> tuple:
+        """(indptr, indices) as read-only int32 arrays."""
+        return self._csr
+
+    def arcs(self, vertices=None) -> tuple:
+        """(source, target) of every arc out of `vertices`, an int array
+        (every vertex by default), in its order and then by target."""
+        indptr, indices = self._csr
+        if vertices is None:
+            return np.repeat(np.arange(self.num_vertices, dtype=np.int32), np.diff(indptr)), indices
+        lo, hi = indptr[vertices], indptr[vertices + 1]
+        return np.repeat(vertices, hi - lo), indices[_ranges(lo, hi)]
 
     def _edge_array(self) -> np.ndarray:
         """(E, 2) array of the edges (i, j), i < j, by i and then j."""
-        indptr, indices = self.csr()
-        src = np.repeat(np.arange(self.num_vertices, dtype=np.int32), np.diff(indptr))
-        keep = src < indices
-        return np.stack([src[keep], indices[keep]], axis=1)
+        src, dst = self.arcs()
+        keep = src < dst
+        return np.stack([src[keep], dst[keep]], axis=1)
 
     def edges(self):
         """The edges (i, j), i < j, by i and then j."""
@@ -130,37 +122,29 @@ class Graph:
 
     def bfs_tree(self, root: int, allowed=None) -> dict:
         """BFS parent map from root, optionally inside the vertex set
-        `allowed`; keys are in BFS order and each level is processed in
-        sorted order, so a vertex's parent is its smallest neighbour on the
-        previous level."""
-        adj = self.adj
+        `allowed`; keys are in BFS order.  Each level is processed in sorted
+        order, so a vertex's parent is its smallest neighbour on the
+        previous level, and a level's keys follow (parent, vertex) order."""
+        seen = np.full(self.num_vertices, allowed is not None)
+        if allowed is not None:
+            seen[list(allowed)] = False
+        seen[root] = True
         parent = {root: None}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in parent and (allowed is None or w in allowed):
-                        parent[w] = v
-                        nxt.append(w)
-            frontier = sorted(nxt)
+        frontier = np.array([root])
+        while frontier.size:
+            src, dst = self.arcs(frontier)
+            new = ~seen[dst]
+            src, dst = src[new], dst[new]
+            # a vertex's first arc comes from its smallest neighbour on this level
+            frontier, first = np.unique(dst, return_index=True)
+            first.sort()
+            parent.update(zip(dst[first].tolist(), src[first].tolist()))
+            seen[frontier] = True
         return parent
 
     def is_connected(self) -> bool:
-        """`sweep` from vertex 0 on the CSR arrays."""
+        """`sweep` from vertex 0."""
         return not self.num_vertices or bool(sweep(self, [0])[1][0])
-
-    def csr(self) -> tuple:
-        """(indptr, indices) as read-only int32 arrays, built on first use."""
-        if self._csr is None:
-            n = self.num_vertices
-            indptr = np.zeros(n + 1, dtype=np.int32)
-            np.cumsum(np.fromiter(map(len, self.adj), np.int64, count=n), out=indptr[1:])
-            indices = np.fromiter(
-                (j for nbrs in self.adj for j in nbrs), np.int32, count=int(indptr[-1])
-            )
-            self._csr = (_frozen_int32(indptr), _frozen_int32(indices))
-        return self._csr
 
     def to_json_dict(self) -> dict:
         return {"edges": self._edge_array().tolist()}
@@ -177,15 +161,21 @@ class Graph:
         return "\n".join(lines)
 
 
+def graph_from_arcs(n: int, src, dst) -> Graph:
+    """The graph on 0..n-1 whose row v holds the target of every arc out of
+    v, sorted; each undirected edge must be given as both of its arcs.  One
+    sort of the int64 keys src * n + dst orders the arcs by row and target."""
+    key = np.sort(np.asarray(src, dtype=np.int64) * n + dst)
+    return Graph(np.searchsorted(key, np.arange(n + 1) * n), key % n)
+
+
 def product_graph(g, h) -> Graph:
-    """Cartesian product G box H; vertex (x, y) has index x * |V(H)| + y."""
+    """Cartesian product G box H, as a Kronecker sum: vertex (x, y) has
+    index x * |V(H)| + y, and its row holds x' * |V(H)| + y for each
+    neighbour x' of x and x * |V(H)| + y' for each neighbour y' of y."""
     nh = h.num_vertices
-    adj = []
-    coords = []
-    for x in range(g.num_vertices):
-        for y in range(nh):
-            nbrs = [x * nh + y2 for y2 in h.adj[y]]
-            nbrs += [x2 * nh + y for x2 in g.adj[x]]
-            adj.append(sorted(nbrs))
-            coords.append((x, y))
-    return Graph(adj, coords)
+    (gx, gx2), (hy, hy2) = g.arcs(), h.arcs()
+    xs, ys = np.arange(g.num_vertices)[:, None] * nh, np.arange(nh)
+    src = np.concatenate([(gx[:, None] * nh + ys).ravel(), (xs + hy).ravel()])
+    dst = np.concatenate([(gx2[:, None] * nh + ys).ravel(), (xs + hy2).ravel()])
+    return graph_from_arcs(g.num_vertices * nh, src, dst)

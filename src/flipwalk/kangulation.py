@@ -326,7 +326,7 @@ class FlipGraph(Graph):
     """
 
     def __init__(self, k: int, n: int, rows: np.ndarray, indptr, indices):
-        super().__init__(csr=(indptr, indices))
+        super().__init__(indptr, indices)
         self.k, self.n, self.m = k, n, polygon_size(k, n)
         self.rows = rows
 

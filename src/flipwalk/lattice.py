@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations, compress, product
+from itertools import combinations, compress
 from math import gcd
 
 import numpy as np
 
 from .errors import EnumerationTooLargeError, InvalidParameterError, StructureMismatchError
-from .graph import FLIP_CHUNK, Graph, _lookup, _ranges, _row_keys, product_graph
+from .graph import FLIP_CHUNK, Graph, _lookup, _ranges, _row_keys, graph_from_arcs, product_graph
 from .kangulation import DEFAULT_ENUMERATION_CAP
 
 LATTICE_ENUM_CAP = 4  # grids beyond 4x4 points explode
@@ -394,12 +394,16 @@ def flips_lattice(t: LatticeTriangulation) -> list:
 
 class LatticeFlipGraph(Graph):
     """Flip graph of n x n lattice triangulations (or a subgraph of it),
-    held as CSR arrays; vertex i is row i of `keys`, its packed state."""
+    held as CSR arrays; vertex i is row i of `keys`, its packed state.  A
+    product subgraph also has `coords`, an (N, blocks) int array whose row i
+    holds vertex i's index in each block's flip graph."""
 
-    def __init__(self, n: int, keys: np.ndarray, indptr, indices, coords: list | None = None):
-        super().__init__(coords=coords, csr=(indptr, indices))
+    def __init__(self, n: int, keys: np.ndarray, indptr, indices,
+                 coords: np.ndarray | None = None):
+        super().__init__(indptr, indices)
         self.n = n
         self.keys = keys
+        self.coords = coords
 
     @cached_property
     def vertices(self) -> list:
@@ -644,7 +648,9 @@ def product_subgraph(
 ) -> LatticeFlipGraph:
     """Subgraph of F_n induced by triangulations extending the fixed block
     partial triangulation: isomorphic to the Cartesian product of the
-    per-block flip graphs, verified by explicit coordinates.
+    per-block flip graphs, verified by explicit coordinates.  A flip that
+    removes a forced edge leaves the subgraph, so it is dropped before its
+    neighbour is built; every other flip must land inside.
 
     Before anything is built, a grid side above LATTICE_GRID_CAP, a block
     above LATTICE_ENUM_CAP, or more than `cap` states,
@@ -672,33 +678,30 @@ def product_subgraph(
         for ox in range(0, n, block)
         for oy in range(0, n, block)
     ]
-    coords = list(product(range(sub.num_vertices), repeat=len(placed)))
+    # coordinate rows in lexicographic order, the order the left fold indexes
+    place = sub.num_vertices ** np.arange(len(placed) - 1, -1, -1)
+    coords = (np.arange(count)[:, None] // place % sub.num_vertices).astype(np.int32)
     keys = []
     for lo in range(0, count, FLIP_CHUNK):
-        part = np.array(coords[lo:lo + FLIP_CHUNK]).reshape(-1, len(placed))
-        rows = np.tile(forced, (len(part), 1))
-        for ids, s in zip(placed, part.T):
+        rows = np.tile(forced, (min(FLIP_CHUNK, count - lo), 1))
+        for ids, s in zip(placed, coords[lo:lo + FLIP_CHUNK].T):
             rows[:, ids] |= sub_rows[s]
         grid.check(rows)
         keys.append(_pack(rows))
     keys = np.concatenate(keys)
-    # adjacency from actual flips restricted to the subgraph
+    # adjacency from the flips of free edges, each of which must stay inside
     order = np.argsort(_row_keys(keys))
     sorted_keys = _row_keys(keys[order])
-    indptr, parts = np.zeros(count + 1, dtype=np.int64), []
+    src, dst = [], []
     for lo, state, removed, inserted in _flips(keys, grid):
-        nbrs = _flipped(keys[lo + state], removed, inserted)
-        at, inside = _lookup(sorted_keys, _row_keys(nbrs))
-        if forced[removed[inside]].any():
-            raise StructureMismatchError("an internal flip removed a constrained edge")
-        state, dst = state[inside], order[at[inside]]
-        hi = min(lo + FLIP_CHUNK, count)
-        indptr[lo + 1:hi + 1] = np.bincount(state, minlength=hi - lo)
-        parts.append(np.sort((state + lo) * count + dst) % count)
-    np.cumsum(indptr, out=indptr)
-    indices = np.concatenate(parts)
-    # the left fold indexes coordinates in the same lexicographic order
-    want = reduce(product_graph, [sub] * len(placed)).csr()
-    if not (np.array_equal(indptr, want[0]) and np.array_equal(indices, want[1])):
+        free = ~forced[removed]
+        state, removed, inserted = state[free], removed[free], inserted[free]
+        at, inside = _lookup(sorted_keys, _row_keys(_flipped(keys[lo + state], removed, inserted)))
+        if not inside.all():
+            raise StructureMismatchError("a flip of a free edge left the product subgraph")
+        src.append(lo + state)
+        dst.append(order[at])
+    got = graph_from_arcs(count, np.concatenate(src), np.concatenate(dst)).csr()
+    if not all(map(np.array_equal, got, reduce(product_graph, [sub] * len(placed)).csr())):
         raise StructureMismatchError("induced flips do not match the product adjacency")
-    return LatticeFlipGraph(n, keys, indptr, indices, coords)
+    return LatticeFlipGraph(n, keys, *got, coords)

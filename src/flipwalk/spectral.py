@@ -263,12 +263,12 @@ class CutReport:
 def brute_force_expansion(graph) -> CutReport:
     """Exact minimizer of |dS|/|S| over nonempty S with |S| <= |V|/2."""
     n = graph.num_vertices
+    if n < 2:
+        raise InvalidParameterError(f"{n} vertices have no cut to expand")
     if n > 24:
         raise InvalidParameterError(f"{n} vertices is too large for brute force")
-    masks = [0] * n
-    for i, nbrs in enumerate(graph.adj):
-        for j in nbrs:
-            masks[i] |= 1 << j
+    bounds, flat = (a.tolist() for a in graph.csr())
+    masks = [sum(1 << j for j in flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     full = (1 << n) - 1
     best = None
     for s in range(1, 1 << n):
@@ -375,6 +375,10 @@ def sample_walk(graph, steps: int, seed: int, start: int, thin: int = 1) -> dict
     """
     if start < 0 or start >= graph.num_vertices:
         raise InvalidParameterError(f"invalid start vertex {start}")
+    if steps < 0:
+        raise InvalidParameterError(f"steps must be >= 0, got {steps}")
+    if thin < 1:
+        raise InvalidParameterError(f"thin must be >= 1, got {thin}")
     delta = graph.degree
     if delta < 1:
         raise InvalidParameterError("graph has no edges; the walk cannot move")
@@ -384,12 +388,12 @@ def sample_walk(graph, steps: int, seed: int, start: int, thin: int = 1) -> dict
     state = start
     counts[state] += 1
     if steps:
-        coins = rng.integers(0, 2 * delta, size=steps)
-        for i in range(steps):
-            move = int(coins[i])
-            nbrs = graph.adj[state]
-            if move < len(nbrs):
-                state = nbrs[move]
+        coins = rng.integers(0, 2 * delta, size=steps).tolist()
+        indptr, indices = (a.tolist() for a in graph.csr())
+        for i, coin in enumerate(coins):
+            at = indptr[state] + coin
+            if at < indptr[state + 1]:
+                state = indices[at]
             # else: lazy hold (covers the coin's tails half and any
             # missing moves of an irregular vertex)
             if (i + 1) % thin == 0:

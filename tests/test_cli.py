@@ -262,15 +262,18 @@ def test_lattice_cap_and_block_exit_codes(tmp_path, monkeypatch, capsys, flags, 
 
 
 def test_lattice_and_flow_import_no_scipy(tmp_path):
-    """`lattice`, `flow` and the diameter never load scipy: importing it
-    alone costs about 0.12 s, more than `lattice --n 3` itself.  Nor do
-    they load numpy.random, which raises a `lattice --n 4` call's peak RSS
-    by about 6 MB (the lattice keys come from a fixed splitmix64 table)."""
+    """`lattice` (with and without a `--block` product), `flow` and the
+    diameter never load scipy: importing it alone costs about 0.12 s, more
+    than `lattice --n 3` itself.  Nor do they load numpy.random, which
+    raises a `lattice --n 4` call's peak RSS by about 6 MB (the lattice keys
+    come from a fixed splitmix64 table)."""
     script = (
         "import contextlib, io, sys\n"
         "from flipwalk.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main(['--command', 'lattice', '--n', '3', '--out', {str(tmp_path)!r}]) == 0\n"
+        f"    assert main(['--command', 'lattice', '--n', '4', '--block', '2',"
+        f" '--out', {str(tmp_path)!r}]) == 0\n"
         f"    assert main(['--command', 'flow', '--n', '5', '--out', {str(tmp_path)!r}]) == 0\n"
         "from flipwalk.kangulation import build_flip_graph, diameter\n"
         "assert diameter(build_flip_graph(3, 6)) == 7\n"

@@ -6,6 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from reference_graph import adjacency_lists, graph_from_lists
 
 from flipwalk.combinatorics import catalan
 from flipwalk.decomposition import (
@@ -20,7 +21,6 @@ from flipwalk.decomposition import (
     verify_matching_inequality,
 )
 from flipwalk.errors import InvalidParameterError, StructureMismatchError
-from flipwalk.graph import Graph
 from flipwalk.kangulation import build_flip_graph
 
 
@@ -184,11 +184,11 @@ def test_class_product_structure_rejects_dropped_edge(build, k, n):
     part = build(_graph(k, n))
     vc = part.vertex_class
     i, j = next((i, j) for i, j in part.graph.edges() if vc[i] == vc[j])
-    adj = [list(nbrs) for nbrs in part.graph.adj]
+    adj = adjacency_lists(part.graph)
     adj[i].remove(j)
     adj[j].remove(i)
     with pytest.raises(StructureMismatchError):
-        verify_class_product_structure(dataclasses.replace(part, graph=Graph(adj)))
+        verify_class_product_structure(dataclasses.replace(part, graph=graph_from_lists(adj)))
 
 
 def test_boundary_projection_all_pairs_k5():

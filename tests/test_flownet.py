@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_graph import graph_from_lists
 
 from flipwalk import flownet
 from flipwalk.combinatorics import catalan
@@ -32,7 +33,6 @@ from flipwalk.flows import (
     congestion_report,
     expansion_lower_bound,
 )
-from flipwalk.graph import Graph
 from flipwalk.kangulation import build_flip_graph
 from flipwalk.spectral import build_chain, cheeger_bounds, shortest_side_cut
 
@@ -313,7 +313,7 @@ def test_cartesian_respects_max_factor_congestion():
 def test_cartesian_single_vertex_factor_is_identity():
     g4 = _graph(3, 4)
     f4 = aggregate_flow(4)
-    point = Graph([[]])
+    point = graph_from_lists([[]])
     flow, prod = cartesian_flow_combine([f4, ArcFlow()], [g4, point])
     assert prod.num_vertices == 14
     assert _reduced(flow) == _reduced(f4)
@@ -358,7 +358,7 @@ def _toy_chain(joins):
     for u, v in joins:
         adj[u].append(v)
         adj[v].append(u)
-    return Graph([sorted(a) for a in adj])
+    return graph_from_lists([sorted(a) for a in adj])
 
 
 _TOY_JOINS = {"toy-1": [(0, 4)], "toy-4": [(0, 4), (1, 5), (2, 6), (3, 7)]}

@@ -1,14 +1,21 @@
-"""The shared graph type: BFS tree rule, connectivity, CSR view."""
+"""The shared graph type: BFS tree rule, connectivity, CSR arrays, and the
+Kronecker-sum product against list references."""
+
+from functools import reduce
 
 import numpy as np
 import pytest
 from reference_flips import eccentricities as reference_eccentricities
+from reference_graph import adjacency_lists, bfs_tree_lists, graph_from_lists, product_lists
 
-from flipwalk.graph import Graph
+from flipwalk.decomposition import oriented_partition
+from flipwalk.graph import Graph, graph_from_arcs, product_graph
+from flipwalk.kangulation import build_flip_graph
 from flipwalk.lattice import enumerate_lattice
 
 # a 6-cycle 0-4-2-3-1-5-0: BFS from 0 discovers 2 before 1 on level two
-HEXAGON = Graph([[4, 5], [3, 5], [3, 4], [1, 2], [0, 2], [0, 1]])
+HEXAGON_LISTS = [[4, 5], [3, 5], [3, 4], [1, 2], [0, 2], [0, 1]]
+HEXAGON = graph_from_lists(HEXAGON_LISTS)
 
 
 def test_bfs_tree_processes_each_level_in_sorted_order():
@@ -17,13 +24,29 @@ def test_bfs_tree_processes_each_level_in_sorted_order():
     assert HEXAGON.bfs_tree(0, allowed={0, 2, 3, 4}) == {0: None, 4: 0, 2: 4, 3: 2}
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bfs_tree_matches_list_reference(n):
+    """From every vertex of every oriented class at k = 3, inside the class
+    and in the whole graph: the same parents, inserted in the same order."""
+    g = build_flip_graph(3, n)
+    adj = adjacency_lists(g)
+    for c in oriented_partition(g).classes:
+        allowed = set(c.member_indices)
+        for z in c.member_indices:
+            got = g.bfs_tree(z, allowed)
+            assert list(got.items()) == list(bfs_tree_lists(adj, z, allowed).items())
+            got = g.bfs_tree(z)
+            assert list(got.items()) == list(bfs_tree_lists(adj, z).items())
+
+
 def _csgraph_connected(g) -> bool:
     return reference_eccentricities(g, [0])[0] is not None
 
 
 def test_is_connected():
-    assert Graph([]).is_connected()
-    for g, want in [(HEXAGON, True), (Graph([[]]), True), (Graph([[1], [0], []]), False)]:
+    assert graph_from_lists([]).is_connected()
+    for g, want in [(HEXAGON, True), (graph_from_lists([[]]), True),
+                    (graph_from_lists([[1], [0], []]), False)]:
         assert g.is_connected() == _csgraph_connected(g) == want
 
 
@@ -34,32 +57,53 @@ def test_is_connected_matches_csgraph_on_lattice_graphs(n):
     g = enumerate_lattice(n)
     assert g.is_connected() and _csgraph_connected(g)
     last = g.num_vertices - 1
-    cut = Graph([[j for j in nbrs if j != last] for nbrs in g.adj[:-1]] + [[]])
+    cut = graph_from_lists(
+        [[j for j in nbrs if j != last] for nbrs in adjacency_lists(g)[:-1]] + [[]])
     assert cut.is_connected() == _csgraph_connected(cut) == (n == 1)
 
 
 def test_csr_matches_adjacency_and_is_cached():
     indptr, indices = HEXAGON.csr()
     assert indptr.dtype == indices.dtype == np.int32
+    assert not indptr.flags.writeable and not indices.flags.writeable
     assert indptr.tolist() == [0, 2, 4, 6, 8, 10, 12]
-    assert indices.tolist() == [j for nbrs in HEXAGON.adj for j in nbrs]
+    assert indices.tolist() == [j for nbrs in HEXAGON_LISTS for j in nbrs]
     assert HEXAGON.csr()[1] is indices
 
 
-def test_graph_from_csr_matches_graph_from_lists():
-    """A CSR-built graph derives the same lists, counts, edges and JSON."""
-    g = Graph(csr=HEXAGON.csr())
-    assert g._adj is None  # lists are built on first read
-    assert g.num_vertices == 6 and g.degree == 2 and g.num_edges() == 6
-    assert list(g.edges()) == list(HEXAGON.edges())
-    assert g.to_json() == HEXAGON.to_json()
-    assert g.adj == HEXAGON.adj
-    assert g.bfs_tree(0) == HEXAGON.bfs_tree(0)
+def test_list_helpers_round_trip_through_csr():
+    """Lists read back from a graph build the same arrays, counts, edges and
+    JSON, and so does the graph of its arcs."""
+    assert adjacency_lists(HEXAGON) == HEXAGON_LISTS
+    for g in (graph_from_lists(adjacency_lists(HEXAGON)), Graph(*HEXAGON.csr()),
+              graph_from_arcs(6, *HEXAGON.arcs()[::-1])):
+        assert all(map(np.array_equal, g.csr(), HEXAGON.csr()))
+        assert g.num_vertices == 6 and g.degree == 2 and g.num_edges() == 6
+        assert list(g.edges()) == list(HEXAGON.edges())
+        assert g.to_json() == HEXAGON.to_json()
+    empty = graph_from_lists([])
+    assert empty.num_vertices == empty.degree == empty.num_edges() == 0
+    assert adjacency_lists(empty) == [] and list(empty.edges()) == []
 
 
-def test_is_connected_reads_the_csr_only():
-    """Connectivity of a CSR-built graph never builds the adjacency lists."""
-    g = Graph(csr=HEXAGON.csr())
-    assert g.is_connected() and g._adj is None
-    split = Graph(csr=Graph([[1], [0], [3], [2]]).csr())
-    assert not split.is_connected() and split._adj is None
+_PRODUCTS = {
+    "lattice(2)^16": lambda: [enumerate_lattice(2)] * 16,
+    "lattice(3)^3": lambda: [enumerate_lattice(3)] * 3,
+    "K(3,5)^3": lambda: [build_flip_graph(3, 5)] * 3,
+    "K(3,5) x point": lambda: [build_flip_graph(3, 5), enumerate_lattice(1)],
+    "point x K(3,4) x point": lambda: [enumerate_lattice(1), build_flip_graph(3, 4),
+                                       enumerate_lattice(1)],
+    "point x point": lambda: [enumerate_lattice(1)] * 2,
+    "K(4,2) x K(3,3)": lambda: [build_flip_graph(4, 2), build_flip_graph(3, 3)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PRODUCTS))
+def test_product_graph_matches_list_reference(case):
+    """The Kronecker-sum product, folded left, against the sorted-list
+    product: identical CSR arrays."""
+    factors = _PRODUCTS[case]()
+    got = reduce(product_graph, factors)
+    want = reduce(product_lists, map(adjacency_lists, factors))
+    assert got.num_vertices == len(want)
+    assert all(map(np.array_equal, got.csr(), graph_from_lists(want).csr()))

@@ -13,10 +13,10 @@ from reference_flips import build_csr as reference_csr
 from reference_flips import eccentricities as reference_eccentricities
 from reference_flips import flips as reference_flips
 from reference_flips import orbit_representatives as reference_orbits
+from reference_graph import adjacency_lists, graph_from_lists
 
 from flipwalk.combinatorics import catalan, fuss_catalan
 from flipwalk.errors import EnumerationTooLargeError, InvalidParameterError
-from flipwalk.graph import Graph
 from flipwalk.kangulation import (
     KAngulation,
     _face_array,
@@ -161,21 +161,22 @@ def test_flip_graph_small():
 
     g5 = build_flip_graph(3, 5)
     assert g5.num_vertices == 42
-    assert all(len(a) == 4 for a in g5.adj)
+    assert all(len(a) == 4 for a in adjacency_lists(g5))
     assert g5.is_connected()
 
     g43 = build_flip_graph(4, 3)
     assert g43.num_vertices == fuss_catalan(4, 3) == 12
-    assert all(len(a) == 4 for a in g43.adj)
+    assert all(len(a) == 4 for a in adjacency_lists(g43))
     assert g43.is_connected()
 
 
 def test_flip_graph_undirected_and_labeled():
     g = build_flip_graph(4, 2)
-    for i, nbrs in enumerate(g.adj):
+    adj = adjacency_lists(g)
+    for i, nbrs in enumerate(adj):
         labels = {t.diagonals: (r, s) for t, r, s in flips(g.vertices[i])}
         for j in nbrs:
-            assert i in g.adj[j]
+            assert i in adj[j]
             removed, inserted = labels[g.vertices[j].diagonals]
             assert removed in g.vertices[i].diagonals
             assert inserted in g.vertices[j].diagonals
@@ -185,7 +186,7 @@ def test_vertex_counts_larger():
     for k, n in [(3, 9), (3, 10), (4, 5), (5, 4)]:
         g = build_flip_graph(k, n)
         assert g.num_vertices == fuss_catalan(k, n)
-        assert all(len(a) == (n - 1) * (k - 2) for a in g.adj)
+        assert all(len(a) == (n - 1) * (k - 2) for a in adjacency_lists(g))
         assert g.is_connected()
 
 
@@ -193,7 +194,7 @@ def test_json_round_trip():
     g = build_flip_graph(3, 4)
     doc = json.loads(g.to_json())
     g2 = flip_graph_from_json_dict(doc)
-    assert g2.adj == g.adj
+    assert adjacency_lists(g2) == adjacency_lists(g)
     assert [v.diagonals for v in g2.vertices] == [v.diagonals for v in g.vertices]
     assert g2.to_json() == g.to_json()
 
@@ -281,7 +282,7 @@ def test_adjacency_equals_one_diagonal_difference(k, n_max):
         oracle = [
             [j for j, y in enumerate(sets) if len(x - y) == 1] for x in sets
         ]
-        assert g.adj == oracle, (k, n)
+        assert adjacency_lists(g) == oracle, (k, n)
 
 
 REFERENCE_SIZES = (
@@ -360,7 +361,7 @@ def test_eccentricities_match_csgraph(k, n):
 
 def test_eccentricities_reject_disconnected_graph():
     with pytest.raises(InvalidParameterError):
-        eccentricities(Graph([[1], [0], [3], [2]]), [0])
+        eccentricities(graph_from_lists([[1], [0], [3], [2]]), [0])
 
 
 def test_flip_graph_n11_matches_golden_hash():

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_graph import adjacency_lists
 from reference_lattice import enumerate_graph as reference_graph
 from reference_lattice import flip_moves as reference_moves
 from reference_lattice import gather_flips
 from reference_lattice import grid as reference_grid
 
+from flipwalk import lattice
 from flipwalk.errors import EnumerationTooLargeError, InvalidParameterError, StructureMismatchError
 from flipwalk.lattice import (
     _WORD,
@@ -77,9 +79,10 @@ def test_bfs_and_recursive_oracles_agree_on_g3():
 def test_flip_symmetry_and_connectivity_n3():
     g = enumerate_lattice(3)
     assert g.is_connected()
-    for i, nbrs in enumerate(g.adj):
+    adj = adjacency_lists(g)
+    for i, nbrs in enumerate(adj):
         for j in nbrs:
-            assert i in g.adj[j]
+            assert i in adj[j]
 
 
 def test_canonical_n3_flip_count():
@@ -120,12 +123,13 @@ def test_validate_names_a_crossing_pair():
 def test_product_subgraph_is_hypercube():
     h = product_subgraph(4, 2)
     assert h.num_vertices == 16
-    assert all(len(a) == 4 for a in h.adj)
+    adj = adjacency_lists(h)
+    assert all(len(a) == 4 for a in adj)
     assert h.num_edges() == 32
     # explicit isomorphism: adjacency is exactly Hamming distance one
     for i in range(16):
-        for j in h.adj[i]:
-            assert sum(a != b for a, b in zip(h.coords[i], h.coords[j])) == 1
+        for j in adj[i]:
+            assert int((h.coords[i] != h.coords[j]).sum()) == 1
     assert h.is_connected()
     for v in h.vertices:
         v.validate()
@@ -183,7 +187,7 @@ def test_lattice_graph_matches_golden(case):
     g = _GOLDEN_BUILDS[case]()
     assert g.to_json() == want["json"]
     assert g.to_dot() == want["dot"]
-    coords = None if g.coords is None else [list(c) for c in g.coords]
+    coords = None if g.coords is None else g.coords.tolist()
     assert coords == want["coords"]
 
 
@@ -312,7 +316,7 @@ def test_batched_flips_match_reference(n):
     assert grid.segs == ref.segs
     assert g.num_vertices == len(vertices) == LATTICE_COUNTS[n]
     assert grid.edge_lists(g.keys) == vertices
-    assert g.adj == adj
+    assert adjacency_lists(g) == adj
     want = [(s, i, j) for s, edges in enumerate(vertices)
             for _, i, j in reference_moves(ref.mask(edges), ref)]
     assert _kernel_flips(g.keys, grid) == want
@@ -341,6 +345,18 @@ def test_corrupted_row_names_the_same_edge(row, edge):
     with pytest.raises(StructureMismatchError) as new:
         _flip_planes(_planes(rows), len(rows), grid)
     assert str(new.value) == str(old.value)
+
+
+def test_product_subgraph_rejects_a_kept_flip_that_leaves(monkeypatch):
+    """With a block frame edge left out of the forced set, its flips are no
+    longer dropped, and one of them leaves the product subgraph: the check
+    that every kept flip lands inside must raise."""
+    forced = block_partial_triangulation(4, 2)
+    frame = ((1, 0), (1, 1))
+    assert frame in forced
+    monkeypatch.setattr(lattice, "block_partial_triangulation", lambda n, b: forced - {frame})
+    with pytest.raises(StructureMismatchError, match="left the product subgraph"):
+        product_subgraph(4, 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -446,4 +462,5 @@ def test_json_round_trip(build, block):
         assert g.coords is None
     else:
         sub_states = [v.edges for v in enumerate_lattice(block).vertices]
-        assert [_block_coords(v, block, sub_states) for v in vertices] == g.coords
+        want = [_block_coords(v, block, sub_states) for v in vertices]
+        assert want == list(map(tuple, g.coords.tolist()))

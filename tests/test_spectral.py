@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from reference_graph import adjacency_lists, graph_from_lists
 
 from flipwalk import spectral
 from flipwalk.errors import (
@@ -14,6 +15,7 @@ from flipwalk.errors import (
 )
 from flipwalk.graph import Graph
 from flipwalk.kangulation import build_flip_graph
+from flipwalk.lattice import enumerate_lattice
 from flipwalk.spectral import (
     brute_force_expansion,
     build_chain,
@@ -98,7 +100,7 @@ def test_mixing_upper_bound_by_gap():
 
 def test_spectral_gap_k2_and_cycle():
     assert abs(build_chain(_graph(3, 2)).spectral_gap() - 1.0) < 1e-12
-    cyc = Graph([[1, 3], [0, 2], [1, 3], [0, 2]])
+    cyc = graph_from_lists([[1, 3], [0, 2], [1, 3], [0, 2]])
     assert abs(build_chain(cyc).spectral_gap() - 0.5) < 1e-12
     assert build_chain(_graph(3, 5)).spectral_gap() > 0
 
@@ -162,7 +164,7 @@ def test_mixing_floor_changes_no_mixing_time(monkeypatch, eps):
         for cap in (spectral.EXACT_START_CAP, 0):
             monkeypatch.setattr(spectral, "EXACT_START_CAP", cap)
             for kn in sizes:
-                for g in (_graph(*kn), Graph(csr=_graph(*kn).csr())):
+                for g in (_graph(*kn), Graph(*_graph(*kn).csr())):
                     out[cap, kn, type(g)] = mixing_time(build_chain(g), eps, return_mode=True)
         monkeypatch.undo()
         return out
@@ -199,7 +201,7 @@ def test_kangulation_mixing_trend(k, n, want):
 
 def test_heuristic_start_on_other_large_graphs(monkeypatch):
     n = 12
-    cyc = Graph([[(i - 1) % n, (i + 1) % n] for i in range(n)])
+    cyc = graph_from_lists([[(i - 1) % n, (i + 1) % n] for i in range(n)])
     exact = mixing_time(build_chain(cyc), return_mode=True)
     assert exact[1] == "exact-all-starts"
     monkeypatch.setattr(spectral, "EXACT_START_CAP", 0)
@@ -209,7 +211,7 @@ def test_heuristic_start_on_other_large_graphs(monkeypatch):
 
 def test_mixing_time_disconnected_raises():
     with pytest.raises(NumericFailureError):
-        mixing_time(build_chain(Graph([[1], [0], [3], [2]])))
+        mixing_time(build_chain(graph_from_lists([[1], [0], [3], [2]])))
 
 
 @pytest.mark.parametrize(
@@ -220,7 +222,7 @@ def test_mixing_time_disconnected_raises():
     ],
 )
 def test_degree_zero_vertex_keeps_its_mass(adj, start, expected_p):
-    chain = build_chain(Graph(adj))
+    chain = build_chain(graph_from_lists(adj))
     p = chain.transition_matrix()
     assert np.array_equal(p, np.array(expected_p, dtype=float))
     x = np.zeros(3)
@@ -240,7 +242,7 @@ def test_cheeger_bounds_contain_true_expansion():
 
 
 def test_cheeger_four_cycle_brute_force():
-    cyc = Graph([[1, 3], [0, 2], [1, 3], [0, 2]])
+    cyc = graph_from_lists([[1, 3], [0, 2], [1, 3], [0, 2]])
     rep = brute_force_expansion(cyc)
     assert rep.ratio == 1  # two opposite edges cut / side of two
     lo, hi = cheeger_bounds(build_chain(cyc))
@@ -253,6 +255,12 @@ def test_brute_force_expansion_values():
     rep = brute_force_expansion(_graph(3, 4))
     assert rep.ratio == Fraction(5, 7)
     assert rep.side_size <= 7
+
+
+@pytest.mark.parametrize("adj", [[], [[]]])
+def test_brute_force_expansion_needs_two_vertices(adj):
+    with pytest.raises(InvalidParameterError):
+        brute_force_expansion(graph_from_lists(adj))
 
 
 def test_brute_force_cap():
@@ -302,6 +310,31 @@ def test_sample_walk_deterministic():
     assert r3 != r1
 
 
+def test_sample_walk_matches_list_walk():
+    """On an irregular graph the CSR walk takes the moves of a walk on
+    adjacency lists: coin c moves to neighbour c if there is one, else the
+    walk holds."""
+    g = enumerate_lattice(3)
+    adj = adjacency_lists(g)
+    assert len({len(a) for a in adj}) > 1
+    steps, thin = 3000, 7
+    state, counts = 0, [0] * g.num_vertices
+    counts[state] += 1
+    for i, coin in enumerate(np.random.default_rng(5).integers(0, 2 * g.degree, size=steps)):
+        if coin < len(adj[state]):
+            state = adj[state][coin]
+        if (i + 1) % thin == 0:
+            counts[state] += 1
+    res = sample_walk(g, steps, seed=5, start=0, thin=thin)
+    assert res["histogram"] == counts and res["final_state"] == state
+
+
+@pytest.mark.parametrize("steps, thin", [(-1, 1), (10, 0), (10, -2)])
+def test_sample_walk_rejects_bad_steps_and_thin(steps, thin):
+    with pytest.raises(InvalidParameterError):
+        sample_walk(_graph(3, 4), steps, seed=1, start=0, thin=thin)
+
+
 def test_sample_walk_uniformity_chi_square():
     # thinned by 50 steps the samples are nearly independent; frozen seed
     res = sample_walk(_graph(3, 4), 1_000_000, seed=20260808, start=0, thin=50)
@@ -337,7 +370,7 @@ def test_mixing_time_cap():
 
 
 def test_cheeger_disconnected_graph_zero_bracket():
-    g = Graph([[1], [0], [3], [2]])
+    g = graph_from_lists([[1], [0], [3], [2]])
     chain = build_chain(g)
     assert chain.spectral_gap() < 1e-10
     lo, hi = cheeger_bounds(chain)
