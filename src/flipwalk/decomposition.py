@@ -6,6 +6,7 @@ inter-class matchings, and exact verification of the cardinality lemmas.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -45,19 +46,17 @@ class ClassDescriptor:
     """One class of a partition, with its Cartesian-factor structure."""
 
     defining_polygon: tuple
-    member_indices: list
+    member_indices: np.ndarray  # int64 vertices, ascending
     cartesian_factors: list  # [(k, n_i), ...], one per arc of the polygon
-    coords: list = field(repr=False)  # per member: tuple of factor state indices
+    coords: np.ndarray = field(repr=False)  # (size, factors) int64 factor states, row per member
+    by_coord: np.ndarray = field(repr=False)  # int64 members in lexicographic coordinate order
 
     @property
     def size(self) -> int:
         return len(self.member_indices)
 
     def expected_size(self) -> int:
-        prod = 1
-        for k, ni in self.cartesian_factors:
-            prod *= fuss_catalan(k, ni)
-        return prod
+        return math.prod(fuss_catalan(k, ni) for k, ni in self.cartesian_factors)
 
 
 @dataclass
@@ -65,14 +64,14 @@ class ClassPartition:
     kind: str  # "oriented" | "central"
     graph: FlipGraph
     classes: list
-    vertex_class: list
+    vertex_class: np.ndarray  # int64 class of each vertex
 
 
 @dataclass
 class BoundaryMatching:
     class_a: int
     class_b: int
-    edges: list  # [(vertex_in_a, vertex_in_b), ...]
+    edges: np.ndarray  # (size, 2) int64 rows (vertex in a, vertex in b), sorted
 
     @property
     def size(self) -> int:
@@ -85,6 +84,16 @@ def _arc_factor(k: int, arc_len: int) -> int:
     if rem != 0:
         raise StructureMismatchError(f"arc of length {arc_len} has no k={k} factor")
     return ni
+
+
+def _region_count(k: int, m: int, poly) -> int:
+    """The number of k-angulations of the m-gon that hold a fixed
+    subdivision of the sub-polygon poly (vertices ascending): each arc of
+    the m-gon between consecutive vertices of poly, cyclically, is
+    k-angulated on its own."""
+    return math.prod(
+        fuss_catalan(k, _arc_factor(k, (hi - lo) % m)) for lo, hi in zip(poly, poly[1:] + poly[:1])
+    )
 
 
 def _factor_coords(rel: np.ndarray, span: int, k: int, ni: int) -> np.ndarray:
@@ -113,6 +122,7 @@ def _build_classes(graph: FlipGraph, keys: np.ndarray, kind: str) -> ClassPartit
     special edge (m-1, 0), which holds no factor."""
     k, m = graph.k, graph.m
     polys, vertex_class = np.unique(keys, axis=0, return_inverse=True)
+    vertex_class = vertex_class.ravel().astype(np.int64)
     classes = []
     for ci, poly in enumerate(map(tuple, polys.tolist())):
         members = np.flatnonzero(vertex_class == ci)
@@ -123,18 +133,17 @@ def _build_classes(graph: FlipGraph, keys: np.ndarray, kind: str) -> ClassPartit
             _factor_coords((ends - lo) % m, (hi - lo) % m, k, ni)
             for (lo, hi), (_, ni) in zip(arcs, factors)
         ], axis=1)
-        desc = ClassDescriptor(
-            defining_polygon=poly,
-            member_indices=members.tolist(),
-            cartesian_factors=factors,
-            coords=list(map(tuple, coords.tolist())),
-        )
-        if desc.size != desc.expected_size() or len(set(desc.coords)) != desc.size:
+        # the members must biject onto the product's coordinate tuples
+        dims = [fuss_catalan(k, ni) for k, ni in factors]
+        by_coord = np.full(math.prod(dims), -1, dtype=np.int64)
+        by_coord[np.ravel_multi_index(tuple(coords.T), dims)] = members
+        if len(members) != len(by_coord) or (by_coord < 0).any():
             raise StructureMismatchError(
-                f"class {poly}: size {desc.size} != product {desc.expected_size()}"
+                f"class {poly}: its {len(members)} members are not the "
+                f"{len(by_coord)} coordinate tuples of its factors"
             )
-        classes.append(desc)
-    return ClassPartition(kind, graph, classes, vertex_class.ravel().tolist())
+        classes.append(ClassDescriptor(poly, members, factors, coords, by_coord))
+    return ClassPartition(kind, graph, classes, vertex_class)
 
 
 def oriented_partition(graph: FlipGraph) -> ClassPartition:
@@ -199,41 +208,53 @@ def central_partition(graph: FlipGraph) -> ClassPartition:
     return _build_classes(graph, _central_face_rows(graph.rows, graph.k, graph.m), "central")
 
 
+def _cross_arcs(graph, vertex_class: np.ndarray, ncls: int) -> dict:
+    """The arcs whose ends lie in different classes, as {(class of source,
+    class of target): (count, 2) int64 rows (source, target)}.  Groups come
+    in (source class, target class) order and each is ordered by (smaller
+    end, larger end), the order of `Graph.edges`: each edge's two arcs are
+    laid out in edge order, and one stable sort by class pair groups them."""
+    src, dst = graph.arcs()
+    keep = src < dst
+    arcs = np.stack([src[keep], dst[keep], dst[keep], src[keep]], axis=1).reshape(-1, 2)
+    ends = vertex_class[arcs]
+    cross = ends[:, 0] != ends[:, 1]
+    pair = ends[cross, 0] * ncls + ends[cross, 1]
+    order = np.argsort(pair, kind="stable")
+    arcs, pair = arcs[cross][order].astype(np.int64), pair[order]
+    cuts = np.flatnonzero(pair[1:] != pair[:-1]) + 1
+    firsts = pair[np.concatenate(([0], cuts))[:len(pair)]]
+    keys = zip((firsts // ncls).tolist(), (firsts % ncls).tolist())
+    return dict(zip(keys, np.split(arcs, cuts)))
+
+
 def boundary_matchings(partition: ClassPartition) -> list:
     """Per class pair: the inter-class edge set, verified to be a matching.
 
     Oriented partitions must have a nonempty matching for every pair; central
     partitions record empty pairs explicitly.
     """
-    g = partition.graph
-    vc = partition.vertex_class
-    buckets = {}
-    for i, j in g.edges():
-        ci, cj = vc[i], vc[j]
-        if ci == cj:
-            continue
-        if ci > cj:
-            ci, cj, i, j = cj, ci, j, i
-        buckets.setdefault((ci, cj), []).append((i, j))
-    out = []
     ncls = len(partition.classes)
+    groups = _cross_arcs(partition.graph, partition.vertex_class, ncls)
+    none = np.zeros((0, 2), dtype=np.int64)
+    out = []
     for ca in range(ncls):
         for cb in range(ca + 1, ncls):
-            edges = sorted(buckets.get((ca, cb), []))
-            ba = set(u for u, _ in edges)
-            bb = set(v for _, v in edges)
-            if len(ba) != len(edges) or len(bb) != len(edges):
-                raise LemmaViolationError(
-                    f"edges between classes {ca},{cb} are not a matching",
-                    witness=(ca, cb),
-                )
-            if partition.kind == "oriented" and not edges:
+            edges = groups.get((ca, cb), none)
+            if len(edges):
+                edges = edges[np.argsort(edges[:, 0])]
+                # a vertex on two of the pair's edges repeats in sorted order
+                if not (np.diff(edges[:, 0]).all() and np.diff(np.sort(edges[:, 1])).all()):
+                    raise LemmaViolationError(
+                        f"edges between classes {ca},{cb} are not a matching",
+                        witness=(ca, cb),
+                    )
+            elif partition.kind == "oriented":
                 raise LemmaViolationError(
                     f"oriented classes {ca},{cb} have no connecting edge",
                     witness=(ca, cb),
                 )
-            if edges or partition.kind == "central":
-                out.append(BoundaryMatching(ca, cb, edges))
+            out.append(BoundaryMatching(ca, cb, edges))
     return out
 
 
@@ -245,6 +266,8 @@ def verify_matching_inequality(partition: ClassPartition) -> dict:
     """
     if partition.kind != "oriented":
         raise InvalidParameterError("matching inequality applies to oriented partitions")
+    if len(partition.classes) < 2:
+        raise InvalidParameterError("matching inequality needs at least two classes")
     g = partition.graph
     total = catalan(g.n)
     worst = None
@@ -281,6 +304,8 @@ def boundary_projection(partition: ClassPartition, a: int, b: int):
     """
     if partition.kind != "oriented" or partition.graph.k != 3:
         raise InvalidParameterError("boundary projection is defined for oriented k=3")
+    if a == b or not (0 <= a < len(partition.classes) and 0 <= b < len(partition.classes)):
+        raise InvalidParameterError(f"classes {a}, {b} are not two of the partition's classes")
     g = partition.graph
     ca, cb = partition.classes[a], partition.classes[b]
     apex_a, apex_b = ca.defining_polygon[1], cb.defining_polygon[1]
@@ -296,11 +321,10 @@ def boundary_projection(partition: ClassPartition, a: int, b: int):
             f"boundary of class {a} toward {b} projects to a trivial factor"
         )
     apexes = _local_apex(factor_n)
-    on_side = apexes[np.array(ca.coords)[:, factor_index]] == sub_apex
-    members = np.array(ca.member_indices)
-    src, dst = g.arcs(members)
-    actual = set(src[np.isin(dst, cb.member_indices)].tolist())
-    if set(members[on_side].tolist()) != actual:
+    on_side = apexes[ca.coords[:, factor_index]] == sub_apex
+    src, dst = g.arcs(ca.member_indices)
+    actual = set(src[partition.vertex_class[dst] == b].tolist())
+    if set(ca.member_indices[on_side].tolist()) != actual:
         raise StructureMismatchError(
             f"boundary of class {a} toward {b} is not the lift of sub-class "
             f"apex {sub_apex} in factor {factor_index}"
@@ -324,10 +348,8 @@ def verify_class_product_structure(partition: ClassPartition) -> None:
     """
     src, dst = partition.graph.arcs()
     for ci, c in enumerate(partition.classes):
-        # members by coordinate tuple (lexsort's last key is its first)
-        order = np.array(c.member_indices)[np.lexsort(np.array(c.coords).T[::-1])]
         pos = np.full(partition.graph.num_vertices, -1)
-        pos[order] = np.arange(c.size)
+        pos[c.by_coord] = np.arange(c.size)
         inside = (pos[src] >= 0) & (pos[dst] >= 0)
         induced = graph_from_arcs(c.size, pos[src[inside]], pos[dst[inside]]).csr()
         factors = [build_flip_graph(k, max(ni, 1)) for k, ni in c.cartesian_factors]
@@ -355,7 +377,7 @@ def partition_to_json(partition: ClassPartition, full_edge_lists: bool = False) 
             {
                 "classes": [bm.class_a, bm.class_b],
                 "size": bm.size,
-                **({"edges": [list(e) for e in bm.edges]} if full_edge_lists else {}),
+                **({"edges": bm.edges.tolist()} if full_edge_lists else {}),
             }
             for bm in matchings
         ],

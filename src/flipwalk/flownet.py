@@ -14,7 +14,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .combinatorics import catalan
-from .decomposition import boundary_matchings, boundary_projection, oriented_partition
+from .decomposition import (_cross_arcs, _region_count, boundary_matchings,
+                            boundary_projection, oriented_partition)
 from .errors import InvalidParameterError, StructureMismatchError
 from .flows import (
     LIMIT,
@@ -54,31 +55,24 @@ class OrientedStructure:
 def oriented_structure(n: int) -> OrientedStructure:
     graph = build_flip_graph(3, n)
     part = oriented_partition(graph)
-    sizes = [c.size for c in part.classes]
-    members = [c.member_indices for c in part.classes]
-    factor_ns = [tuple(ni for _, ni in c.cartesian_factors) for c in part.classes]
-    by_coord = [
-        np.array([v for _, v in sorted(zip(c.coords, c.member_indices))], dtype=np.int64)
-        for c in part.classes
-    ]
+    classes = part.classes
+    factor_ns = [tuple(ni for _, ni in c.cartesian_factors) for c in classes]
     matching = {}
     for bm in boundary_matchings(part):
-        edges = np.array(bm.edges, dtype=np.int64).reshape(-1, 2)
-        matching[(bm.class_a, bm.class_b)] = edges
-        matching[(bm.class_b, bm.class_a)] = edges[:, ::-1]
+        matching[(bm.class_a, bm.class_b)] = bm.edges
+        matching[(bm.class_b, bm.class_a)] = bm.edges[:, ::-1]
     bproj = {}
-    k = len(part.classes)
-    for a in range(k):
-        for b in range(k):
+    for a in range(len(classes)):
+        for b in range(len(classes)):
             if a != b:
                 fi, sub = boundary_projection(part, a, b)
                 bproj[(a, b)] = (fi, sub["apex"] - 1)
     coord_of = np.empty(graph.num_vertices, dtype=np.int64)
-    for verts in by_coord:
-        coord_of[verts] = np.arange(len(verts))
+    for c in classes:
+        coord_of[c.by_coord] = np.arange(c.size)
     return OrientedStructure(
-        n, graph, part, sizes, members, factor_ns, by_coord, matching, bproj,
-        np.array(part.vertex_class, dtype=np.int64), coord_of,
+        n, graph, part, [c.size for c in classes], [c.member_indices for c in classes],
+        factor_ns, [c.by_coord for c in classes], matching, bproj, part.vertex_class, coord_of,
     )
 
 
@@ -533,12 +527,13 @@ def projection_restriction_combine(graph, classes: list) -> ProjectionRestrictio
     """
     n_verts = graph.num_vertices
     delta = graph.degree
+    if delta < 1:
+        raise InvalidParameterError("graph has no edges; chain is degenerate")
     members = [v for cls in classes for v in cls]
     if sorted(members) != list(range(n_verts)):
         raise InvalidParameterError("classes do not partition the vertices")
     vc = np.empty(n_verts, dtype=np.int64)
     vc[members] = np.repeat(np.arange(len(classes)), list(map(len, classes)))
-    vclass = vc.tolist()
     q_edge = Fraction(1, 2 * delta * n_verts)
 
     # restriction flows: canonical BFS paths inside each class; within[arc]
@@ -572,12 +567,8 @@ def projection_restriction_combine(graph, classes: list) -> ProjectionRestrictio
 
     # quotient graph and projection flow by canonical quotient paths
     k = len(classes)
-    cross_edges = {}
-    for i, j in graph.edges():
-        ci, cj = vclass[i], vclass[j]
-        if ci != cj:
-            cross_edges.setdefault((ci, cj), []).append((i, j))
-            cross_edges.setdefault((cj, ci), []).append((j, i))
+    cross_edges = {ab: list(map(tuple, arcs.tolist()))
+                   for ab, arcs in _cross_arcs(graph, vc, k).items()}
     pairs = np.array(list(cross_edges), dtype=np.int64).reshape(-1, 2)
     quotient = graph_from_arcs(k, pairs[:, 0], pairs[:, 1])
     qtrees = {i: quotient.bfs_tree(i) for i in range(k)}
@@ -675,11 +666,11 @@ def hierarchical_pairing_flow(n: int):
     if n < 2:
         raise InvalidParameterError("need at least two classes")
     total = catalan(n)
-    sizes = [catalan(a - 1) * catalan(n - a) for a in range(1, n + 1)]
+    # apex a's class holds (0, a, n + 1); apexes a < b match on (0, a, b, n + 1)
+    sizes = [_region_count(3, n + 2, (0, a, n + 1)) for a in range(1, n + 1)]
 
     def match_size(a: int, b: int) -> int:
-        lo, hi = min(a, b), max(a, b)
-        return catalan(lo - 1) * catalan(hi - lo - 1) * catalan(n - hi)
+        return _region_count(3, n + 2, (0, min(a, b), max(a, b), n + 1))
 
     # pools[i][c]: units of commodity i currently held by class c
     pools = [

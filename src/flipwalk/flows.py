@@ -64,7 +64,7 @@ def narrowed(a: np.ndarray) -> np.ndarray:
 
 
 def arc_keys(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    return (src << SHIFT) | dst
+    return (np.asarray(src, dtype=np.int64) << SHIFT) | dst
 
 
 def coalesce(keys: np.ndarray, num: np.ndarray):

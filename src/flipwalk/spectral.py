@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .combinatorics import catalan
-from .decomposition import _contains_center
+from .decomposition import _contains_center, _region_count
 from .errors import (
     EnumerationTooLargeError,
     InvalidDistributionError,
@@ -303,29 +303,6 @@ def _tri_arcs(tri: tuple, m: int) -> tuple:
     return (b - a, c - b, m - (c - a))
 
 
-def _tri_class_size(tri: tuple, m: int) -> int:
-    l1, l2, l3 = _tri_arcs(tri, m)
-    return catalan(l1 - 1) * catalan(l2 - 1) * catalan(l3 - 1)
-
-
-def _tri_match_size(t1: tuple, t2: tuple, m: int) -> int:
-    """Matching size between two central classes sharing a triangle side."""
-    s1, s2 = set(t1), set(t2)
-    if len(s1 & s2) != 2:
-        return 0
-    quad = sorted(s1 | s2)
-    arcs = (
-        quad[1] - quad[0],
-        quad[2] - quad[1],
-        quad[3] - quad[2],
-        m - (quad[3] - quad[0]),
-    )
-    r = 1
-    for ln in arcs:
-        r *= catalan(ln - 1)
-    return r
-
-
 def shortest_side_cut(n: int) -> CutReport:
     """The central-class cut S = all classes whose central triangle's
     shortest side spans at most m/6 polygon edges (m = n + 2).
@@ -338,7 +315,7 @@ def shortest_side_cut(n: int) -> CutReport:
         raise InvalidParameterError("need n >= 2")
     m = n + 2
     tris = _central_triangles(m)
-    total = sum(_tri_class_size(t, m) for t in tris)
+    total = sum(_region_count(3, m, t) for t in tris)
     if total != catalan(n):
         raise InvalidParameterError(
             f"central classes sum to {total}, expected {catalan(n)}"
@@ -346,12 +323,18 @@ def shortest_side_cut(n: int) -> CutReport:
     in_cut = lambda t: 6 * min(_tri_arcs(t, m)) <= m
     side = [t for t in tris if in_cut(t)]
     other = [t for t in tris if not in_cut(t)]
-    s_size = sum(_tri_class_size(t, m) for t in side)
+    s_size = sum(_region_count(3, m, t) for t in side)
     o_size = total - s_size
-    boundary = 0
-    for t1 in side:
-        for t2 in other:
-            boundary += _tri_match_size(t1, t2, m)
+    # two central classes are matched when their triangles share a side,
+    # by the triangulations that hold the quadrilateral they make up
+    by_side = {}
+    for t in other:
+        for e in combinations(t, 2):
+            by_side.setdefault(e, []).append(t)
+    boundary = sum(
+        _region_count(3, m, sorted(set(t1) | set(t2)))
+        for t1 in side for e in combinations(t1, 2) for t2 in by_side.get(e, ())
+    )
     degenerate = n < 7 or s_size == 0 or o_size == 0
     ratio = Fraction(boundary, s_size) if s_size else Fraction(0)
     return CutReport(

@@ -1,8 +1,10 @@
 """Adjacency-list views of `Graph`, and list-based reference versions of the
-Cartesian product and the BFS tree that the CSR code is compared against."""
+Cartesian product, the BFS tree and the inter-class matchings that the
+array code is compared against."""
 
 import numpy as np
 
+from flipwalk.errors import LemmaViolationError
 from flipwalk.graph import Graph
 
 
@@ -43,3 +45,38 @@ def bfs_tree_lists(adj, root: int, allowed=None) -> dict:
                     nxt.append(w)
         frontier = sorted(nxt)
     return parent
+
+
+def boundary_matchings_lists(partition) -> list:
+    """(class a, class b, sorted edge list) per class pair a < b, bucketed
+    by a Python loop over every edge, with the checks and the errors of
+    `decomposition.boundary_matchings`."""
+    vc = partition.vertex_class.tolist()
+    buckets = {}
+    for i, j in partition.graph.edges():
+        ci, cj = vc[i], vc[j]
+        if ci == cj:
+            continue
+        if ci > cj:
+            ci, cj, i, j = cj, ci, j, i
+        buckets.setdefault((ci, cj), []).append((i, j))
+    out = []
+    ncls = len(partition.classes)
+    for ca in range(ncls):
+        for cb in range(ca + 1, ncls):
+            edges = sorted(buckets.get((ca, cb), []))
+            ba = set(u for u, _ in edges)
+            bb = set(v for _, v in edges)
+            if len(ba) != len(edges) or len(bb) != len(edges):
+                raise LemmaViolationError(
+                    f"edges between classes {ca},{cb} are not a matching",
+                    witness=(ca, cb),
+                )
+            if partition.kind == "oriented" and not edges:
+                raise LemmaViolationError(
+                    f"oriented classes {ca},{cb} have no connecting edge",
+                    witness=(ca, cb),
+                )
+            if edges or partition.kind == "central":
+                out.append((ca, cb, edges))
+    return out

@@ -266,7 +266,8 @@ def test_lattice_and_flow_import_no_scipy(tmp_path):
     diameter never load scipy: importing it alone costs about 0.12 s, more
     than `lattice --n 3` itself.  Nor do they load numpy.random, which
     raises a `lattice --n 4` call's peak RSS by about 6 MB (the lattice keys
-    come from a fixed splitmix64 table)."""
+    come from a fixed splitmix64 table), nor numpy.ma, which a bare
+    `np.unique` call imports and which raised flow's peak RSS by 1.1 MB."""
     script = (
         "import contextlib, io, sys\n"
         "from flipwalk.cli import main\n"
@@ -279,13 +280,14 @@ def test_lattice_and_flow_import_no_scipy(tmp_path):
         "assert diameter(build_flip_graph(3, 6)) == 7\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out == "[]\n[]\n"
+    assert out == "[]\n[]\n[]\n"
 
 
 def test_dot_export(tmp_path):

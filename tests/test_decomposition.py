@@ -3,13 +3,17 @@
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
-from reference_graph import adjacency_lists, graph_from_lists
+from reference_graph import adjacency_lists, boundary_matchings_lists, graph_from_lists
 
 from flipwalk.combinatorics import catalan
 from flipwalk.decomposition import (
+    _region_count,
     boundary_matchings,
     boundary_projection,
     central_face,
@@ -20,7 +24,7 @@ from flipwalk.decomposition import (
     verify_class_product_structure,
     verify_matching_inequality,
 )
-from flipwalk.errors import InvalidParameterError, StructureMismatchError
+from flipwalk.errors import InvalidParameterError, LemmaViolationError, StructureMismatchError
 from flipwalk.kangulation import build_flip_graph
 
 
@@ -272,10 +276,120 @@ def test_class_structure_matches_golden_hashes():
         doc = [
             [
                 list(c.defining_polygon),
-                list(c.member_indices),
+                c.member_indices.tolist(),
                 [list(f) for f in c.cartesian_factors],
-                [list(x) for x in c.coords],
+                c.coords.tolist(),
             ]
             for c in build(_graph(k, n)).classes
         ]
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest, (k, n, kind)
+
+
+def _partitions():
+    """Every partition of k = 3 n <= 9, k = 4 n <= 5 and k = 5 n <= 4."""
+    for k, top in ((3, 9), (4, 5), (5, 4)):
+        for n in range(1, top + 1):
+            yield central_partition(_graph(k, n))
+            if k == 3:
+                yield oriented_partition(_graph(k, n))
+
+
+def test_class_arrays_are_int64_and_aligned():
+    for p in _partitions():
+        assert p.vertex_class.dtype == np.int64
+        for ci, c in enumerate(p.classes):
+            assert c.member_indices.dtype == c.coords.dtype == c.by_coord.dtype == np.int64
+            assert (np.diff(c.member_indices) > 0).all()
+            assert c.coords.shape == (c.size, len(c.cartesian_factors))
+            assert (p.vertex_class[c.member_indices] == ci).all()
+            # by_coord lists the members in lexicographic coordinate order
+            order = np.lexsort(c.coords.T[::-1])
+            assert np.array_equal(c.by_coord, c.member_indices[order])
+
+
+def test_boundary_matchings_match_edge_loop_reference():
+    for p in _partitions():
+        got = [(bm.class_a, bm.class_b, bm.edges) for bm in boundary_matchings(p)]
+        want = boundary_matchings_lists(p)
+        assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in want]
+        for (_, _, edges), (_, _, ref) in zip(got, want):
+            assert edges.dtype == np.int64 and edges.shape == (len(ref), 2)
+            assert edges.tolist() == [list(e) for e in ref]
+
+
+def _corrupted(part, drop_pair):
+    """part over a copy of its graph that either gains an edge giving a
+    vertex of one class two neighbours in another, or loses every edge
+    between two classes."""
+    adj = adjacency_lists(part.graph)
+    bm = boundary_matchings(part)[-1]
+    if drop_pair:
+        for u, v in bm.edges.tolist():
+            adj[u].remove(v)
+            adj[v].remove(u)
+    else:
+        # w is off the matching and the smallest such member, so u's new
+        # edge lies apart from its matching edge in edge order
+        u = int(bm.edges[len(bm.edges) // 2, 0])
+        matched = set(bm.edges[:, 1].tolist())
+        w = min(set(part.classes[bm.class_b].member_indices.tolist()) - matched)
+        adj[u] = sorted(adj[u] + [w])
+        adj[w] = sorted(adj[w] + [u])
+    return dataclasses.replace(part, graph=graph_from_lists(adj))
+
+
+@pytest.mark.parametrize("drop_pair", [False, True])
+def test_boundary_matchings_reject_corrupt_graph_like_reference(drop_pair):
+    part = _corrupted(oriented_partition(_graph(3, 6)), drop_pair)
+    with pytest.raises(LemmaViolationError) as got:
+        boundary_matchings(part)
+    with pytest.raises(LemmaViolationError) as want:
+        boundary_matchings_lists(part)
+    assert got.value.witness == want.value.witness
+    assert str(got.value) == str(want.value)
+
+
+def _closed_form_matchings(k, m) -> Counter:
+    """Closed-form flip-edge counts between face classes: for every
+    (2k-2)-gon whose arcs each hold a k-angulation, and every two of its
+    main diagonals, each half on the first and each half on the second,
+    the k-angulations holding the (2k-2)-gon split by the first."""
+    size = 2 * k - 2
+    want = Counter()
+    for poly in combinations(range(m), size):
+        if any(((poly[(i + 1) % size] - poly[i]) % m - 1) % (k - 2) for i in range(size)):
+            continue
+        count = _region_count(k, m, poly)
+        halves = [(poly[i:i + k], poly[i + k - 1:] + poly[:i + 1]) for i in range(k - 1)]
+        for i, j in combinations(range(k - 1), 2):
+            for t1 in halves[i]:
+                for t2 in halves[j]:
+                    pair = tuple(sorted(t1)), tuple(sorted(t2))
+                    want[pair] += count
+                    want[pair[::-1]] += count
+    return want
+
+
+def test_closed_form_count_matches_enumerated_classes_and_matchings():
+    for k, top in ((3, 9), (4, 5)):
+        for n in range(1, top + 1):
+            g = _graph(k, n)
+            want = _closed_form_matchings(k, g.m)
+            for p in (central_partition(g),) + ((oriented_partition(g),) if k == 3 else ()):
+                polys = [c.defining_polygon for c in p.classes]
+                for c in p.classes:
+                    assert c.size == _region_count(k, g.m, c.defining_polygon)
+                for bm in boundary_matchings(p):
+                    assert bm.size == want[(polys[bm.class_a], polys[bm.class_b])], (k, n)
+
+
+def test_boundary_projection_rejects_bad_class_pairs():
+    p = oriented_partition(_graph(3, 5))
+    for a, b in [(2, 2), (0, 7), (7, 0), (-1, 0), (0, -1)]:
+        with pytest.raises(InvalidParameterError):
+            boundary_projection(p, a, b)
+
+
+def test_matching_inequality_needs_two_classes():
+    with pytest.raises(InvalidParameterError):
+        verify_matching_inequality(oriented_partition(_graph(3, 1)))

@@ -6,6 +6,7 @@ import os
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -63,6 +64,14 @@ def test_arcflow_combine_and_reverse():
     assert s.value(1, 0) == Fraction(1, 3)
     r = s.reversed()
     assert r.value(1, 0) == s.value(0, 1)
+
+
+def test_arcflow_of_int32_arcs_keeps_arcs_apart():
+    # int32 arrays, as Graph.arcs returns them, must not wrap u << 32 to 0
+    src, dst = np.array([0, 1], dtype=np.int32), np.array([1, 0], dtype=np.int32)
+    flow = ArcFlow.of(1, src, dst, np.array([3, 5]))
+    assert flow.value(0, 1) == 3 and flow.value(1, 0) == 5
+    assert ArcFlow.combine([(flow, 1)]).vals == {(0, 1): 3, (1, 0): 5}
 
 
 # small random flows on vertices 0..5; vertex 9 is never touched
@@ -401,6 +410,11 @@ def test_projres_rejects_non_partition():
     g = _graph(3, 3)
     with pytest.raises(InvalidParameterError):
         projection_restriction_combine(g, [[0, 1], [1, 2, 3, 4]])
+
+
+def test_projres_rejects_edgeless_graph():
+    with pytest.raises(InvalidParameterError):
+        projection_restriction_combine(build_flip_graph(3, 1), [[0]])
 
 
 # ---------------------------------------------------------------------------

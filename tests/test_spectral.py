@@ -8,6 +8,7 @@ import pytest
 from reference_graph import adjacency_lists, graph_from_lists
 
 from flipwalk import spectral
+from flipwalk.combinatorics import catalan
 from flipwalk.errors import (
     InvalidDistributionError,
     InvalidParameterError,
@@ -288,6 +289,29 @@ def test_shortest_side_cut_trend():
     r16 = shortest_side_cut(16).ratio
     r32 = shortest_side_cut(32).ratio
     assert r8 > r16 > r32
+
+
+def _cut_boundary_pairwise(n):
+    """The shortest-side cut's boundary by a loop over every (side, other)
+    pair of central triangles, with the matching size of two triangles that
+    share a side written out as a Catalan product over their quadrilateral."""
+    m = n + 2
+    tris = spectral._central_triangles(m)
+    side = [t for t in tris if 6 * min(spectral._tri_arcs(t, m)) <= m]
+    other = [t for t in tris if 6 * min(spectral._tri_arcs(t, m)) > m]
+    total = 0
+    for t1 in side:
+        for t2 in other:
+            quad = sorted(set(t1) | set(t2))
+            if len(quad) == 4:
+                arcs = [b - a for a, b in zip(quad, quad[1:])] + [m - quad[3] + quad[0]]
+                total += math.prod(catalan(ln - 1) for ln in arcs)
+    return total
+
+
+def test_shortest_side_cut_boundary_matches_pairwise_loop():
+    for n in range(2, 25):
+        assert shortest_side_cut(n).boundary_size == _cut_boundary_pairwise(n), n
 
 
 def test_shortest_side_cut_degenerate_notice():
