@@ -6,10 +6,11 @@ pairing flow.  All flow values are exact rationals.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import permutations
+from math import lcm
 
 import numpy as np
 
@@ -21,7 +22,9 @@ from .flows import (
     LIMIT,
     ArcFlow,
     CongestionReport,
+    arc_keys,
     bound,
+    coalesce,
     congestion_report,
     narrowed,
     product_lift,
@@ -38,23 +41,16 @@ from .kangulation import build_flip_graph
 
 @dataclass
 class OrientedStructure:
-    n: int
-    graph: object
-    partition: object
-    sizes: list
-    members: list
+    partition: object  # classes (by_coord: (x, y) at x * C_right + y) and vertex_class
     factor_ns: list  # per class: (left n, right n)
-    by_coord: list  # per class: int64 members in coordinate order, (x, y) at x * C_right + y
     matching: dict  # ordered (a, b) -> int64 rows (u in a, v in b)
     bproj: dict  # ordered (a, b) -> (factor_index, sub_class_index)
-    class_of: np.ndarray  # vertex -> class
     coord_of: np.ndarray  # vertex -> x * C_right + y in its class
 
 
 @lru_cache(maxsize=None)
 def oriented_structure(n: int) -> OrientedStructure:
-    graph = build_flip_graph(3, n)
-    part = oriented_partition(graph)
+    part = oriented_partition(build_flip_graph(3, n))
     classes = part.classes
     factor_ns = [tuple(ni for _, ni in c.cartesian_factors) for c in classes]
     matching = {}
@@ -62,32 +58,26 @@ def oriented_structure(n: int) -> OrientedStructure:
         matching[(bm.class_a, bm.class_b)] = bm.edges
         matching[(bm.class_b, bm.class_a)] = bm.edges[:, ::-1]
     bproj = {}
-    for a in range(len(classes)):
-        for b in range(len(classes)):
-            if a != b:
-                fi, sub = boundary_projection(part, a, b)
-                bproj[(a, b)] = (fi, sub["apex"] - 1)
-    coord_of = np.empty(graph.num_vertices, dtype=np.int64)
+    for a, b in permutations(range(len(classes)), 2):
+        fi, sub = boundary_projection(part, a, b)
+        bproj[(a, b)] = (fi, sub["apex"] - 1)
+    coord_of = np.empty(len(part.vertex_class), dtype=np.int64)
     for c in classes:
         coord_of[c.by_coord] = np.arange(c.size)
-    return OrientedStructure(
-        n, graph, part, [c.size for c in classes], [c.member_indices for c in classes],
-        factor_ns, [c.by_coord for c in classes], matching, bproj, part.vertex_class, coord_of,
-    )
+    return OrientedStructure(part, factor_ns, matching, bproj, coord_of)
 
 
 # ---------------------------------------------------------------------------
 # the recursive construction: pair flows, distribution flows, shuffles
 
 
-@lru_cache(maxsize=None)
 def pair_flow(n: int, a: int, b: int) -> ArcFlow:
     """Single-source-class worth of the concentrate/transmit/distribute flow
     moving |C_b|/|C_a| units out of every vertex of class a and delivering
     one unit to every vertex of class b.  Verified exactly on construction.
     """
     st = oriented_structure(n)
-    ca, cb = st.sizes[a], st.sizes[b]
+    ca, cb = st.partition.classes[a], st.partition.classes[b]
     pieces = []
     # concentrate within class a onto the boundary toward b
     fi, sub = st.bproj[(a, b)]
@@ -96,10 +86,10 @@ def pair_flow(n: int, a: int, b: int) -> ArcFlow:
         base = r_dist(f_n, sub).reversed()
         other = catalan(st.factor_ns[a][1 - fi])
         nh = catalan(st.factor_ns[a][1])
-        pieces += product_lift(st.by_coord[a], nh, fi, base, range(other), Fraction(cb, ca))
+        pieces += product_lift(ca.by_coord, nh, fi, base, range(other), Fraction(cb.size, ca.size))
     # transmit across the matching
     arcs = st.matching[(a, b)]
-    tran = ArcFlow.of(len(arcs), arcs[:, 0], arcs[:, 1], np.full(len(arcs), cb))
+    tran = ArcFlow.of(len(arcs), arcs[:, 0], arcs[:, 1], np.full(len(arcs), cb.size))
     pieces.append((tran, 1))
     # distribute within class b from the boundary toward a
     fj, sub2 = st.bproj[(b, a)]
@@ -108,10 +98,10 @@ def pair_flow(n: int, a: int, b: int) -> ArcFlow:
         base2 = r_dist(f2, sub2)
         other2 = catalan(st.factor_ns[b][1 - fj])
         nh2 = catalan(st.factor_ns[b][1])
-        pieces += product_lift(st.by_coord[b], nh2, fj, base2, range(other2), 1)
+        pieces += product_lift(cb.by_coord, nh2, fj, base2, range(other2), 1)
     flow = ArcFlow.combine(pieces).reduce()
-    expected = dict.fromkeys(st.members[a], Fraction(-cb, ca))
-    expected.update(dict.fromkeys(st.members[b], 1))
+    expected = dict.fromkeys(ca.member_indices, Fraction(-cb.size, ca.size))
+    expected.update(dict.fromkeys(cb.member_indices, 1))
     flow.check_net(expected, f"pair_flow({n},{a},{b})")
     return flow
 
@@ -120,13 +110,13 @@ def pair_flow(n: int, a: int, b: int) -> ArcFlow:
 def r_dist(n: int, u: int) -> ArcFlow:
     """Canonical distribution flow on K_n: every vertex of oriented class u
     starts with C_n/|C_u| units; every vertex of K_n ends holding one."""
-    st = oriented_structure(n)
+    classes = oriented_structure(n).partition.classes
     flow = ArcFlow.combine(
-        (pair_flow(n, u, w), 1) for w in range(len(st.sizes)) if w != u
+        (pair_flow(n, u, w), 1) for w in range(len(classes)) if w != u
     ).reduce()
     total = catalan(n)
     expected = dict.fromkeys(range(total), 1)
-    expected.update(dict.fromkeys(st.members[u], 1 - Fraction(total, st.sizes[u])))
+    expected.update(dict.fromkeys(classes[u].member_indices, 1 - Fraction(total, classes[u].size)))
     flow.check_net(expected, f"r_dist({n},{u})")
     return flow
 
@@ -137,7 +127,7 @@ def class_product_aggregate(n: int, t: int) -> ArcFlow:
     st = oriented_structure(n)
     l, r = st.factor_ns[t]
     cl, cr = catalan(l), catalan(r)
-    verts = st.by_coord[t]
+    verts = st.partition.classes[t].by_coord
     return ArcFlow.combine(
         product_lift(verts, cr, 1, aggregate_flow(r), range(cl), cl)
         + product_lift(verts, cr, 0, aggregate_flow(l), range(cr), cr)
@@ -149,12 +139,11 @@ def aggregate_flow(n: int) -> ArcFlow:
     """Aggregate arc flow of the recursive uniform multicommodity flow on K_n."""
     if n <= 1:
         return ArcFlow()
-    st = oriented_structure(n)
     total = catalan(n)
     pieces = []
-    for t, sz in enumerate(st.sizes):
-        pieces.append((class_product_aggregate(n, t), Fraction(total, sz)))
-        pieces.append((r_dist(n, t), sz))
+    for t, c in enumerate(oriented_structure(n).partition.classes):
+        pieces.append((class_product_aggregate(n, t), Fraction(total, c.size)))
+        pieces.append((r_dist(n, t), c.size))
     return ArcFlow.combine(pieces).reduce()
 
 
@@ -226,7 +215,7 @@ def _shuffle_rows(n: int, t: int, coords: np.ndarray, factor_rows) -> SourceRows
     st = oriented_structure(n)
     l, r = st.factor_ns[t]
     cl, cr = catalan(l), catalan(r)
-    verts = st.by_coord[t]
+    verts = st.partition.classes[t].by_coord
     x, y = np.divmod(coords, cr)
     k = len(coords)
     parts = []  # (lifted rows over their factor's denominators, scale)
@@ -264,7 +253,7 @@ def _source_rows(n: int, t: int, ids: np.ndarray) -> SourceRows:
     st = oriented_structure(n)
     sh = _shuffle_rows(n, t, st.coord_of[ids], _table_rows)
     dist = r_dist(n, t)
-    q = Fraction(catalan(n), st.sizes[t])
+    q = Fraction(catalan(n), st.partition.classes[t].size)
     eff = scaled(sh.den, q.denominator)
     den = np.where(sh.lengths() > 0, _lcm(eff, dist.den), dist.den)
     dist_mult = den // dist.den
@@ -295,10 +284,10 @@ def _source_rows(n: int, t: int, ids: np.ndarray) -> SourceRows:
 def _source_table(n: int):
     """(rows, row_of): the per-source flows of every source of K_n, class by
     class, and each vertex's index into them."""
-    st = oriented_structure(n)
-    parts = [_source_rows(n, t, np.asarray(m)) for t, m in enumerate(st.members)]
+    members = [c.member_indices for c in oriented_structure(n).partition.classes]
+    parts = [_source_rows(n, t, m) for t, m in enumerate(members)]
     row_of = np.empty(catalan(n), dtype=np.int64)
-    row_of[np.concatenate(st.members)] = np.arange(catalan(n))
+    row_of[np.concatenate(members)] = np.arange(catalan(n))
     rows = SourceRows(
         np.concatenate([p.den for p in parts]),
         _offsets(np.concatenate([p.lengths() for p in parts])),
@@ -318,7 +307,7 @@ def _factor_rows(f: int, ids: np.ndarray, n: int) -> SourceRows:
     whose table would be the largest."""
     if f < n - 1:
         return _table_rows(f, ids)
-    classes = oriented_structure(f).class_of[ids]
+    classes = oriented_structure(f).partition.vertex_class[ids]
     if (classes != classes[0]).any():
         raise InvalidParameterError("factor sources span classes")
     return _source_rows(f, int(classes[0]), ids)
@@ -328,8 +317,8 @@ def per_source_flow(n: int, s: int) -> ArcFlow:
     """Full per-source flow on K_n: one unit from s to every other vertex."""
     if n <= 1:
         return ArcFlow()
-    st = oriented_structure(n)
-    return _source_rows(n, int(st.class_of[s]), np.array([s])).flow(0)
+    t = int(oriented_structure(n).partition.vertex_class[s])
+    return _source_rows(n, t, np.array([s])).flow(0)
 
 
 # rows per chunk of sources that verify_unit_demands builds at once
@@ -341,11 +330,11 @@ def _source_chunks(n: int, t: int):
     When one factor is K_(n-1) (the other has one state) a chunk's factor
     sources share their class of K_(n-1)."""
     st = oriented_structure(n)
-    sz = st.sizes[t]
+    sz = st.partition.classes[t].size
     size = max(1, CHUNK_ROWS // (sz * max(n - 3, 1)))
     coords = np.arange(sz)
     if n - 1 >= 2 and n - 1 in st.factor_ns[t]:
-        group = oriented_structure(n - 1).class_of
+        group = oriented_structure(n - 1).partition.vertex_class
         coords = coords[np.argsort(group, kind="stable")]
         cuts = np.flatnonzero(np.diff(group[coords])) + 1
     else:
@@ -370,14 +359,14 @@ def verify_unit_demands(n: int) -> dict:
     """
     if n <= 1:
         return {"n": n, "sources": 0, "ok": True}
-    st = oriented_structure(n)
-    for t in range(len(st.sizes)):
+    classes = oriented_structure(n).partition.classes
+    for t in range(len(classes)):
         r_dist(n, t)  # net-verified on construction
     size = catalan(n)
     factor_rows = partial(_factor_rows, n=n)
     count = 0
-    for t, sz in enumerate(st.sizes):
-        members = st.by_coord[t]
+    for t, c in enumerate(classes):
+        sz, members = c.size, c.by_coord
         for coords in _source_chunks(n, t):
             rows = _shuffle_rows(n, t, coords, factor_rows)
             k = len(coords)
@@ -487,15 +476,38 @@ def _path(parent, target):
     return path
 
 
-def _route(vals: dict, path: list, amount: Fraction) -> None:
-    for i in range(len(path) - 1):
-        arc = (path[i], path[i + 1])
-        vals[arc] = vals.get(arc, Fraction(0)) + amount
-
-
-def _shares(points: list) -> dict:
-    """Each distinct point's share of the list, in first-appearance order."""
-    return {p: Fraction(c, len(points)) for p, c in Counter(points).items()}
+def _class_paths(graph, cls: np.ndarray, where: np.ndarray) -> tuple:
+    """The canonical BFS path inside a class from each member z to each
+    other member u, as parallel int64 arrays with one entry per path arc:
+    (position of z, position of u, arc source, arc target), where[v] being
+    v's position in the class.  Paths go by z, then u, each from z to u."""
+    sz = len(cls)
+    # parent[z, u]: u's parent in z's tree, z's own being z
+    parent = np.empty((sz, sz), dtype=np.int64)
+    for z, root in enumerate(cls.tolist()):
+        tree = graph.bfs_tree(root, cls)
+        if len(tree) < sz:
+            raise InvalidParameterError("class induces a disconnected subgraph")
+        up = list(tree.values())
+        up[0] = root  # the tree's first key is its root
+        parent[z, where[list(tree)]] = where[up]
+    # anc[i, z * sz + u]: u's i-th ancestor in z's tree, up to the root
+    anc = [np.broadcast_to(np.arange(sz), (sz, sz))]
+    while True:
+        up = np.take_along_axis(parent, anc[-1], axis=1)
+        if (up == anc[-1]).all():
+            break
+        anc.append(up)
+    anc = np.stack(anc).reshape(len(anc), -1)
+    depth = (anc[1:] != anc[:-1]).sum(axis=0)
+    pair = np.flatnonzero(depth)
+    lens = depth[pair]
+    row = np.repeat(pair, lens)
+    # arc i (from 0) of a path of length d runs from the end's (d - i)-th
+    # ancestor to its (d - i - 1)-th
+    level = np.repeat(lens, lens) - (np.arange(len(row)) - np.repeat(_offsets(lens)[:-1], lens))
+    start, end = np.divmod(row, sz)
+    return start, end, cls[anc[level, row]], cls[anc[level - 1, row]]
 
 
 @dataclass
@@ -529,63 +541,44 @@ def projection_restriction_combine(graph, classes: list) -> ProjectionRestrictio
     delta = graph.degree
     if delta < 1:
         raise InvalidParameterError("graph has no edges; chain is degenerate")
-    members = [v for cls in classes for v in cls]
-    if sorted(members) != list(range(n_verts)):
+    classes = [np.asarray(cls, dtype=np.int64) for cls in classes]
+    members = np.concatenate(classes) if classes else np.zeros(0, dtype=np.int64)
+    if not np.array_equal(np.sort(members), np.arange(n_verts)):
         raise InvalidParameterError("classes do not partition the vertices")
     vc = np.empty(n_verts, dtype=np.int64)
     vc[members] = np.repeat(np.arange(len(classes)), list(map(len, classes)))
+    where = np.empty(n_verts, dtype=np.int64)  # each vertex's position in its class
+    where[members] = np.concatenate([np.arange(len(cls)) for cls in classes])
     q_edge = Fraction(1, 2 * delta * n_verts)
 
-    # restriction flows: canonical BFS paths inside each class; within[arc]
-    # is the number of class paths through arc
-    paths = []
-    within: dict = {}
-    rho_max = Fraction(0)
-    for cls in classes:
-        allowed = set(cls)
-        ptrees = {z: graph.bfs_tree(z, allowed) for z in cls}
-        counts: dict = {}
-        cls_paths = {}
-        for z in cls:
-            for u in cls:
-                if u == z:
-                    continue
-                if u not in ptrees[z]:
-                    raise InvalidParameterError("class induces a disconnected subgraph")
-                p = _path(ptrees[z], u)
-                cls_paths[(z, u)] = p
-                for i in range(len(p) - 1):
-                    arc = (p[i], p[i + 1])
-                    counts[arc] = counts.get(arc, 0) + 1
-        paths.append(cls_paths)
-        within.update(counts)
-        sz = len(cls)
-        for arc, cnt in counts.items():
-            # f_i/Q_i with f_i = cnt/sz^2 and Q_i = 1/(2 delta sz)
-            rho = Fraction(2 * delta * cnt, sz)
-            rho_max = max(rho_max, rho)
+    # restriction flows: canonical BFS paths inside each class; an arc's
+    # count is the number of its class's paths through it
+    paths = [_class_paths(graph, cls, where) for cls in classes]
+    src, dst = (np.concatenate([p[i] for p in paths]) for i in (2, 3))
+    pos, count = coalesce(arc_keys(src, dst), np.ones(len(src), dtype=np.int64))
+    # within-class demands pi(z) pi(u) = 1/N^2, routed on the restriction paths
+    pieces = [(ArcFlow.of(n_verts * n_verts, src[pos], dst[pos], count), 1)]
+    # f_i/Q_i with f_i = count/sz^2 and Q_i = 1/(2 delta sz)
+    top = np.zeros(len(classes), dtype=np.int64)
+    np.maximum.at(top, vc[src[pos]], count)
+    rho_max = max([Fraction(0)] + [Fraction(2 * delta * int(c), len(cls))
+                                   for c, cls in zip(top, classes) if c])
 
     # quotient graph and projection flow by canonical quotient paths
     k = len(classes)
-    cross_edges = {ab: list(map(tuple, arcs.tolist()))
-                   for ab, arcs in _cross_arcs(graph, vc, k).items()}
+    cross_edges = _cross_arcs(graph, vc, k)
     pairs = np.array(list(cross_edges), dtype=np.int64).reshape(-1, 2)
     quotient = graph_from_arcs(k, pairs[:, 0], pairs[:, 1])
     qtrees = {i: quotient.bfs_tree(i) for i in range(k)}
     pi_bar = [Fraction(len(cls), n_verts) for cls in classes]
     fbar: dict = {}
     qpaths = {}
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            if j not in qtrees[i]:
-                raise InvalidParameterError("quotient graph is disconnected")
-            qp = _path(qtrees[i], j)
-            qpaths[(i, j)] = qp
-            for t in range(len(qp) - 1):
-                arc = (qp[t], qp[t + 1])
-                fbar[arc] = fbar.get(arc, Fraction(0)) + pi_bar[i] * pi_bar[j]
+    for i, j in permutations(range(k), 2):
+        if j not in qtrees[i]:
+            raise InvalidParameterError("quotient graph is disconnected")
+        qp = qpaths[(i, j)] = _path(qtrees[i], j)
+        for arc in zip(qp, qp[1:]):
+            fbar[arc] = fbar.get(arc, Fraction(0)) + pi_bar[i] * pi_bar[j]
     rho_bar = Fraction(0)
     for (a, b), val in fbar.items():
         qbar = Fraction(len(cross_edges[(a, b)]), 2 * delta * n_verts)
@@ -596,34 +589,28 @@ def projection_restriction_combine(graph, classes: list) -> ProjectionRestrictio
     ext = np.bincount(src[vc[src] != vc[dst]], minlength=n_verts)
     gamma = Fraction(int(ext.max()), 2 * delta)
 
-    # within-class demands pi(z) pi(u) = 1/N^2, routed on the restriction paths
-    pieces = [(ArcFlow(n_verts * n_verts, within), 1)]
-
     # cross-class demands, lifted along the quotient paths
     for (i, j), qp in qpaths.items():
         demand = pi_bar[i] * pi_bar[j]
-        comp: dict = {}
-        hop_edges = [cross_edges[(qp[t], qp[t + 1])] for t in range(len(qp) - 1)]
-        # crossing arcs
-        for edges in hop_edges:
-            share = demand / len(edges)
-            for arc in edges:
-                comp[arc] = comp.get(arc, Fraction(0)) + share
+        hops = [cross_edges[(a, b)] for a, b in zip(qp, qp[1:])]
+        # crossing arcs, each hop's share spread evenly over its arcs
+        steps = [(ArcFlow.of(1, h[:, 0], h[:, 1], np.ones(len(h), dtype=np.int64)),
+                  demand / len(h)) for h in hops]
         # inside each class on the path, route from entry to exit points: the
-        # shares are uniform over the class at the path's ends and follow the
-        # crossing edges' endpoints elsewhere
+        # multiplicities are uniform over the class at the path's ends and
+        # count the crossing edges' endpoints elsewhere
         for t, ci in enumerate(qp):
-            uniform = dict.fromkeys(classes[ci], Fraction(1, len(classes[ci])))
-            entry = _shares([y for _, y in hop_edges[t - 1]]) if t else uniform
-            exit_ = _shares([x for x, _ in hop_edges[t]]) if t < len(hop_edges) else uniform
-            for z, a in entry.items():
-                for w, b in exit_.items():
-                    if z != w:
-                        _route(comp, paths[ci][(z, w)], demand * a * b)
+            start, end, src, dst = paths[ci]
+            into = hops[t - 1][:, 1] if t else classes[ci]
+            out = hops[t][:, 0] if t < len(hops) else classes[ci]
+            a, b = (np.bincount(where[e], minlength=len(classes[ci])) for e in (into, out))
+            pos, sums = coalesce(arc_keys(src, dst), scaled(a[start], b[end]))
+            steps.append((ArcFlow.of(1, src[pos], dst[pos], narrowed(sums)),
+                          demand / (len(into) * len(out))))
         # component conservation: class i sends demand, class j receives it
-        commodity = ArcFlow.from_fractions(comp)
-        expected = dict.fromkeys(classes[i], -demand / len(classes[i]))
-        expected.update(dict.fromkeys(classes[j], demand / len(classes[j])))
+        commodity = ArcFlow.combine(steps)
+        expected = dict.fromkeys(classes[i].tolist(), -demand / len(classes[i]))
+        expected.update(dict.fromkeys(classes[j].tolist(), demand / len(classes[j])))
         commodity.check_net(expected, f"commodity ({i},{j})")
         pieces.append((commodity, 1))
 
@@ -672,13 +659,13 @@ def hierarchical_pairing_flow(n: int):
     def match_size(a: int, b: int) -> int:
         return _region_count(3, n + 2, (0, min(a, b), max(a, b), n + 1))
 
-    # pools[i][c]: units of commodity i currently held by class c
-    pools = [
-        [Fraction(total * sizes[i]) if c == i else Fraction(0) for c in range(n)]
-        for i in range(n)
-    ]
+    # pools[i, c] / den: units of commodity i currently held by class c
+    pools = np.zeros((n, n), dtype=object)
+    pools[range(n), range(n)] = [total * sz for sz in sizes]
+    den = 1
     levels = []
-    arc_vals: dict = {}
+    arc_vals: dict = {}  # (src, dst) -> units moved; each pair moves at one level
+    arc_cong: dict = {}
     size = 2
     level_no = 0
     total_congestion = Fraction(0)
@@ -686,39 +673,36 @@ def hierarchical_pairing_flow(n: int):
         level_no += 1
         worst = Fraction(0)
         worst_pair = None
-        for start in range(0, n, size):
-            block = list(range(start, min(start + size, n)))
-            left = [c for c in block if c < start + size // 2]
-            right = [c for c in block if c >= start + size // 2]
-            if not left or not right:
-                continue
-            s_block = sum(sizes[c] for c in block)
+        blocks = [(lo, lo + size // 2, min(lo + size, n)) for lo in range(0, n, size)]
+        blocks = [(lo, mid, hi, sum(sizes[lo:hi])) for lo, mid, hi in blocks if mid < hi]
+        # over den * step every pool is a multiple of every block's size, so
+        # the moves below divide exactly
+        step = lcm(*(s_block for *_, s_block in blocks))
+        pools *= step
+        den *= step
+        for lo, mid, hi, s_block in blocks:
             # all per-level amounts come from the pre-level pools
-            pre = {c: [pools[i][c] for i in range(n)] for c in block}
-            for l in left:
-                for r in right:
+            pre = pools[:, lo:hi].copy()
+            for l in range(lo, mid):
+                for r in range(mid, hi):
                     for src, dst in ((l, r), (r, l)):
-                        sent = Fraction(0)
-                        for i in range(n):
-                            amt = pre[src][i] * sizes[dst] / s_block
-                            if amt:
-                                pools[i][src] -= amt
-                                pools[i][dst] += amt
-                                sent += amt
-                        if sent:
-                            arc_vals[(src, dst)] = arc_vals.get(
-                                (src, dst), Fraction(0)
-                            ) + sent
+                        amt = pre[:, src - lo] * sizes[dst] // s_block
+                        pools[:, src] -= amt
+                        pools[:, dst] += amt
+                        sent = Fraction(amt.sum(), den)
                         cong = sent / (match_size(src + 1, dst + 1) * total)
+                        if sent:
+                            arc_vals[(src, dst)] = sent
+                            arc_cong[(src, dst)] = cong
                         if cong > worst:
                             worst, worst_pair = cong, (src + 1, dst + 1)
             # pool invariant: total mass at class c stays C_n * |C_c|
-            for c in block:
-                held = sum(pools[i][c] for i in range(n))
-                if held != total * sizes[c]:
-                    raise StructureMismatchError(
-                        f"pool invariant broken at class {c}: {held}"
-                    )
+            held = pools[:, lo:hi].sum(axis=0)
+            bad = np.flatnonzero(held != [total * sz * den for sz in sizes[lo:hi]])
+            if len(bad):
+                raise StructureMismatchError(
+                    f"pool invariant broken at class {lo + bad[0]}: {Fraction(held[bad[0]], den)}"
+                )
         levels.append(
             {
                 "level": level_no,
@@ -732,21 +716,17 @@ def hierarchical_pairing_flow(n: int):
             break
         size *= 2
     # final demand certification: commodity i spread with density |C_i|
-    for i in range(n):
-        for c in range(n):
-            if pools[i][c] != Fraction(sizes[i] * sizes[c]):
-                raise StructureMismatchError(
-                    f"commodity {i} holds {pools[i][c]} at class {c}, "
-                    f"expected {sizes[i] * sizes[c]}"
-                )
-    flow = ArcFlow.from_fractions(arc_vals)
-    max_arc = max(
-        (
-            (v / (match_size(a + 1, b + 1) * total), (a, b))
-            for (a, b), v in arc_vals.items()
-        ),
-        default=(Fraction(0), None),
-    )
+    want = np.outer(np.array(sizes, dtype=object), np.array(sizes, dtype=object))
+    bad = np.argwhere(pools != want * den)
+    if len(bad):
+        i, c = bad[0].tolist()
+        raise StructureMismatchError(
+            f"commodity {i} holds {Fraction(pools[i, c], den)} at class {c}, "
+            f"expected {want[i, c]}"
+        )
+    lcd = lcm(*(v.denominator for v in arc_vals.values()))
+    flow = ArcFlow(lcd, {arc: int(v * lcd) for arc, v in arc_vals.items()})
+    max_arc = max(((v, arc) for arc, v in arc_cong.items()), default=(Fraction(0), None))
     report = CongestionReport(
         rho=max_arc[0],
         argmax_arc=max_arc[1],

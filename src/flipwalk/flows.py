@@ -144,15 +144,6 @@ class ArcFlow:
         keep = sums != 0
         return cls.of(den, src[pos][keep], dst[pos][keep], narrowed(sums[keep]))
 
-    @classmethod
-    def from_fractions(cls, vals: dict) -> "ArcFlow":
-        """The flow with value vals[arc] (an int or Fraction) on each arc, over
-        the least common denominator, in the insertion order of vals."""
-        den = 1
-        for x in vals.values():
-            den = lcm(den, x.denominator)
-        return cls(den, {a: x.numerator * (den // x.denominator) for a, x in vals.items()})
-
     def reduce(self) -> "ArcFlow":
         if self.num.dtype == object:
             g = gcd(self.den, *self.num.tolist())

@@ -31,6 +31,7 @@ EXACT_ANALYSIS_CAP = 300_000  # beyond this, mixing analysis is refused
 # 64 was the fastest of 32..512, with a quarter of 256's block memory
 MIXING_CHUNK = 64
 EIGSH_SEED = 7  # fixed Lanczos start vector, so reruns are byte-identical
+WALK_CHUNK = 1 << 16  # coins sample_walk draws at a time; chunks replay one draw's stream
 
 
 @dataclass
@@ -370,10 +371,10 @@ def sample_walk(graph, steps: int, seed: int, start: int, thin: int = 1) -> dict
     counts = np.zeros(n, dtype=np.int64)
     state = start
     counts[state] += 1
-    if steps:
-        coins = rng.integers(0, 2 * delta, size=steps).tolist()
-        indptr, indices = (a.tolist() for a in graph.csr())
-        for i, coin in enumerate(coins):
+    indptr, indices = (a.tolist() for a in graph.csr())
+    for lo in range(0, steps, WALK_CHUNK):
+        coins = rng.integers(0, 2 * delta, size=min(WALK_CHUNK, steps - lo)).tolist()
+        for i, coin in enumerate(coins, lo):
             at = indptr[state] + coin
             if at < indptr[state + 1]:
                 state = indices[at]

@@ -388,19 +388,27 @@ def _projres_case(case):
     return g, [c.member_indices for c in part.classes]
 
 
-_PROJRES_CASES = [f"{p}-{n}" for p in ("oriented", "central") for n in range(3, 7)]
+_PROJRES_CASES = [f"{p}-{n}" for p in ("oriented", "central") for n in range(3, 8)]
 _PROJRES_CASES += list(_TOY_JOINS)
+
+
+def _flow_sha256(flow, *extra):
+    return hashlib.sha256(repr((flow.den, list(flow.vals.items()), *extra)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case", _PROJRES_CASES)
 def test_projres_matches_golden(case):
-    """The combined flow (denominator and values in dict order) and every
-    reported quantity, against tests/golden/projection_restriction.json."""
-    with open(os.path.join(os.path.dirname(__file__), "golden", "projection_restriction.json")) as fh:
+    """The combined flow (denominator and values in dict order, or at n = 7
+    the sha256 of (den, list(vals.items()))) and every reported quantity,
+    against tests/golden/projection_restriction.json."""
+    with open(os.path.join(GOLDEN, "projection_restriction.json")) as fh:
         want = json.load(fh)[case]
     res = projection_restriction_combine(*_projres_case(case))
-    assert res.flow.den == want["den"]
-    assert [[u, v, w] for (u, v), w in res.flow.vals.items()] == want["vals"]
+    if "sha256" in want:
+        assert _flow_sha256(res.flow) == want["sha256"]
+    else:
+        assert res.flow.den == want["den"]
+        assert [[u, v, w] for (u, v), w in res.flow.vals.items()] == want["vals"]
     for key in ("measured", "bound", "rho_max", "rho_bar", "gamma"):
         assert str(getattr(res, key)) == want[key], key
     assert list(res.report.argmax_arc) == want["argmax_arc"]
@@ -415,6 +423,25 @@ def test_projres_rejects_non_partition():
 def test_projres_rejects_edgeless_graph():
     with pytest.raises(InvalidParameterError):
         projection_restriction_combine(build_flip_graph(3, 1), [[0]])
+
+
+def test_projres_rejects_disconnected_class():
+    # 0 and 4 are not neighbours on the 5-cycle K_3
+    g = _graph(3, 3)
+    assert (0, 4) not in set(g.edges())
+    with pytest.raises(InvalidParameterError, match="disconnected subgraph"):
+        projection_restriction_combine(g, [[0, 4], [1, 2, 3]])
+
+
+def test_projres_rejects_empty_class():
+    with pytest.raises(InvalidParameterError):
+        projection_restriction_combine(_graph(3, 4), [[], list(range(14))])
+
+
+def test_projres_rejects_disconnected_quotient():
+    # two 4-cycles with no edge between them
+    with pytest.raises(InvalidParameterError, match="quotient graph is disconnected"):
+        projection_restriction_combine(_toy_chain([]), [[0, 1, 2, 3], [4, 5, 6, 7]])
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +475,16 @@ def test_pairing_sqrt_scaling_against_prediction():
     ratio = t16 / t4
     # measured ratio relative to the sqrt(16/4) = 2.0 prediction
     assert Fraction(12, 10) <= ratio / 2 <= Fraction(28, 10)
+
+
+@pytest.mark.parametrize("n", [*range(2, 20), 32, 64])
+def test_pairing_matches_golden(n):
+    """The pairing flow (denominator and values in dict order), its report's
+    JSON and its details, against the sha256 in tests/golden/pairing.json."""
+    with open(os.path.join(GOLDEN, "pairing.json")) as fh:
+        want = json.load(fh)[str(n)]
+    flow, report, details = hierarchical_pairing_flow(n)
+    assert _flow_sha256(flow, report.to_json(), details) == want
 
 
 def test_pairing_report_levels_serialize():

@@ -353,6 +353,15 @@ def test_sample_walk_matches_list_walk():
     assert res["histogram"] == counts and res["final_state"] == state
 
 
+def test_sample_walk_chunked_draws_match_one_draw(monkeypatch):
+    """Coins drawn seven at a time replay the walk of one draw of all 1000
+    (the default chunk is larger), thinning included."""
+    g = _graph(3, 5)
+    whole = sample_walk(g, 1000, seed=4, start=2, thin=3)
+    monkeypatch.setattr(spectral, "WALK_CHUNK", 7)
+    assert sample_walk(g, 1000, seed=4, start=2, thin=3) == whole
+
+
 @pytest.mark.parametrize("steps, thin", [(-1, 1), (10, 0), (10, -2)])
 def test_sample_walk_rejects_bad_steps_and_thin(steps, thin):
     with pytest.raises(InvalidParameterError):
