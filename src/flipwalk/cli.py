@@ -46,6 +46,7 @@ from .spectral import (
 )
 
 COMMANDS = ("enumerate", "analyze", "flow", "cut", "lattice", "sample")
+MAX_STEPS = 10**9  # sample walk steps; about 10 minutes at 0.62 us per step
 EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, EXIT_CAP = 0, 2, 3, 4
 
 
@@ -106,8 +107,10 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"epsilon must be in (0, 1) (field 'epsilon' = {self.epsilon})"
             )
-        if self.steps < 0:
-            raise InvalidParameterError(f"steps must be >= 0 (field 'steps' = {self.steps})")
+        if not 0 <= self.steps <= MAX_STEPS:
+            raise InvalidParameterError(
+                f"steps must be in [0, {MAX_STEPS}] (field 'steps' = {self.steps})"
+            )
         if self.thin < 1:
             raise InvalidParameterError(f"thin must be >= 1 (field 'thin' = {self.thin})")
         if self.block is not None and self.block < 1:

@@ -119,10 +119,11 @@ def tvd(mu, nu) -> float:
 
 def _tvd_to_uniform(x: np.ndarray):
     """TVD to uniform of a distribution, or of each column of a block; the
-    difference block is the only temporary."""
+    difference block, in x's dtype, is the only temporary, and it is summed
+    in float64."""
     d = x - 1.0 / x.shape[0]
     np.abs(d, out=d)
-    return 0.5 * d.sum(axis=0)
+    return 0.5 * d.sum(axis=0, dtype=np.float64)
 
 
 def mixing_time(
@@ -177,43 +178,123 @@ def _mixing_floor(gap: float, eps: float) -> int:
     return max(0, math.floor((1 / gap - 1) * math.log(1 / (2 * eps))) - 1)
 
 
-def _mixing_block(chain: ChainAnalysis, starts: list, eps: float) -> int:
-    """Least t at which every start's TVD to uniform is below eps.
+def _tvd_bound(w: int, n: int, t: int) -> float:
+    """delta_t: a bound on |T32 - T64|, where T32 is a start's TVD to uniform
+    after t steps stepped and differenced in float32, T64 the same in
+    float64, both by `_tvd_to_uniform` and the CSR product in any summation
+    order; w is the most stored entries in a row of P, n the state count.
 
-    Point masses at the starts are stepped as the columns of an
-    N x MIXING_CHUNK block, X <- P @ X; with the one temporary of a TVD
-    check, at most two such blocks are held at once.  No TVD is checked before
-    `_mixing_floor`.  The TVD from a fixed start never rises,
-    so a column is dropped once it is below eps, and a later chunk is first
-    checked at the running maximum.  A connected lazy chain mixes within
-    log(N/eps)/gap steps (Levin-Peres-Wilmer, Thm 12.4); running past twice
-    that means the chain is disconnected or the arithmetic failed.
+    With unit roundoff r (u = 2^-24 for float32, v = 2^-53 for float64) and
+    gamma_k = k r / (1 - k r) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.1): a row of the product is an inner product of
+    w terms (gamma_w), and a stored entry of P is off by at most gamma_3 in
+    float64 (the diagonal is 1 - deg * fl(1/(2 Delta))) and by at most 2u
+    after its rounding to float32.  So each product term is off by at most
+    c times itself, c = gamma_{w+2} in float32 and gamma_{w+3} in float64.
+    P is nonnegative and doubly stochastic, so a step adds to the l1 error
+    at most c times the mass, 1 + e_t, plus mu = n w 2^-149 (2^-1074 in
+    float64) for products that underflow, and ||x_t' - x_t||_1 <= e_t with
+
+        e_t = ((1 + c)^t - 1) (1 + mu / c).
+
+    The difference x_i - 1/n is rounded once in r, from 1/n off by at most
+    2r / n, so the l1 sum A of the differenced column is off by at most
+    a_t = e_t + r (4 + e_t + 2r), and the float64 sum of A <= 2 + a_t adds
+    at most gamma_{n-1}(v) (2 + a_t).  Halving is exact, so each TVD is
+    within
+
+        D_t(r) = (a_t + gamma_{n-1}(v) (2 + a_t)) / 2
+
+    of the exact TVD, and delta_t = D_t(u) + D_t(v).  The factor 1 + 2^-20
+    covers the rounding of this formula and of eps +- delta_t.
     """
+    v = 2.0 ** -53
+
+    def drift(r: float, k: int, tiny: float) -> float:
+        c = k * r / (1 - k * r)
+        grow = t * math.log1p(c)
+        if grow > 700:
+            return math.inf
+        e = math.expm1(grow) * (1 + n * w * tiny / c)
+        a = e + r * (4 + e + 2 * r)
+        return (a + (n - 1) * v / (1 - (n - 1) * v) * (2 + a)) / 2
+
+    both = drift(2.0 ** -24, w + 2, 2.0 ** -149) + drift(v, w + 3, 2.0 ** -1074)
+    return both * (1 + 2.0 ** -20)
+
+
+def _mixing_block(chain: ChainAnalysis, starts: list, eps: float) -> int:
+    """Least t at which every start's TVD to uniform is below eps, exactly
+    as stepping in float64 decides it.
+
+    The starts go MIXING_CHUNK at a time through `_step_starts`, first with
+    P in float32.  A start whose float32 TVD lies within `_tvd_bound` of
+    eps is undecided; only those are stepped again with the float64 P, from
+    step 0, and first checked where they were undecided (every earlier
+    check found them above eps, in float64 too).  The chunk's tau is the
+    later of the two.  No TVD is checked before `_mixing_floor`, and a
+    later chunk is first checked at the running maximum.  A connected lazy
+    chain mixes within log(N/eps)/gap steps (Levin-Peres-Wilmer, Thm 12.4);
+    running past twice that means the chain is disconnected or the
+    arithmetic failed.
+    """
+    import scipy.sparse as sp
+
     n = chain.num_states
     p = chain.operator()
+    p32 = sp.csr_matrix((p.data.astype(np.float32), p.indices, p.indptr), shape=p.shape)
+    w = int(np.diff(p.indptr).max())
     gap = chain.spectral_gap()
     limit = 2 * math.log(n / eps) / gap + 10 if gap > 1e-12 else 0
     tau = _mixing_floor(gap, eps)
     for lo in range(0, len(starts), MIXING_CHUNK):
         cols = starts[lo:lo + MIXING_CHUNK]
-        x = np.zeros((n, len(cols)))
-        x[cols, np.arange(len(cols))] = 1.0
-        t = 0
-        while True:
-            if t >= tau:
-                live = _tvd_to_uniform(x) >= eps
-                if not live.any():
-                    break
-                if not live.all():
-                    x = np.ascontiguousarray(x[:, live])
-            if t >= limit:
-                raise NumericFailureError(
-                    f"mixing did not converge in {t} steps; is the chain connected?"
-                )
-            x = p @ x
-            t += 1
+        t, redo, first = _step_starts(
+            p32, cols, tau, eps, limit, lambda s: _tvd_bound(w, n, s))
+        if redo:
+            t = max(t, _step_starts(p, redo, first, eps, limit, lambda s: 0.0)[0])
         tau = t
     return tau
+
+
+def _step_starts(p, starts, first: int, eps: float, limit: float, delta) -> tuple:
+    """Step point masses at the starts as the columns of an N x len(starts)
+    block in P's dtype, X <- P @ X; with the one temporary of a TVD check,
+    at most two such blocks are held at once.
+
+    From step `first` on, a column whose TVD is below eps - delta(t) is
+    mixed and one at or above eps + delta(t) is not; the rest are
+    undecided and are set aside.  The TVD from a fixed start never rises,
+    so mixed columns are dropped.  Returns the step at which no column is
+    left, the undecided starts, and the first step at which one was found.
+    """
+    n = p.shape[0]
+    starts = np.asarray(starts)
+    x = np.zeros((n, starts.size), dtype=p.dtype)
+    x[starts, np.arange(starts.size)] = 1.0
+    undecided, found = [], None
+    t = 0
+    while True:
+        if t >= first:
+            tv = _tvd_to_uniform(x)
+            d = delta(t)
+            live = tv >= eps + d
+            open_ = ~live & (tv >= eps - d)
+            if open_.any():
+                undecided += starts[open_].tolist()
+                found = t if found is None else found
+            if not live.any():
+                break
+            if not live.all():
+                x = np.ascontiguousarray(x[:, live])
+                starts = starts[live]
+        if t >= limit:
+            raise NumericFailureError(
+                f"mixing did not converge in {t} steps; is the chain connected?"
+            )
+        x = p @ x
+        t += 1
+    return t, undecided, found
 
 
 def tvd_curve(chain: ChainAnalysis, start: int, steps: int) -> list:

@@ -40,7 +40,8 @@ def test_config_validation():
         ExperimentConfig(command="sample", ns=[3]).validate()
 
 
-@pytest.mark.parametrize("flag, value", [("--thin", "0"), ("--steps", "-5")])
+@pytest.mark.parametrize("flag, value", [
+    ("--thin", "0"), ("--steps", "-5"), ("--steps", "10000000000")])
 def test_sample_rejects_bad_thin_and_steps(tmp_path, capsys, flag, value):
     out = tmp_path / "out"
     rc = main(["--command", "sample", "--n", "3", "--seed", "1", flag, value,

@@ -153,30 +153,134 @@ def test_tvd_to_uniform_matches_two_temporary_form():
     assert spectral._tvd_to_uniform(col) == 0.5 * np.abs(col - 1 / col.size).sum()
 
 
+def _float64_mixing_block(chain, starts, eps):
+    """The mixing loop stepped in float64 only: the oracle for the float32
+    path with its float64 re-step."""
+    n = chain.num_states
+    p = chain.operator()
+    gap = chain.spectral_gap()
+    limit = 2 * math.log(n / eps) / gap + 10 if gap > 1e-12 else 0
+    tau = spectral._mixing_floor(gap, eps)
+    for lo in range(0, len(starts), spectral.MIXING_CHUNK):
+        cols = starts[lo:lo + spectral.MIXING_CHUNK]
+        x = np.zeros((n, len(cols)))
+        x[cols, np.arange(len(cols))] = 1.0
+        t = 0
+        while True:
+            if t >= tau:
+                live = 0.5 * np.abs(x - 1.0 / n).sum(axis=0) >= eps
+                if not live.any():
+                    break
+                if not live.all():
+                    x = np.ascontiguousarray(x[:, live])
+            if t >= limit:
+                raise NumericFailureError(f"no convergence in {t} steps")
+            x = p @ x
+            t += 1
+        tau = t
+    return tau
+
+
+def _mixing_in_every_mode(monkeypatch, sizes, eps):
+    """(tau, mode) of every size as a flip graph and as a plain Graph copy,
+    with and without the all-starts cap: all three modes."""
+    out = {}
+    caps = (spectral.EXACT_START_CAP, 0)
+    for cap in caps:
+        monkeypatch.setattr(spectral, "EXACT_START_CAP", cap)
+        for kn in sizes:
+            for g in (_graph(*kn), Graph(*_graph(*kn).csr())):
+                out[cap, kn, type(g)] = mixing_time(build_chain(g), eps, return_mode=True)
+    monkeypatch.setattr(spectral, "EXACT_START_CAP", caps[0])
+    return out
+
+
 @pytest.mark.parametrize("eps", [0.25, 0.05])
 def test_mixing_floor_changes_no_mixing_time(monkeypatch, eps):
     """TVD checks start at the Levin-Peres-Wilmer floor; every tau and mode
     equals the one checked from step 0, in every mode: all starts, orbit
     starts, and the eigenvector-extreme starts of a plain Graph copy."""
     sizes = [(3, n) for n in range(2, 10)] + [(4, n) for n in range(2, 6)]
-
-    def results():
-        out = {}
-        for cap in (spectral.EXACT_START_CAP, 0):
-            monkeypatch.setattr(spectral, "EXACT_START_CAP", cap)
-            for kn in sizes:
-                for g in (_graph(*kn), Graph(*_graph(*kn).csr())):
-                    out[cap, kn, type(g)] = mixing_time(build_chain(g), eps, return_mode=True)
-        monkeypatch.undo()
-        return out
-
-    skipped = results()
+    skipped = _mixing_in_every_mode(monkeypatch, sizes, eps)
     assert spectral._mixing_floor(build_chain(_graph(3, 9)).spectral_gap(), 0.25) == 27
     monkeypatch.setattr(spectral, "_mixing_floor", lambda gap, eps: 0)
-    unskipped = results()
+    unskipped = _mixing_in_every_mode(monkeypatch, sizes, eps)
     assert skipped == unskipped
     assert {mode for _, mode in skipped.values()} == {
         "exact-all-starts", "exact-orbit-starts", "heuristic-start"}
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.05])
+def test_float32_mixing_matches_float64_oracle(monkeypatch, eps):
+    """Stepping in float32 with the float64 re-step of undecided starts
+    gives the tau of the float64-only loop, in every mode."""
+    sizes = [(3, n) for n in range(2, 10)] + [(4, n) for n in range(2, 7)] + [
+        (5, n) for n in range(2, 6)]
+    fast = _mixing_in_every_mode(monkeypatch, sizes, eps)
+    monkeypatch.setattr(spectral, "_mixing_block", _float64_mixing_block)
+    assert fast == _mixing_in_every_mode(monkeypatch, sizes, eps)
+    assert {mode for _, mode in fast.values()} == {
+        "exact-all-starts", "exact-orbit-starts", "heuristic-start"}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_tvd_bound_covers_float32_stepping(n):
+    """|T32 - T64| <= delta_t at every step up to tau(0.05) from every orbit
+    start, and delta_t is small at tau, so the band it leaves is narrow."""
+    chain = build_chain(_graph(3, n))
+    p = chain.operator()
+    w = int(np.diff(p.indptr).max())
+    starts = spectral.orbit_representatives(chain.graph)
+    x = np.zeros((chain.num_states, len(starts)))
+    x[starts, np.arange(len(starts))] = 1.0
+    x32 = x.astype(np.float32)
+    p32 = p.astype(np.float32)
+    tau = mixing_time(chain, 0.05)
+    for t in range(tau + 1):
+        gap = np.abs(spectral._tvd_to_uniform(x32) - spectral._tvd_to_uniform(x))
+        assert gap.max() <= spectral._tvd_bound(w, chain.num_states, t), t
+        x, x32 = p @ x, p32 @ x32
+    assert x32.dtype == np.float32
+    assert spectral._tvd_bound(w, chain.num_states, tau) < 1e-4
+
+
+def test_unbounded_delta_resteps_every_start(monkeypatch):
+    """With delta = inf no float32 TVD decides a start, so every start goes
+    through the float64 re-step, and every tau stays the same."""
+    sizes = [(3, n) for n in range(2, 9)] + [(4, n) for n in range(2, 6)]
+    want = _mixing_in_every_mode(monkeypatch, sizes, 0.25)
+    stepped = {"float32": 0, "float64": 0}
+    step_starts = spectral._step_starts
+
+    def counted(p, starts, first, eps, limit, delta):
+        stepped[p.dtype.name] += len(starts)
+        return step_starts(p, starts, first, eps, limit, delta)
+
+    monkeypatch.setattr(spectral, "_step_starts", counted)
+    monkeypatch.setattr(spectral, "_tvd_bound", lambda w, n, t: math.inf)
+    assert _mixing_in_every_mode(monkeypatch, sizes, 0.25) == want
+    assert stepped["float64"] == stepped["float32"] > 0
+
+
+def test_four_cycle_exact_tie(monkeypatch):
+    """The lazy walk on a 4-cycle reaches TVD exactly 1/4 at step 1, so at
+    eps = 1/4 float32 cannot decide it, and the float64 re-step decides it
+    by value as the float64 loop does: tau = 2."""
+    cyc = graph_from_lists([[1, 3], [0, 2], [1, 3], [0, 2]])
+    chain = build_chain(cyc)
+    assert tvd_curve(chain, 0, 2) == [0.75, 0.25, 0.125]
+    restepped = []
+    step_starts = spectral._step_starts
+
+    def counted(p, starts, first, eps, limit, delta):
+        if p.dtype == np.float64:
+            restepped.append((list(starts), first))
+        return step_starts(p, starts, first, eps, limit, delta)
+
+    monkeypatch.setattr(spectral, "_step_starts", counted)
+    assert mixing_time(chain, 0.25, return_mode=True) == (2, "exact-all-starts")
+    assert restepped == [([0, 1, 2, 3], 1)]
+    assert _float64_mixing_block(build_chain(cyc), [0, 1, 2, 3], 0.25) == 2
 
 
 def test_orbit_start_mixing_n9():
