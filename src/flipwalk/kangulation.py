@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -90,49 +91,46 @@ def _polygon(m: int) -> _Polygon:
 
 
 @lru_cache(maxsize=None)
-def _local_pairs(k: int, n: int) -> np.ndarray:
-    """All k-angulations of the (k-2)n+2-gon as an (N, n-1, 2) array of
-    diagonal endpoints, in no particular order.
+def _enumerate_rows(k: int, n: int) -> np.ndarray:
+    """All k-angulations of the (k-2)n+2-gon as read-only id rows, in
+    canonical (lexicographic) order.
 
     Recursion: pick the k-gon containing polygon edge (m-1, 0); its other
     vertices split the polygon into k-1 sub-polygons handled recursively,
     and the states with that root face are the Cartesian product of theirs.
+    Each root face's block of rows is filled in place, one column range per
+    sub-polygon: the chord that cuts it off, then its cached rows translated
+    into this polygon's ids and broadcast along the block's axis for it.
+    Every row is then sorted and the rows put in lexicographic order.
     """
-    if n <= 1:
-        return np.zeros((1, 0, 2), dtype=np.int16)
-    blocks = []
-    # compositions of n-1 into k-1 parts >= 0 (stars and bars: k-2 bars
-    # among n+k-3 slots) determine the root face
-    slots = n + k - 3
-    for bars in combinations(range(slots), k - 2):
-        parts = [b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,))]
-        # root face vertices: 0 = c_0 < c_1 < ... < c_{k-2} < c_{k-1} = m-1
-        cs = [0]
-        for p in parts:
-            cs.append(cs[-1] + (k - 2) * p + 1)
-        face = np.array(
-            [(a, b) for a, b in zip(cs, cs[1:]) if b - a > 1], dtype=np.int16
-        ).reshape(-1, 2)
-        subs = [_local_pairs(k, p) + base for base, p in zip(cs, parts) if p >= 1]
-        picks = np.indices([len(sub) for sub in subs]).reshape(len(subs), -1)
-        blocks.append(np.concatenate(
-            [np.broadcast_to(face, (picks.shape[1], *face.shape))]
-            + [sub[pick] for sub, pick in zip(subs, picks)],
-            axis=1,
-        ))
-    pairs = np.concatenate(blocks)
-    pairs.flags.writeable = False
-    return pairs
-
-
-@lru_cache(maxsize=None)
-def _enumerate_rows(k: int, n: int) -> np.ndarray:
-    """All k-angulations of the (k-2)n+2-gon as read-only id rows, in
-    canonical (lexicographic) order."""
     poly = _polygon(polygon_size(k, n))
-    pairs = _local_pairs(k, n)
-    rows = np.sort(poly.pair_id[pairs[..., 0], pairs[..., 1]], axis=1).astype(poly.dtype)
+    rows = np.empty((fuss_catalan(k, n), n - 1), dtype=poly.dtype)
     if n > 1:
+        at = 0
+        # compositions of n-1 into k-1 parts >= 0 (stars and bars: k-2 bars
+        # among n+k-3 slots) determine the root face
+        slots = n + k - 3
+        for bars in combinations(range(slots), k - 2):
+            parts = [b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,))]
+            # root face vertices: 0 = c_0 < c_1 < ... < c_{k-2} < c_{k-1} = m-1
+            cs = [0]
+            for p in parts:
+                cs.append(cs[-1] + (k - 2) * p + 1)
+            subs = [(base, p) for base, p in zip(cs, parts) if p >= 1]
+            shape = [fuss_catalan(k, p) for _, p in subs]
+            size = prod(shape)
+            block = rows[at:at + size].reshape(*shape, n - 1)
+            col = 0
+            for axis, (base, p) in enumerate(subs):
+                block[..., col] = poly.pair_id[base, base + (k - 2) * p + 1]
+                ends = _polygon(polygon_size(k, p)).ends + base
+                ids = poly.pair_id[ends[:, 0], ends[:, 1]].astype(poly.dtype)
+                sub = ids[_enumerate_rows(k, p)]
+                block[..., col + 1:col + p] = sub.reshape(
+                    [len(sub) if j == axis else 1 for j in range(len(shape))] + [p - 1])
+                col += p
+            at += size
+        rows.sort(axis=1)
         rows = rows[np.lexsort(rows.T[::-1])]
     rows.flags.writeable = False
     return rows
@@ -301,7 +299,9 @@ def _flip_rows(rows: np.ndarray, k: int, m: int) -> tuple:
     others = np.broadcast_to(
         rows[:, keep][:, :, None, :], (*inserted.shape, width - 1)
     )
-    nbrs = np.sort(np.concatenate([others, inserted[..., None]], axis=3), axis=3)
+    # concatenate would return native byte order; big-endian ids must stay so
+    nbrs = np.concatenate([others, inserted[..., None]], axis=3, dtype=rows.dtype)
+    nbrs.sort(axis=3)
     flat = count, width * (k - 2)
     return nbrs.reshape(*flat, width), removed.reshape(flat), inserted.reshape(flat)
 
@@ -393,21 +393,31 @@ def orbit_representatives(graph: FlipGraph) -> list:
     group, which acts on k-angulations by graph automorphisms, so vertex
     eccentricities are constant on orbits.
 
-    Each of the 2m maps v -> v + r or r - v (mod m) permutes the diagonal
-    ids; every row is mapped, sorted and looked up among the canonical rows,
-    and the running minimum of the indices found is each vertex's orbit
-    label.  The representatives are the vertices labelled with themselves.
+    The group is generated by the rotation v -> v + 1 and the reflection
+    v -> -v (mod m).  Each permutes the diagonal ids; every row is mapped,
+    sorted and looked up among the canonical rows.  Both images of every row
+    must be states, so each generator permutes the states, and so does every
+    product of them: the orbit of a vertex is what the two maps reach from
+    it.  Each vertex's label, first itself, takes the minimum of its two
+    images' labels until no label changes; it is then the first vertex of
+    the orbit, and the representatives are the vertices labelled with
+    themselves.
     """
     rows, m = graph.rows, graph.m
     label = np.arange(len(rows))
     if rows.shape[1]:
         poly, keys, v = _polygon(m), _row_keys(rows), np.arange(m)
-        for image in chain(v[None] + v[:, None], v[:, None] - v[None]):
-            perm = poly.pair_id[image[poly.ends[:, 0]] % m, image[poly.ends[:, 1]] % m]
-            at, found = _lookup(keys, _row_keys(np.sort(perm.astype(poly.dtype)[rows], axis=1)))
+        images = []
+        for image in ((v + 1) % m, -v % m):
+            perm = poly.pair_id[image[poly.ends[:, 0]], image[poly.ends[:, 1]]]
+            mapped = perm.astype(poly.dtype)[rows]
+            mapped.sort(axis=1)
+            at, found = _lookup(keys, _row_keys(mapped))
             if not found.all():
                 raise InvalidParameterError("a symmetry image leaves the enumerated states")
-            np.minimum(label, at, out=label)
+            images.append(at)
+        while ((low := np.minimum(label[images[0]], label[images[1]])) < label).any():
+            np.minimum(label, low, out=label)
     return np.flatnonzero(label == np.arange(len(rows))).tolist()
 
 

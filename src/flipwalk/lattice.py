@@ -314,10 +314,19 @@ def _flip_planes(planes: np.ndarray, count: int, grid: _Grid) -> tuple:
 
 def _flips(keys: np.ndarray, grid: _Grid):
     """Flips of packed states, FLIP_CHUNK at a time: per chunk (first
-    state, state offsets, removed ids, inserted ids)."""
+    state, int32 state offsets, int16 removed ids, int16 inserted ids);
+    segment ids fit int16 up to LATTICE_GRID_CAP (1282 at n = 8)."""
     for lo in range(0, len(keys), FLIP_CHUNK):
         part = _unpack(keys[lo:lo + FLIP_CHUNK], grid.size)
-        yield lo, *_flip_planes(_planes(part), len(part), grid)
+        state, removed, inserted = _flip_planes(_planes(part), len(part), grid)
+        yield lo, state.astype(np.int32), removed.astype(np.int16), inserted.astype(np.int16)
+
+
+def _join(parts: list) -> np.ndarray:
+    """The arrays of `parts` concatenated; the list is emptied."""
+    out = np.concatenate(parts)
+    parts.clear()
+    return out
 
 
 def _flipped(keys: np.ndarray, removed: np.ndarray, inserted: np.ndarray) -> np.ndarray:
@@ -441,9 +450,10 @@ def enumerate_lattice(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> LatticeFlip
     is its unique neighbour keys minus those of the previous and current
     levels, each built from one of its flips; the level's keys stay sorted,
     and every flip's target id is looked up among the three.  The found
-    states are sorted once by packed state; then, FLIP_CHUNK vertices at a
-    time, each neighbour is rebuilt from its flip and must equal the state
-    its key resolved to, so a key collision raises StructureMismatchError
+    states are sorted in place by packed state, so no second copy of them
+    is kept; then, a quarter FLIP_CHUNK of sorted vertices at a time, each
+    neighbour is rebuilt from its flip and must equal the sorted state its
+    key resolved to, so a key collision raises StructureMismatchError
     instead of merging two states."""
     if n < 1:
         raise InvalidParameterError("grid side must be >= 1")
@@ -461,14 +471,14 @@ def enumerate_lattice(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> LatticeFlip
         levels.append(cur)
         state, removed, inserted = (np.concatenate(a) for a in zip(*(
             (lo + s, r, i) for lo, s, r, i in _flips(cur, grid))))
-        degs.append(np.bincount(state, minlength=len(cur)))
-        # segment ids fit int16 up to LATTICE_ENUM_CAP (86 at n = 4)
-        flips.append(np.stack([removed, inserted], axis=1).astype(np.int16))
+        degs.append(np.bincount(state, minlength=len(cur)).astype(np.int32))
+        flips.append(np.stack([removed, inserted], axis=1))
         nbr = key[state] ^ z[removed] ^ z[inserted]
         by_key = np.argsort(nbr)
+        nbr = nbr[by_key]
         head = np.ones(len(nbr), dtype=bool)
-        head[1:] = nbr[by_key[1:]] != nbr[by_key[:-1]]
-        cand, rep = nbr[by_key[head]], by_key[head]  # one flip per distinct key
+        head[1:] = nbr[1:] != nbr[:-1]
+        cand, rep = nbr[head], by_key[head]  # one flip per distinct key
         at_prev, in_prev = _lookup(prev, cand)
         at_here, in_here = _lookup(key, cand)
         fresh = ~(in_prev | in_here)
@@ -480,28 +490,28 @@ def enumerate_lattice(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> LatticeFlip
         rep = rep[fresh]
         prev, prev_base, base = key, base, base + len(cur)
         key, cur = cand[fresh], _flipped(cur[state[rep]], removed[rep], inserted[rep])
-    # in discovery order; the per-level lists are dropped to keep the peak down
-    found, deg = np.concatenate(levels), np.concatenate(degs)
-    flips, target = np.concatenate(flips), np.concatenate(targets)
-    del levels, degs, targets
+    # in discovery order, each list joined and dropped before the next
+    found, deg, flips, target = map(_join, (levels, degs, flips, targets))
     count = len(found)
-    order = np.argsort(_row_keys(found))  # discovery id of each vertex
-    rank = np.empty(count, dtype=np.int64)
-    rank[order] = np.arange(count)
-    keys = found[order]
-    first = np.zeros(count + 1, dtype=np.int64)  # flips of discovery id d: first[d]..first[d+1]
+    order = np.argsort(_row_keys(found)).astype(np.int32)  # discovery id of each vertex
+    rank = np.empty(count, dtype=np.int32)
+    rank[order] = np.arange(count, dtype=np.int32)
+    keys = found
+    _row_keys(keys).sort()  # a view of the contiguous rows: sorted in place, no second copy
+    first = np.zeros(count + 1, dtype=np.int32)  # flips of discovery id d: first[d]..first[d+1]
     np.cumsum(deg, out=first[1:])
-    indptr = np.zeros(count + 1, dtype=np.int64)
+    indptr = np.zeros(count + 1, dtype=np.int32)
     np.cumsum(deg[order], out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
-    for lo in range(0, count, FLIP_CHUNK):
-        d = order[lo:lo + FLIP_CHUNK]
+    step = FLIP_CHUNK // 4  # about 9,500 arcs at n = 4, so the check's temporaries stay small
+    for lo in range(0, count, step):
+        d = order[lo:lo + step]
         at = _ranges(first[d], first[d + 1])
         src = np.repeat(np.arange(lo, lo + len(d)), deg[d])
-        dst = target[at]
-        if not np.array_equal(_flipped(keys[src], flips[at, 0], flips[at, 1]), found[dst]):
+        dst = rank[target[at]]
+        if not np.array_equal(_flipped(keys[src], flips[at, 0], flips[at, 1]), keys[dst]):
             raise StructureMismatchError("a flip's key resolved to a different state")
-        indices[indptr[lo]:indptr[lo + len(d)]] = np.sort(src * count + rank[dst]) % count
+        indices[indptr[lo]:indptr[lo + len(d)]] = np.sort(src * count + dst) % count
     return LatticeFlipGraph(n, keys, indptr, indices)
 
 
@@ -538,14 +548,6 @@ def _canon_cycle(boundary: tuple) -> tuple:
     return boundary[best:] + boundary[:best]
 
 
-def _region_points(boundary, grid_points) -> list:
-    return [
-        p
-        for p in grid_points
-        if _point_in_polygon(p, boundary) != "out"
-    ]
-
-
 @lru_cache(maxsize=None)
 def _count_region(boundary: tuple, grid: tuple) -> int:
     """Number of full triangulations of the lattice polygon (ccw boundary)
@@ -558,10 +560,9 @@ def _count_region(boundary: tuple, grid: tuple) -> int:
         for i in range(len(boundary))
     ]
     total = 0
-    for w in _region_points(boundary, grid):
-        if w in (p0, p1):
-            continue
-        if _cross(p0, p1, w) != 1:  # ccw interior is to the left; area 1/2
+    for w in grid:
+        # ccw interior is to the left; area 1/2 (which also rules out p0 and p1)
+        if _cross(p0, p1, w) != 1 or _point_in_polygon(w, boundary) == "out":
             continue
         ok = True
         for leg in ((p0, w), (p1, w)):
@@ -689,18 +690,28 @@ def product_subgraph(
         grid.check(rows)
         keys.append(_pack(rows))
     keys = np.concatenate(keys)
-    # adjacency from the flips of free edges, each of which must stay inside
-    order = np.argsort(_row_keys(keys))
-    sorted_keys = _row_keys(keys[order])
+    # Zobrist key of each state: the forced edges' word XOR, per block, the
+    # word of its sub-state's edges that are not forced
+    z = grid.zobrist
+    zkey = np.full(count, np.bitwise_xor.reduce(z[forced]))
+    for ids, s in zip(placed, coords.T):
+        zkey ^= np.bitwise_xor.reduce(np.where(sub_rows & ~forced[ids], z[ids], 0), axis=1)[s]
+    order = np.argsort(zkey)
+    sorted_zkey = zkey[order]
+    # adjacency from the flips of free edges, each of which must stay inside;
+    # each is found by key and then rebuilt and checked against that state
     src, dst = [], []
     for lo, state, removed, inserted in _flips(keys, grid):
         free = ~forced[removed]
-        state, removed, inserted = state[free], removed[free], inserted[free]
-        at, inside = _lookup(sorted_keys, _row_keys(_flipped(keys[lo + state], removed, inserted)))
+        state, removed, inserted = lo + state[free], removed[free], inserted[free]
+        at, inside = _lookup(sorted_zkey, zkey[state] ^ z[removed] ^ z[inserted])
         if not inside.all():
             raise StructureMismatchError("a flip of a free edge left the product subgraph")
-        src.append(lo + state)
-        dst.append(order[at])
+        at = order[at]
+        if not np.array_equal(_flipped(keys[state], removed, inserted), keys[at]):
+            raise StructureMismatchError("a flip's key resolved to a different state")
+        src.append(state)
+        dst.append(at)
     got = graph_from_arcs(count, np.concatenate(src), np.concatenate(dst)).csr()
     if not all(map(np.array_equal, got, reduce(product_graph, [sub] * len(placed)).csr())):
         raise StructureMismatchError("induced flips do not match the product adjacency")

@@ -169,3 +169,72 @@ def eccentricities(graph, starts) -> list:
         dist = shortest_path(mat, unweighted=True, indices=starts[lo:lo + 16]).max(axis=1)
         out += [None if np.isinf(d) else int(d) for d in dist]
     return out
+
+
+# The package's earlier array routines, kept as oracles for the block-wise
+# enumeration and the two-generator orbit labels.
+
+
+def _id_table(m: int) -> tuple:
+    """(diagonal endpoints by id, (m, m) id table with -1 off the diagonals,
+    the id dtype) in the package's numbering."""
+    diags = _polygon(m)[0]
+    ends = np.array(diags, dtype=np.int64).reshape(-1, 2)
+    pair_id = np.full((m, m), -1, dtype=np.int64)
+    pair_id[ends[:, 0], ends[:, 1]] = pair_id[ends[:, 1], ends[:, 0]] = np.arange(len(diags))
+    return ends, pair_id, np.dtype(np.uint8 if len(diags) <= 256 else ">u2")
+
+
+@lru_cache(maxsize=None)
+def _endpoint_pairs(k: int, n: int) -> np.ndarray:
+    """All k-angulations as an (N, n-1, 2) array of diagonal endpoints, from
+    the root-face recursion, in no particular order."""
+    if n <= 1:
+        return np.zeros((1, 0, 2), dtype=np.int16)
+    blocks = []
+    slots = n + k - 3
+    for bars in combinations(range(slots), k - 2):
+        parts = [b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,))]
+        cs = [0]
+        for p in parts:
+            cs.append(cs[-1] + (k - 2) * p + 1)
+        face = np.array(
+            [(a, b) for a, b in zip(cs, cs[1:]) if b - a > 1], dtype=np.int16
+        ).reshape(-1, 2)
+        subs = [_endpoint_pairs(k, p) + base for base, p in zip(cs, parts) if p >= 1]
+        picks = np.indices([len(sub) for sub in subs]).reshape(len(subs), -1)
+        blocks.append(np.concatenate(
+            [np.broadcast_to(face, (picks.shape[1], *face.shape))]
+            + [sub[pick] for sub, pick in zip(subs, picks)],
+            axis=1,
+        ))
+    return np.concatenate(blocks)
+
+
+def endpoint_rows(k: int, n: int) -> np.ndarray:
+    """The canonical id rows from the endpoint array: each state's ids
+    sorted, the rows in lexicographic order, in the package's id dtype."""
+    _, pair_id, dtype = _id_table((k - 2) * n + 2)
+    pairs = _endpoint_pairs(k, n)
+    rows = np.sort(pair_id[pairs[..., 0], pairs[..., 1]], axis=1).astype(dtype)
+    return rows[np.lexsort(rows.T[::-1])] if n > 1 else rows
+
+
+def orbit_representatives_all_images(rows: np.ndarray, m: int) -> list:
+    """Dihedral orbit representatives of canonical id rows from all 2m
+    images: each map v -> v + r or r - v (mod m) permutes the ids, every row
+    is mapped, sorted and looked up by byte key, and the running minimum of
+    the indices found labels each vertex with the first of its orbit."""
+    ends, pair_id, dtype = _id_table(m)
+    label = np.arange(len(rows))
+    if rows.shape[1]:
+        key = f"S{rows.shape[1] * rows.itemsize}"
+        keys = np.ascontiguousarray(rows).view(key).ravel()
+        v = np.arange(m)
+        for image in chain(v[None] + v[:, None], v[:, None] - v[None]):
+            perm = pair_id[image[ends[:, 0]] % m, image[ends[:, 1]] % m].astype(dtype)
+            want = np.ascontiguousarray(np.sort(perm[rows], axis=1)).view(key).ravel()
+            at = np.searchsorted(keys, want)
+            assert (keys[np.minimum(at, len(keys) - 1)] == want).all(), "image not a state"
+            np.minimum(label, at, out=label)
+    return np.flatnonzero(label == np.arange(len(rows))).tolist()

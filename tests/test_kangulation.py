@@ -3,13 +3,17 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_flips import _faces as reference_faces
 from reference_flips import _mask as reference_mask
+from reference_flips import _transform_diagonals as reference_transform
 from reference_flips import build_csr as reference_csr
+from reference_flips import endpoint_rows, orbit_representatives_all_images
 from reference_flips import eccentricities as reference_eccentricities
 from reference_flips import flips as reference_flips
 from reference_flips import orbit_representatives as reference_orbits
@@ -18,6 +22,7 @@ from reference_graph import adjacency_lists, graph_from_lists
 from flipwalk.combinatorics import catalan, fuss_catalan
 from flipwalk.errors import EnumerationTooLargeError, InvalidParameterError
 from flipwalk.kangulation import (
+    FlipGraph,
     KAngulation,
     _face_array,
     _enumerate_rows,
@@ -288,6 +293,7 @@ def test_adjacency_equals_one_diagonal_difference(k, n_max):
 REFERENCE_SIZES = (
     [(3, n) for n in range(1, 11)] + [(4, n) for n in range(1, 6)]
     + [(5, n) for n in range(1, 5)] + [(6, n) for n in range(1, 4)]
+    + [(10, 3)]  # 298 diagonals: big-endian two-byte ids
 )
 
 
@@ -347,6 +353,78 @@ ORBIT_SIZES = (
 def test_orbit_representatives_match_reference(k, n):
     """The orbit labels give the per-vertex loop's list, n = 1 included."""
     assert orbit_representatives(build_flip_graph(k, n)) == reference_orbits(k, n)
+
+
+ORACLE_SIZES = (
+    [(3, n) for n in range(1, 12)] + [(4, n) for n in range(1, 8)]
+    + [(5, n) for n in range(1, 7)]
+)
+
+
+def _state_set(k, n, rows):
+    """The states `rows` as an edgeless FlipGraph: orbit labels read only
+    the rows."""
+    return FlipGraph(k, n, rows, np.zeros(len(rows) + 1), [])
+
+
+def _check_against_oracles(k, n):
+    rows, want = _enumerate_rows(k, n), endpoint_rows(k, n)
+    assert (rows.dtype, rows.shape) == (want.dtype, want.shape)
+    assert rows.tobytes() == want.tobytes()
+    got = orbit_representatives(_state_set(k, n, rows))
+    assert got == orbit_representatives_all_images(want, (k - 2) * n + 2)
+
+
+@pytest.mark.parametrize("k, n", ORACLE_SIZES)
+def test_block_rows_and_two_generator_orbits_match_oracles(k, n):
+    """Block-wise rows equal the endpoint-array rows byte for byte, and the
+    two-generator orbit labels give the 2m-image labelling's list."""
+    _check_against_oracles(k, n)
+
+
+@pytest.mark.slow
+def test_block_rows_and_two_generator_orbits_match_oracles_n12():
+    _check_against_oracles(3, 12)
+
+
+@pytest.mark.slow
+def test_state_set_and_orbits_n13():
+    g = build_flip_graph(3, 13)
+    assert g.num_vertices == catalan(13) == 742_900
+    assert len(orbit_representatives(g)) == 24_834
+
+
+def test_enumerate_rows_traced_peak():
+    """k = 3 n = 12 (208,012 rows, 2.3 MB) from a cold cache, sub-polygons
+    included: no endpoint array and no int64 copy of the rows."""
+    _enumerate_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        _enumerate_rows(3, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+def test_orbits_reject_a_state_set_missing_a_reflected_row():
+    """Take out one rotation orbit whose mirror image is another rotation
+    orbit: every rotation image stays inside, and only the reflection
+    leaves the states.  Taking out one row alone must raise as well."""
+    k, n, m = 3, 7, 9
+    rows = _enumerate_rows(k, n)
+    index = {t.diagonals: i for i, t in enumerate(enumerate_kangulations(k, n))}
+
+    def rotations(diags):
+        return {reference_transform(diags, m, r, False) for r in range(m)}
+
+    chiral = next(orbit for orbit in map(rotations, index)
+                  if orbit != rotations(reference_transform(min(orbit), m, 0, True)))
+    keep = np.ones(len(rows), dtype=bool)
+    keep[[index[t] for t in chiral]] = False
+    for states in (rows[keep], np.delete(rows, 5, axis=0)):
+        with pytest.raises(InvalidParameterError, match="a symmetry image leaves the enumerated states"):
+            orbit_representatives(_state_set(k, n, states))
 
 
 @pytest.mark.parametrize("k, n", ORBIT_SIZES)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,6 +372,32 @@ def test_key_collision_raises(n, monkeypatch):
     monkeypatch.setattr(grid, "zobrist", z)
     with pytest.raises(StructureMismatchError, match="resolved to a different state"):
         enumerate_lattice(n)
+
+
+def test_product_subgraph_key_collision_raises(monkeypatch):
+    """With the two diagonals of the first block's cell sharing one key
+    word, product states that differ only there share a key: the exact
+    row check of each kept flip must raise."""
+    grid = _grid(4)
+    z = grid.zobrist.copy()
+    z[grid.ids[((0, 0), (1, 1))]] = z[grid.ids[((0, 1), (1, 0))]]
+    monkeypatch.setattr(grid, "zobrist", z)
+    with pytest.raises(StructureMismatchError, match="resolved to a different state"):
+        product_subgraph(4, 2)
+
+
+def test_enumerate_lattice_traced_peak():
+    """46,456 states and 431,064 arcs at n = 4, the grid table built
+    beforehand: the per-level lists are joined one at a time, and the
+    discovery-order and sorted states never coexist."""
+    _grid(4)
+    tracemalloc.start()
+    try:
+        enumerate_lattice(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.5e6
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 64, 100])
