@@ -24,6 +24,7 @@ from .errors import (
     SchemaMismatchError,
 )
 from .flownet import (
+    FLOW_N_CAP,
     hierarchical_pairing_flow,
     matching_arc_values,
     uniform_flow_recursive,
@@ -32,7 +33,7 @@ from .flownet import (
 from .kangulation import (
     DEFAULT_ENUMERATION_CAP,
     build_flip_graph,
-    enumerate_kangulations,
+    count_kangulations,
     flip_graph_from_json_dict,  # noqa: F401 (bench/trace_cli.py wraps it under this name)
 )
 from .lattice import count_triangulations_recursive, enumerate_lattice, product_subgraph
@@ -229,7 +230,7 @@ def _run_enumerate(cfg: ExperimentConfig) -> list:
             else:
                 _write(cfg, f"flipgraph_k{cfg.k}_n{n}.json", graph.to_json() + "\n")
         else:
-            count = len(enumerate_kangulations(cfg.k, n, cap=cfg.cap))
+            count = count_kangulations(cfg.k, n, cap=cfg.cap)
         summaries.append(
             {"command": "enumerate", "k": cfg.k, "n": n, "vertices": count,
              "expected": expected, "count_matches": count == expected}
@@ -269,6 +270,8 @@ def _run_analyze(cfg: ExperimentConfig) -> list:
 def _run_flow(cfg: ExperimentConfig) -> list:
     if cfg.k != 3:
         raise InvalidParameterError("flow command requires k = 3")
+    if max(cfg.ns) > FLOW_N_CAP:  # before any size is built
+        raise EnumerationTooLargeError(max(cfg.ns), FLOW_N_CAP, "flow n")
     summaries = []
     for n in cfg.ns:
         graph = build_flip_graph(3, n, cap=cfg.cap)

@@ -34,6 +34,11 @@ from .flows import (
 from .graph import _ranges, graph_from_arcs, product_graph
 from .kangulation import build_flip_graph
 
+# the largest n whose unit demands have been certified (n = 10: 23 s and
+# 393 MB peak on a 2-vCPU host); C_12 = 208,012 states pass the enumeration
+# cap but were killed for memory within 60 s on an 8 GB host
+FLOW_N_CAP = 10
+
 
 # ---------------------------------------------------------------------------
 # oriented-class structure cache

@@ -2,11 +2,12 @@
 
 Polygon vertices are labeled 0..m-1 counterclockwise, m = (k-2)n + 2.
 A k-angulation is stored as its sorted tuple of diagonals (a, b), a < b;
-two equal k-angulations are bit-identical (canonical form).  Enumeration,
-flips and the flip-graph build work on id rows instead: the m-gon's
-diagonals are numbered in lexicographic order, a state is the row of its
-n-1 diagonal ids in ascending order, and `KAngulation` is the public view
-of a row.  The canonical vertex order is the lexicographic order of rows.
+two equal k-angulations are bit-identical (canonical form).  Enumeration
+and flips work on id rows instead: the m-gon's diagonals are numbered in
+lexicographic order, a state is the row of its n-1 diagonal ids in
+ascending order, and `KAngulation` is the public view of a row.  The
+canonical vertex order is the lexicographic order of rows.  The flip graph
+is built from the root-face classes, by index arithmetic on their blocks.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ from .errors import EnumerationTooLargeError, InvalidParameterError
 from .graph import FLIP_CHUNK, Graph, _lookup, _row_keys, sweep
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
+# factors up to this many states are read from a cached neighbour table; a
+# larger one is written through its own classes, so that no table of a large
+# factor is held beside the output (9.2 MB for n = 12 under k = 3 n = 13)
+FACTOR_TABLE_STATES = 1 << 14
 
 Diagonal = tuple  # (a, b) with a < b
 
@@ -90,10 +95,32 @@ def _polygon(m: int) -> _Polygon:
     return _Polygon(diags, ends, pair_id, cross, dtype)
 
 
+def _compositions(total: int, count: int):
+    """The compositions of total into count parts >= 0, in stars-and-bars
+    order (count - 1 bars among total + count - 1 slots)."""
+    slots = total + count - 1
+    for bars in combinations(range(slots), count - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+
+
+class _States(NamedTuple):
+    """The k-angulations of one polygon, by root-face class.
+
+    The class of a state is the k-gon on side (m-1, 0), given by its parts:
+    the number of faces in each of the k-1 sub-polygons it cuts off, in
+    order.  A class's block is the Cartesian product of its nonempty
+    sub-polygons' canonical states, in C order, and the blocks follow one
+    another in the order of `_compositions`."""
+
+    rows: np.ndarray  # canonical id rows
+    rank: np.ndarray  # int32: canonical index of each block row
+    offsets: dict  # parts -> index of the class's first block row
+
+
 @lru_cache(maxsize=None)
-def _enumerate_rows(k: int, n: int) -> np.ndarray:
+def _enumerate_states(k: int, n: int) -> _States:
     """All k-angulations of the (k-2)n+2-gon as read-only id rows, in
-    canonical (lexicographic) order.
+    canonical (lexicographic) order, with the permutation from block order.
 
     Recursion: pick the k-gon containing polygon edge (m-1, 0); its other
     vertices split the polygon into k-1 sub-polygons handled recursively,
@@ -104,36 +131,58 @@ def _enumerate_rows(k: int, n: int) -> np.ndarray:
     Every row is then sorted and the rows put in lexicographic order.
     """
     poly = _polygon(polygon_size(k, n))
-    rows = np.empty((fuss_catalan(k, n), n - 1), dtype=poly.dtype)
+    count = fuss_catalan(k, n)
+    rows = np.empty((count, n - 1), dtype=poly.dtype)
+    rank = np.zeros(count, dtype=np.int32)
+    offsets, at = {}, 0
+    for parts in _compositions(n - 1, k - 1):
+        offsets[parts] = at
+        # root face vertices: 0 = c_0 < c_1 < ... < c_{k-2} < c_{k-1} = m-1
+        cs = [0]
+        for p in parts:
+            cs.append(cs[-1] + (k - 2) * p + 1)
+        subs = [(base, p) for base, p in zip(cs, parts) if p >= 1]
+        shape = [fuss_catalan(k, p) for _, p in subs]
+        size = prod(shape)
+        block = rows[at:at + size].reshape(*shape, n - 1)
+        col = 0
+        for axis, (base, p) in enumerate(subs):
+            block[..., col] = poly.pair_id[base, base + (k - 2) * p + 1]
+            ends = _polygon(polygon_size(k, p)).ends + base
+            ids = poly.pair_id[ends[:, 0], ends[:, 1]].astype(poly.dtype)
+            sub = ids[_enumerate_rows(k, p)]
+            block[..., col + 1:col + p] = sub.reshape(
+                [len(sub) if j == axis else 1 for j in range(len(shape))] + [p - 1])
+            col += p
+        at += size
     if n > 1:
-        at = 0
-        # compositions of n-1 into k-1 parts >= 0 (stars and bars: k-2 bars
-        # among n+k-3 slots) determine the root face
-        slots = n + k - 3
-        for bars in combinations(range(slots), k - 2):
-            parts = [b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,))]
-            # root face vertices: 0 = c_0 < c_1 < ... < c_{k-2} < c_{k-1} = m-1
-            cs = [0]
-            for p in parts:
-                cs.append(cs[-1] + (k - 2) * p + 1)
-            subs = [(base, p) for base, p in zip(cs, parts) if p >= 1]
-            shape = [fuss_catalan(k, p) for _, p in subs]
-            size = prod(shape)
-            block = rows[at:at + size].reshape(*shape, n - 1)
-            col = 0
-            for axis, (base, p) in enumerate(subs):
-                block[..., col] = poly.pair_id[base, base + (k - 2) * p + 1]
-                ends = _polygon(polygon_size(k, p)).ends + base
-                ids = poly.pair_id[ends[:, 0], ends[:, 1]].astype(poly.dtype)
-                sub = ids[_enumerate_rows(k, p)]
-                block[..., col + 1:col + p] = sub.reshape(
-                    [len(sub) if j == axis else 1 for j in range(len(shape))] + [p - 1])
-                col += p
-            at += size
         rows.sort(axis=1)
-        rows = rows[np.lexsort(rows.T[::-1])]
-    rows.flags.writeable = False
-    return rows
+        # byte order is row order (see `_row_keys`); the rows are sorted in
+        # place, so no second copy of them is made
+        keys = _row_keys(rows)
+        rank[np.argsort(keys, kind="stable")] = np.arange(count, dtype=np.int32)
+        keys.sort()
+    rows.flags.writeable = rank.flags.writeable = False
+    return _States(rows, rank, offsets)
+
+
+def _enumerate_rows(k: int, n: int) -> np.ndarray:
+    """All k-angulations of the (k-2)n+2-gon as read-only id rows, in
+    canonical order (see `_enumerate_states`)."""
+    return _enumerate_states(k, n).rows
+
+
+def _class_index(k: int, n: int, parts: tuple, coords: list):
+    """Canonical index of the state of class `parts` whose sub-polygon i
+    holds the state coords[i] (canonical indices, broadcastable arrays;
+    read only where parts[i] is nonzero)."""
+    states = _enumerate_states(k, n)
+    at, stride = states.offsets[parts], 1
+    for p, x in zip(parts[::-1], coords[::-1]):
+        if p:
+            at = at + x * stride
+            stride *= fuss_catalan(k, p)
+    return states.rank[at]
 
 
 def _check_size(k: int, n: int, cap: int) -> int:
@@ -153,6 +202,18 @@ def enumerate_kangulations(
     """All k-angulations of the (k-2)n+2-gon, each once, in canonical order."""
     _check_size(k, n, cap)
     return _views(k, polygon_size(k, n), _enumerate_rows(k, n))
+
+
+def count_kangulations(k: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+    """The number of distinct k-angulations the enumeration lists, read off
+    its rows: the rows are in lexicographic order, so each one that differs
+    from the one before it is new.  No view is built."""
+    _check_size(k, n, cap)
+    rows = _enumerate_rows(k, n)
+    if n == 1:
+        return len(rows)
+    keys = _row_keys(rows)
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 def _views(k: int, m: int, rows: np.ndarray) -> list:
@@ -434,25 +495,94 @@ def diameter(graph: FlipGraph) -> int:
     return max(eccentricities(graph, orbit_representatives(graph)))
 
 
+def _write_flips(k: int, n: int, top, col: int, out: np.ndarray) -> None:
+    """Write the flips of the (k-2)n+2-gon's states into the neighbour
+    table `out`, class by class.
+
+    `top` embeds these states in the table: None when they are its rows,
+    else an int32 (N, R) array whose row x holds the R table rows whose
+    state has state x in this sub-polygon (and all else fixed).  Every flip
+    x -> y here is written, for each r, as the value top[y, r] in row
+    top[x, r], in columns col .. col + (n-1)(k-2).
+
+    A state's columns go by its class's parts p_0 .. p_{k-2}: for each
+    nonempty sub-polygon, (p_i - 1)(k-2) for the flips inside it, then k-2
+    for the flips of the root-face chord that cuts it off.
+
+    In-class flips are the factors' own flips (a Kronecker sum): a factor
+    up to FACTOR_TABLE_STATES states is read from its cached table, a
+    larger one is written by this routine through the block's embedding.
+    Root-face flips: removing the chord of part j joins the root face and
+    the sub-polygon's own root face into a (2k-2)-gon u_0 .. u_{2k-3}
+    (u_0 = 0, u_{2k-3} = m-1), whose 2k-3 other sides cut off sub-polygons
+    with h_0 .. h_{2k-4} faces, n-2 in all.  Its k-1 k-angulations t = 0
+    .. k-2 join u_t to u_{t+k-1}; the root face of state t has parts h_0 ..
+    h_{t-1}, 1 + h_t + ... + h_{t+k-2}, h_{t+k-1} .. h_{2k-4}, and the
+    sub-polygon of part t has root parts h_t .. h_{t+k-2}.  With the
+    hanging states fixed, the k-1 states are pairwise one flip apart.
+    """
+    if n < 2:
+        return
+    d = k - 2
+    states = _enumerate_states(k, n)
+
+    def embed(x):
+        return x[..., None] if top is None else top[x]
+
+    for parts, offset in states.offsets.items():
+        shape = [fuss_catalan(k, p) for p in parts if p]
+        members = embed(states.rank[offset:offset + prod(shape)].reshape(shape))
+        at, axis = col, 0
+        for p in parts:
+            if p >= 2:
+                sub = np.moveaxis(members, axis, 0).reshape(shape[axis], -1)
+                if shape[axis] <= FACTOR_TABLE_STATES:
+                    table = _factor_table(k, p)
+                    out[sub, at:at + table.shape[1]] = np.swapaxes(sub[table], 1, 2)
+                else:
+                    _write_flips(k, p, sub, at, out)
+            at += p * d
+            axis += p > 0
+    for h in _compositions(n - 2, 2 * k - 3):
+        # the states hanging on the sides, one open-mesh axis per nonempty side
+        mesh = iter(np.ix_(*(np.arange(fuss_catalan(k, q)) for q in h if q)))
+        coords = [next(mesh) if q else None for q in h]
+        found, cols = [], []
+        for t in range(k - 1):
+            inner = h[t:t + k - 1]
+            q = 1 + sum(inner)
+            x = _class_index(k, q, inner, coords[t:t + k - 1])
+            outer = h[:t] + (q,) + h[t + k - 1:]
+            found.append(embed(_class_index(k, n, outer, coords[:t] + [x] + coords[t + k - 1:])))
+            cols.append(col + d * (sum(h[:t]) + q - 1))
+        for t in range(k - 1):
+            out[found[t], cols[t]:cols[t] + d] = np.stack(found[:t] + found[t + 1:], axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _factor_table(k: int, n: int) -> np.ndarray:
+    """Read-only int32 (N, (n-1)(k-2)) table of each state's neighbours, in
+    no order within a row, for use as a factor of larger polygons."""
+    table = np.empty((fuss_catalan(k, n), (n - 1) * (k - 2)), dtype=np.int32)
+    _write_flips(k, n, None, 0, table)
+    table.flags.writeable = False
+    return table
+
+
 def build_flip_graph(
     k: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> FlipGraph:
     """Materialize the flip graph on all k-angulations of the (k-2)n+2-gon.
 
-    States are flipped FLIP_CHUNK at a time, and each neighbour row is
-    found among the canonical rows by binary search on its byte key."""
+    The int32 neighbour table is written class by class (`_write_flips`)
+    and each row then sorted; no flip is looked up by its row."""
     count = _check_size(k, n, cap)
-    m, degree = polygon_size(k, n), (n - 1) * (k - 2)
     rows = _enumerate_rows(k, n)
+    degree = (n - 1) * (k - 2)
     indices = np.empty(count * degree, dtype=np.int32)
-    if degree:
-        keys = _row_keys(rows)
-        for lo in range(0, count, FLIP_CHUNK):
-            nbrs = _flip_rows(rows[lo:lo + FLIP_CHUNK], k, m)[0]
-            at, found = _lookup(keys, _row_keys(nbrs.reshape(-1, n - 1)))
-            if not found.all():
-                raise InvalidParameterError("a flip leaves the enumerated states")
-            at = np.sort(at.reshape(-1, degree), axis=1).ravel()
-            indices[lo * degree:lo * degree + at.size] = at
-    indptr = np.arange(count + 1, dtype=np.int32) * degree
+    table = indices.reshape(count, degree)
+    _write_flips(k, n, None, 0, table)
+    table.sort(axis=1)
+    indptr = np.arange(count + 1, dtype=np.int32)
+    indptr *= degree
     return FlipGraph(k, n, rows, indptr, indices)

@@ -233,10 +233,22 @@ def _mixing_block(chain: ChainAnalysis, starts: list, eps: float) -> int:
     step 0, and first checked where they were undecided (every earlier
     check found them above eps, in float64 too).  The chunk's tau is the
     later of the two.  No TVD is checked before `_mixing_floor`, and a
-    later chunk is first checked at the running maximum.  A connected lazy
-    chain mixes within log(N/eps)/gap steps (Levin-Peres-Wilmer, Thm 12.4);
-    running past twice that means the chain is disconnected or the
-    arithmetic failed.
+    later chunk is first checked at the running maximum.
+
+    tau is checked against the gap from both sides, so a wrong gap raises
+    NumericFailureError instead of giving a wrong tau:
+    - Below: the start where the second eigenvector peaks is not mixed at
+      the floor (see `_mixing_floor`), so tau equal to a positive floor
+      (every start mixed at the first check) means the gap was
+      underestimated.
+    - Above: a lazy chain's eigenvalues lie in [0, 1], so a start's TVD
+      after t steps is at most (N/2) exp(-gap t) (Levin-Peres-Wilmer, Thm
+      12.4 and (12.13)); from t = log(N/eps)/gap on it is at most eps/2.
+      Stepping past floor(log(N/eps)/gap (1 + 2^-20)) + 1 means an
+      eigenvalue above 1 - gap was missed, or the chain is disconnected.
+      The factor covers the rounding of the gap and the logarithm.  The
+      halved eps covers the TVD's: in float32 a column is kept only at
+      eps + delta_t or above, and the float64 error is far below eps/2.
     """
     import scipy.sparse as sp
 
@@ -245,8 +257,8 @@ def _mixing_block(chain: ChainAnalysis, starts: list, eps: float) -> int:
     p32 = sp.csr_matrix((p.data.astype(np.float32), p.indices, p.indptr), shape=p.shape)
     w = int(np.diff(p.indptr).max())
     gap = chain.spectral_gap()
-    limit = 2 * math.log(n / eps) / gap + 10 if gap > 1e-12 else 0
-    tau = _mixing_floor(gap, eps)
+    limit = math.floor(math.log(n / eps) / gap * (1 + 2.0 ** -20)) + 1 if gap > 1e-12 else 0
+    floor = tau = _mixing_floor(gap, eps)
     for lo in range(0, len(starts), MIXING_CHUNK):
         cols = starts[lo:lo + MIXING_CHUNK]
         t, redo, first = _step_starts(
@@ -254,6 +266,10 @@ def _mixing_block(chain: ChainAnalysis, starts: list, eps: float) -> int:
         if redo:
             t = max(t, _step_starts(p, redo, first, eps, limit, lambda s: 0.0)[0])
         tau = t
+    if floor and tau == floor:
+        raise NumericFailureError(
+            f"every start is mixed at the floor {floor} of gap {gap!r}: the gap is underestimated"
+        )
     return tau
 
 
@@ -290,7 +306,8 @@ def _step_starts(p, starts, first: int, eps: float, limit: float, delta) -> tupl
                 starts = starts[live]
         if t >= limit:
             raise NumericFailureError(
-                f"mixing did not converge in {t} steps; is the chain connected?"
+                f"a start is not mixed after {t} steps, the bound from the gap: "
+                "an eigenvalue was missed, or the chain is disconnected"
             )
         x = p @ x
         t += 1

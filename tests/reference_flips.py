@@ -172,7 +172,27 @@ def eccentricities(graph, starts) -> list:
 
 
 # The package's earlier array routines, kept as oracles for the block-wise
-# enumeration and the two-generator orbit labels.
+# enumeration, the two-generator orbit labels and the class-wise build.
+
+
+def face_walk_indices(k: int, n: int) -> np.ndarray:
+    """The flip graph's CSR indices from the per-state face walk: every
+    state's flips from the package's `_flip_rows`, FLIP_CHUNK states at a
+    time, each neighbour row found among the canonical rows by binary
+    search on its byte key, and each state's neighbours sorted."""
+    from flipwalk.graph import FLIP_CHUNK, _lookup, _row_keys
+    from flipwalk.kangulation import _enumerate_rows, _flip_rows
+
+    rows, m, degree = _enumerate_rows(k, n), (k - 2) * n + 2, (n - 1) * (k - 2)
+    if not degree:
+        return np.zeros(0, dtype=np.int32)
+    keys, parts = _row_keys(rows), []
+    for lo in range(0, len(rows), FLIP_CHUNK):
+        nbrs = _flip_rows(rows[lo:lo + FLIP_CHUNK], k, m)[0]
+        at, found = _lookup(keys, _row_keys(nbrs.reshape(-1, n - 1)))
+        assert found.all(), "a flip leaves the enumerated states"
+        parts.append(np.sort(at.reshape(-1, degree), axis=1).ravel())
+    return np.concatenate(parts).astype(np.int32)
 
 
 def _id_table(m: int) -> tuple:

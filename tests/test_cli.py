@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from flipwalk import lattice
+from flipwalk import cli, kangulation, lattice
 from flipwalk.cli import (
     EXIT_CAP,
     EXIT_OK,
@@ -172,6 +172,33 @@ def test_enumerate_cap_exit_code(tmp_path):
     rc = main(["--command", "enumerate", "--n", "14", "--cap", "1000",
                "--out", str(tmp_path)])
     assert rc == EXIT_CAP
+
+
+def test_enumerate_counts_rows_without_views(tmp_path, monkeypatch):
+    """Past n = 9 the count comes from the enumeration's rows; no
+    k-angulation view is built."""
+    def no_views(*args):
+        raise AssertionError("views were built")
+
+    monkeypatch.setattr(kangulation, "_views", no_views)
+    assert main(["--command", "enumerate", "--n-range", "10..11", "--out", str(tmp_path)]) == EXIT_OK
+    assert _summary(tmp_path, "enumerate") == [
+        {"command": "enumerate", "k": 3, "n": n, "vertices": c, "expected": c, "count_matches": True}
+        for n, c in [(10, 16796), (11, 58786)]
+    ]
+
+
+@pytest.mark.parametrize("flags, n", [(["--n", "12"], 12), (["--n-range", "2..11"], 11)])
+def test_flow_cap_exit_code(tmp_path, monkeypatch, capsys, flags, n):
+    """C_12 = 208,012 states pass the enumeration cap, but n past the
+    largest certified flow size is refused before any size is built."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("a flip graph was built")
+
+    monkeypatch.setattr(cli, "build_flip_graph", no_build)
+    assert main(["--command", "flow", *flags, "--out", str(tmp_path)]) == EXIT_CAP
+    assert f"resource cap: flow n {n} exceeds cap 10" in capsys.readouterr().err
+    assert not (tmp_path / "flow_summary.json").exists()
 
 
 def test_analyze_cap_exit_code(tmp_path):

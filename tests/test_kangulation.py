@@ -13,7 +13,7 @@ from reference_flips import _faces as reference_faces
 from reference_flips import _mask as reference_mask
 from reference_flips import _transform_diagonals as reference_transform
 from reference_flips import build_csr as reference_csr
-from reference_flips import endpoint_rows, orbit_representatives_all_images
+from reference_flips import endpoint_rows, face_walk_indices, orbit_representatives_all_images
 from reference_flips import eccentricities as reference_eccentricities
 from reference_flips import flips as reference_flips
 from reference_flips import orbit_representatives as reference_orbits
@@ -21,11 +21,13 @@ from reference_graph import adjacency_lists, graph_from_lists
 
 from flipwalk.combinatorics import catalan, fuss_catalan
 from flipwalk.errors import EnumerationTooLargeError, InvalidParameterError
+import flipwalk.kangulation as kangulation
 from flipwalk.kangulation import (
     FlipGraph,
     KAngulation,
     _face_array,
     _enumerate_rows,
+    _enumerate_states,
     build_flip_graph,
     diameter,
     diagonals_cross,
@@ -69,8 +71,10 @@ def test_enumerate_counts_match_fuss_catalan():
 
 
 def test_enumeration_cap():
-    with pytest.raises(EnumerationTooLargeError):
-        enumerate_kangulations(3, 30, cap=1000)
+    """n = 30 would not fit in memory: each call must refuse it first."""
+    for call in (enumerate_kangulations, build_flip_graph, kangulation.count_kangulations):
+        with pytest.raises(EnumerationTooLargeError):
+            call(3, 30, cap=1000)
 
 
 def test_validate_rejects_crossing_and_wrong_count():
@@ -196,12 +200,13 @@ def test_vertex_counts_larger():
 
 
 def test_json_round_trip():
-    g = build_flip_graph(3, 4)
-    doc = json.loads(g.to_json())
-    g2 = flip_graph_from_json_dict(doc)
-    assert adjacency_lists(g2) == adjacency_lists(g)
-    assert [v.diagonals for v in g2.vertices] == [v.diagonals for v in g.vertices]
-    assert g2.to_json() == g.to_json()
+    for k, n in [(3, 4), (3, 8), (4, 5), (5, 4)]:
+        g = build_flip_graph(k, n)
+        doc = json.loads(g.to_json())
+        g2 = flip_graph_from_json_dict(doc)
+        assert adjacency_lists(g2) == adjacency_lists(g), (k, n)
+        assert [v.diagonals for v in g2.vertices] == [v.diagonals for v in g.vertices], (k, n)
+        assert g2.to_json() == g.to_json(), (k, n)
 
 
 def _rewire(doc):
@@ -323,6 +328,40 @@ def test_flips_match_per_state_reference(k, n):
         assert sorted(got_faces) == sorted(want), t.diagonals
 
 
+FACE_WALK_SIZES = (
+    [(3, n) for n in range(1, 11)] + [(4, n) for n in range(1, 8)]
+    + [(5, n) for n in range(1, 7)]
+)
+
+
+def _check_against_face_walk(k, n):
+    g = build_flip_graph(k, n)
+    indptr, indices = g.csr()
+    assert np.array_equal(indptr, np.arange(g.num_vertices + 1) * (n - 1) * (k - 2))
+    assert indices.tobytes() == face_walk_indices(k, n).tobytes()
+
+
+@pytest.mark.parametrize("k, n", FACE_WALK_SIZES)
+def test_class_build_matches_face_walk_build(k, n):
+    """The class-wise build's CSR equals the per-state face walk's, where
+    every neighbour row is looked up by its byte key."""
+    _check_against_face_walk(k, n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k, n", [(3, 12), (4, 8), (5, 7)])
+def test_class_build_matches_face_walk_build_large(k, n):
+    _check_against_face_walk(k, n)
+
+
+@pytest.mark.parametrize("k, n", [(3, 9), (4, 6), (5, 5), (6, 4), (10, 3)])
+def test_class_build_without_factor_tables(k, n, monkeypatch):
+    """With no factor table, every factor is written through its own
+    classes, as the factors above FACTOR_TABLE_STATES are at k = 3 n >= 11."""
+    monkeypatch.setattr(kangulation, "FACTOR_TABLE_STATES", 0)
+    assert build_flip_graph(k, n).csr()[1].tobytes() == face_walk_indices(k, n).tobytes()
+
+
 def test_dot_export_mentions_all_vertices():
     g = build_flip_graph(3, 3)
     dot = g.to_dot()
@@ -397,7 +436,7 @@ def test_state_set_and_orbits_n13():
 def test_enumerate_rows_traced_peak():
     """k = 3 n = 12 (208,012 rows, 2.3 MB) from a cold cache, sub-polygons
     included: no endpoint array and no int64 copy of the rows."""
-    _enumerate_rows.cache_clear()
+    _enumerate_states.cache_clear()
     tracemalloc.start()
     try:
         _enumerate_rows(3, 12)
@@ -405,6 +444,21 @@ def test_enumerate_rows_traced_peak():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+def test_build_traced_peak():
+    """k = 3 n = 12 from a cold cache: the 9.2 MB neighbour table, the 2.3 MB
+    rows and the transients of the build, with no neighbour table of the
+    58,786-state n = 11 factor beside them (19.0 MB traced with one)."""
+    _enumerate_states.cache_clear()
+    kangulation._factor_table.cache_clear()
+    tracemalloc.start()
+    try:
+        build_flip_graph(3, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_orbits_reject_a_state_set_missing_a_reflected_row():

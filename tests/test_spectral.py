@@ -319,6 +319,29 @@ def test_mixing_time_disconnected_raises():
         mixing_time(build_chain(graph_from_lists([[1], [0], [3], [2]])))
 
 
+def _chain_with_gap_times(factor):
+    """The K_6 chain with its second eigenvalue replaced so that the gap is
+    `factor` times the true one."""
+    chain = build_chain(build_flip_graph(3, 6))
+    lam, vec = chain._second_eigenpair()
+    chain._eig = (1 - factor * (1 - lam), vec)
+    return chain
+
+
+def test_mixing_time_rejects_an_underestimated_gap():
+    """A tenth of the gap puts the floor (110 steps) past tau: every start
+    is mixed at the first check."""
+    with pytest.raises(NumericFailureError, match="the gap is underestimated"):
+        mixing_time(_chain_with_gap_times(0.1))
+
+
+def test_mixing_time_rejects_a_missed_eigenvalue():
+    """Ten times the gap, as if lambda_2 had been missed, puts the bound
+    log(N/eps)/gap (11 steps) below tau."""
+    with pytest.raises(NumericFailureError, match="an eigenvalue was missed"):
+        mixing_time(_chain_with_gap_times(10))
+
+
 @pytest.mark.parametrize(
     "adj, start, expected_p",
     [
