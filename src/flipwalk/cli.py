@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from .kangulation import (
 )
 from .lattice import count_triangulations_recursive, enumerate_lattice, product_subgraph
 from .spectral import (
+    CUT_N_CAP,
     build_chain,
     cheeger_bounds,
     mixing_time,
@@ -76,7 +78,7 @@ _CONFIG_FIELDS = {
 class ExperimentConfig:
     command: str
     k: int = 3
-    ns: list = field(default_factory=lambda: [4])
+    ns: Sequence = field(default_factory=lambda: [4])  # ascending
     seed: int | None = None
     steps: int = 10000
     epsilon: float = 0.25
@@ -94,7 +96,7 @@ class ExperimentConfig:
             )
         if self.k < 3:
             raise InvalidParameterError(f"k must be >= 3 (field 'k' = {self.k})")
-        if not self.ns or any(n < 1 for n in self.ns):
+        if not self.ns or self.ns[0] < 1:
             raise InvalidParameterError(f"n range must be nonempty positive: {self.ns}")
         if self.cap <= 0:
             raise InvalidParameterError(f"cap must be positive (field 'cap' = {self.cap})")
@@ -137,15 +139,16 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def _parse_ns(n, n_range) -> list | None:
-    """The n values of a config: the inclusive range A..B if given, else [n]."""
+def _parse_ns(n, n_range) -> Sequence | None:
+    """The n values of a config, ascending: the inclusive range A..B if
+    given (a lazy range), else [n]."""
     try:
         if n_range is not None:
             lo, hi = str(n_range).split("..")
-            return list(range(int(lo), int(hi) + 1))
+            return range(int(lo), int(hi) + 1)
         if n is not None:
             return [int(n)]
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise InvalidParameterError(
             f"n must be an integer and n range must look like A..B, "
             f"got n = {n!r}, n range = {n_range!r}"
@@ -188,7 +191,7 @@ def parse_config(argv) -> ExperimentConfig:
             raise InvalidParameterError(f"unknown config key {key!r}")
         try:
             setattr(cfg, key, _CONFIG_FIELDS[key](val))
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise InvalidParameterError(f"config field {key!r}: {exc}") from exc
     # flag overrides win over the file
     for ns in (_parse_ns(raw.get("n"), raw.get("n_range")), _parse_ns(args.n, args.n_range)):
@@ -221,7 +224,6 @@ def _frac(x) -> list:
 def _run_enumerate(cfg: ExperimentConfig) -> list:
     summaries = []
     for n in cfg.ns:
-        expected = fuss_catalan(cfg.k, n)
         if cfg.fmt in ("dot",) or n <= 9:
             graph = build_flip_graph(cfg.k, n, cap=cfg.cap)
             count = graph.num_vertices
@@ -231,6 +233,7 @@ def _run_enumerate(cfg: ExperimentConfig) -> list:
                 _write(cfg, f"flipgraph_k{cfg.k}_n{n}.json", graph.to_json() + "\n")
         else:
             count = count_kangulations(cfg.k, n, cap=cfg.cap)
+        expected = fuss_catalan(cfg.k, n)  # after the cap check, which bounds n
         summaries.append(
             {"command": "enumerate", "k": cfg.k, "n": n, "vertices": count,
              "expected": expected, "count_matches": count == expected}
@@ -270,8 +273,8 @@ def _run_analyze(cfg: ExperimentConfig) -> list:
 def _run_flow(cfg: ExperimentConfig) -> list:
     if cfg.k != 3:
         raise InvalidParameterError("flow command requires k = 3")
-    if max(cfg.ns) > FLOW_N_CAP:  # before any size is built
-        raise EnumerationTooLargeError(max(cfg.ns), FLOW_N_CAP, "flow n")
+    if cfg.ns[-1] > FLOW_N_CAP:  # before any size is built
+        raise EnumerationTooLargeError(cfg.ns[-1], FLOW_N_CAP, "flow n")
     summaries = []
     for n in cfg.ns:
         graph = build_flip_graph(3, n, cap=cfg.cap)
@@ -307,6 +310,8 @@ def _run_flow(cfg: ExperimentConfig) -> list:
 
 
 def _run_cut(cfg: ExperimentConfig) -> list:
+    if cfg.ns[-1] > CUT_N_CAP:  # before any size is cut
+        raise EnumerationTooLargeError(cfg.ns[-1], CUT_N_CAP, "cut n")
     summaries = []
     for n in cfg.ns:
         rep = shortest_side_cut(n)

@@ -14,29 +14,21 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .combinatorics import catalan, fuss_catalan
-from .errors import (
-    InvalidParameterError,
-    LemmaViolationError,
-    StructureMismatchError,
-)
-from .graph import FLIP_CHUNK, _lookup, _row_keys, graph_from_arcs, product_graph
-from .kangulation import (
-    FlipGraph,
-    _enumerate_rows,
-    _face_array,
-    _face_rows,
-    _polygon,
-    _rows_of,
-    build_flip_graph,
-)
+from .errors import InvalidParameterError, LemmaViolationError, StructureMismatchError
+from .graph import _lookup, _ranges, _row_keys, graph_from_arcs, product_graph
+from .kangulation import (FlipGraph, _compositions, _enumerate_states, _fill_face, _polygon,
+                          build_flip_graph)
 
 
 @lru_cache(maxsize=None)
 def _local_apex(n: int) -> np.ndarray:
     """For each triangulation of the (n+2)-gon, in canonical order: the apex
-    of its triangle on edge (n+1, 0).  Classifies factor states into
-    oriented sub-classes."""
-    apex = _face_rows(_enumerate_rows(3, n), 3, n + 2)[0][:, 1]
+    of its triangle on edge (n+1, 0), read off the enumeration's root-face
+    classes.  Classifies factor states into oriented sub-classes."""
+    states = _enumerate_states(3, n)
+    apex = np.empty(len(states.rank), dtype=np.int64)
+    for (left, right), at in states.offsets.items():
+        apex[states.rank[at:at + catalan(left) * catalan(right)]] = left + 1
     apex.flags.writeable = False
     return apex
 
@@ -54,9 +46,6 @@ class ClassDescriptor:
     @property
     def size(self) -> int:
         return len(self.member_indices)
-
-    def expected_size(self) -> int:
-        return math.prod(fuss_catalan(k, ni) for k, ni in self.cartesian_factors)
 
 
 @dataclass
@@ -96,70 +85,49 @@ def _region_count(k: int, m: int, poly) -> int:
     )
 
 
-def _factor_coords(rel: np.ndarray, span: int, k: int, ni: int) -> np.ndarray:
-    """Canonical index, among the k-angulations of the sub-polygon on an arc
-    of span polygon edges, of each state's diagonals strictly inside the
-    arc.  rel holds the states' (count, n-1, 2) diagonal ends, renumbered so
-    that the arc starts at vertex 0."""
-    if ni <= 1:
-        return np.zeros(len(rel), dtype=np.int64)
-    x, y = np.moveaxis(np.sort(rel, axis=2), 2, 0)
-    inside = (y <= span) & ((x != 0) | (y != span))
-    if (inside.sum(axis=1) != ni - 1).any():
-        raise StructureMismatchError(f"an arc of {span} edges does not hold {ni - 1} diagonals")
-    sub = _polygon(span + 1)
-    ids = np.sort(sub.pair_id[x[inside], y[inside]].reshape(-1, ni - 1), axis=1)
-    at, found = _lookup(_row_keys(_enumerate_rows(k, ni)), _row_keys(ids.astype(sub.dtype)))
-    if not found.all():
-        raise StructureMismatchError(f"an arc of {span} edges does not hold a {k}-angulation")
-    return at
-
-
-def _build_classes(graph: FlipGraph, keys: np.ndarray, kind: str) -> ClassPartition:
-    """Classes by key (keys[v] is vertex v's defining face, ascending), in
-    key order.  A member's coordinates come from the arcs between
-    consecutive vertices of its face; an oriented face's last arc is the
-    special edge (m-1, 0), which holds no factor."""
-    k, m = graph.k, graph.m
-    polys, vertex_class = np.unique(keys, axis=0, return_inverse=True)
-    vertex_class = vertex_class.ravel().astype(np.int64)
+def _build_classes(graph: FlipGraph, faces: np.ndarray, kind: str) -> ClassPartition:
+    """One class per row of faces (vertices ascending), in order: the states
+    that hold the face, generated as the product of its arcs' states
+    (`_fill_face`) and looked up once among the graph's rows, so a member's
+    coordinates are its position in the product and by_coord is the lookup.
+    An oriented face's last arc is the special edge (m-1, 0): no factor."""
+    k, m, count = graph.k, graph.m, graph.num_vertices
+    poly = _polygon(m)
+    keys = _row_keys(graph.rows)
+    vertex_class = np.full(count, -1, dtype=np.int64)
     classes = []
-    for ci, poly in enumerate(map(tuple, polys.tolist())):
-        members = np.flatnonzero(vertex_class == ci)
-        ends = _polygon(m).ends[graph.rows[members]]
-        arcs = list(zip(poly, poly[1:] + poly[:1]))[:len(poly) - (kind == "oriented")]
+    for ci, face in enumerate(map(tuple, faces.tolist())):
+        arcs = list(zip(face, face[1:] + face[:1]))[:len(face) - (kind == "oriented")]
         factors = [(k, _arc_factor(k, (hi - lo) % m)) for lo, hi in arcs]
-        coords = np.stack([
-            _factor_coords((ends - lo) % m, (hi - lo) % m, k, ni)
-            for (lo, hi), (_, ni) in zip(arcs, factors)
-        ], axis=1)
-        # the members must biject onto the product's coordinate tuples
-        dims = [fuss_catalan(k, ni) for k, ni in factors]
-        by_coord = np.full(math.prod(dims), -1, dtype=np.int64)
-        by_coord[np.ravel_multi_index(tuple(coords.T), dims)] = members
-        if len(members) != len(by_coord) or (by_coord < 0).any():
-            raise StructureMismatchError(
-                f"class {poly}: its {len(members)} members are not the "
-                f"{len(by_coord)} coordinate tuples of its factors"
-            )
-        classes.append(ClassDescriptor(poly, members, factors, coords, by_coord))
+        dims = [fuss_catalan(k, ni) for _, ni in factors]
+        block = np.empty((math.prod(dims), graph.n - 1), dtype=poly.dtype)
+        _fill_face(k, poly, face, block)
+        block.sort(axis=1)
+        by_coord, found = _lookup(keys, _row_keys(block))
+        if not found.all():
+            raise StructureMismatchError(f"class {face}: a state of its factors is not a vertex")
+        order = np.argsort(by_coord)
+        coords = np.stack(np.unravel_index(order, dims), axis=1)
+        vertex_class[by_coord] = ci
+        classes.append(ClassDescriptor(face, by_coord[order], factors, coords, by_coord))
+    # as many members as vertices, and none left out: each vertex in one class
+    if sum(c.size for c in classes) != count or (vertex_class < 0).any():
+        raise StructureMismatchError(f"the {kind} classes do not partition the {count} vertices")
     return ClassPartition(kind, graph, classes, vertex_class)
 
 
 def oriented_partition(graph: FlipGraph) -> ClassPartition:
-    """Partition of K_n by the triangle on the special edge (m-1, 0)."""
+    """Partition of K_n by the triangle (0, c, m-1) on the special edge
+    (m-1, 0), one class per apex c."""
     if graph.k != 3:
         raise InvalidParameterError("oriented partition is defined for k = 3 only")
-    part = _build_classes(graph, _face_rows(graph.rows, 3, graph.m)[0], "oriented")
-    if len(part.classes) != graph.n:
-        raise StructureMismatchError(
-            f"expected {graph.n} oriented classes, got {len(part.classes)}"
-        )
-    return part
+    faces = np.array([(0, c, graph.m - 1) for c in range(1, graph.m - 1)])
+    return _build_classes(graph, faces, "oriented")
 
 
-def face_contains_center(face: tuple, m: int) -> bool:
-    """Whether the face contains the symbolically perturbed polygon center.
+def _contains_center(faces: np.ndarray, m: int) -> np.ndarray:
+    """Whether each face along the last axis of faces (vertices ascending)
+    contains the symbolically perturbed polygon center.
 
     A face with all cyclic arcs < m/2 contains the true center.  An arc of
     exactly m/2 (m even) makes the face border a diameter; the tie is broken
@@ -168,44 +136,32 @@ def face_contains_center(face: tuple, m: int) -> bool:
     at angle 1), the perturbed center lies inside iff the midpoint's angle
     falls in the open half-turn counterclockwise of the diameter's far end.
     """
-    return bool(_contains_center(np.asarray(face), m))
-
-
-def _contains_center(faces: np.ndarray, m: int) -> np.ndarray:
-    """`face_contains_center` of each face along the last axis of faces."""
     w = np.roll(faces, -1, axis=-1)
     twice = 2 * ((w - faces) % m)
     tie = (1 - 2 * w) % (2 * m)
     return ((twice < m) | ((twice == m) & (0 < tie) & (tie < m))).all(axis=-1)
 
 
-def _central_face_rows(rows: np.ndarray, k: int, m: int) -> np.ndarray:
-    """The face of each state that contains the (perturbed) polygon center,
-    vertices ascending."""
-    if len(rows) > FLIP_CHUNK:  # bound the (chunk, n, k) face tables
-        return np.concatenate([_central_face_rows(rows[lo:lo + FLIP_CHUNK], k, m)
-                               for lo in range(0, len(rows), FLIP_CHUNK)])
-    faces = _face_array(rows, k, m)
-    hits = _contains_center(faces, m)
-    count = hits.sum(axis=1)
-    if (count != 1).any():
-        s = int(np.argmax(count != 1))
-        diags = tuple(_polygon(m).diags[i] for i in rows[s].tolist())
-        raise StructureMismatchError(
-            f"{count[s]} central faces found for {diags}; expected 1"
-        )
-    return faces[hits]
+def _central_faces(k: int, m: int) -> np.ndarray:
+    """(F, k) int64 array: every k-gon of the m-gon that holds the
+    (perturbed) center and can be a face of a k-angulation, vertices
+    ascending, rows in lexicographic order.
 
-
-def central_face(t) -> tuple:
-    """The unique face of t containing the (perturbed) polygon center."""
-    row = _rows_of([t.diagonals], t.m, len(t.diagonals))
-    return tuple(_central_face_rows(row, t.k, t.m)[0].tolist())
+    A face is its smallest vertex s and then the partial sums of the
+    lengths of its arcs from s: (k-2)p + 1 each, for a composition p of n-1
+    into k parts.  s can be any vertex before the last arc's length."""
+    n = (m - 2) // (k - 2)
+    arcs = (k - 2) * np.array(list(_compositions(n - 1, k)), dtype=np.int64).reshape(-1, k) + 1
+    last = arcs[:, -1]
+    faces = np.repeat(np.cumsum(arcs, axis=1) - arcs, last, axis=0)
+    faces += _ranges(np.zeros_like(last), last)[:, None]
+    faces = faces[_contains_center(faces, m)]
+    return faces[np.lexsort(faces.T[::-1])]
 
 
 def central_partition(graph: FlipGraph) -> ClassPartition:
     """Partition of a flip graph by the k-gon containing the polygon center."""
-    return _build_classes(graph, _central_face_rows(graph.rows, graph.k, graph.m), "central")
+    return _build_classes(graph, _central_faces(graph.k, graph.m), "central")
 
 
 def _cross_arcs(graph, vertex_class: np.ndarray, ncls: int) -> dict:

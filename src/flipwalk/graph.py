@@ -31,9 +31,12 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One byte string per row of a nonempty-width array; with one byte per
-    column, or big-endian columns, byte order is row order."""
+    """One byte string per row, a view of the rows; with one byte per
+    column, or big-endian columns, byte order is row order.  Rows with no
+    column all get the empty key (a new array)."""
     rows = np.ascontiguousarray(rows)
+    if not rows.shape[1]:
+        return np.zeros(len(rows), dtype="S1")
     return rows.view(f"S{rows.shape[1] * rows.itemsize}").ravel()
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import prod
 from typing import NamedTuple
 
@@ -29,6 +29,8 @@ DEFAULT_ENUMERATION_CAP = 5_000_000
 # larger one is written through its own classes, so that no table of a large
 # factor is held beside the output (9.2 MB for n = 12 under k = 3 n = 13)
 FACTOR_TABLE_STATES = 1 << 14
+# the largest polygon whose diagonal ids fit in two bytes (m(m-3)/2 - 1 of them)
+POLYGON_CAP = 363
 
 Diagonal = tuple  # (a, b) with a < b
 
@@ -77,7 +79,6 @@ class _Polygon(NamedTuple):
     diags: list  # id -> (a, b)
     ends: np.ndarray  # (D, 2): id -> (a, b)
     pair_id: np.ndarray  # (m, m): id of the diagonal {a, b}, else -1
-    cross: np.ndarray  # (D, D) bool: the two diagonals cross
     dtype: np.dtype  # of an id row: one byte per id when it fits, else big-endian
 
 
@@ -87,12 +88,10 @@ def _polygon(m: int) -> _Polygon:
     ends = np.array(diags, dtype=np.int64).reshape(-1, 2)
     pair_id = np.full((m, m), -1, dtype=np.int64)
     pair_id[ends[:, 0], ends[:, 1]] = pair_id[ends[:, 1], ends[:, 0]] = np.arange(len(diags))
-    (a, b), (c, d) = ends.T[:, :, None], ends.T[:, None, :]
-    cross = ((a < c) & (c < b) & (b < d)) | ((c < a) & (a < d) & (d < b))
     dtype = np.dtype(np.uint8 if len(diags) <= 256 else ">u2")
-    for table in (ends, pair_id, cross):
+    for table in (ends, pair_id):
         table.flags.writeable = False
-    return _Polygon(diags, ends, pair_id, cross, dtype)
+    return _Polygon(diags, ends, pair_id, dtype)
 
 
 def _compositions(total: int, count: int):
@@ -117,6 +116,29 @@ class _States(NamedTuple):
     offsets: dict  # parts -> index of the class's first block row
 
 
+def _fill_face(k: int, poly: _Polygon, face: tuple, out: np.ndarray) -> None:
+    """Write into `out` the unsorted id rows of every k-angulation of poly's
+    polygon that holds the k-gon `face` (vertices ascending): the C-order
+    product of the canonical states of the sub-polygons on its arcs, taken
+    cyclically from face[0].  Each nonempty sub-polygon fills one column
+    range: the chord that cuts it off, then its cached rows translated into
+    poly's ids and broadcast along the block's axis for it."""
+    m = len(poly.pair_id)
+    subs = [(lo, p) for lo, hi in zip(face, face[1:] + face[:1])
+            if (p := ((hi - lo) % m - 1) // (k - 2)) >= 1]
+    shape = [fuss_catalan(k, p) for _, p in subs]
+    block = out.reshape(*shape, out.shape[1])
+    col = 0
+    for axis, (lo, p) in enumerate(subs):
+        block[..., col] = poly.pair_id[lo, (lo + (k - 2) * p + 1) % m]
+        ends = (_polygon(polygon_size(k, p)).ends + lo) % m
+        ids = poly.pair_id[ends[:, 0], ends[:, 1]].astype(poly.dtype)
+        sub = ids[_enumerate_rows(k, p)]
+        block[..., col + 1:col + p] = sub.reshape(
+            [len(sub) if j == axis else 1 for j in range(len(shape))] + [p - 1])
+        col += p
+
+
 @lru_cache(maxsize=None)
 def _enumerate_states(k: int, n: int) -> _States:
     """All k-angulations of the (k-2)n+2-gon as read-only id rows, in
@@ -125,9 +147,7 @@ def _enumerate_states(k: int, n: int) -> _States:
     Recursion: pick the k-gon containing polygon edge (m-1, 0); its other
     vertices split the polygon into k-1 sub-polygons handled recursively,
     and the states with that root face are the Cartesian product of theirs.
-    Each root face's block of rows is filled in place, one column range per
-    sub-polygon: the chord that cuts it off, then its cached rows translated
-    into this polygon's ids and broadcast along the block's axis for it.
+    Each root face's block of rows is filled in place (`_fill_face`).
     Every row is then sorted and the rows put in lexicographic order.
     """
     poly = _polygon(polygon_size(k, n))
@@ -138,30 +158,16 @@ def _enumerate_states(k: int, n: int) -> _States:
     for parts in _compositions(n - 1, k - 1):
         offsets[parts] = at
         # root face vertices: 0 = c_0 < c_1 < ... < c_{k-2} < c_{k-1} = m-1
-        cs = [0]
-        for p in parts:
-            cs.append(cs[-1] + (k - 2) * p + 1)
-        subs = [(base, p) for base, p in zip(cs, parts) if p >= 1]
-        shape = [fuss_catalan(k, p) for _, p in subs]
-        size = prod(shape)
-        block = rows[at:at + size].reshape(*shape, n - 1)
-        col = 0
-        for axis, (base, p) in enumerate(subs):
-            block[..., col] = poly.pair_id[base, base + (k - 2) * p + 1]
-            ends = _polygon(polygon_size(k, p)).ends + base
-            ids = poly.pair_id[ends[:, 0], ends[:, 1]].astype(poly.dtype)
-            sub = ids[_enumerate_rows(k, p)]
-            block[..., col + 1:col + p] = sub.reshape(
-                [len(sub) if j == axis else 1 for j in range(len(shape))] + [p - 1])
-            col += p
+        face = tuple(accumulate(((k - 2) * p + 1 for p in parts), initial=0))
+        size = prod(fuss_catalan(k, p) for p in parts)
+        _fill_face(k, poly, face, rows[at:at + size])
         at += size
-    if n > 1:
-        rows.sort(axis=1)
-        # byte order is row order (see `_row_keys`); the rows are sorted in
-        # place, so no second copy of them is made
-        keys = _row_keys(rows)
-        rank[np.argsort(keys, kind="stable")] = np.arange(count, dtype=np.int32)
-        keys.sort()
+    rows.sort(axis=1)
+    # byte order is row order (see `_row_keys`); the rows are sorted in
+    # place, so no second copy of them is made
+    keys = _row_keys(rows)
+    rank[np.argsort(keys, kind="stable")] = np.arange(count, dtype=np.int32)
+    keys.sort()
     rows.flags.writeable = rank.flags.writeable = False
     return _States(rows, rank, offsets)
 
@@ -186,10 +192,16 @@ def _class_index(k: int, n: int, parts: tuple, coords: list):
 
 
 def _check_size(k: int, n: int, cap: int) -> int:
+    """The number of states; an n whose count must exceed the cap (FC(k, n)
+    >= C_n >= 2^(n-1)) is refused before the count is computed."""
     if k < 3:
         raise InvalidParameterError(f"k must be >= 3, got {k}")
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
+    if n - 1 >= cap.bit_length():
+        raise EnumerationTooLargeError(f">= 2^{n - 1}", cap)
+    if polygon_size(k, n) > POLYGON_CAP:
+        raise EnumerationTooLargeError(polygon_size(k, n), POLYGON_CAP, "polygon size")
     count = fuss_catalan(k, n)
     if count > cap:
         raise EnumerationTooLargeError(count, cap)
@@ -209,10 +221,7 @@ def count_kangulations(k: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> in
     its rows: the rows are in lexicographic order, so each one that differs
     from the one before it is new.  No view is built."""
     _check_size(k, n, cap)
-    rows = _enumerate_rows(k, n)
-    if n == 1:
-        return len(rows)
-    keys = _row_keys(rows)
+    keys = _row_keys(_enumerate_rows(k, n))
     return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
@@ -290,14 +299,15 @@ def _face_rows(rows: np.ndarray, k: int, m: int) -> tuple:
             raise InvalidParameterError(f"the {m}-gon with no diagonal is not a {k}-gon")
         empty = np.zeros((count, 0, k - 2), dtype=np.int64)
         return np.tile(np.arange(m), (count, 1)), empty, empty
-    crossed = poly.cross[rows[:, :, None], rows[:, None, :]].any(axis=(1, 2))
+    ends = poly.ends[rows]
+    a, b = ends[..., 0], ends[..., 1]
+    c, d = a[:, None, :], b[:, None, :]  # (a, b) crosses (c, d) if a < c < b < d
+    crossed = ((a[..., None] < c) & (c < b[..., None]) & (b[..., None] < d)).any(axis=(1, 2))
     if crossed.any():
         s = int(np.argmax(crossed))
         raise InvalidParameterError(
             f"two diagonals of {[poly.diags[i] for i in rows[s].tolist()]} cross"
         )
-    ends = poly.ends[rows]
-    a, b = ends[..., 0], ends[..., 1]
     state = np.arange(count)[:, None]
     near = np.zeros((count, m, m), dtype=bool)
     near[:, :, [0, 1, m - 1]] = True  # the vertex itself and its two sides
@@ -466,19 +476,18 @@ def orbit_representatives(graph: FlipGraph) -> list:
     """
     rows, m = graph.rows, graph.m
     label = np.arange(len(rows))
-    if rows.shape[1]:
-        poly, keys, v = _polygon(m), _row_keys(rows), np.arange(m)
-        images = []
-        for image in ((v + 1) % m, -v % m):
-            perm = poly.pair_id[image[poly.ends[:, 0]], image[poly.ends[:, 1]]]
-            mapped = perm.astype(poly.dtype)[rows]
-            mapped.sort(axis=1)
-            at, found = _lookup(keys, _row_keys(mapped))
-            if not found.all():
-                raise InvalidParameterError("a symmetry image leaves the enumerated states")
-            images.append(at)
-        while ((low := np.minimum(label[images[0]], label[images[1]])) < label).any():
-            np.minimum(label, low, out=label)
+    poly, keys, v = _polygon(m), _row_keys(rows), np.arange(m)
+    images = []
+    for image in ((v + 1) % m, -v % m):
+        perm = poly.pair_id[image[poly.ends[:, 0]], image[poly.ends[:, 1]]]
+        mapped = perm.astype(poly.dtype)[rows]
+        mapped.sort(axis=1)
+        at, found = _lookup(keys, _row_keys(mapped))
+        if not found.all():
+            raise InvalidParameterError("a symmetry image leaves the enumerated states")
+        images.append(at)
+    while ((low := np.minimum(label[images[0]], label[images[1]])) < label).any():
+        np.minimum(label, low, out=label)
     return np.flatnonzero(label == np.arange(len(rows))).tolist()
 
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from flipwalk import cli, kangulation, lattice
+from flipwalk import cli, combinatorics, kangulation, lattice
 from flipwalk.cli import (
     EXIT_CAP,
     EXIT_OK,
@@ -87,7 +87,7 @@ def test_sample_on_edgeless_graph_exits_usage(tmp_path, capsys):
 
 def test_parse_n_range():
     cfg = parse_config(["--command", "analyze", "--n-range", "2..4"])
-    assert cfg.ns == [2, 3, 4]
+    assert list(cfg.ns) == [2, 3, 4]
     with pytest.raises(InvalidParameterError):
         parse_config(["--command", "analyze", "--n-range", "2-4"])
 
@@ -360,3 +360,78 @@ def test_flow_command_trivial_n1(tmp_path):
     assert main(["--command", "flow", "--n", "1", "--out", str(tmp_path)]) == EXIT_OK
     doc = _summary(tmp_path, "flow")
     assert doc[0]["vertices"] == 1 and doc[0]["conservation_certified"]
+
+
+def test_flow_cut_and_analyze_run_no_face_walk(tmp_path, monkeypatch):
+    """The class partitions, the central cut and the apex tables come from
+    the enumeration's classes; no command runs the per-state face walk."""
+    def no_walk(*args):
+        raise AssertionError("the face walk ran")
+
+    monkeypatch.setattr(kangulation, "_face_rows", no_walk)
+    for command, ns in (("flow", "2..8"), ("cut", "2..40"), ("analyze", "2..6")):
+        out = str(tmp_path / command)
+        assert main(["--command", command, "--n-range", ns, "--out", out]) == EXIT_OK
+
+
+@pytest.mark.parametrize("flags", [["--n", "101"], ["--n-range", "2..101"]])
+def test_cut_cap_exit_code(tmp_path, monkeypatch, capsys, flags):
+    """n past CUT_N_CAP is refused before any size is cut."""
+    def no_cut(n):
+        raise AssertionError(f"the n = {n} cut was computed")
+
+    monkeypatch.setattr(cli, "shortest_side_cut", no_cut)
+    assert main(["--command", "cut", *flags, "--out", str(tmp_path)]) == EXIT_CAP
+    assert "resource cap: cut n 101 exceeds cap 100" in capsys.readouterr().err
+    assert not (tmp_path / "cut_summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["enumerate", "analyze", "sample"])
+def test_huge_n_exits_cap_without_the_count(tmp_path, monkeypatch, capsys, command):
+    """C_n >= 2^(n-1), so n = 10000 (a count of about 6,000 digits) and
+    n = 10^6 are refused before their Fuss-Catalan count is computed."""
+    real = combinatorics.fuss_catalan
+
+    def small_only(k, n):
+        assert n <= 100, f"the count at n = {n} was computed"
+        return real(k, n)
+
+    for module in (cli, kangulation):
+        monkeypatch.setattr(module, "fuss_catalan", small_only)
+    for n in (10000, 10**6):
+        rc = main(["--command", command, "--n", str(n), "--seed", "1", "--out", str(tmp_path)])
+        assert rc == EXIT_CAP
+        err = capsys.readouterr().err
+        assert f"resource cap: enumeration size >= 2^{n - 1} exceeds cap 5000000" in err
+        assert "Traceback" not in err
+
+
+def test_polygon_past_two_byte_ids_exits_cap(tmp_path, capsys):
+    assert main(["--command", "enumerate", "--k", "400", "--n", "3", "--out", str(tmp_path)]) == EXIT_CAP
+    assert "resource cap: polygon size 1196 exceeds cap 363" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["n", "k"])
+def test_json_config_infinite_number_exits_usage(tmp_path, capsys, key):
+    """JSON reads 1e999 as float infinity, which int() cannot convert."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(f'{{"command": "enumerate", "{key}": 1e999}}')
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_huge_n_range_stays_lazy(tmp_path, capsys):
+    """A range of 10^12 values is never listed: the run stops at the first
+    n over a cap."""
+    wide = "1..1000000000000"
+    cfg = parse_config(["--command", "enumerate", "--n-range", wide])
+    assert cfg.ns == range(1, 10**12 + 1)
+    assert main(["--command", "enumerate", "--n-range", wide, "--cap", "100",
+                 "--out", str(tmp_path)]) == EXIT_CAP
+    assert "resource cap: enumeration size 132 exceeds cap 100" in capsys.readouterr().err
+    for command, cap in (("flow", 10), ("cut", 100)):
+        assert main(["--command", command, "--n-range", wide, "--out", str(tmp_path)]) == EXIT_CAP
+        assert f"resource cap: {command} n {10**12} exceeds cap {cap}" in capsys.readouterr().err

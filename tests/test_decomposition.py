@@ -3,22 +3,26 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+import reference_partition
 from reference_graph import adjacency_lists, boundary_matchings_lists, graph_from_lists
 
-from flipwalk.combinatorics import catalan
+from flipwalk import kangulation
+from flipwalk.combinatorics import catalan, fuss_catalan
 from flipwalk.decomposition import (
+    _central_faces,
+    _contains_center,
+    _local_apex,
     _region_count,
     boundary_matchings,
     boundary_projection,
-    central_face,
     central_partition,
-    face_contains_center,
     oriented_partition,
     partition_to_json,
     verify_class_product_structure,
@@ -95,8 +99,8 @@ def test_matching_inequality_worst_pair_k10():
 def test_center_containment_odd_polygon_no_ties():
     # m odd: no diagonal is a diameter, so the arc test alone decides
     m = 7
-    assert face_contains_center((0, 2, 5), m)
-    assert not face_contains_center((0, 1, 2), m)
+    assert _contains_center(np.array((0, 2, 5)), m)
+    assert not _contains_center(np.array((0, 1, 2)), m)
 
 
 def test_central_partition_square_tie_break():
@@ -106,15 +110,15 @@ def test_central_partition_square_tie_break():
 
 
 def test_central_face_unique_per_vertex():
-    for t in _graph(3, 6).vertices:
-        central_face(t)  # raises if not unique
+    g = _graph(3, 6)
+    reference_partition.central_face_rows(g.rows, 3, g.m)  # raises if not unique
 
 
 def test_central_k44_class_factors_bounded():
     g = _graph(4, 4)
     p = central_partition(g)
     for c in p.classes:
-        assert c.size == c.expected_size()
+        assert c.size == _region_count(4, g.m, c.defining_polygon)
         for _, ni in c.cartesian_factors:
             assert ni <= 2  # n/2
         assert len(c.cartesian_factors) == 4
@@ -393,3 +397,95 @@ def test_boundary_projection_rejects_bad_class_pairs():
 def test_matching_inequality_needs_two_classes():
     with pytest.raises(InvalidParameterError):
         verify_matching_inequality(oriented_partition(_graph(3, 1)))
+
+
+def _assert_same_partition(got, want):
+    """Every field of two partitions of one graph, with its dtype."""
+    assert got.kind == want.kind and got.graph is want.graph
+    assert got.vertex_class.dtype == want.vertex_class.dtype
+    assert np.array_equal(got.vertex_class, want.vertex_class)
+    assert len(got.classes) == len(want.classes)
+    for c, r in zip(got.classes, want.classes):
+        assert type(c.defining_polygon) is tuple and c.defining_polygon == r.defining_polygon
+        assert c.cartesian_factors == r.cartesian_factors
+        for name in ("member_indices", "coords", "by_coord"):
+            a, b = getattr(c, name), getattr(r, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+
+
+def _check_against_keyed_builder(k, n):
+    g = build_flip_graph(k, n)
+    _assert_same_partition(central_partition(g), reference_partition.central_partition(g))
+    if k == 3:
+        _assert_same_partition(oriented_partition(g), reference_partition.oriented_partition(g))
+
+
+@pytest.mark.parametrize(
+    "k, n", [(3, n) for n in range(1, 11)] + [(4, n) for n in range(1, 8)]
+    + [(5, n) for n in range(1, 7)] + [(6, 4), (10, 3)])
+def test_generated_classes_match_keyed_builder(k, n):
+    """Classes generated from their faces against the face-walk keyed
+    builder of tests/reference_partition.py."""
+    _check_against_keyed_builder(k, n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k, n", [(3, 12), (4, 8), (5, 7)])
+def test_generated_classes_match_keyed_builder_large(k, n):
+    _check_against_keyed_builder(k, n)
+
+
+def test_partitions_run_no_face_walk(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("the face walk ran")
+
+    monkeypatch.setattr(kangulation, "_face_rows", no_walk)
+    _local_apex.cache_clear()
+    for n in range(1, 8):
+        g = _graph(3, n)
+        verify_class_product_structure(oriented_partition(g))
+        verify_class_product_structure(central_partition(g))
+        if n >= 2:
+            boundary_projection(oriented_partition(g), 0, n - 1)
+
+
+def test_generated_classes_reject_a_missing_state():
+    """A graph whose rows lack a state of some class is refused."""
+    g = build_flip_graph(3, 5)
+    short = kangulation.FlipGraph(3, 5, g.rows[1:], *g.csr())
+    with pytest.raises(StructureMismatchError, match="not a vertex"):
+        oriented_partition(short)
+
+
+def test_oriented_partition_traced_peak():
+    """The oriented partition of K_12 (208,012 states) holds about 8 MB of
+    class arrays; the keyed builder it replaced peaked at 83 MB."""
+    g = build_flip_graph(3, 12)
+    tracemalloc.start()
+    try:
+        oriented_partition(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
+
+
+def test_face_sets_cover_every_state():
+    """Without building a graph: the classes of the central faces, and of
+    the oriented faces (0, c, m-1), sum to the Fuss-Catalan count.  The
+    central sum groups the faces by their arc lengths, on which
+    `_region_count` depends alone."""
+    for k, top in ((3, 30), (4, 30), (5, 16), (6, 12)):
+        for n in range(1, top + 1):
+            m = (k - 2) * n + 2
+            faces = _central_faces(k, m)
+            assert (np.diff(faces, axis=1) > 0).all()
+            assert (np.diff(faces[:, 0]) >= 0).all()
+            arcs = (np.roll(faces, -1, axis=1) - faces) % m
+            _, first, times = np.unique(arcs, axis=0, return_index=True, return_counts=True)
+            total = sum(t * _region_count(k, m, tuple(faces[i].tolist()))
+                        for i, t in zip(first.tolist(), times.tolist()))
+            assert total == fuss_catalan(k, n), (k, n)
+    for n in range(1, 31):
+        m = n + 2
+        assert sum(_region_count(3, m, (0, c, m - 1)) for c in range(1, m - 1)) == catalan(n)

@@ -261,6 +261,39 @@ def test_loader_checks_the_cap():
         flip_graph_from_json_dict(doc)
 
 
+def test_huge_n_is_refused_before_its_count(monkeypatch):
+    """C_n >= 2^(n-1): every entry point refuses n = 10^6 without the
+    count, which is never computed past n = 100 here."""
+    real = kangulation.fuss_catalan
+
+    def small_only(k, n):
+        assert n <= 100, f"the count at n = {n} was computed"
+        return real(k, n)
+
+    monkeypatch.setattr(kangulation, "fuss_catalan", small_only)
+    doc = json.loads(build_flip_graph(3, 2).to_json())
+    doc["n"] = 10**6
+    calls = [lambda: flip_graph_from_json_dict(doc)] + [
+        lambda call=call: call(3, 10**6)
+        for call in (enumerate_kangulations, build_flip_graph, kangulation.count_kangulations)]
+    for call in calls:
+        with pytest.raises(EnumerationTooLargeError, match=r"size >= 2\^999999 exceeds"):
+            call()
+
+
+def test_two_byte_ids_up_to_the_polygon_cap():
+    """Up to m = 363 every diagonal id fits in two bytes, and a state
+    there round-trips and validates; m = 364 is refused."""
+    g = build_flip_graph(182, 2)  # m = 362: 181 states, 65,159 diagonals
+    assert g.rows.dtype == np.dtype(">u2") and g.num_vertices == 181
+    assert flip_graph_from_json_dict(json.loads(g.to_json())).rows is g.rows
+    for t in g.vertices:
+        t.validate()
+    assert build_flip_graph(363, 1).m == 363
+    with pytest.raises(EnumerationTooLargeError, match="polygon size 364 exceeds cap 363"):
+        build_flip_graph(364, 1)
+
+
 @pytest.mark.parametrize("size", sorted(GOLDEN["graphs"]))
 def test_flip_graph_matches_golden_hashes(size):
     """JSON and DOT exports, byte for byte, against tests/golden/flip_graphs.json."""

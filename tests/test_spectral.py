@@ -9,6 +9,7 @@ from reference_graph import adjacency_lists, graph_from_lists
 
 from flipwalk import spectral
 from flipwalk.combinatorics import catalan
+from flipwalk.decomposition import _central_faces
 from flipwalk.errors import (
     InvalidDistributionError,
     InvalidParameterError,
@@ -423,7 +424,7 @@ def _cut_boundary_pairwise(n):
     pair of central triangles, with the matching size of two triangles that
     share a side written out as a Catalan product over their quadrilateral."""
     m = n + 2
-    tris = spectral._central_triangles(m)
+    tris = _central_faces(3, m).tolist()
     side = [t for t in tris if 6 * min(spectral._tri_arcs(t, m)) <= m]
     other = [t for t in tris if 6 * min(spectral._tri_arcs(t, m)) > m]
     total = 0
