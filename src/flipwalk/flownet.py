@@ -34,9 +34,11 @@ from .flows import (
 from .graph import _ranges, graph_from_arcs, product_graph
 from .kangulation import build_flip_graph
 
-# the largest n whose unit demands have been certified (n = 10: 23 s and
-# 393 MB peak on a 2-vCPU host); C_12 = 208,012 states pass the enumeration
-# cap but were killed for memory within 60 s on an 8 GB host
+# the largest n whose flow run fits desk budgets: `flow --n 10` takes 10 s
+# at a 228 MB peak on a 2-vCPU host; n = 11 certifies too, but took 348 s
+# at 2.2 GB, most of it the K_9 per-source table; C_12 = 208,012 states
+# pass the enumeration cap but were killed for memory within 60 s on an
+# 8 GB host
 FLOW_N_CAP = 10
 
 
@@ -105,8 +107,7 @@ def pair_flow(n: int, a: int, b: int) -> ArcFlow:
         nh2 = catalan(st.factor_ns[b][1])
         pieces += product_lift(cb.by_coord, nh2, fj, base2, range(other2), 1)
     flow = ArcFlow.combine(pieces).reduce()
-    expected = dict.fromkeys(ca.member_indices, Fraction(-cb.size, ca.size))
-    expected.update(dict.fromkeys(cb.member_indices, 1))
+    expected = [(ca.member_indices, Fraction(-cb.size, ca.size)), (cb.member_indices, 1)]
     flow.check_net(expected, f"pair_flow({n},{a},{b})")
     return flow
 
@@ -120,8 +121,10 @@ def r_dist(n: int, u: int) -> ArcFlow:
         (pair_flow(n, u, w), 1) for w in range(len(classes)) if w != u
     ).reduce()
     total = catalan(n)
-    expected = dict.fromkeys(range(total), 1)
-    expected.update(dict.fromkeys(classes[u].member_indices, 1 - Fraction(total, classes[u].size)))
+    inside = np.zeros(total, dtype=bool)
+    inside[classes[u].member_indices] = True
+    expected = [(np.flatnonzero(~inside), 1),
+                (classes[u].member_indices, 1 - Fraction(total, classes[u].size))]
     flow.check_net(expected, f"r_dist({n},{u})")
     return flow
 
@@ -197,6 +200,10 @@ class SourceRows:
         """Each source's rows here, then its rows in other (same sources)."""
         la, lb = self.lengths(), other.lengths()
         start = _offsets(la + lb)
+        if len(la) == 1:
+            cols = (np.concatenate(ab) for ab in zip((self.src, self.dst), (other.src, other.dst)))
+            num = np.concatenate((self.num, other.num))
+            return SourceRows(self.den, start, *cols, num)
         at_a = np.arange(len(self.num)) + np.repeat(start[:-1] - self.start[:-1], la)
         at_b = np.arange(len(other.num)) + np.repeat(start[:-1] + la - other.start[:-1], lb)
         cols = []
@@ -226,28 +233,36 @@ def _shuffle_rows(n: int, t: int, coords: np.ndarray, factor_rows) -> SourceRows
     parts = []  # (lifted rows over their factor's denominators, scale)
     if r >= 2:
         h = factor_rows(r, y)
-        base = (x * cr)[h.source_of_row()]
-        lifted = SourceRows(h.den, h.start, verts[base + h.src], verts[base + h.dst], h.num)
-        parts.append((lifted, cl))
+        src, dst = h.src, h.dst
+        if cl > 1:  # the copy {x} x K_r starts at vertex x * cr
+            base = (x * cr)[h.source_of_row()]
+            src, dst = base + src, base + dst
+        parts.append((SourceRows(h.den, h.start, verts[src], verts[dst], h.num), cl))
     if l >= 2:
         g = factor_rows(l, x)
-        lens = np.repeat(g.lengths(), cr)
-        rows = _ranges(np.repeat(g.start[:-1], cr), np.repeat(g.start[1:], cr))
-        copy = np.repeat(np.tile(np.arange(cr), k), lens)
-        src, dst = verts[g.src[rows] * cr + copy], verts[g.dst[rows] * cr + copy]
-        parts.append((SourceRows(g.den, _offsets(g.lengths() * cr), src, dst, g.num[rows]), 1))
-    den = np.ones(k, dtype=np.int64)
-    for rows, _ in parts:
-        den = _lcm(den, rows.den)
+        if cr == 1:  # one copy K_l x {0}, in which (x, 0) is vertex x
+            start, src, dst, num = g.start, verts[g.src], verts[g.dst], g.num
+        else:
+            lens = np.repeat(g.lengths(), cr)
+            rows = _ranges(np.repeat(g.start[:-1], cr), np.repeat(g.start[1:], cr))
+            copy = np.repeat(np.tile(np.arange(cr), k), lens)
+            src, dst = verts[g.src[rows] * cr + copy], verts[g.dst[rows] * cr + copy]
+            start, num = _offsets(g.lengths() * cr), g.num[rows]
+        parts.append((SourceRows(g.den, start, src, dst, num), 1))
+    if not parts:
+        none = np.zeros(0, dtype=np.int64)
+        return SourceRows(np.ones(k, dtype=np.int64), np.zeros(k + 1, dtype=np.int64), none, none, none)
+    if len(parts) == 1:
+        rows, scale = parts[0]
+        num = rows.num if scale == 1 else scaled(rows.num, scale)
+        return SourceRows(rows.den, rows.start, rows.src, rows.dst, num)
+    den = _lcm(parts[0][0].den, parts[1][0].den)
     pieces = []
     for rows, scale in parts:
         mult = (den // rows.den * scale)[rows.source_of_row()]
         pieces.append(SourceRows(den, rows.start, rows.src, rows.dst, scaled(rows.num, mult)))
-    if not pieces:
-        none = np.zeros(0, dtype=np.int64)
-        return SourceRows(den, np.zeros(k + 1, dtype=np.int64), none, none, none)
     # the two parts' arcs (moves inside a row, moves inside a column) differ
-    return pieces[0] if len(pieces) == 1 else pieces[0].followed_by(pieces[1])
+    return pieces[0].followed_by(pieces[1])
 
 
 def _source_rows(n: int, t: int, ids: np.ndarray) -> SourceRows:
@@ -285,20 +300,88 @@ def _source_rows(n: int, t: int, ids: np.ndarray) -> SourceRows:
     return SourceRows(den, sh.start, sh.src, sh.dst, num).followed_by(rest)
 
 
+# rows that one chunk of sources holds at once, in verify_unit_demands and
+# in the per-source tables (a source with more rows is a chunk of its own);
+# larger chunks raise the peak RSS of `flow --n-range 2..8`
+CHUNK_ROWS = 1 << 13
+
+
+def _row_chunks(lens: np.ndarray):
+    """Slices of consecutive sources, each with at most CHUNK_ROWS rows in
+    all by lens, or with one source."""
+    ends = np.cumsum(lens)
+    lo = 0
+    while lo < len(ends):
+        below = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, below + CHUNK_ROWS, side="right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
+def _table_lengths(n: int, ids: np.ndarray) -> np.ndarray:
+    rows, row_of = _source_table(n)
+    return rows.lengths()[row_of[ids]]
+
+
+def _shuffle_lengths(n: int, t: int, coords: np.ndarray) -> np.ndarray:
+    """Row count of the shuffle component that _shuffle_rows builds for each
+    source at coords of class t, whose factors have tables."""
+    l, r = oriented_structure(n).factor_ns[t]
+    cr = catalan(r)
+    x, y = np.divmod(coords, cr)
+    out = np.zeros(len(coords), dtype=np.int64)
+    if r >= 2:
+        out += _table_lengths(r, y)
+    if l >= 2:
+        out += cr * _table_lengths(l, x)
+    return out
+
+
+def _row_counts(n: int, t: int, ids: np.ndarray) -> np.ndarray:
+    """Exact row count of the per-source flow of each of ids, all in class t
+    of K_n: its shuffle rows, and the arcs of r_dist(n, t) that none of them
+    covers."""
+    st = oriented_structure(n)
+    coords = st.coord_of[ids]
+    dist = r_dist(n, t)
+    out = np.empty(len(ids), dtype=np.int64)
+    for part in _row_chunks(_shuffle_lengths(n, t, coords)):
+        sh = _shuffle_rows(n, t, coords[part], _table_rows)
+        hit = dist.arc_index(sh.src, sh.dst) >= 0
+        covered = np.bincount(sh.source_of_row()[hit], minlength=len(sh.den))
+        out[part] = sh.lengths() + len(dist.num) - covered
+    return out
+
+
 @lru_cache(maxsize=None)
 def _source_table(n: int):
     """(rows, row_of): the per-source flows of every source of K_n, class by
-    class, and each vertex's index into them."""
+    class, and each vertex's index into them.  The rows are counted first,
+    then built in chunks and written into arrays of that size, so no part
+    of the table is held twice."""
     members = [c.member_indices for c in oriented_structure(n).partition.classes]
-    parts = [_source_rows(n, t, m) for t, m in enumerate(members)]
+    lens = [_row_counts(n, t, m) for t, m in enumerate(members)]
+    start = _offsets(np.concatenate(lens))
+    den = np.empty(catalan(n), dtype=np.int64)
+    src, dst, num = (np.empty(int(start[-1]), dtype=np.int64) for _ in range(3))
+    i = 0
+    for t, m in enumerate(members):
+        for part in _row_chunks(lens[t]):
+            rows = _source_rows(n, t, m[part])
+            j = i + len(rows.den)
+            if not np.array_equal(rows.lengths(), lens[t][part]):
+                raise StructureMismatchError(f"per-source rows of class {t} of K_{n} miscounted")
+            part_den, part_num = narrowed(rows.den), narrowed(rows.num)
+            if part_den.dtype == object:
+                den = den.astype(object)
+            if part_num.dtype == object:
+                num = num.astype(object)
+            a, b = start[i], start[j]
+            den[i:j], src[a:b], dst[a:b], num[a:b] = part_den, rows.src, rows.dst, part_num
+            i = j
     row_of = np.empty(catalan(n), dtype=np.int64)
     row_of[np.concatenate(members)] = np.arange(catalan(n))
-    rows = SourceRows(
-        np.concatenate([p.den for p in parts]),
-        _offsets(np.concatenate([p.lengths() for p in parts])),
-        *(np.concatenate([getattr(p, c) for p in parts]) for c in ("src", "dst", "num")),
-    )
-    return rows, row_of
+    return SourceRows(den, start, src, dst, num), row_of
 
 
 def _table_rows(n: int, ids: np.ndarray) -> SourceRows:
@@ -318,6 +401,13 @@ def _factor_rows(f: int, ids: np.ndarray, n: int) -> SourceRows:
     return _source_rows(f, int(classes[0]), ids)
 
 
+def _shared_rows(rows: SourceRows, f: int, ids: np.ndarray, want_f: int, want_ids: np.ndarray):
+    """rows, the per-source flows of K_f at ids, when they are asked for."""
+    if want_f != f or not np.array_equal(want_ids, ids):
+        raise InvalidParameterError(f"shared rows are K_{f}'s, not K_{want_f}'s at these sources")
+    return rows
+
+
 def per_source_flow(n: int, s: int) -> ArcFlow:
     """Full per-source flow on K_n: one unit from s to every other vertex."""
     if n <= 1:
@@ -326,27 +416,58 @@ def per_source_flow(n: int, s: int) -> ArcFlow:
     return _source_rows(n, t, np.array([s])).flow(0)
 
 
-# rows per chunk of sources that verify_unit_demands builds at once
-CHUNK_ROWS = 1 << 14
+def _source_chunks(n: int):
+    """(classes, coords): chunks of the coordinates of every class of K_n,
+    each with at most CHUNK_ROWS shuffle rows (or one source).  The two end
+    classes, (0, n-1) and (n-1, 0), share their chunks: in both, coordinate
+    c is vertex c of their one factor K_(n-1), and a chunk's factor sources
+    share their class of K_(n-1)."""
+    factor = oriented_structure(n - 1)
+    coords = np.argsort(factor.partition.vertex_class, kind="stable")
+    group = factor.partition.vertex_class[coords]
+    for block in np.split(coords, np.flatnonzero(np.diff(group)) + 1):
+        # at least each factor source's row count: its shuffle rows and
+        # every arc of its class's r_dist
+        u = int(factor.partition.vertex_class[block[0]])
+        lens = _shuffle_lengths(n - 1, u, factor.coord_of[block]) + len(r_dist(n - 1, u).num)
+        for part in _row_chunks(lens):
+            yield (0, n - 1), block[part]
+    for t in range(1, n - 1):
+        l, r = oriented_structure(n).factor_ns[t]
+        coords = np.arange(catalan(l) * catalan(r))
+        for part in _row_chunks(_shuffle_lengths(n, t, coords)):
+            yield (t,), coords[part]
 
 
-def _source_chunks(n: int, t: int):
-    """The coordinates of class t in chunks of about CHUNK_ROWS shuffle rows.
-    When one factor is K_(n-1) (the other has one state) a chunk's factor
-    sources share their class of K_(n-1)."""
-    st = oriented_structure(n)
-    sz = st.partition.classes[t].size
-    size = max(1, CHUNK_ROWS // (sz * max(n - 3, 1)))
-    coords = np.arange(sz)
-    if n - 1 >= 2 and n - 1 in st.factor_ns[t]:
-        group = oriented_structure(n - 1).partition.vertex_class
-        coords = coords[np.argsort(group, kind="stable")]
-        cuts = np.flatnonzero(np.diff(group[coords])) + 1
-    else:
-        cuts = []
-    for block in np.split(coords, cuts):
-        for i in range(0, len(block), size):
-            yield block[i:i + size]
+def _check_shuffle(n: int, t: int, coords: np.ndarray, rows: SourceRows) -> None:
+    """Each source's shuffle component, net-checked exactly: over its
+    denominator its net inflow is -(|C_t| - 1) at the source, 1 at every
+    other member of class t and 0 elsewhere."""
+    size = catalan(n)
+    c = oriented_structure(n).partition.classes[t]
+    members, sz, den = c.by_coord, c.size, rows.den
+    # net inflow is linear in the rows, so repeated arcs need no merging
+    cell = rows.source_of_row() * size
+    num = summable(rows.num)
+    if num.dtype != object and (den.dtype == object or bound(den) * sz >= LIMIT):
+        num = num.astype(object)
+    net = np.zeros(len(coords) * size, dtype=num.dtype)
+    np.subtract.at(net, cell + rows.src, num)
+    np.add.at(net, cell + rows.dst, num)
+    net = net.reshape(len(coords), size)
+    # the expected net comes off in place; |net| < LIMIT and 0 < den <=
+    # sz * den < LIMIT, so no step wraps
+    net[:, members] -= den[:, None]
+    net[np.arange(len(coords)), members[coords]] += den * sz
+    bad = np.flatnonzero(net)
+    if len(bad):
+        i, v = divmod(int(bad[0]), size)
+        source = int(members[coords[i]])
+        want = int(oriented_structure(n).partition.vertex_class[v] == t) - sz * (v == source)
+        got = Fraction(int(net[i, v]) + want * int(den[i]), int(den[i]))
+        raise StructureMismatchError(
+            f"class {t} source {source}: shuffle: net inflow at {v} is {got}, expected {want}"
+        )
 
 
 def verify_unit_demands(n: int) -> dict:
@@ -360,39 +481,23 @@ def verify_unit_demands(n: int) -> dict:
     net inflow is checked exactly against -(|C_T| - 1) at s, 1 at every
     other member of T and 0 elsewhere, which pins the per-source net to
     exactly -(C_n - 1) at s and +1 everywhere else.  The sources of a class
-    go in chunks of stacked rows.
+    go in chunks of stacked rows; a chunk of the two end classes builds its
+    K_(n-1) per-source flows once and checks both classes on them.
     """
     if n <= 1:
         return {"n": n, "sources": 0, "ok": True}
-    classes = oriented_structure(n).partition.classes
-    for t in range(len(classes)):
+    for t in range(len(oriented_structure(n).partition.classes)):
         r_dist(n, t)  # net-verified on construction
-    size = catalan(n)
-    factor_rows = partial(_factor_rows, n=n)
     count = 0
-    for t, c in enumerate(classes):
-        sz, members = c.size, c.by_coord
-        for coords in _source_chunks(n, t):
-            rows = _shuffle_rows(n, t, coords, factor_rows)
-            k = len(coords)
-            # net inflow is linear in the rows, so repeated arcs need no merging
-            cell = rows.source_of_row() * size
-            num = summable(rows.num)
-            net = np.zeros(k * size, dtype=num.dtype)
-            np.subtract.at(net, cell + rows.src, num)
-            np.add.at(net, cell + rows.dst, num)
-            want = np.zeros((k, size), dtype=np.int64)
-            want[:, members] = 1
-            want[np.arange(k), members[coords]] = 1 - sz
-            bad = np.flatnonzero(net != scaled(want, rows.den[:, None]).ravel())
-            if len(bad):
-                i, v = divmod(int(bad[0]), size)
-                den = int(rows.den[i])
-                raise StructureMismatchError(
-                    f"class {t} source {members[coords[i]]}: shuffle: net inflow at {v} "
-                    f"is {Fraction(int(net[bad[0]]), den)}, expected {int(want[i, v])}"
-                )
-            count += k
+    for classes, coords in _source_chunks(n):
+        factor_rows = partial(_factor_rows, n=n)
+        if len(classes) == 2:
+            # the end classes' one factor is K_(n-1), at the sources coords
+            shared = factor_rows(n - 1, coords)
+            factor_rows = partial(_shared_rows, shared, n - 1, coords)
+        for t in classes:
+            _check_shuffle(n, t, coords, _shuffle_rows(n, t, coords, factor_rows))
+            count += len(coords)
     return {"n": n, "sources": count, "ok": True}
 
 
@@ -614,8 +719,7 @@ def projection_restriction_combine(graph, classes: list) -> ProjectionRestrictio
                           demand / (len(into) * len(out))))
         # component conservation: class i sends demand, class j receives it
         commodity = ArcFlow.combine(steps)
-        expected = dict.fromkeys(classes[i].tolist(), -demand / len(classes[i]))
-        expected.update(dict.fromkeys(classes[j].tolist(), demand / len(classes[j])))
+        expected = [(classes[i], -demand / len(classes[i])), (classes[j], demand / len(classes[j]))]
         commodity.check_net(expected, f"commodity ({i},{j})")
         pieces.append((commodity, 1))
 

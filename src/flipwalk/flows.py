@@ -204,19 +204,28 @@ class ArcFlow:
     def net(self) -> dict:
         return {v: Fraction(w, self.den) for v, w in self.net_ints().items() if w}
 
-    def check_net(self, expected: dict, context: str) -> None:
-        """Exact conservation check: the net inflow at each vertex v of
-        expected is expected[v] (an int or Fraction), and 0 at every other
-        vertex; raises StructureMismatchError naming the first mismatch."""
+    def check_net(self, groups, context: str) -> None:
+        """Exact conservation check: groups are (vertices, value) pairs with
+        disjoint vertex arrays, and the net inflow is value (an int or
+        Fraction) at every vertex of a group and 0 at every other vertex;
+        raises StructureMismatchError naming the first mismatch."""
         den = self.den
-        verts = np.fromiter(expected, dtype=np.int64, count=len(expected))
-        net = self.net_array(max(self._size(), int(verts.max(initial=-1)) + 1))
-        for v, w, x in zip(verts.tolist(), net[verts].tolist(), expected.values()):
-            if w * x.denominator != x.numerator * den:
+        groups = [(np.asarray(v, dtype=np.int64), Fraction(x)) for v, x in groups]
+        top = max((int(v.max(initial=-1)) for v, _ in groups), default=-1)
+        net = self.net_array(max(self._size(), top + 1))
+        for verts, x in groups:
+            # w / den == x exactly when w * x.denominator == x.numerator * den
+            got = scaled(net[verts], x.denominator)
+            want = x.numerator * den
+            if got.dtype != object and abs(want) >= LIMIT:
+                got = got.astype(object)
+            bad = np.flatnonzero(got != want)
+            if len(bad):
+                v = int(verts[bad[0]])
                 raise StructureMismatchError(
-                    f"{context}: net inflow at {v} is {Fraction(w, den)}, expected {x}"
+                    f"{context}: net inflow at {v} is {Fraction(int(net[v]), den)}, expected {x}"
                 )
-        net[verts] = 0
+            net[verts] = 0
         stray = np.flatnonzero(net)
         if len(stray):
             v = int(stray[0])

@@ -30,6 +30,7 @@ EXACT_ANALYSIS_CAP = 300_000  # beyond this, mixing analysis is refused
 # point-mass columns stepped together by _mixing_block; at k = 3 n = 10 and 11
 # 64 was the fastest of 32..512, with a quarter of 256's block memory
 MIXING_CHUNK = 64
+TVD_BAND = 2048  # rows of a block that _tvd_to_uniform transposes at a time
 EIGSH_SEED = 7  # fixed Lanczos start vector, so reruns are byte-identical
 WALK_CHUNK = 1 << 16  # coins sample_walk draws at a time; chunks replay one draw's stream
 # the largest n the `cut` command takes: shortest_side_cut grows about as
@@ -123,10 +124,17 @@ def tvd(mu, nu) -> float:
 def _tvd_to_uniform(x: np.ndarray):
     """TVD to uniform of a distribution, or of each column of a block; the
     difference block, in x's dtype, is the only temporary, and it is summed
-    in float64."""
-    d = x - 1.0 / x.shape[0]
+    in float64.  The block is written transposed, so every column is summed
+    as one contiguous row, in the same order as a lone vector: a start's TVD
+    does not depend on how many columns are still live beside it.  It is
+    written TVD_BAND rows of x at a time: on a 2-vCPU host one strided
+    transposed write of the whole block took 4-5x as long as the plain
+    difference, and bands of 1024-4096 rows about 2x."""
+    d = np.empty(x.shape[::-1], dtype=x.dtype)
+    for lo in range(0, x.shape[0], TVD_BAND):
+        np.subtract(x[lo:lo + TVD_BAND].T, 1.0 / x.shape[0], out=d[..., lo:lo + TVD_BAND])
     np.abs(d, out=d)
-    return 0.5 * d.sum(axis=0, dtype=np.float64)
+    return 0.5 * d.sum(axis=-1, dtype=np.float64)
 
 
 def mixing_time(

@@ -144,6 +144,15 @@ def test_flow_summary_matches_golden(tmp_path):
         assert (tmp_path / "flow_summary.json").read_bytes() == fh.read()
 
 
+@pytest.mark.parametrize("n", [9, pytest.param(10, marks=pytest.mark.slow)])
+def test_flow_summary_at_size_matches_golden(tmp_path, n):
+    """The largest certified sizes, byte for byte: rho = 36.60 at n = 9 and
+    54.02 at n = 10."""
+    assert main(["--command", "flow", "--n", str(n), "--out", str(tmp_path)]) == EXIT_OK
+    with open(os.path.join(GOLDEN, f"flow_summary_n{n}.json"), "rb") as fh:
+        assert (tmp_path / "flow_summary.json").read_bytes() == fh.read()
+
+
 with open(os.path.join(GOLDEN, "cli_summaries.json")) as fh:
     CLI_RUNS = json.load(fh)["runs"]
 

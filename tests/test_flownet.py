@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +97,15 @@ BIG_FLOWS = st.builds(
 _THREE_NEAR = [(ArcFlow(1, {(0, 1): 2**62 - 1, (1, 2): 5}), 1)] * 3
 
 
+def _groups(expected: dict) -> list:
+    """A {vertex: value} map as check_net's (vertices, value) groups, one
+    group per distinct value."""
+    by_value: dict = {}
+    for v, x in expected.items():
+        by_value.setdefault(x, []).append(v)
+    return [(np.array(vs), x) for x, vs in by_value.items()]
+
+
 @PROPERTY
 @given(st.one_of(st.lists(st.tuples(FLOWS, SCALES), max_size=4),
                  st.lists(st.tuples(BIG_FLOWS, SCALES), max_size=4)))
@@ -116,24 +126,24 @@ def test_arcflow_combine_is_linear(pieces):
     for (u, v), x in want.items():
         net[u] = net.get(u, 0) - x
         net[v] = net.get(v, 0) + x
-    total.check_net(net, "reference")
+    total.check_net(_groups(net), "reference")
     with pytest.raises(StructureMismatchError):
-        total.check_net({**net, 9: Fraction(1, total.den)}, "off by one")
+        total.check_net(_groups({**net, 9: Fraction(1, total.den)}), "off by one")
 
 
 @PROPERTY
 @given(FLOWS, st.integers(0, 5), SCALES.filter(bool))
 def test_check_net_is_exact(flow, v, delta):
     net = flow.net()
-    flow.check_net(net, "exact")
-    flow.check_net({**net, 9: 0}, "explicit zero")
+    flow.check_net(_groups(net), "exact")
+    flow.check_net(_groups({**net, 9: 0}), "explicit zero")
     with pytest.raises(StructureMismatchError):
-        flow.check_net({**net, v: net.get(v, 0) + delta}, "wrong value")
+        flow.check_net(_groups({**net, v: net.get(v, 0) + delta}), "wrong value")
     with pytest.raises(StructureMismatchError):
-        flow.check_net({**net, 9: delta}, "missing vertex")
+        flow.check_net(_groups({**net, 9: delta}), "missing vertex")
     for leak in net:
         with pytest.raises(StructureMismatchError):
-            flow.check_net({u: x for u, x in net.items() if u != leak}, "leak")
+            flow.check_net(_groups({u: x for u, x in net.items() if u != leak}), "leak")
 
 
 def test_congestion_subadditive_over_decomposition():
@@ -170,9 +180,13 @@ def test_unit_demands_certified_small():
         assert stats["ok"] and stats["sources"] == catalan(n)
 
 
-@pytest.mark.slow
 def test_unit_demands_certified_n9():
     assert verify_unit_demands(9)["sources"] == 4862
+
+
+@pytest.mark.slow
+def test_unit_demands_certified_n10():
+    assert verify_unit_demands(10)["sources"] == 16796
 
 
 @pytest.mark.parametrize("f", [4, 5])
@@ -194,6 +208,71 @@ def test_unit_demands_catch_a_changed_factor_numerator(monkeypatch, f):
     with pytest.raises(StructureMismatchError, match=r"class \d+ source \d+: shuffle"):
         verify_unit_demands(6)
     assert changed == [f]
+
+
+def _drop_row(rows, j):
+    """rows without row j."""
+    keep = np.delete(np.arange(len(rows.num)), j)
+    start = rows.start - (rows.start > j)
+    return flownet.SourceRows(rows.den, start, rows.src[keep], rows.dst[keep], rows.num[keep])
+
+
+@pytest.mark.parametrize("change", ["numerator", "dropped row"])
+def test_unit_demands_catch_a_changed_block_of_the_shared_pass(monkeypatch, change):
+    """At n = 8 the end classes (0, 7) and (7, 0) share each block of K_7
+    per-source flows, built on demand.  One numerator raised by one, or
+    one row dropped, in the third block: certification must fail."""
+    real = flownet._factor_rows
+    blocks = []
+
+    def tampered(g, ids, n):
+        rows = real(g, ids, n)
+        if g == 7:
+            blocks.append(len(ids))
+            if len(blocks) == 3:
+                j = len(rows.num) // 2
+                if change == "numerator":
+                    rows.num = rows.num.copy()
+                    rows.num[j] += 1
+                else:
+                    rows = _drop_row(rows, j)
+        return rows
+
+    monkeypatch.setattr(flownet, "_factor_rows", tampered)
+    with pytest.raises(StructureMismatchError, match=r"class [07] source \d+: shuffle"):
+        verify_unit_demands(8)
+    assert len(blocks) == 3 and blocks[2] > 1
+
+
+def test_shared_rows_serve_only_their_own_sources():
+    """The end classes' shared K_(n-1) rows are handed out only for the
+    factor and sources they were built for."""
+    ids = np.array([9, 10])
+    rows = flownet._factor_rows(4, ids, 5)
+    assert flownet._shared_rows(rows, 4, ids, 4, np.array([9, 10])) is rows
+    for f, want in [(3, ids), (4, np.array([9, 11])), (4, np.array([9]))]:
+        with pytest.raises(InvalidParameterError, match="shared rows"):
+            flownet._shared_rows(rows, 4, ids, f, want)
+
+
+def test_source_table_traced_peak():
+    """The K_7 table from a cold cache: 486,592 rows and 11.7 MB of arrays,
+    written chunk by chunk in place.  The smaller tables and one chunk's
+    transients add about 2 MB (13.7 MB traced); joining per-class parts
+    into the table peaked at 24.6 MB."""
+    for f in range(2, 8):
+        for t in range(f):
+            r_dist(f, t)
+    flownet._source_table.cache_clear()
+    tracemalloc.start()
+    try:
+        rows, row_of = flownet._source_table(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows.num) == 486592 and len(row_of) == catalan(7)
+    assert sum(a.nbytes for a in (rows.src, rows.dst, rows.num)) == 486592 * 24
+    assert peak < 15e6
 
 
 _GOLDEN_FLOWS = {

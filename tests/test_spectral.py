@@ -145,13 +145,23 @@ def test_orbit_start_mixing_matches_all_starts():
             assert tau == spectral._mixing_block(chain, all_starts, eps), (kn, eps)
 
 
-def test_tvd_to_uniform_matches_two_temporary_form():
-    x = np.random.default_rng(5).random((1430, 37))
-    x /= x.sum(axis=0)
-    want = 0.5 * np.abs(x - 1 / x.shape[0]).sum(axis=0)
-    assert np.array_equal(spectral._tvd_to_uniform(x), want)
-    col = np.ascontiguousarray(x[:, 3])
-    assert spectral._tvd_to_uniform(col) == 0.5 * np.abs(col - 1 / col.size).sum()
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_tvd_to_uniform_is_the_same_alone_or_in_a_block(dtype):
+    """A column's TVD, bit for bit, as a vector, as a one-column block and
+    inside a wide block, where a column-wise sum of a C-ordered block would
+    add in another order than a vector's pairwise sum.  Each also equals
+    the plain one-temporary form exactly, also over several TVD_BAND
+    bands of rows."""
+    rng = np.random.default_rng(5)
+    for shape in [(1430, 37)] * 20 + [(2 * spectral.TVD_BAND + 37, 5)] * 3:
+        x = rng.random(shape).astype(dtype)
+        x /= x.sum(axis=0)
+        wide = spectral._tvd_to_uniform(x)
+        for j in range(x.shape[1]):
+            col = np.ascontiguousarray(x[:, j])
+            alone = spectral._tvd_to_uniform(col)
+            assert alone == spectral._tvd_to_uniform(col[:, None])[0] == wide[j]
+            assert alone == 0.5 * np.abs(col - dtype(1 / col.size)).sum(dtype=np.float64)
 
 
 def _float64_mixing_block(chain, starts, eps):
