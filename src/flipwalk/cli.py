@@ -22,6 +22,7 @@ from .errors import (
     FlipwalkError,
     InvalidParameterError,
     LemmaViolationError,
+    NumericFailureError,
     SchemaMismatchError,
 )
 from .flownet import (
@@ -42,6 +43,7 @@ from .spectral import (
     CUT_N_CAP,
     build_chain,
     cheeger_bounds,
+    cut_gap_bound,
     mixing_time,
     sample_walk,
     shortest_side_cut,
@@ -51,6 +53,9 @@ from .spectral import (
 COMMANDS = ("enumerate", "analyze", "flow", "cut", "lattice", "sample")
 MAX_STEPS = 10**9  # sample walk steps; about 10 minutes at 0.62 us per step
 EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, EXIT_CAP = 0, 2, 3, 4
+# relative slack of the gap's check against the exact cut bound, far above
+# the float gap's rounding (3e-14 relative at k = 3 n <= 9)
+GAP_RTOL = Fraction(1, 2**32)
 
 
 def _flag(val) -> bool:
@@ -247,6 +252,14 @@ def _run_analyze(cfg: ExperimentConfig) -> list:
         graph = build_flip_graph(cfg.k, n, cap=cfg.cap)
         chain = build_chain(graph)
         gap = chain.spectral_gap()
+        cut = shortest_side_cut(n) if cfg.k == 3 and n >= 2 else None
+        if cut is not None and cut.side_size and cut.other_size:
+            bound = cut_gap_bound(cut, chain.delta)
+            if Fraction(gap) > bound * (1 + GAP_RTOL):
+                raise NumericFailureError(
+                    f"n = {n}: gap {gap!r} is above the central cut's bound "
+                    f"{bound} = {float(bound)!r}"
+                )
         tau, mode = mixing_time(chain, cfg.epsilon, return_mode=True)
         lo, hi = cheeger_bounds(chain)
         doc = {
@@ -255,8 +268,7 @@ def _run_analyze(cfg: ExperimentConfig) -> list:
             "gap": gap, "mixing_time": tau, "mixing_mode": mode,
             "epsilon": cfg.epsilon, "cheeger": [lo, hi],
         }
-        if cfg.k == 3 and n >= 2:
-            cut = shortest_side_cut(n)
+        if cut is not None:
             doc["cut"] = {
                 "ratio": _frac(cut.ratio),
                 "sizes": [cut.side_size, cut.other_size],

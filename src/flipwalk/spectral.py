@@ -2,8 +2,13 @@
 distance, exact mixing times, spectral gaps, Cheeger-style expansion brackets,
 brute-force expansion for tiny graphs, and the shortest-side central cut.
 
-scipy is imported inside the functions that use it: importing it costs
-more than the rest of the package, and only the spectral commands need it.
+The only scipy module used is `scipy.sparse`, for the CSR operator; it is
+imported inside the functions that use it, because importing it costs more
+than the rest of the package and only the spectral commands need it.  The
+gap is a deflated Lanczos on that operator in numpy ufuncs and Python
+floats: no BLAS or LAPACK routine is called, so neither `scipy.linalg` nor
+its OpenBLAS is loaded, and no BLAS worker thread wakes beside the mixing
+loop.
 """
 
 from __future__ import annotations
@@ -31,7 +36,10 @@ EXACT_ANALYSIS_CAP = 300_000  # beyond this, mixing analysis is refused
 # 64 was the fastest of 32..512, with a quarter of 256's block memory
 MIXING_CHUNK = 64
 TVD_BAND = 2048  # rows of a block that _tvd_to_uniform transposes at a time
-EIGSH_SEED = 7  # fixed Lanczos start vector, so reruns are byte-identical
+LANCZOS_SEED = 7  # fixed Lanczos start vector, so reruns are byte-identical
+LANCZOS_TOL = 1e-13  # residual bound |beta_j s_j| at which the Ritz pair is taken
+LANCZOS_CHECK = 8  # Lanczos steps between residual checks
+LANCZOS_MAX_STEPS = 2000  # about 17 times the 120 steps k = 3 n = 12 takes
 WALK_CHUNK = 1 << 16  # coins sample_walk draws at a time; chunks replay one draw's stream
 # the largest n the `cut` command takes: shortest_side_cut grows about as
 # n^3.7 (4.5 s at n = 100, 57 s and 189 MB at n = 200 on a 2-vCPU host)
@@ -42,8 +50,9 @@ CUT_N_CAP = 100
 class ChainAnalysis:
     """Lazy uniform walk on a graph: P = I/2 + A/(2*Delta), pi uniform.
 
-    P is held as one sparse CSR matrix, built on first use; the second
-    eigenpair and mixing times are computed on demand and cached.
+    P is held as one sparse CSR matrix, built on first use.  The second
+    eigenpair (by `_lanczos_second`, deflated of the constant vector) and
+    the mixing times are computed on demand and cached.
     """
 
     graph: object
@@ -75,22 +84,21 @@ class ChainAnalysis:
         return self.operator().toarray()
 
     def _second_eigenpair(self) -> tuple:
-        """(lambda_2, eigenvector) by Lanczos; dense for N <= 2, where
-        ARPACK cannot return two eigenpairs.  With Lanczos, lambda_2 is the
+        """(lambda_2, unit eigenvector) by `_lanczos_second`; lambda_2 is the
         Rayleigh quotient of the eigenvector, which is closer to exact than
-        eigsh's Ritz value."""
+        the Ritz value.  The quotient is within (w + 2N + 8) 2^-53 of its
+        exact value (gamma_{w+3} for the product and gamma_N for each sum,
+        Higham 3.1; w the most stored entries in a row of P), and lambda_2
+        is at most 1, so a quotient that close to 1 is taken as 1: the
+        chain is disconnected, and the gap is 0.0."""
         if self._eig is None:
-            n = self.num_states
-            if n <= 2:
-                evals, evecs = np.linalg.eigh(self.transition_matrix())
-                self._eig = (float(evals[-2]), evecs[:, -2])
-            else:
-                from scipy.sparse.linalg import eigsh
-
-                v0 = np.random.default_rng(EIGSH_SEED).standard_normal(n)
-                evals, evecs = eigsh(self.operator(), k=2, which="LA", v0=v0, tol=0)
-                vec = evecs[:, int(np.argmin(evals))]
-                self._eig = (float(vec @ (self.operator() @ vec) / (vec @ vec)), vec)
+            p = self.operator()
+            vec = _lanczos_second(p)
+            lam = float((vec * (p @ vec)).sum() / (vec * vec).sum())
+            w = int(np.diff(p.indptr).max())
+            if lam >= 1 - (w + 2 * p.shape[0] + 8) * 2.0 ** -53:
+                lam = 1.0
+            self._eig = (lam, vec)
         return self._eig
 
     def spectral_gap(self) -> float:
@@ -98,6 +106,120 @@ class ChainAnalysis:
 
     def second_eigenvector(self) -> np.ndarray:
         return self._second_eigenpair()[1]
+
+
+def _lanczos(p, q):
+    """Plain Lanczos on P restricted to the mean-zero vectors, from the
+    unit, mean-zero q: yields (q_j, alpha_j, beta_j) for j = 0, 1, ...,
+    the basis vectors and the entries of the tridiagonal T.  A yielded q_j
+    is overwritten when the generator resumes.
+
+    P is symmetric and doubly stochastic, so the constant vector is its top
+    eigenvector; taking the mean off every product deflates it, and T's top
+    eigenvalue converges to lambda_2.  There is no reorthogonalization: the
+    extreme Ritz value converges although orthogonality is lost (Paige,
+    LAA 34, 1980).  The sparse product runs in sparsetools and every other
+    step is a ufunc, a sum or a two-operand `einsum` (its own loop, not
+    BLAS), so no BLAS routine is called."""
+    q, prev, beta = q.copy(), np.zeros_like(q), 0.0
+    while True:
+        w = p @ q
+        w -= w.mean()
+        prev *= beta
+        w -= prev
+        alpha = float(np.einsum("i,i", w, q))
+        w -= np.multiply(q, alpha, out=prev)
+        beta = math.sqrt(float(np.einsum("i,i", w, w)))
+        yield q, alpha, beta
+        w /= beta
+        prev, q = q, w
+
+
+def _sturm_count(alpha: list, beta: list, x: float) -> int:
+    """Eigenvalues of the tridiagonal T below x: the negative pivots of
+    T - xI (Golub and Van Loan, 8.4)."""
+    count, d, b2 = 0, 1.0, 0.0
+    for a, b in zip(alpha, beta):
+        d = a - x - b2 / d
+        if d < 0:
+            count += 1
+        elif d == 0:
+            d = -1e-300
+        b2 = b * b
+    return count
+
+
+def _top_eigenvalue(alpha: list, beta: list, lo: float) -> float:
+    """An upper bound, to the last bit, on T's top eigenvalue, which is at
+    least lo; bisection on Sturm counts, within Gershgorin's bound."""
+    off = [abs(b) for b in beta[:-1]]
+    hi = max(a + b0 + b1 for a, b0, b1 in zip(alpha, [0.0, *off], [*off, 0.0]))
+    lo = min(lo, hi)
+    while True:
+        mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            return hi
+        if _sturm_count(alpha, beta, mid) == len(alpha):
+            hi = mid
+        else:
+            lo = mid
+
+
+def _top_eigenvector(alpha: list, beta: list, theta: float) -> list:
+    """Unit eigenvector of T for its top eigenvalue, by two inverse
+    iterations with the shift theta from `_top_eigenvalue`; T - theta I is
+    negative semidefinite, so the Thomas solve needs no pivoting."""
+    m = len(alpha)
+    s = [1.0] * m
+    for _ in range(2):
+        c, d = [0.0] * m, [0.0] * m
+        cp = dp = b = 0.0
+        for i in range(m):
+            piv = alpha[i] - theta - b * cp or -1e-300
+            cp = c[i] = beta[i] / piv
+            dp = d[i] = (s[i] - b * dp) / piv
+            b = beta[i]
+        x = d[-1]
+        s[-1] = x
+        for i in range(m - 2, -1, -1):
+            x = s[i] = d[i] - c[i] * x
+        big = max(map(abs, s))
+        s = [v / big for v in s]
+        norm = math.sqrt(sum(v * v for v in s))
+        s = [v / norm for v in s]
+    return s
+
+
+def _lanczos_second(p) -> np.ndarray:
+    """Unit eigenvector of P for lambda_2, deflated Lanczos from the seeded
+    start vector.  Every LANCZOS_CHECK steps, or when beta_j falls to
+    LANCZOS_TOL, T's top Ritz pair (theta, s) is taken with the residual
+    bound |beta_j s_j| = ||P y - theta y||; at LANCZOS_TOL the run stops.
+    The Ritz vector y = sum_j s_j q_j comes from a second pass that replays
+    the recurrence, so no N x m basis is held, and reruns are identical."""
+    n = p.shape[0]
+    q0 = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
+    q0 -= q0.mean()
+    q0 /= math.sqrt(float((q0 * q0).sum()))
+    alpha, beta, theta = [], [], -math.inf
+    for j, (_, a, b) in enumerate(_lanczos(p, q0), 1):
+        alpha.append(a)
+        beta.append(b)
+        if j % LANCZOS_CHECK and b > LANCZOS_TOL:
+            continue
+        theta = _top_eigenvalue(alpha, beta, max(theta, max(alpha)))
+        s = _top_eigenvector(alpha, beta, theta)
+        if abs(b * s[-1]) <= LANCZOS_TOL:
+            break
+        if j >= LANCZOS_MAX_STEPS:
+            raise NumericFailureError(
+                f"Lanczos residual {abs(b * s[-1])!r} above {LANCZOS_TOL} "
+                f"after {j} steps on {n} states"
+            )
+    y, term = np.zeros(n), np.empty(n)
+    for sj, (q, _, _) in zip(s, _lanczos(p, q0)):
+        y += np.multiply(q, sj, out=term)
+    return y / math.sqrt(float((y * y).sum()))
 
 
 def build_chain(graph) -> ChainAnalysis:
@@ -186,7 +308,7 @@ def _mixing_floor(gap: float, eps: float) -> int:
     """
     if gap <= 1e-12:
         return 0
-    return max(0, math.floor((1 / gap - 1) * math.log(1 / (2 * eps))) - 1)
+    return max(0, math.floor((1 / gap - 1) * -math.log(2 * eps)) - 1)
 
 
 def _tvd_bound(w: int, n: int, t: int) -> float:
@@ -219,19 +341,21 @@ def _tvd_bound(w: int, n: int, t: int) -> float:
     of the exact TVD, and delta_t = D_t(u) + D_t(v).  The factor 1 + 2^-20
     covers the rounding of this formula and of eps +- delta_t.
     """
+    return (_tvd_error(w, n, t, 2.0 ** -24) + _tvd_error(w, n, t, 2.0 ** -53)) * (1 + 2.0 ** -20)
+
+
+def _tvd_error(w: int, n: int, t: int, r: float) -> float:
+    """D_t(r) of `_tvd_bound`: how far a TVD after t steps in unit roundoff
+    r (2^-24 or 2^-53) can be from the exact TVD."""
     v = 2.0 ** -53
-
-    def drift(r: float, k: int, tiny: float) -> float:
-        c = k * r / (1 - k * r)
-        grow = t * math.log1p(c)
-        if grow > 700:
-            return math.inf
-        e = math.expm1(grow) * (1 + n * w * tiny / c)
-        a = e + r * (4 + e + 2 * r)
-        return (a + (n - 1) * v / (1 - (n - 1) * v) * (2 + a)) / 2
-
-    both = drift(2.0 ** -24, w + 2, 2.0 ** -149) + drift(v, w + 3, 2.0 ** -1074)
-    return both * (1 + 2.0 ** -20)
+    k, tiny = (w + 2, 2.0 ** -149) if r > v else (w + 3, 2.0 ** -1074)
+    c = k * r / (1 - k * r)
+    grow = t * math.log1p(c)
+    if grow > 700:
+        return math.inf
+    e = math.expm1(grow) * (1 + n * w * tiny / c)
+    a = e + r * (4 + e + 2 * r)
+    return (a + (n - 1) * v / (1 - (n - 1) * v) * (2 + a)) / 2
 
 
 def _mixing_block(chain: ChainAnalysis, starts: list, eps: float) -> int:
@@ -259,7 +383,9 @@ def _mixing_block(chain: ChainAnalysis, starts: list, eps: float) -> int:
       eigenvalue above 1 - gap was missed, or the chain is disconnected.
       The factor covers the rounding of the gap and the logarithm.  The
       halved eps covers the TVD's: in float32 a column is kept only at
-      eps + delta_t or above, and the float64 error is far below eps/2.
+      eps + delta_t or above, and in float64 at eps, within `_tvd_error`
+      of the exact TVD.  An eps at or below twice that error at the bound
+      raises InvalidParameterError before any step.
     """
     import scipy.sparse as sp
 
@@ -268,7 +394,15 @@ def _mixing_block(chain: ChainAnalysis, starts: list, eps: float) -> int:
     p32 = sp.csr_matrix((p.data.astype(np.float32), p.indices, p.indptr), shape=p.shape)
     w = int(np.diff(p.indptr).max())
     gap = chain.spectral_gap()
-    limit = math.floor(math.log(n / eps) / gap * (1 + 2.0 ** -20)) + 1 if gap > 1e-12 else 0
+    limit = (
+        math.floor((math.log(n) - math.log(eps)) / gap * (1 + 2.0 ** -20)) + 1
+        if gap > 1e-12 else 0
+    )
+    if eps <= 2 * _tvd_error(w, n, limit, 2.0 ** -53) * (1 + 2.0 ** -20):
+        raise InvalidParameterError(
+            f"epsilon {eps!r} is at most twice the float64 TVD rounding error at "
+            f"step {limit}, the bound from the gap: the mixing time cannot be decided"
+        )
     floor = tau = _mixing_floor(gap, eps)
     for lo in range(0, len(starts), MIXING_CHUNK):
         cols = starts[lo:lo + MIXING_CHUNK]
@@ -368,6 +502,16 @@ class CutReport:
             "construction": self.construction,
             "degenerate": self.degenerate,
         }
+
+
+def cut_gap_bound(cut: CutReport, delta: int) -> Fraction:
+    """|dS| N / (2 Delta |S| |S^c|), the Rayleigh quotient of the side's
+    centred indicator under I - P: an exact upper bound on the lazy walk's
+    spectral gap, by the variational formula (Levin, Peres and Wilmer,
+    Markov Chains and Mixing Times).  It is symmetric in the two sides, so
+    the side need not be the smaller one; both must be nonempty."""
+    n = cut.side_size + cut.other_size
+    return Fraction(cut.boundary_size * n, 2 * delta * cut.side_size * cut.other_size)
 
 
 def brute_force_expansion(graph) -> CutReport:

@@ -1,14 +1,20 @@
 """CLI: configs, exit codes, determinism, exports, report tables."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flipwalk import cli, combinatorics, kangulation, lattice
+from flipwalk import cli, combinatorics, kangulation, lattice, spectral
 from flipwalk.cli import (
     EXIT_CAP,
     EXIT_OK,
@@ -127,6 +133,46 @@ def test_sample_says_whether_chi_square_is_reliable(tmp_path, flags, recorded, r
     assert doc["expected_per_state"] == recorded / (doc["dof"] + 1)
     assert doc["chi_square_reliable"] is reliable
     assert 0.0 <= doc["p_value"] <= 1.0
+
+
+def test_analyze_rejects_a_gap_above_the_cut_bound(tmp_path, capsys, monkeypatch):
+    """At k = 3 the float gap is checked, before any mixing step, against
+    the exact quotient |dS| N / (2 Delta |S| |S^c|) of the central cut,
+    3/8 at n = 5."""
+    monkeypatch.setattr(spectral.ChainAnalysis, "spectral_gap", lambda self: 0.5)
+    out = tmp_path / "out"
+    assert main(["--command", "analyze", "--n", "5", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "n = 5: gap 0.5 is above the central cut's bound 3/8" in err
+    assert not out.exists()
+
+
+# every (k, n) with at most 10,000 states, k = 3..6
+FUZZ_SIZES = [(k, n) for k in range(3, 7) for n in range(1, 12)
+              if combinatorics.fuss_catalan(k, n) <= 10_000]
+FUZZ_EPSILONS = ["5e-324", "1e-300", "0.5", repr(math.nextafter(1.0, 0.0)),
+                 "nan", "inf", "-inf", "1e999"]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(size=st.sampled_from(FUZZ_SIZES), eps=st.sampled_from(FUZZ_EPSILONS),
+       cap=st.sampled_from([None, "1", "100"]))
+def test_analyze_flags_fuzz(size, eps, cap):
+    """Every run exits 0, 2, 3 or 4, and none ends in a traceback: an eps
+    below the float64 TVD rounding (the two tiny ones) exits 2 before any
+    mixing step, non-finite text and 1 - 2^-53 are caught by validation or
+    mix at step 0, and a cap below the size exits 4."""
+    k, n = size
+    argv = ["--command", "analyze", "--k", str(k), "--n", str(n), "--epsilon", eps]
+    if cap:
+        argv += ["--cap", cap]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main([*argv, "--out", out])
+    assert rc in (EXIT_OK, EXIT_USAGE, 3, EXIT_CAP), (argv, rc)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_flow_summary_certifies(tmp_path):
@@ -325,6 +371,35 @@ def test_lattice_and_flow_import_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n[]\n[]\n"
+
+
+def test_analyze_loads_no_scipy_linalg_and_sample_no_scipy(tmp_path):
+    """`sample` loads no scipy.  `analyze` loads scipy.sparse but neither
+    scipy.sparse.linalg nor scipy.linalg, whose import brings in a second
+    OpenBLAS: its gap is a deflated Lanczos that calls no BLAS routine, and
+    the only OpenBLAS it maps is numpy's."""
+    script = (
+        "import contextlib, io, os, sys\n"
+        "from flipwalk.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['--command', 'sample', '--n', '6', '--seed', '1',"
+        f" '--out', {str(tmp_path)!r}]) == 0\n"
+        "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+        f"    assert main(['--command', 'analyze', '--k', '3', '--n', '6',"
+        f" '--out', {str(tmp_path)!r}]) == 0\n"
+        "print('scipy.sparse' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.sparse.linalg', 'scipy.linalg'))))\n"
+        "maps = open('/proc/self/maps').read().splitlines() if os.path.exists('/proc/self/maps') else []\n"
+        "blas = {line.split()[-1] for line in maps if 'openblas' in line.lower()}\n"
+        "print(sorted(os.path.basename(os.path.dirname(p)) for p in blas if 'numpy' not in p))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stderr == "[]\n"
+    assert out.stdout == "True\n[]\n[]\n"
 
 
 def test_dot_export(tmp_path):

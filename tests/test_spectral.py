@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from reference_graph import adjacency_lists, graph_from_lists
+from reference_spectral import eigsh_gap
 
 from flipwalk import spectral
 from flipwalk.combinatorics import catalan
@@ -107,15 +108,39 @@ def test_spectral_gap_k2_and_cycle():
     assert build_chain(_graph(3, 5)).spectral_gap() > 0
 
 
-def test_sparse_gap_matches_dense():
-    for k, ns in ((3, range(2, 9)), (4, range(2, 5))):
-        for n in ns:
-            chain = build_chain(_graph(k, n))
-            dense = 1.0 - np.linalg.eigvalsh(chain.transition_matrix())[-2]
-            assert abs(chain.spectral_gap() - dense) < 1e-10, (k, n)
-            vec = chain.second_eigenvector()
-            p = chain.transition_matrix()
-            assert np.allclose(p @ vec, (1.0 - chain.spectral_gap()) * vec, atol=1e-10)
+ORACLE_SIZES = [(3, n) for n in range(2, 11)] + [(4, n) for n in range(2, 7)] + [
+    (5, n) for n in range(2, 6)] + [
+    pytest.param(k, n, marks=pytest.mark.slow) for k, n in [(3, 11), (3, 12), (4, 8), (5, 7)]]
+
+
+@pytest.mark.parametrize("k, n", ORACLE_SIZES)
+def test_gap_matches_arpack_oracle(k, n):
+    """The deflated Lanczos gap against ARPACK's (`reference_spectral`), and
+    against dense `eigvalsh` up to 1,430 states, to a relative 1e-13; its
+    eigenvector is one of P's."""
+    chain = build_chain(_graph(k, n))
+    gap = chain.spectral_gap()
+    assert abs(gap - eigsh_gap(chain)) <= 1e-13 * gap, (k, n)
+    if chain.num_states <= 1430:
+        dense = 1.0 - np.linalg.eigvalsh(chain.transition_matrix())[-2]
+        assert abs(gap - dense) <= 1e-13 * gap, (k, n)
+    vec = chain.second_eigenvector()
+    assert abs(np.sqrt((vec * vec).sum()) - 1) < 1e-14
+    pv = chain.operator() @ vec
+    assert np.abs(pv - (1.0 - gap) * vec).max() < 1e-12, (k, n)
+
+
+def test_lanczos_is_rerun_identically():
+    """Reruns give the same gap and vector bit for bit: the start vector is
+    seeded, and the Ritz vector replays the first pass."""
+    a, b = (build_chain(build_flip_graph(3, 8))._second_eigenpair() for _ in range(2))
+    assert a[0] == b[0] and (a[1] == b[1]).all()
+
+
+def test_lanczos_step_cap(monkeypatch):
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 8)
+    with pytest.raises(NumericFailureError, match="Lanczos residual"):
+        build_chain(_graph(3, 9)).spectral_gap()
 
 
 @pytest.mark.parametrize("n", range(5, 10))
@@ -330,6 +355,15 @@ def test_mixing_time_disconnected_raises():
         mixing_time(build_chain(graph_from_lists([[1], [0], [3], [2]])))
 
 
+@pytest.mark.parametrize("eps", [5e-324, 1e-300])
+def test_mixing_time_rejects_an_eps_below_float64_rounding(eps):
+    """The step bound log(N/eps)/gap is only a check while the float64 TVD
+    error there is below eps/2, so a smaller eps is refused before any step
+    (log(N/eps) overflowed at 5e-324, and 1e-300 stepped to the bound)."""
+    with pytest.raises(InvalidParameterError, match="cannot be decided"):
+        mixing_time(build_chain(_graph(3, 7)), eps)
+
+
 def _chain_with_gap_times(factor):
     """The K_6 chain with its second eigenvalue replaced so that the gap is
     `factor` times the true one."""
@@ -541,8 +575,25 @@ def test_mixing_time_cap():
 
 
 def test_cheeger_disconnected_graph_zero_bracket():
+    """lambda_2 = 1: a Rayleigh quotient within its rounding bound of 1 is
+    taken as 1, so the gap is 0.0 and the square root in the bracket is
+    defined (the quotient here is 1 - 2^-52)."""
     g = graph_from_lists([[1], [0], [3], [2]])
     chain = build_chain(g)
-    assert chain.spectral_gap() < 1e-10
-    lo, hi = cheeger_bounds(chain)
-    assert lo < 1e-10 and hi < 1e-4
+    assert chain.spectral_gap() == 0.0
+    assert cheeger_bounds(chain) == (0.0, 0.0)
+
+
+def test_cut_gap_bound():
+    """The cut bound is an upper bound on the gap at every size where both
+    sides are nonempty, and equals the indicator's quotient on P."""
+    for n in range(4, 10):
+        cut = shortest_side_cut(n)
+        chain = build_chain(_graph(3, n))
+        bound = spectral.cut_gap_bound(cut, chain.delta)
+        assert chain.spectral_gap() < bound, n
+    # the 4-cycle split into two paths: 2 boundary edges, N = 4, Delta = 2
+    cut = spectral.CutReport(None, 2, 2, 2, Fraction(1), "pair")
+    f = np.array([1.0, 1.0, 0.0, 0.0]) - 0.5
+    p = build_chain(graph_from_lists([[1, 3], [0, 2], [1, 3], [0, 2]])).transition_matrix()
+    assert spectral.cut_gap_bound(cut, 2) == Fraction(1, 2) == 1 - (f @ p @ f) / (f @ f)
