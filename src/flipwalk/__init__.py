@@ -16,7 +16,6 @@ from .decomposition import (
     boundary_projection,
     central_partition,
     oriented_partition,
-    partition_to_json,
     verify_matching_inequality,
 )
 from .flownet import (
@@ -35,17 +34,15 @@ from .flows import (
 from .graph import Graph, product_graph
 from .kangulation import (
     FlipGraph,
-    KAngulation,
     build_flip_graph,
-    enumerate_kangulations,
-    flips,
+    count_kangulations,
+    diameter,
+    flip_graph_from_json_dict,
 )
 from .lattice import (
     LatticeFlipGraph,
-    LatticeTriangulation,
     count_triangulations_recursive,
     enumerate_lattice,
-    flips_lattice,
     product_subgraph,
 )
 from .spectral import (
@@ -60,5 +57,51 @@ from .spectral import (
     tvd,
     tvd_curve,
 )
+
+__all__ = [
+    "ArcFlow",
+    "BoundaryMatching",
+    "ChainAnalysis",
+    "ClassDescriptor",
+    "ClassPartition",
+    "CongestionReport",
+    "CutReport",
+    "FlipGraph",
+    "Graph",
+    "LatticeFlipGraph",
+    "binomial",
+    "boundary_matchings",
+    "boundary_projection",
+    "brute_force_expansion",
+    "build_chain",
+    "build_flip_graph",
+    "cartesian_flow_combine",
+    "catalan",
+    "central_partition",
+    "cheeger_bounds",
+    "congestion_report",
+    "count_kangulations",
+    "count_triangulations_recursive",
+    "diameter",
+    "enumerate_lattice",
+    "expansion_lower_bound",
+    "flip_graph_from_json_dict",
+    "fuss_catalan",
+    "fuss_catalan_bounds",
+    "fuss_catalan_bounds_log",
+    "hierarchical_pairing_flow",
+    "mixing_time",
+    "oriented_partition",
+    "product_graph",
+    "product_subgraph",
+    "projection_restriction_combine",
+    "sample_walk",
+    "shortest_side_cut",
+    "tvd",
+    "tvd_curve",
+    "uniform_flow_recursive",
+    "verify_matching_inequality",
+    "verify_unit_demands",
+]
 
 __version__ = "0.1.0"

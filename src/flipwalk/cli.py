@@ -23,7 +23,6 @@ from .errors import (
     InvalidParameterError,
     LemmaViolationError,
     NumericFailureError,
-    SchemaMismatchError,
 )
 from .flownet import (
     FLOW_N_CAP,
@@ -62,17 +61,25 @@ def _flag(val) -> bool:
     return val if isinstance(val, bool) else str(val).lower() in ("1", "true", "yes")
 
 
+def _integer(val) -> int:
+    """A JSON int (not a bool) or an integer string; int() alone would
+    truncate 3.7 and read true as 1."""
+    if isinstance(val, bool) or not isinstance(val, (int, str)):
+        raise ValueError(f"expected an integer, got {val!r}")
+    return int(val)
+
+
 # config-file keys and flags that set one ExperimentConfig field each; the
 # file's other keys are n and n_range (see _parse_ns)
 _CONFIG_FIELDS = {
     "command": str,
-    "k": int,
-    "seed": int,
-    "steps": int,
+    "k": _integer,
+    "seed": _integer,
+    "steps": _integer,
     "epsilon": float,
-    "cap": int,
-    "thin": int,
-    "block": int,
+    "cap": _integer,
+    "thin": _integer,
+    "block": _integer,
     "out_dir": str,
     "fmt": str,
     "full_edge_lists": _flag,
@@ -152,7 +159,7 @@ def _parse_ns(n, n_range) -> Sequence | None:
             lo, hi = str(n_range).split("..")
             return range(int(lo), int(hi) + 1)
         if n is not None:
-            return [int(n)]
+            return [_integer(n)]
     except (OverflowError, TypeError, ValueError) as exc:
         raise InvalidParameterError(
             f"n must be an integer and n range must look like A..B, "
@@ -411,53 +418,6 @@ def run(cfg: ExperimentConfig) -> int:
         return EXIT_USAGE
     print(_dump(summaries), end="")
     return EXIT_OK
-
-
-TABLE_COLUMNS = (
-    "n", "vertices", "degree", "gap", "mixing_time",
-    "cheeger_lo", "cheeger_hi", "flow_rho", "cut_ratio",
-)
-
-
-def report_table(summaries: list, fmt: str = "csv") -> str:
-    """Tabulate analyze/flow/cut summaries with a stable column order."""
-    ks = {doc.get("k") for doc in summaries}
-    if len(ks) > 1:
-        raise SchemaMismatchError(f"summaries mix k values: {sorted(ks)}")
-    rows = {}
-    for doc in summaries:
-        row = rows.setdefault(doc["n"], {"n": doc["n"]})
-        if "vertices" in doc:
-            row["vertices"] = doc["vertices"]
-        if "degree" in doc:
-            row["degree"] = doc["degree"]
-        if "gap" in doc:
-            row["gap"] = doc["gap"]
-            row["mixing_time"] = doc["mixing_time"]
-            row["cheeger_lo"], row["cheeger_hi"] = doc["cheeger"]
-        if "congestion" in doc:
-            c = doc["congestion"]
-            row["flow_rho"] = c["rho_num"] / c["rho_den"]
-        if "ratio_num" in doc:
-            row["cut_ratio"] = doc["ratio_num"] / doc["ratio_den"]
-        elif "cut" in doc:
-            num, den = doc["cut"]["ratio"]
-            row["cut_ratio"] = num / den
-    lines = []
-    if fmt == "markdown":
-        lines.append("| " + " | ".join(TABLE_COLUMNS) + " |")
-        lines.append("|" + "|".join("---" for _ in TABLE_COLUMNS) + "|")
-        for n in sorted(rows):
-            row = rows[n]
-            lines.append(
-                "| " + " | ".join(str(row.get(c, "")) for c in TABLE_COLUMNS) + " |"
-            )
-    else:
-        lines.append(",".join(TABLE_COLUMNS))
-        for n in sorted(rows):
-            row = rows[n]
-            lines.append(",".join(str(row.get(c, "")) for c in TABLE_COLUMNS))
-    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:

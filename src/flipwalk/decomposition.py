@@ -5,7 +5,6 @@ inter-class matchings, and exact verification of the cardinality lemmas.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -314,28 +313,3 @@ def verify_class_product_structure(partition: ClassPartition) -> None:
                 f"class {ci} does not induce the product of its factor flip graphs"
             )
 
-
-def partition_to_json(partition: ClassPartition, full_edge_lists: bool = False) -> str:
-    matchings = boundary_matchings(partition)
-    doc = {
-        "kind": partition.kind,
-        "k": partition.graph.k,
-        "n": partition.graph.n,
-        "classes": [
-            {
-                "defining_polygon": list(c.defining_polygon),
-                "size": c.size,
-                "factors": [list(f) for f in c.cartesian_factors],
-            }
-            for c in partition.classes
-        ],
-        "matchings": [
-            {
-                "classes": [bm.class_a, bm.class_b],
-                "size": bm.size,
-                **({"edges": bm.edges.tolist()} if full_edge_lists else {}),
-            }
-            for bm in matchings
-        ],
-    }
-    return json.dumps(doc, sort_keys=True)

@@ -41,6 +41,3 @@ class StructureMismatchError(FlipwalkError):
 class NumericFailureError(FlipwalkError):
     """An iterative numeric routine failed to converge."""
 
-
-class SchemaMismatchError(FlipwalkError, ValueError):
-    """Summaries with incompatible schemas were mixed in one report."""

@@ -408,14 +408,6 @@ def _shared_rows(rows: SourceRows, f: int, ids: np.ndarray, want_f: int, want_id
     return rows
 
 
-def per_source_flow(n: int, s: int) -> ArcFlow:
-    """Full per-source flow on K_n: one unit from s to every other vertex."""
-    if n <= 1:
-        return ArcFlow()
-    t = int(oriented_structure(n).partition.vertex_class[s])
-    return _source_rows(n, t, np.array([s])).flow(0)
-
-
 def _source_chunks(n: int):
     """(classes, coords): chunks of the coordinates of every class of K_n,
     each with at most CHUNK_ROWS shuffle rows (or one source).  The two end
@@ -559,19 +551,6 @@ def cartesian_flow_combine(factor_flows: list, factor_graphs: list):
         ).reduce()
         graph = product_graph(graph, nxt_graph)
     return flow, graph
-
-
-def cartesian_per_source(per_source_fns: list, factor_graphs: list, coord: tuple) -> ArcFlow:
-    """Per-source flow of the two-factor product combiner, for certification."""
-    if len(factor_graphs) != 2:
-        raise InvalidParameterError("per-source certification implemented for 2 factors")
-    (g, h), (x, y) = factor_graphs, coord
-    ng, nh = g.num_vertices, h.num_vertices
-    verts = range(ng * nh)
-    return ArcFlow.combine(
-        product_lift(verts, nh, 1, per_source_fns[1](y), [x], ng)
-        + product_lift(verts, nh, 0, per_source_fns[0](x), range(nh), 1)
-    )
 
 
 # ---------------------------------------------------------------------------

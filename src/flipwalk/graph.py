@@ -21,7 +21,7 @@ def _frozen_int32(a) -> np.ndarray:
     return a
 
 
-FLIP_CHUNK = 4096  # states per batch of the k-angulation face walk and of the lattice flip kernel
+FLIP_CHUNK = 4096  # states per batch of the lattice flip kernel and checks
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -1,19 +1,17 @@
-"""Convex-polygon k-angulations, their flips, and explicit flip graphs.
+"""Convex-polygon k-angulations and their explicit flip graphs.
 
-Polygon vertices are labeled 0..m-1 counterclockwise, m = (k-2)n + 2.
-A k-angulation is stored as its sorted tuple of diagonals (a, b), a < b;
-two equal k-angulations are bit-identical (canonical form).  Enumeration
-and flips work on id rows instead: the m-gon's diagonals are numbered in
-lexicographic order, a state is the row of its n-1 diagonal ids in
-ascending order, and `KAngulation` is the public view of a row.  The
-canonical vertex order is the lexicographic order of rows.  The flip graph
-is built from the root-face classes, by index arithmetic on their blocks.
+Polygon vertices are labeled 0..m-1 counterclockwise, m = (k-2)n + 2.  The
+m-gon's diagonals (a, b), a < b, are numbered in lexicographic order, and a
+state is the row of its n-1 diagonal ids in ascending order; the canonical
+vertex order is the lexicographic order of rows, and the JSON export lists
+each state as its sorted (a, b) pairs.  The flip graph is built from the
+root-face classes, by index arithmetic on their blocks (`_write_flips`, the
+package's one flip algorithm).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, chain, combinations
 from math import prod
 from typing import NamedTuple
@@ -22,7 +20,7 @@ import numpy as np
 
 from .combinatorics import fuss_catalan
 from .errors import EnumerationTooLargeError, InvalidParameterError
-from .graph import FLIP_CHUNK, Graph, _lookup, _row_keys, sweep
+from .graph import Graph, _lookup, _row_keys, sweep
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
 # factors up to this many states are read from a cached neighbour table; a
@@ -32,44 +30,9 @@ FACTOR_TABLE_STATES = 1 << 14
 # the largest polygon whose diagonal ids fit in two bytes (m(m-3)/2 - 1 of them)
 POLYGON_CAP = 363
 
-Diagonal = tuple  # (a, b) with a < b
-
 
 def polygon_size(k: int, n: int) -> int:
     return (k - 2) * n + 2
-
-
-def diagonals_cross(d1: Diagonal, d2: Diagonal) -> bool:
-    """Strict interior crossing on the circular order (a < c < b < d pattern)."""
-    a, b = d1
-    c, d = d2
-    return (a < c < b < d) or (c < a < d < b)
-
-
-@dataclass(frozen=True)
-class KAngulation:
-    """A maximal non-crossing set of diagonals cutting an m-gon into k-gons."""
-
-    k: int
-    m: int
-    diagonals: tuple
-
-    @property
-    def n(self) -> int:
-        return (self.m - 2) // (self.k - 2)
-
-    def validate(self) -> None:
-        k, m = self.k, self.m
-        if k < 3:
-            raise InvalidParameterError(f"k must be >= 3, got {k}")
-        if (m - 2) % (k - 2) != 0 or m < k:
-            raise InvalidParameterError(f"no k-angulation of an {m}-gon for k={k}")
-        diags = self.diagonals
-        if list(diags) != sorted(diags):
-            raise InvalidParameterError("diagonals not in canonical sorted order")
-        if len(diags) != self.n - 1:
-            raise InvalidParameterError(f"expected {self.n - 1} diagonals, got {len(diags)}")
-        _face_rows(_rows_of([diags], m, len(diags)), k, m)  # raises unless a k-angulation
 
 
 class _Polygon(NamedTuple):
@@ -208,37 +171,13 @@ def _check_size(k: int, n: int, cap: int) -> int:
     return count
 
 
-def enumerate_kangulations(
-    k: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list:
-    """All k-angulations of the (k-2)n+2-gon, each once, in canonical order."""
-    _check_size(k, n, cap)
-    return _views(k, polygon_size(k, n), _enumerate_rows(k, n))
-
-
 def count_kangulations(k: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """The number of distinct k-angulations the enumeration lists, read off
     its rows: the rows are in lexicographic order, so each one that differs
-    from the one before it is new.  No view is built."""
+    from the one before it is new."""
     _check_size(k, n, cap)
     keys = _row_keys(_enumerate_rows(k, n))
     return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
-
-
-def _views(k: int, m: int, rows: np.ndarray) -> list:
-    """The KAngulation view of each id row."""
-    diags = _polygon(m).diags
-    return [KAngulation(k, m, tuple(map(diags.__getitem__, r))) for r in rows.tolist()]
-
-
-def faces_of(t: KAngulation) -> list:
-    """All faces of the k-angulation, each as a tuple of polygon vertices.
-
-    The face list has exactly n entries, the face on side (m-1, 0) first;
-    each face is listed with its vertices in increasing label order.
-    """
-    row = _rows_of([t.diagonals], t.m, len(t.diagonals))
-    return [tuple(face) for face in _face_array(row, t.k, t.m)[0].tolist()]
 
 
 def _rows_of(states, m: int, width: int) -> np.ndarray:
@@ -264,131 +203,6 @@ def _rows_of(states, m: int, width: int) -> np.ndarray:
     return ids.astype(poly.dtype)
 
 
-def _face_rows(rows: np.ndarray, k: int, m: int) -> tuple:
-    """The faces of a batch of states, one per row of `rows` (its diagonal
-    ids, ascending): (root, inner, outer).  root[s] is the face on side
-    (m-1, 0), its k vertices ascending.  inner[s, j] and outer[s, j] are the
-    k-2 vertices that the two faces beside diagonal j = (a, b) add to it:
-    the inner face's from a up to b, the outer face's from b on around the
-    polygon to a.  Every face but the root is the inner face of one
-    diagonal, its first-to-last chord.
-
-    The faces are walked as offsets around the polygon: far[s, v, r] is the
-    largest offset d <= r at which v + d (mod m) is joined to v by a side or
-    a diagonal.  From a, the inner face's next vertex is the farthest
-    neighbour short of b, and each later step goes to the farthest
-    neighbour not past b; in convex position with non-crossing diagonals,
-    nearer endpoints nest under farther ones, so the walk traces the face.
-    The outer face is the same walk from b to a around the rest of the
-    polygon.  Side (m-1, 0) lies outside every diagonal, and no wider
-    diagonal can separate it from the outer face of the widest one, so
-    that face is the root.
-
-    Raises InvalidParameterError if two diagonals of a state cross or a face
-    beside a diagonal is not a k-gon (a state with no diagonal must be the
-    k-gon itself), so a state that passes is a k-angulation.
-    """
-    if len(rows) > FLIP_CHUNK:  # bound the (chunk, m, m) walk tables
-        parts = (_face_rows(rows[lo:lo + FLIP_CHUNK], k, m)
-                 for lo in range(0, len(rows), FLIP_CHUNK))
-        return tuple(map(np.concatenate, zip(*parts)))
-    poly = _polygon(m)
-    count, width = rows.shape
-    if width == 0:
-        if m != k:
-            raise InvalidParameterError(f"the {m}-gon with no diagonal is not a {k}-gon")
-        empty = np.zeros((count, 0, k - 2), dtype=np.int64)
-        return np.tile(np.arange(m), (count, 1)), empty, empty
-    ends = poly.ends[rows]
-    a, b = ends[..., 0], ends[..., 1]
-    c, d = a[:, None, :], b[:, None, :]  # (a, b) crosses (c, d) if a < c < b < d
-    crossed = ((a[..., None] < c) & (c < b[..., None]) & (b[..., None] < d)).any(axis=(1, 2))
-    if crossed.any():
-        s = int(np.argmax(crossed))
-        raise InvalidParameterError(
-            f"two diagonals of {[poly.diags[i] for i in rows[s].tolist()]} cross"
-        )
-    state = np.arange(count)[:, None]
-    near = np.zeros((count, m, m), dtype=bool)
-    near[:, :, [0, 1, m - 1]] = True  # the vertex itself and its two sides
-    near[state, a, b - a] = near[state, b, m - (b - a)] = True
-    far = np.maximum.accumulate(near * np.arange(m, dtype=np.int16), axis=2)
-    # walk the inner face from a and the outer face from b side by side
-    at = np.stack([a, b], axis=2)
-    left = np.stack([b - a, m - (b - a)], axis=2)  # offset still to go
-    state = state[:, :, None]
-    step = far[state, at, left - 1]
-    path = []
-    for _ in range(k - 2):
-        at = (at + step) % m
-        left = left - step
-        path.append(at)
-        step = far[state, at, left]
-    short = (left == 0) | (step != left)  # the face closes early or late
-    if short.any():
-        s, j, _ = np.argwhere(short)[0]
-        raise InvalidParameterError(
-            f"a face beside {poly.diags[rows[s, j]]} is not a {k}-gon"
-        )
-    inner, outer = np.moveaxis(np.stack(path, axis=2), 3, 0)
-    widest = np.arange(count), np.argmax(b - a, axis=1)
-    root = np.sort(np.concatenate([ends[widest], outer[widest]], axis=1), axis=1)
-    return root, inner, outer
-
-
-def _face_array(rows: np.ndarray, k: int, m: int) -> np.ndarray:
-    """(count, n, k) array: the root face of each state, then the inner face
-    of each diagonal, every face's vertices ascending."""
-    root, inner, _ = _face_rows(rows, k, m)
-    ends = _polygon(m).ends[rows]
-    return np.concatenate(
-        [root[:, None], np.concatenate([ends[..., :1], inner, ends[..., 1:]], axis=2)],
-        axis=1,
-    )
-
-
-def _flip_rows(rows: np.ndarray, k: int, m: int) -> tuple:
-    """All flips of a batch of states, one per row of `rows` (its diagonal
-    ids, ascending): (nbrs, removed, inserted), where nbrs[s, f] is the row
-    of state s's f-th neighbour, reached by replacing diagonal removed[s, f]
-    with inserted[s, f].  Flips come by removed diagonal, ascending, and
-    then by the inserted diagonal's end on the removed one's inner face.
-
-    The two faces beside a diagonal (see `_face_rows`) form a 2k-2-gon in
-    which the diagonal joins an opposite pair, and each of the other k-2
-    opposite pairs is a flip.  A state that is not a k-angulation raises
-    InvalidParameterError, so each flip of a state that passes is one too.
-    """
-    _, inner, outer = _face_rows(rows, k, m)
-    count, width = rows.shape
-    if width == 0:
-        return rows[:, :0, None], rows[:, :0], rows[:, :0]
-    # the inner face's i-th vertex is opposite the outer face's i-th vertex
-    inserted = _polygon(m).pair_id[inner, outer].astype(rows.dtype)
-    removed = np.broadcast_to(rows[:, :, None], inserted.shape)
-    keep = np.arange(width - 1) + (np.arange(width - 1) >= np.arange(width)[:, None])
-    others = np.broadcast_to(
-        rows[:, keep][:, :, None, :], (*inserted.shape, width - 1)
-    )
-    # concatenate would return native byte order; big-endian ids must stay so
-    nbrs = np.concatenate([others, inserted[..., None]], axis=3, dtype=rows.dtype)
-    nbrs.sort(axis=3)
-    flat = count, width * (k - 2)
-    return nbrs.reshape(*flat, width), removed.reshape(flat), inserted.reshape(flat)
-
-
-def flips(t: KAngulation) -> list:
-    """All flips of t as (neighbor, removed_diagonal, inserted_diagonal),
-    in the order of the removed diagonal in t.diagonals."""
-    diags = _polygon(t.m).diags
-    row = _rows_of([t.diagonals], t.m, len(t.diagonals))
-    nbrs, removed, inserted = _flip_rows(row, t.k, t.m)
-    return [
-        (nbr, diags[d], diags[nd])
-        for nbr, d, nd in zip(_views(t.k, t.m, nbrs[0]), removed[0].tolist(), inserted[0].tolist())
-    ]
-
-
 class FlipGraph(Graph):
     """Explicit flip graph on all k-angulations in canonical vertex order.
 
@@ -400,11 +214,6 @@ class FlipGraph(Graph):
         super().__init__(indptr, indices)
         self.k, self.n, self.m = k, n, polygon_size(k, n)
         self.rows = rows
-
-    @cached_property
-    def vertices(self) -> list:
-        """The KAngulation view of every vertex, built on first use."""
-        return _views(self.k, self.m, self.rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -424,14 +233,19 @@ class FlipGraph(Graph):
 def flip_graph_from_json_dict(doc: dict) -> FlipGraph:
     """Rebuild a FlipGraph from its JSON export.
 
-    k and n must be integers within the enumeration cap, and the vertex
-    lists must be the k-angulations in canonical order.  Every edge must be
-    a pair of integer vertex indices (not bools) in range, with no self-loop
-    and no repeat, and every vertex must have the flip degree (n-1)(k-2).
-    Anything else raises InvalidParameterError (EnumerationTooLargeError
-    past the cap).
+    The export must be an object holding k, n, vertices and edges.  k and
+    n must be integers within the enumeration cap, and the vertex lists
+    must be the k-angulations in canonical order.  The edges must be a list
+    of pairs of integer vertex indices (not bools) in range, with no
+    self-loop and no repeat, and every vertex must have the flip degree
+    (n-1)(k-2).  Anything else raises InvalidParameterError
+    (EnumerationTooLargeError past the cap).
     """
+    if not isinstance(doc, dict) or not {"k", "n", "vertices", "edges"} <= doc.keys():
+        raise InvalidParameterError("the export is not an object with k, n, vertices and edges")
     k, n, vertices, edges = doc["k"], doc["n"], doc["vertices"], doc["edges"]
+    if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
+        raise InvalidParameterError("the edges are not a list of vertex index pairs")
     if type(k) is not int or type(n) is not int or set(map(type, chain.from_iterable(edges))) - {int}:
         raise InvalidParameterError("k, n and the edges' vertex indices must be integers")
     count = _check_size(k, n, DEFAULT_ENUMERATION_CAP)

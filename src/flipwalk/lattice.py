@@ -4,7 +4,9 @@ subgraph induced by a fixed block partition of the grid.
 
 A state is a bool row over the grid's primitive segments (column i is
 segment i), stored packed: the complemented row, big-endian, in whole 64-bit
-words (two at n = 4), so that byte order is edge-tuple order.
+words (two at n = 4), so that byte order is edge-tuple order.  The JSON
+and DOT exports decode packed states into sorted edge tuples
+(`_Grid.edge_lists`); no per-state object is built.
 
 A chunk of states is also held bit-sliced: one plane of 64-bit words per
 segment, bit s of a plane set when state s holds that segment.  One kernel,
@@ -18,7 +20,6 @@ packed state that key names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, compress
 from math import gcd
@@ -338,40 +339,9 @@ def _flipped(keys: np.ndarray, removed: np.ndarray, inserted: np.ndarray) -> np.
     return keys
 
 
-@dataclass(frozen=True)
-class LatticeTriangulation:
-    """Full (unimodular) triangulation of the n x n lattice point grid,
-    stored as the sorted tuple of all its edges (unit hull edges included).
-    It is the public view of a state row over the grid's segment table."""
-
-    n: int
-    edges: tuple
-
-    def validate(self) -> None:
-        n = self.n
-        if n < 1:
-            raise InvalidParameterError("grid side must be >= 1")
-        if n == 1:
-            if self.edges:
-                raise InvalidParameterError("1x1 grid admits no edges")
-            return
-        grid = _grid(n)
-        grid.check(grid.row(self.edges)[None])
-
-    def triangles(self) -> list:
-        """All area-1/2 faces; with every edge present they are the faces."""
-        grid = _grid(self.n)
-        row = grid.row(self.edges)
-        ids = np.flatnonzero(row)
-        e, side, a = np.nonzero(_hit_planes(_planes(row[None]), ids, grid)[..., 0])
-        return sorted({
-            tuple(sorted((*grid.segs[i], divmod(w, self.n))))
-            for i, w in zip(ids[e].tolist(), grid.apex[ids[e], side, a].tolist())
-        })
-
-
-def canonical_lattice_triangulation(n: int) -> LatticeTriangulation:
-    """All unit grid edges plus the negative-slope diagonal in every cell."""
+def canonical_lattice_triangulation(n: int) -> tuple:
+    """The sorted edge tuple of the triangulation with all unit grid edges
+    and the negative-slope diagonal in every cell."""
     if n < 1:
         raise InvalidParameterError("grid side must be >= 1")
     edges = []
@@ -383,22 +353,7 @@ def canonical_lattice_triangulation(n: int) -> LatticeTriangulation:
                 edges.append(_norm_edge((x, y), (x, y + 1)))
             if x + 1 < n and y + 1 < n:
                 edges.append(_norm_edge((x, y + 1), (x + 1, y)))
-    return LatticeTriangulation(n, tuple(sorted(edges)))
-
-
-def flips_lattice(t: LatticeTriangulation) -> list:
-    """All flips of t as (neighbor, removed_edge, inserted_edge) triples, in
-    the order of the removed edge in t.edges: interior edges whose two
-    incident unimodular triangles form a strictly convex quadrilateral, with
-    the diagonal swapped."""
-    grid = _grid(t.n)
-    keys = _pack(grid.row(t.edges)[None])
-    ((_, state, removed, inserted),) = _flips(keys, grid)
-    nbrs = _flipped(keys[state], removed, inserted)
-    return [
-        (LatticeTriangulation(t.n, edges), grid.segs[i], grid.segs[j])
-        for edges, i, j in zip(grid.edge_lists(nbrs), removed.tolist(), inserted.tolist())
-    ]
+    return tuple(sorted(edges))
 
 
 class LatticeFlipGraph(Graph):
@@ -414,23 +369,18 @@ class LatticeFlipGraph(Graph):
         self.keys = keys
         self.coords = coords
 
-    @cached_property
-    def vertices(self) -> list:
-        """The LatticeTriangulation view of every vertex, built on first use."""
-        return [LatticeTriangulation(self.n, e) for e in _grid(self.n).edge_lists(self.keys)]
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             # json writes the edge tuples as nested lists
-            "vertices": [v.edges for v in self.vertices],
+            "vertices": _grid(self.n).edge_lists(self.keys),
             **super().to_json_dict(),
         }
 
     def to_dot(self) -> str:
         labels = []
-        for v in self.vertices:
-            diag = [e for e in v.edges if abs(e[0][0] - e[1][0]) == 1
+        for edges in _grid(self.n).edge_lists(self.keys):
+            diag = [e for e in edges if abs(e[0][0] - e[1][0]) == 1
                     and abs(e[0][1] - e[1][1]) == 1]
             labels.append(";".join(f"{a}{b}" for a, b in diag))
         return self._dot("latticeflip", labels)
@@ -463,7 +413,7 @@ def enumerate_lattice(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> LatticeFlip
         raise EnumerationTooLargeError(LATTICE_COUNTS[n], cap)
     grid = _grid(n)
     z = grid.zobrist
-    start = grid.row(canonical_lattice_triangulation(n).edges)
+    start = grid.row(canonical_lattice_triangulation(n))
     cur, key = _pack(start[None]), np.bitwise_xor.reduce(z[start], keepdims=True)
     base, prev, prev_base = 0, key, 0  # the start level stands in for the level before it
     levels, degs, flips, targets = [], [], [], []

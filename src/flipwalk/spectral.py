@@ -80,9 +80,6 @@ class ChainAnalysis:
             self._P = (moves + sp.diags(1.0 - off * degs)).tocsr()
         return self._P
 
-    def transition_matrix(self) -> np.ndarray:
-        return self.operator().toarray()
-
     def _second_eigenpair(self) -> tuple:
         """(lambda_2, unit eigenvector) by `_lanczos_second`; lambda_2 is the
         Rayleigh quotient of the eigenvector, which is closer to exact than

@@ -8,12 +8,22 @@ graph index is a `{mask: index}` dict.  The package's batched routine must
 give the same vertex order, adjacency and flip lists.  Orbits are found by
 mapping each vertex's diagonals one rotation or reflection at a time, and
 eccentricities come from scipy's csgraph BFS, not the package's own.
+
+The package's earlier batched face walk (`face_rows`, `face_array`,
+`flip_rows`) is kept here too: it finds every state's faces and flips from
+its id row, and serves as the oracle for the class-wise flip-graph build
+and for the classes generated from their faces.
 """
 
 from functools import lru_cache
 from itertools import chain, combinations, product
 
 import numpy as np
+
+from flipwalk.errors import InvalidParameterError
+from flipwalk.graph import FLIP_CHUNK, _lookup, _row_keys
+from flipwalk.kangulation import _enumerate_rows, _rows_of
+from flipwalk.kangulation import _polygon as _package_polygon
 
 
 @lru_cache(maxsize=None)
@@ -172,23 +182,168 @@ def eccentricities(graph, starts) -> list:
 
 
 # The package's earlier array routines, kept as oracles for the block-wise
-# enumeration, the two-generator orbit labels and the class-wise build.
+# enumeration, the two-generator orbit labels, the class-wise build and the
+# generated class partitions.
+
+
+def face_rows(rows: np.ndarray, k: int, m: int) -> tuple:
+    """The faces of a batch of states, one per row of `rows` (its diagonal
+    ids, ascending): (root, inner, outer).  root[s] is the face on side
+    (m-1, 0), its k vertices ascending.  inner[s, j] and outer[s, j] are the
+    k-2 vertices that the two faces beside diagonal j = (a, b) add to it:
+    the inner face's from a up to b, the outer face's from b on around the
+    polygon to a.  Every face but the root is the inner face of one
+    diagonal, its first-to-last chord.
+
+    The faces are walked as offsets around the polygon: far[s, v, r] is the
+    largest offset d <= r at which v + d (mod m) is joined to v by a side or
+    a diagonal.  From a, the inner face's next vertex is the farthest
+    neighbour short of b, and each later step goes to the farthest
+    neighbour not past b; in convex position with non-crossing diagonals,
+    nearer endpoints nest under farther ones, so the walk traces the face.
+    The outer face is the same walk from b to a around the rest of the
+    polygon.  Side (m-1, 0) lies outside every diagonal, and no wider
+    diagonal can separate it from the outer face of the widest one, so
+    that face is the root.
+
+    Raises InvalidParameterError if two diagonals of a state cross or a face
+    beside a diagonal is not a k-gon (a state with no diagonal must be the
+    k-gon itself), so a state that passes is a k-angulation.
+    """
+    if len(rows) > FLIP_CHUNK:  # bound the (chunk, m, m) walk tables
+        parts = (face_rows(rows[lo:lo + FLIP_CHUNK], k, m)
+                 for lo in range(0, len(rows), FLIP_CHUNK))
+        return tuple(map(np.concatenate, zip(*parts)))
+    poly = _package_polygon(m)
+    count, width = rows.shape
+    if width == 0:
+        if m != k:
+            raise InvalidParameterError(f"the {m}-gon with no diagonal is not a {k}-gon")
+        empty = np.zeros((count, 0, k - 2), dtype=np.int64)
+        return np.tile(np.arange(m), (count, 1)), empty, empty
+    ends = poly.ends[rows]
+    a, b = ends[..., 0], ends[..., 1]
+    c, d = a[:, None, :], b[:, None, :]  # (a, b) crosses (c, d) if a < c < b < d
+    crossed = ((a[..., None] < c) & (c < b[..., None]) & (b[..., None] < d)).any(axis=(1, 2))
+    if crossed.any():
+        s = int(np.argmax(crossed))
+        raise InvalidParameterError(
+            f"two diagonals of {[poly.diags[i] for i in rows[s].tolist()]} cross"
+        )
+    state = np.arange(count)[:, None]
+    near = np.zeros((count, m, m), dtype=bool)
+    near[:, :, [0, 1, m - 1]] = True  # the vertex itself and its two sides
+    near[state, a, b - a] = near[state, b, m - (b - a)] = True
+    far = np.maximum.accumulate(near * np.arange(m, dtype=np.int16), axis=2)
+    # walk the inner face from a and the outer face from b side by side
+    at = np.stack([a, b], axis=2)
+    left = np.stack([b - a, m - (b - a)], axis=2)  # offset still to go
+    state = state[:, :, None]
+    step = far[state, at, left - 1]
+    path = []
+    for _ in range(k - 2):
+        at = (at + step) % m
+        left = left - step
+        path.append(at)
+        step = far[state, at, left]
+    short = (left == 0) | (step != left)  # the face closes early or late
+    if short.any():
+        s, j, _ = np.argwhere(short)[0]
+        raise InvalidParameterError(
+            f"a face beside {poly.diags[rows[s, j]]} is not a {k}-gon"
+        )
+    inner, outer = np.moveaxis(np.stack(path, axis=2), 3, 0)
+    widest = np.arange(count), np.argmax(b - a, axis=1)
+    root = np.sort(np.concatenate([ends[widest], outer[widest]], axis=1), axis=1)
+    return root, inner, outer
+
+
+def face_array(rows: np.ndarray, k: int, m: int) -> np.ndarray:
+    """(count, n, k) array: the root face of each state, then the inner face
+    of each diagonal, every face's vertices ascending."""
+    root, inner, _ = face_rows(rows, k, m)
+    ends = _package_polygon(m).ends[rows]
+    return np.concatenate(
+        [root[:, None], np.concatenate([ends[..., :1], inner, ends[..., 1:]], axis=2)],
+        axis=1,
+    )
+
+
+def flip_rows(rows: np.ndarray, k: int, m: int) -> tuple:
+    """All flips of a batch of states, one per row of `rows` (its diagonal
+    ids, ascending): (nbrs, removed, inserted), where nbrs[s, f] is the row
+    of state s's f-th neighbour, reached by replacing diagonal removed[s, f]
+    with inserted[s, f].  Flips come by removed diagonal, ascending, and
+    then by the inserted diagonal's end on the removed one's inner face.
+
+    The two faces beside a diagonal (see `face_rows`) form a 2k-2-gon in
+    which the diagonal joins an opposite pair, and each of the other k-2
+    opposite pairs is a flip.  A state that is not a k-angulation raises
+    InvalidParameterError, so each flip of a state that passes is one too.
+    """
+    _, inner, outer = face_rows(rows, k, m)
+    count, width = rows.shape
+    if width == 0:
+        return rows[:, :0, None], rows[:, :0], rows[:, :0]
+    # the inner face's i-th vertex is opposite the outer face's i-th vertex
+    inserted = _package_polygon(m).pair_id[inner, outer].astype(rows.dtype)
+    removed = np.broadcast_to(rows[:, :, None], inserted.shape)
+    keep = np.arange(width - 1) + (np.arange(width - 1) >= np.arange(width)[:, None])
+    others = np.broadcast_to(
+        rows[:, keep][:, :, None, :], (*inserted.shape, width - 1)
+    )
+    # concatenate would return native byte order; big-endian ids must stay so
+    nbrs = np.concatenate([others, inserted[..., None]], axis=3, dtype=rows.dtype)
+    nbrs.sort(axis=3)
+    flat = count, width * (k - 2)
+    return nbrs.reshape(*flat, width), removed.reshape(flat), inserted.reshape(flat)
+
+
+def diagonal_tuples(rows: np.ndarray, m: int) -> list:
+    """Each id row of the m-gon as its sorted tuple of (a, b) diagonals."""
+    diags = _package_polygon(m).diags
+    return [tuple(map(diags.__getitem__, r)) for r in rows.tolist()]
+
+
+def check_kangulation(k: int, m: int, diagonals: tuple) -> None:
+    """Raise InvalidParameterError unless `diagonals`, sorted, are the
+    diagonals of a k-angulation of the m-gon (by the face walk)."""
+    if k < 3:
+        raise InvalidParameterError(f"k must be >= 3, got {k}")
+    if (m - 2) % (k - 2) != 0 or m < k:
+        raise InvalidParameterError(f"no k-angulation of an {m}-gon for k={k}")
+    if list(diagonals) != sorted(diagonals):
+        raise InvalidParameterError("diagonals not in canonical sorted order")
+    n = (m - 2) // (k - 2)
+    if len(diagonals) != n - 1:
+        raise InvalidParameterError(f"expected {n - 1} diagonals, got {len(diagonals)}")
+    face_rows(_rows_of([diagonals], m, len(diagonals)), k, m)
+
+
+def walk_flips(k: int, m: int, diagonals: tuple) -> list:
+    """All flips of one state by the batched walk, as (neighbour diagonals,
+    removed, inserted), in the order of the removed diagonal."""
+    diags = _package_polygon(m).diags
+    nbrs, removed, inserted = flip_rows(_rows_of([diagonals], m, len(diagonals)), k, m)
+    return [
+        (nbr, diags[d], diags[nd])
+        for nbr, d, nd in zip(diagonal_tuples(nbrs[0], m), removed[0].tolist(), inserted[0].tolist())
+    ]
+
+
 
 
 def face_walk_indices(k: int, n: int) -> np.ndarray:
     """The flip graph's CSR indices from the per-state face walk: every
-    state's flips from the package's `_flip_rows`, FLIP_CHUNK states at a
-    time, each neighbour row found among the canonical rows by binary
-    search on its byte key, and each state's neighbours sorted."""
-    from flipwalk.graph import FLIP_CHUNK, _lookup, _row_keys
-    from flipwalk.kangulation import _enumerate_rows, _flip_rows
-
+    state's flips from `flip_rows`, FLIP_CHUNK states at a time, each
+    neighbour row found among the canonical rows by binary search on its
+    byte key, and each state's neighbours sorted."""
     rows, m, degree = _enumerate_rows(k, n), (k - 2) * n + 2, (n - 1) * (k - 2)
     if not degree:
         return np.zeros(0, dtype=np.int32)
     keys, parts = _row_keys(rows), []
     for lo in range(0, len(rows), FLIP_CHUNK):
-        nbrs = _flip_rows(rows[lo:lo + FLIP_CHUNK], k, m)[0]
+        nbrs = flip_rows(rows[lo:lo + FLIP_CHUNK], k, m)[0]
         at, found = _lookup(keys, _row_keys(nbrs.reshape(-1, n - 1)))
         assert found.all(), "a flip leaves the enumerated states"
         parts.append(np.sort(at.reshape(-1, degree), axis=1).ravel())

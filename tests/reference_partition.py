@@ -10,6 +10,7 @@ from its face instead; every field of the two partitions must agree.
 import math
 
 import numpy as np
+from reference_flips import face_array, face_rows
 
 from flipwalk.combinatorics import fuss_catalan
 from flipwalk.decomposition import (
@@ -20,7 +21,7 @@ from flipwalk.decomposition import (
 )
 from flipwalk.errors import StructureMismatchError
 from flipwalk.graph import FLIP_CHUNK, _lookup, _row_keys
-from flipwalk.kangulation import _enumerate_rows, _face_array, _face_rows, _polygon
+from flipwalk.kangulation import _enumerate_rows, _polygon
 
 
 def _factor_coords(rel: np.ndarray, span: int, k: int, ni: int) -> np.ndarray:
@@ -73,7 +74,7 @@ def central_face_rows(rows: np.ndarray, k: int, m: int) -> np.ndarray:
     if len(rows) > FLIP_CHUNK:  # bound the (chunk, n, k) face tables
         return np.concatenate([central_face_rows(rows[lo:lo + FLIP_CHUNK], k, m)
                                for lo in range(0, len(rows), FLIP_CHUNK)])
-    faces = _face_array(rows, k, m)
+    faces = face_array(rows, k, m)
     count = _contains_center(faces, m).sum(axis=1)
     if (count != 1).any():
         raise StructureMismatchError(f"{count[np.argmax(count != 1)]} central faces; expected 1")
@@ -81,7 +82,7 @@ def central_face_rows(rows: np.ndarray, k: int, m: int) -> np.ndarray:
 
 
 def oriented_partition(graph) -> ClassPartition:
-    return _build_classes(graph, _face_rows(graph.rows, 3, graph.m)[0], "oriented")
+    return _build_classes(graph, face_rows(graph.rows, 3, graph.m)[0], "oriented")
 
 
 def central_partition(graph) -> ClassPartition:

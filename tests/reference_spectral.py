@@ -5,7 +5,8 @@ eigenpairs of the lazy operator (dense `eigh` for N <= 2, where ARPACK
 cannot return two), from the same fixed start vector, with lambda_2 taken
 as the Rayleigh quotient of its eigenvector, summed in long double.  The
 package runs a deflated Lanczos without BLAS instead; the two gaps must
-agree to rounding.
+agree to rounding.  `transition_matrix` is the dense P that the exact
+small-graph checks compare against.
 """
 
 import numpy as np
@@ -13,11 +14,16 @@ import numpy as np
 from flipwalk.spectral import LANCZOS_SEED
 
 
+def transition_matrix(chain) -> np.ndarray:
+    """The chain's lazy transition matrix P, dense."""
+    return chain.operator().toarray()
+
+
 def eigsh_second_eigenpair(chain) -> tuple:
     """(lambda_2, unit eigenvector) of the chain's operator, by ARPACK."""
     n = chain.num_states
     if n <= 2:
-        evals, evecs = np.linalg.eigh(chain.transition_matrix())
+        evals, evecs = np.linalg.eigh(transition_matrix(chain))
         return float(evals[-2]), evecs[:, -2]
     from scipy.sparse.linalg import eigsh
 

@@ -1,4 +1,4 @@
-"""CLI: configs, exit codes, determinism, exports, report tables."""
+"""CLI: configs, exit codes, determinism, exports."""
 
 import contextlib
 import hashlib
@@ -22,9 +22,8 @@ from flipwalk.cli import (
     ExperimentConfig,
     main,
     parse_config,
-    report_table,
 )
-from flipwalk.errors import InvalidParameterError, SchemaMismatchError
+from flipwalk.errors import InvalidParameterError
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -175,6 +174,80 @@ def test_analyze_flags_fuzz(size, eps, cap):
     assert "Traceback" not in err.getvalue()
 
 
+# the (k, n) of each command's runs, each building at most about 10,000 states
+FUZZ_RUNS = {
+    "enumerate": FUZZ_SIZES,
+    "sample": FUZZ_SIZES,
+    "flow": [(3, n) for n in range(1, 7)],
+    "cut": [(3, n) for n in (1, 2, 7, 30)],
+    "lattice": [(3, n) for n in (1, 2, 3)],
+}
+INTEGER_FIELDS = ("k", "n", "seed", "steps", "cap", "thin", "block")
+# other spellings of an integer field: a float, a bool and 1e3, which are
+# refused, and the integer as a string, which is read
+ODD_INTEGERS = (lambda v: v + 0.7, lambda v: True, lambda v: "1e3", lambda v: 1e3, str)
+FLAG_NAMES = {"fmt": "--format", "full_edge_lists": "--full-edge-lists"}
+
+
+def _fuzz_fields(data) -> dict:
+    """The config fields of one run; None leaves a field out."""
+    command = data.draw(st.sampled_from(sorted(FUZZ_RUNS)))
+    k, n = data.draw(st.sampled_from(FUZZ_RUNS[command]))
+    fields = {"command": command, "k": k, "n": n,
+              "cap": data.draw(st.sampled_from([None, None, 1, 100]))}
+    if command == "enumerate":
+        fields["fmt"] = data.draw(st.sampled_from(["json", "dot", "csv"]))
+    elif command == "flow":
+        fields["k"] = data.draw(st.sampled_from([3, 4]))
+    elif command == "lattice":
+        fields["block"] = data.draw(st.sampled_from([None, -1, 0, 1, 2, 3]))
+        if fields["block"] is not None:  # a product of blocks up to 3 x 3 points
+            fields["n"] = data.draw(st.integers(1, 6))
+        fields["fmt"] = data.draw(st.sampled_from(["json", "dot"]))
+    elif command == "sample":
+        fields.update(
+            seed=data.draw(st.sampled_from([None, -1, 0, 7])),
+            steps=data.draw(st.sampled_from([0, 1, 500, -1])),
+            thin=data.draw(st.sampled_from([1, 3, 0])),
+            full_edge_lists=data.draw(st.sampled_from([None, True])),
+        )
+    fields = {key: v for key, v in fields.items() if v is not None}
+    if data.draw(st.booleans()):
+        odd = data.draw(st.sampled_from([f for f in INTEGER_FIELDS if f in fields]))
+        fields[odd] = data.draw(st.sampled_from(ODD_INTEGERS))(fields[odd])
+    return fields
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_commands_and_configs_fuzz(data):
+    """enumerate, flow, cut, lattice (with and without --block) and sample,
+    their fields given as flags, as a JSON config or as key = value lines,
+    one integer field perhaps spelled as a float, a bool, 1e3 or a string:
+    every run exits 0, 2, 3 or 4, and none ends in a traceback."""
+    fields = _fuzz_fields(data)
+    form = data.draw(st.sampled_from(["flags", "json", "key-value"]))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        if form == "flags":
+            argv = []
+            for key, v in fields.items():
+                flag = FLAG_NAMES.get(key, f"--{key}")
+                argv += [flag] if key == "full_edge_lists" else [flag, str(v)]
+        else:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w") as fh:
+                if form == "json":
+                    json.dump(fields, fh)
+                else:
+                    fh.writelines(f"{key} = {v}\n" for key, v in fields.items())
+            argv = ["--config", path]
+        rc = main([*argv, "--out", os.path.join(tmp, "out")])
+    assert rc in (EXIT_OK, EXIT_USAGE, 3, EXIT_CAP), (form, fields, rc)
+    assert "Traceback" not in err.getvalue()
+
+
 def test_flow_summary_certifies(tmp_path):
     assert main(["--command", "flow", "--n", "3", "--out", str(tmp_path)]) == EXIT_OK
     doc = _summary(tmp_path, "flow")
@@ -230,12 +303,12 @@ def test_enumerate_cap_exit_code(tmp_path):
 
 
 def test_enumerate_counts_rows_without_views(tmp_path, monkeypatch):
-    """Past n = 9 the count comes from the enumeration's rows; no
-    k-angulation view is built."""
-    def no_views(*args):
-        raise AssertionError("views were built")
+    """Past n = 9 the count comes from the enumeration's rows; no flip
+    graph is built."""
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a flip graph was built")
 
-    monkeypatch.setattr(kangulation, "_views", no_views)
+    monkeypatch.setattr(cli, "build_flip_graph", no_graph)
     assert main(["--command", "enumerate", "--n-range", "10..11", "--out", str(tmp_path)]) == EXIT_OK
     assert _summary(tmp_path, "enumerate") == [
         {"command": "enumerate", "k": 3, "n": n, "vertices": c, "expected": c, "count_matches": True}
@@ -286,6 +359,37 @@ def test_json_config(tmp_path):
     out = str(tmp_path / "out")
     assert main(["--config", str(cfg), "--out", out]) == EXIT_OK
     assert [d["n"] for d in _summary(tmp_path / "out", "cut")] == [8, 9]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [({"command": "analyze", "n": 4, "k": 3.7}, "config field 'k': expected an integer, got 3.7"),
+     ({"command": "analyze", "n": 4.9}, "got n = 4.9"),
+     ({"command": "sample", "n": 4, "seed": 1, "steps": True},
+      "config field 'steps': expected an integer, got True")],
+    ids=["float-k", "float-n", "bool-steps"],
+)
+def test_json_config_refuses_non_integer_fields(tmp_path, capsys, doc, message):
+    """int() would run k = 3, n = 4 and one step: a JSON float or bool in
+    an integer field exits 2, naming the field."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_json_config_reads_integer_strings(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": "sample", "k": "3", "n": "4", "seed": "1",
+                               "steps": "10"}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    (doc,) = _summary(out, "sample")
+    assert (doc["k"], doc["n"], doc["seed"], doc["steps"]) == (3, 4, 1, 10)
 
 
 @pytest.mark.parametrize("line", ["n_range = 5-7", "n = five", "n_range = 2..x"])
@@ -419,43 +523,10 @@ def test_tvd_csv_export(tmp_path):
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_report_table():
-    summaries = [
-        {"command": "analyze", "k": 3, "n": 2, "vertices": 2, "degree": 1,
-         "gap": 1.0, "mixing_time": 1, "cheeger": [0.5, 1.41]},
-        {"command": "cut", "k": 3, "n": 2, "ratio_num": 1, "ratio_den": 2},
-    ]
-    table = report_table(summaries)
-    lines = table.splitlines()
-    assert lines[0].startswith("n,vertices,degree,gap,mixing_time")
-    assert len(lines) == 2
-    assert lines[1].endswith("0.5")
-    md = report_table(summaries, fmt="markdown")
-    assert md.startswith("| n |")
-
-
-def test_report_table_empty_and_mixed():
-    assert report_table([]).count("\n") == 1
-    with pytest.raises(SchemaMismatchError):
-        report_table([{"k": 3, "n": 2}, {"k": 4, "n": 2}])
-
-
 def test_flow_command_trivial_n1(tmp_path):
     assert main(["--command", "flow", "--n", "1", "--out", str(tmp_path)]) == EXIT_OK
     doc = _summary(tmp_path, "flow")
     assert doc[0]["vertices"] == 1 and doc[0]["conservation_certified"]
-
-
-def test_flow_cut_and_analyze_run_no_face_walk(tmp_path, monkeypatch):
-    """The class partitions, the central cut and the apex tables come from
-    the enumeration's classes; no command runs the per-state face walk."""
-    def no_walk(*args):
-        raise AssertionError("the face walk ran")
-
-    monkeypatch.setattr(kangulation, "_face_rows", no_walk)
-    for command, ns in (("flow", "2..8"), ("cut", "2..40"), ("analyze", "2..6")):
-        out = str(tmp_path / command)
-        assert main(["--command", command, "--n-range", ns, "--out", out]) == EXIT_OK
 
 
 @pytest.mark.parametrize("flags", [["--n", "101"], ["--n-range", "2..101"]])

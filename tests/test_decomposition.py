@@ -18,13 +18,11 @@ from flipwalk.combinatorics import catalan, fuss_catalan
 from flipwalk.decomposition import (
     _central_faces,
     _contains_center,
-    _local_apex,
     _region_count,
     boundary_matchings,
     boundary_projection,
     central_partition,
     oriented_partition,
-    partition_to_json,
     verify_class_product_structure,
     verify_matching_inequality,
 )
@@ -227,18 +225,6 @@ def test_boundary_projection_trivial_n2():
     assert sub["boundary_size"] == 1 and sub["size"] == 1
 
 
-def test_partition_json_export():
-    p = oriented_partition(_graph(3, 4))
-    doc = json.loads(partition_to_json(p))
-    assert doc["kind"] == "oriented" and len(doc["classes"]) == 4
-    assert all("edges" not in m for m in doc["matchings"])
-    doc_full = json.loads(partition_to_json(p, full_edge_lists=True))
-    assert all("edges" in m for m in doc_full["matchings"])
-    assert sum(len(m["edges"]) for m in doc_full["matchings"]) == sum(
-        m["size"] for m in doc["matchings"]
-    )
-
-
 def test_central_factor_bound_k3():
     # no central-class factor exceeds n/2
     g = _graph(3, 6)
@@ -433,20 +419,6 @@ def test_generated_classes_match_keyed_builder(k, n):
 @pytest.mark.parametrize("k, n", [(3, 12), (4, 8), (5, 7)])
 def test_generated_classes_match_keyed_builder_large(k, n):
     _check_against_keyed_builder(k, n)
-
-
-def test_partitions_run_no_face_walk(monkeypatch):
-    def no_walk(*args):
-        raise AssertionError("the face walk ran")
-
-    monkeypatch.setattr(kangulation, "_face_rows", no_walk)
-    _local_apex.cache_clear()
-    for n in range(1, 8):
-        g = _graph(3, n)
-        verify_class_product_structure(oriented_partition(g))
-        verify_class_product_structure(central_partition(g))
-        if n >= 2:
-            boundary_projection(oriented_partition(g), 0, n - 1)
 
 
 def test_generated_classes_reject_a_missing_state():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_flownet import cartesian_per_source, per_source_flow
 from reference_graph import graph_from_lists
 
 from flipwalk import flownet
@@ -20,11 +21,9 @@ from flipwalk.errors import InvalidParameterError, StructureMismatchError
 from flipwalk.flownet import (
     aggregate_flow,
     cartesian_flow_combine,
-    cartesian_per_source,
     hierarchical_pairing_flow,
     matching_arc_values,
     pair_flow,
-    per_source_flow,
     projection_restriction_combine,
     r_dist,
     uniform_flow_recursive,

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_flips import _crosses as reference_crosses
 from reference_flips import _faces as reference_faces
 from reference_flips import _mask as reference_mask
 from reference_flips import _transform_diagonals as reference_transform
 from reference_flips import build_csr as reference_csr
-from reference_flips import endpoint_rows, face_walk_indices, orbit_representatives_all_images
+from reference_flips import check_kangulation, diagonal_tuples, endpoint_rows, face_array
+from reference_flips import face_walk_indices, orbit_representatives_all_images, walk_flips
 from reference_flips import eccentricities as reference_eccentricities
 from reference_flips import flips as reference_flips
 from reference_flips import orbit_representatives as reference_orbits
@@ -24,18 +26,13 @@ from flipwalk.errors import EnumerationTooLargeError, InvalidParameterError
 import flipwalk.kangulation as kangulation
 from flipwalk.kangulation import (
     FlipGraph,
-    KAngulation,
-    _face_array,
     _enumerate_rows,
     _enumerate_states,
     build_flip_graph,
+    count_kangulations,
     diameter,
-    diagonals_cross,
     eccentricities,
-    enumerate_kangulations,
-    faces_of,
     flip_graph_from_json_dict,
-    flips,
     orbit_representatives,
 )
 
@@ -47,43 +44,50 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _states(k, n) -> list:
+    """The canonical states as sorted tuples of (a, b) diagonals."""
+    return diagonal_tuples(_enumerate_rows(k, n), (k - 2) * n + 2)
+
+
 def test_crossing_predicate():
-    assert diagonals_cross((0, 2), (1, 3))
-    assert not diagonals_cross((0, 2), (2, 4))
-    assert not diagonals_cross((0, 2), (0, 3))
+    """The per-state reference's crossing test, on which its flip check
+    rests."""
+    assert reference_crosses((0, 2), (1, 3))
+    assert not reference_crosses((0, 2), (2, 4))
+    assert not reference_crosses((0, 2), (0, 3))
 
 
 def test_enumerate_square():
-    ts = enumerate_kangulations(3, 2)
-    assert [t.diagonals for t in ts] == [((0, 2),), ((1, 3),)]
+    assert _states(3, 2) == [((0, 2),), ((1, 3),)]
 
 
 def test_enumerate_counts_match_catalan():
     for n in range(1, 9):
-        assert len(enumerate_kangulations(3, n)) == catalan(n)
+        assert len(_enumerate_rows(3, n)) == count_kangulations(3, n) == catalan(n)
 
 
 def test_enumerate_counts_match_fuss_catalan():
     for k, n in [(4, 1), (4, 2), (4, 3), (4, 4), (5, 1), (5, 2), (5, 3)]:
-        ts = enumerate_kangulations(k, n)
-        assert len(ts) == fuss_catalan(k, n)
-        assert sorted(set(t.diagonals for t in ts)) == [t.diagonals for t in ts]
+        ts = _states(k, n)
+        assert len(ts) == count_kangulations(k, n) == fuss_catalan(k, n)
+        assert sorted(set(ts)) == ts
 
 
 def test_enumeration_cap():
     """n = 30 would not fit in memory: each call must refuse it first."""
-    for call in (enumerate_kangulations, build_flip_graph, kangulation.count_kangulations):
+    for call in (build_flip_graph, count_kangulations):
         with pytest.raises(EnumerationTooLargeError):
             call(3, 30, cap=1000)
 
 
 def test_validate_rejects_crossing_and_wrong_count():
+    """The face walk's check, on which the flip oracles rest."""
     with pytest.raises(InvalidParameterError):
-        KAngulation(3, 6, ((0, 2), (1, 3), (3, 5))).validate()
+        check_kangulation(3, 6, ((0, 2), (1, 3), (3, 5)))
     with pytest.raises(InvalidParameterError):
-        KAngulation(3, 6, ((0, 2),)).validate()
-    for t in enumerate_kangulations(4, 3):
-        t.validate()
+        check_kangulation(3, 6, ((0, 2),))
+    for t in _states(4, 3):
+        check_kangulation(4, 8, t)
 
 
 @st.composite
@@ -94,7 +98,7 @@ def diagonal_sets(draw):
     n = draw(st.integers(1, 7 if k == 3 else 3))
     m = (k - 2) * n + 2
     diags = [(a, b) for a in range(m) for b in range(a + 2, m) if (a, b) != (0, m - 1)]
-    chosen = list(draw(st.sampled_from(enumerate_kangulations(k, n))).diagonals)
+    chosen = list(draw(st.sampled_from(_states(k, n))))
     for _ in range(draw(st.integers(0, 3)) if n >= 2 else 0):
         chosen.pop(draw(st.integers(0, len(chosen) - 1)))
         chosen.append(draw(st.sampled_from([d for d in diags if d not in chosen])))
@@ -104,48 +108,38 @@ def diagonal_sets(draw):
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(diagonal_sets())
 def test_validate_accepts_exactly_the_kangulations(case):
+    """The face walk accepts exactly the enumerated states."""
     k, m, diags = case
-    t = KAngulation(k, m, diags)
-    if diags in {v.diagonals for v in enumerate_kangulations(k, t.n)}:
-        t.validate()
+    if diags in set(_states(k, (m - 2) // (k - 2))):
+        check_kangulation(k, m, diags)
     else:
         with pytest.raises(InvalidParameterError):
-            t.validate()
+            check_kangulation(k, m, diags)
 
 
 def test_faces_partition_polygon():
-    for t in enumerate_kangulations(3, 5):
-        fs = faces_of(t)
-        assert len(fs) == 5
-        assert all(len(f) == 3 for f in fs)
-    for t in enumerate_kangulations(5, 3):
-        fs = faces_of(t)
-        assert len(fs) == 3
-        assert all(len(f) == 5 for f in fs)
+    for k, n in ((3, 5), (5, 3)):
+        faces = face_array(_enumerate_rows(k, n), k, (k - 2) * n + 2)
+        assert faces.shape == (fuss_catalan(k, n), n, k)
 
 
 def test_flip_square_has_single_neighbor():
-    t = KAngulation(3, 4, ((0, 2),))
-    out = flips(t)
-    assert len(out) == 1
-    nbr, removed, inserted = out[0]
-    assert removed == (0, 2) and inserted == (1, 3)
-    assert nbr.diagonals == ((1, 3),)
+    assert walk_flips(3, 4, ((0, 2),)) == [(((1, 3),), (0, 2), (1, 3))]
 
 
 def test_flip_counts():
     # every triangulation of the heptagon has n - 1 = 4 flips
-    for t in enumerate_kangulations(3, 5):
-        assert len(flips(t)) == 4
+    for t in _states(3, 5):
+        assert len(walk_flips(3, 7, t)) == 4
     # k=4, n=3: 2 diagonals x 2 replacements
-    for t in enumerate_kangulations(4, 3):
-        assert len(flips(t)) == 4
+    for t in _states(4, 3):
+        assert len(walk_flips(4, 8, t)) == 4
 
 
 def test_flip_involution():
-    for t in enumerate_kangulations(4, 3):
-        for nbr, removed, inserted in flips(t):
-            back = [b for b, r, i in flips(nbr) if b.diagonals == t.diagonals]
+    for t in _states(4, 3):
+        for nbr, removed, inserted in walk_flips(4, 8, t):
+            back = [b for b, r, i in walk_flips(4, 8, nbr) if b == t]
             assert len(back) == 1
 
 
@@ -161,7 +155,7 @@ def test_flip_involution():
 def test_flips_reject_invalid_triangulations(diagonals, m):
     """These are checks, not asserts, so `python -O` keeps them."""
     with pytest.raises(InvalidParameterError):
-        flips(KAngulation(3, m, diagonals))
+        walk_flips(3, m, diagonals)
 
 
 def test_flip_graph_small():
@@ -182,13 +176,14 @@ def test_flip_graph_small():
 def test_flip_graph_undirected_and_labeled():
     g = build_flip_graph(4, 2)
     adj = adjacency_lists(g)
+    states = diagonal_tuples(g.rows, g.m)
     for i, nbrs in enumerate(adj):
-        labels = {t.diagonals: (r, s) for t, r, s in flips(g.vertices[i])}
+        labels = {t: (r, s) for t, r, s in walk_flips(4, g.m, states[i])}
         for j in nbrs:
             assert i in adj[j]
-            removed, inserted = labels[g.vertices[j].diagonals]
-            assert removed in g.vertices[i].diagonals
-            assert inserted in g.vertices[j].diagonals
+            removed, inserted = labels[states[j]]
+            assert removed in states[i]
+            assert inserted in states[j]
 
 
 def test_vertex_counts_larger():
@@ -205,7 +200,7 @@ def test_json_round_trip():
         doc = json.loads(g.to_json())
         g2 = flip_graph_from_json_dict(doc)
         assert adjacency_lists(g2) == adjacency_lists(g), (k, n)
-        assert [v.diagonals for v in g2.vertices] == [v.diagonals for v in g.vertices], (k, n)
+        assert g2.rows.tobytes() == g.rows.tobytes(), (k, n)
         assert g2.to_json() == g.to_json(), (k, n)
 
 
@@ -237,21 +232,26 @@ CORRUPTIONS = {
     "bool-index": _bool_index,
     "wrong-degree": _rewire,
     "swapped-vertices": _swap_vertices,
-    "vertex-missing": lambda doc: doc["vertices"].pop(),
+    "vertex-missing": lambda doc: doc["vertices"].__delitem__(-1),
     "crossing-vertex": lambda doc: doc["vertices"][0].__setitem__(0, [1, 3]),
     "huge-vertex-end": lambda doc: doc["vertices"][0][0].__setitem__(1, 2**70),
+    "edges-missing": lambda doc: doc.__delitem__("edges"),
+    "not-an-object": lambda doc: [doc],
+    "edges-a-number": lambda doc: doc.__setitem__("edges", 5),
+    "edges-flat": lambda doc: doc.__setitem__("edges", [1, 2]),
 }
 
 
 @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
 def test_loader_rejects_corrupt_export(corrupt):
     """Each corruption of the k = 3 n = 5 export keeps k and n, and all but
-    the vertex ones keep the vertex and edge counts, so only the loader's
-    own checks can catch it."""
+    the vertex and shape ones keep the vertex and edge counts, so only the
+    loader's own checks can catch it.  A corruption edits the export in
+    place, or returns the document that replaces it."""
     doc = json.loads(build_flip_graph(3, 5).to_json())
-    corrupt(doc)
+    bad = corrupt(doc)
     with pytest.raises(InvalidParameterError):
-        flip_graph_from_json_dict(json.loads(json.dumps(doc)))
+        flip_graph_from_json_dict(json.loads(json.dumps(doc if bad is None else bad)))
 
 
 def test_loader_checks_the_cap():
@@ -275,7 +275,7 @@ def test_huge_n_is_refused_before_its_count(monkeypatch):
     doc["n"] = 10**6
     calls = [lambda: flip_graph_from_json_dict(doc)] + [
         lambda call=call: call(3, 10**6)
-        for call in (enumerate_kangulations, build_flip_graph, kangulation.count_kangulations)]
+        for call in (build_flip_graph, count_kangulations)]
     for call in calls:
         with pytest.raises(EnumerationTooLargeError, match=r"size >= 2\^999999 exceeds"):
             call()
@@ -283,12 +283,12 @@ def test_huge_n_is_refused_before_its_count(monkeypatch):
 
 def test_two_byte_ids_up_to_the_polygon_cap():
     """Up to m = 363 every diagonal id fits in two bytes, and a state
-    there round-trips and validates; m = 364 is refused."""
+    there round-trips and passes the face walk; m = 364 is refused."""
     g = build_flip_graph(182, 2)  # m = 362: 181 states, 65,159 diagonals
     assert g.rows.dtype == np.dtype(">u2") and g.num_vertices == 181
     assert flip_graph_from_json_dict(json.loads(g.to_json())).rows is g.rows
-    for t in g.vertices:
-        t.validate()
+    for t in diagonal_tuples(g.rows, g.m):
+        check_kangulation(182, g.m, t)
     assert build_flip_graph(363, 1).m == 363
     with pytest.raises(EnumerationTooLargeError, match="polygon size 364 exceeds cap 363"):
         build_flip_graph(364, 1)
@@ -308,9 +308,10 @@ def test_flip_graph_matches_golden_hashes(size):
 def test_flips_match_golden(size):
     """Every (neighbour, removed, inserted) triple of every state, in order."""
     k, n = map(int, size.split(","))
+    m = (k - 2) * n + 2
     got = [
-        [[[list(d) for d in nbr.diagonals], list(r), list(i)] for nbr, r, i in flips(t)]
-        for t in enumerate_kangulations(k, n)
+        [[[list(d) for d in nbr], list(r), list(i)] for nbr, r, i in walk_flips(k, m, t)]
+        for t in _states(k, n)
     ]
     assert got == GOLDEN["flips"][size]
 
@@ -321,7 +322,7 @@ def test_adjacency_equals_one_diagonal_difference(k, n_max):
     exactly when their diagonal sets differ in one diagonal each."""
     for n in range(1, n_max + 1):
         g = build_flip_graph(k, n)
-        sets = [frozenset(v.diagonals) for v in g.vertices]
+        sets = [frozenset(t) for t in diagonal_tuples(g.rows, g.m)]
         oracle = [
             [j for j, y in enumerate(sets) if len(x - y) == 1] for x in sets
         ]
@@ -340,7 +341,7 @@ def test_build_matches_per_state_reference(k, n):
     """Vertex order and CSR arrays equal the per-state build's."""
     verts, indptr, indices = reference_csr(k, n)
     g = build_flip_graph(k, n)
-    assert [v.diagonals for v in g.vertices] == list(verts)
+    assert diagonal_tuples(g.rows, g.m) == list(verts)
     got_indptr, got_indices = g.csr()
     assert got_indptr.tolist() == indptr
     assert got_indices.tolist() == indices
@@ -352,13 +353,12 @@ def test_flips_match_per_state_reference(k, n):
     state's faces from one batched walk: the root face first, then the
     same set of faces as the per-state walk."""
     m = (k - 2) * n + 2
-    faces = _face_array(_enumerate_rows(k, n), k, m).tolist()
-    for t, got_faces in zip(enumerate_kangulations(k, n), faces, strict=True):
-        got = [(nbr.diagonals, r, i) for nbr, r, i in flips(t)]
-        assert got == reference_flips(k, m, t.diagonals), t.diagonals
-        want = [face for face, _ in reference_faces(reference_mask(t.diagonals, m), m)]
-        assert got_faces[0] == want[0], t.diagonals
-        assert sorted(got_faces) == sorted(want), t.diagonals
+    faces = face_array(_enumerate_rows(k, n), k, m).tolist()
+    for t, got_faces in zip(_states(k, n), faces, strict=True):
+        assert walk_flips(k, m, t) == reference_flips(k, m, t), t
+        want = [face for face, _ in reference_faces(reference_mask(t, m), m)]
+        assert got_faces[0] == want[0], t
+        assert sorted(got_faces) == sorted(want), t
 
 
 FACE_WALK_SIZES = (
@@ -500,7 +500,7 @@ def test_orbits_reject_a_state_set_missing_a_reflected_row():
     leaves the states.  Taking out one row alone must raise as well."""
     k, n, m = 3, 7, 9
     rows = _enumerate_rows(k, n)
-    index = {t.diagonals: i for i, t in enumerate(enumerate_kangulations(k, n))}
+    index = {t: i for i, t in enumerate(_states(k, n))}
 
     def rotations(diags):
         return {reference_transform(diags, m, r, False) for r in range(m)}

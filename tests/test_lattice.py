@@ -21,10 +21,11 @@ from flipwalk.errors import EnumerationTooLargeError, InvalidParameterError, Str
 from flipwalk.lattice import (
     _WORD,
     LATTICE_COUNTS,
-    LatticeTriangulation,
     _flip_planes,
+    _flipped,
     _flips,
     _grid,
+    _pack,
     _planes,
     _sums_to,
     _unpack,
@@ -34,7 +35,6 @@ from flipwalk.lattice import (
     canonical_lattice_triangulation,
     count_triangulations_recursive,
     enumerate_lattice,
-    flips_lattice,
     product_subgraph,
 )
 from flipwalk.spectral import brute_force_expansion
@@ -42,12 +42,45 @@ from flipwalk.spectral import brute_force_expansion
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
+def _vertices(g) -> list:
+    """The sorted edge tuple of every vertex of a lattice flip graph."""
+    return _grid(g.n).edge_lists(g.keys)
+
+
+def _validate(n, edges) -> None:
+    """The batched full-triangulation check, on one state."""
+    grid = _grid(n)
+    grid.check(grid.row(edges)[None])
+
+
+def _state_flips(n, edges) -> list:
+    """Every flip of one state by the plane kernel, as (neighbour edges,
+    removed edge, inserted edge), in the order of the removed edge."""
+    grid = _grid(n)
+    keys = _pack(grid.row(edges)[None])
+    ((_, state, removed, inserted),) = _flips(keys, grid)
+    nbrs = _flipped(keys[state], removed, inserted)
+    return [(nbr, grid.segs[i], grid.segs[j])
+            for nbr, i, j in zip(grid.edge_lists(nbrs), removed.tolist(), inserted.tolist())]
+
+
+def _triangles(edges) -> set:
+    """The area-1/2 triangles whose three edges are all present, each as
+    its sorted points; in a full triangulation these are the faces."""
+    nbrs = {}
+    for p, q in edges:
+        nbrs.setdefault(p, set()).add(q)
+        nbrs.setdefault(q, set()).add(p)
+    return {tuple(sorted((p, q, w))) for p, q in edges
+            for w in nbrs[p] & nbrs[q] if abs(_cross(p, q, w)) == 1}
+
+
 def test_single_cell_two_triangulations():
     g = enumerate_lattice(2)
     assert g.num_vertices == 2
     assert g.num_edges() == 1
-    for v in g.vertices:
-        v.validate()
+    for v in _vertices(g):
+        _validate(2, v)
 
 
 def test_degenerate_1x1():
@@ -56,8 +89,7 @@ def test_degenerate_1x1():
 
 
 def test_single_cell_flip_swaps_diagonal():
-    t = canonical_lattice_triangulation(2)
-    out = flips_lattice(t)
+    out = _state_flips(2, canonical_lattice_triangulation(2))
     assert len(out) == 1
     nbr, removed, inserted = out[0]
     assert removed == ((0, 1), (1, 0))
@@ -66,8 +98,8 @@ def test_single_cell_flip_swaps_diagonal():
 
 def test_triangle_count_identity():
     for n in (2, 3):
-        for v in enumerate_lattice(n).vertices:
-            assert len(v.triangles()) == 2 * (n - 1) ** 2
+        for v in _vertices(enumerate_lattice(n)):
+            assert len(_triangles(v)) == 2 * (n - 1) ** 2
 
 
 def test_bfs_and_recursive_oracles_agree_on_g3():
@@ -88,17 +120,17 @@ def test_flip_symmetry_and_connectivity_n3():
 
 def test_canonical_n3_flip_count():
     # all 8 interior edges of the canonical staircase happen to be flippable
-    assert len(flips_lattice(canonical_lattice_triangulation(3))) == 8
+    assert len(_state_flips(3, canonical_lattice_triangulation(3))) == 8
 
 
 def test_nonconvex_quad_yields_no_flip():
     # flipping cell (0,0) to its NE diagonal makes the apexes of the unit
     # edge ((1,0),(1,1)) collinear with it: that edge then has no flip
     t = canonical_lattice_triangulation(3)
-    t2 = next(f[0] for f in flips_lattice(t) if f[1] == ((0, 1), (1, 0)))
-    removable = {r for _, r, _ in flips_lattice(t2)}
+    t2 = next(f[0] for f in _state_flips(3, t) if f[1] == ((0, 1), (1, 0)))
+    removable = {r for _, r, _ in _state_flips(3, t2)}
     assert ((1, 0), (1, 1)) not in removable
-    assert len(flips_lattice(t2)) == 6
+    assert len(_state_flips(3, t2)) == 6
 
 
 def test_enumeration_cap():
@@ -108,17 +140,17 @@ def test_enumeration_cap():
 
 def test_validate_rejects_missing_hull_edge():
     t = canonical_lattice_triangulation(2)
-    broken = tuple(e for e in t.edges if e != ((0, 0), (1, 0)))
+    broken = tuple(e for e in t if e != ((0, 0), (1, 0)))
     with pytest.raises(InvalidParameterError):
-        LatticeTriangulation(2, broken).validate()
+        _validate(2, broken)
 
 
 def test_validate_names_a_crossing_pair():
     t = canonical_lattice_triangulation(3)
-    edges = [e for e in t.edges if e != ((1, 1), (2, 0))] + [((0, 0), (1, 1))]
+    edges = [e for e in t if e != ((1, 1), (2, 0))] + [((0, 0), (1, 1))]
     with pytest.raises(InvalidParameterError, match=re.escape(
             "edges ((0, 0), (1, 1)) and ((0, 1), (1, 0)) cross")):
-        LatticeTriangulation(3, tuple(sorted(edges))).validate()
+        _validate(3, tuple(sorted(edges)))
 
 
 def test_product_subgraph_is_hypercube():
@@ -132,8 +164,8 @@ def test_product_subgraph_is_hypercube():
         for j in adj[i]:
             assert int((h.coords[i] != h.coords[j]).sum()) == 1
     assert h.is_connected()
-    for v in h.vertices:
-        v.validate()
+    for v in _vertices(h):
+        _validate(4, v)
 
 
 def test_product_subgraph_expansion_bound():
@@ -203,13 +235,13 @@ def test_parallelogram_rule_matches_segment_crossing():
     """For an interior edge pq with apexes w1 (left) and w2 (right), the
     quadrilateral p w1 q w2 is strictly convex iff w1 + w2 == p + q."""
     checked = 0
-    for t in enumerate_lattice(3).vertices:
+    for t in _vertices(enumerate_lattice(3)):
         nbrs = {}
-        for p, q in t.edges:
+        for p, q in t:
             nbrs.setdefault(p, set()).add(q)
             nbrs.setdefault(q, set()).add(p)
-        flipped = {removed for _, removed, _ in flips_lattice(t)}
-        for p, q in t.edges:
+        flipped = {removed for _, removed, _ in _state_flips(3, t)}
+        for p, q in t:
             apexes = [w for w in nbrs[p] & nbrs[q] if abs(_cross(p, q, w)) == 1]
             if len(apexes) < 2:
                 continue  # hull edge
@@ -236,12 +268,12 @@ def test_flips_match_golden(n):
     with open(os.path.join(GOLDEN, "lattice_flips.json")) as fh:
         want = json.load(fh)[str(n)]
     states = [tuple(tuple(map(tuple, e)) for e in s) for s in want["states"]]
-    assert [v.edges for v in enumerate_lattice(n).vertices] == states
+    assert _vertices(enumerate_lattice(n)) == states
     index = {s: i for i, s in enumerate(states)}
     for s, flips in zip(states, want["flips"]):
         got = [
-            [index[nbr.edges], list(map(list, r)), list(map(list, ins))]
-            for nbr, r, ins in flips_lattice(LatticeTriangulation(n, s))
+            [index[nbr], list(map(list, r)), list(map(list, ins))]
+            for nbr, r, ins in _state_flips(n, s)
         ]
         assert got == flips
 
@@ -251,20 +283,20 @@ def test_flips_are_single_edge_exchanges(n):
     """With no flip rule: two triangulations are adjacent iff their edge sets
     differ by exactly one edge, and flipping the inserted edge back restores
     the state.  The state count is pinned by the recursive oracle."""
-    vertices = enumerate_lattice(n).vertices
+    vertices = _vertices(enumerate_lattice(n))
     assert len(vertices) == count_triangulations_recursive(n)
-    edge_sets = [set(v.edges) for v in vertices]
+    edge_sets = [set(v) for v in vertices]
     for t, es in zip(vertices, edge_sets):
-        exchanges = {o.edges for o, os in zip(vertices, edge_sets) if len(es - os) == 1}
-        flips = flips_lattice(t)
-        assert {nbr.edges for nbr, _, _ in flips} == exchanges
+        exchanges = {o for o, os in zip(vertices, edge_sets) if len(es - os) == 1}
+        flips = _state_flips(n, t)
+        assert {nbr for nbr, _, _ in flips} == exchanges
         for nbr, removed, inserted in flips:
-            assert set(nbr.edges) == es - {removed} | {inserted}
-            (back,) = [(b, r) for b, rem, r in flips_lattice(nbr) if rem == inserted]
+            assert set(nbr) == es - {removed} | {inserted}
+            (back,) = [(b, r) for b, rem, r in _state_flips(n, nbr) if rem == inserted]
             assert back == (t, removed)
 
 
-_CANONICAL_3 = canonical_lattice_triangulation(3).edges
+_CANONICAL_3 = canonical_lattice_triangulation(3)
 
 
 @pytest.mark.parametrize(
@@ -278,23 +310,22 @@ _CANONICAL_3 = canonical_lattice_triangulation(3).edges
     ids=["reversed", "repeated", "off-grid", "not-primitive"],
 )
 def test_edges_outside_the_grid_table_are_rejected(edges, bad):
-    t = LatticeTriangulation(3, edges)
-    for check in (flips_lattice, LatticeTriangulation.validate):
+    for check in (_state_flips, _validate):
         with pytest.raises(InvalidParameterError, match=re.escape(str(bad))):
-            check(t)
+            check(3, edges)
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(st.integers(min_value=1, max_value=200), st.randoms(use_true_random=False))
 def test_random_flip_walk_stays_valid_and_symmetric(steps, rnd):
-    """A flip walk from the canonical n = 4 state keeps validate() true, and
-    each step's new state lists the old one among its flips."""
+    """A flip walk from the canonical n = 4 state passes the batched check,
+    and each step's new state lists the old one among its flips."""
     t = canonical_lattice_triangulation(4)
-    flips = flips_lattice(t)
+    flips = _state_flips(4, t)
     for _ in range(steps):
         nxt = rnd.choice(flips)[0]
-        nxt.validate()
-        flips = flips_lattice(nxt)
+        _validate(4, nxt)
+        flips = _state_flips(4, nxt)
         assert t in [nbr for nbr, _, _ in flips]
         t = nxt
 
@@ -312,7 +343,7 @@ def test_batched_flips_match_reference(n):
     tests/reference_lattice.py: the same vertices in the same order, the
     same adjacency, and every state's (removed, inserted) flips in order."""
     g = enumerate_lattice(n)
-    vertices, adj = reference_graph(n, canonical_lattice_triangulation(n).edges)
+    vertices, adj = reference_graph(n, canonical_lattice_triangulation(n))
     grid, ref = _grid(n), reference_grid(n)
     assert grid.segs == ref.segs
     assert g.num_vertices == len(vertices) == LATTICE_COUNTS[n]
@@ -366,7 +397,7 @@ def test_key_collision_raises(n, monkeypatch):
     flip sharing one key word, that flip's key equals its parent's: the
     exact arc check must raise rather than return a merged graph."""
     grid = _grid(n)
-    ((nbr, removed, inserted), *_) = flips_lattice(canonical_lattice_triangulation(n))
+    ((nbr, removed, inserted), *_) = _state_flips(n, canonical_lattice_triangulation(n))
     z = grid.zobrist.copy()
     z[grid.ids[inserted]] = z[grid.ids[removed]]
     monkeypatch.setattr(grid, "zobrist", z)
@@ -417,7 +448,7 @@ def _swap(edges, out, into):
     return tuple(sorted([e for e in edges if e != out] + ([into] if into else [])))
 
 
-_C3 = canonical_lattice_triangulation(3).edges
+_C3 = canonical_lattice_triangulation(3)
 _DEFECTS = {  # a row per check, each passing every earlier check
     "count": (_swap(_C3, ((0, 1), (1, 0)), None), "expected 16 edges, got 15"),
     "hull": (_swap(_C3, ((0, 0), (1, 0)), ((0, 0), (1, 1))), "missing hull edge ((0, 0), (1, 0))"),
@@ -437,8 +468,8 @@ def test_batched_check_names_the_first_bad_row(first, monkeypatch):
     for the triangle (0,0) (1,0) (0,1); the good rows avoid that triangle,
     and the "faces" row (the canonical state) holds it."""
     grid = _grid(3)
-    good = [grid.row(v.edges) for v in enumerate_lattice(3).vertices
-            if ((0, 1), (1, 0)) not in v.edges]
+    good = [grid.row(v) for v in _vertices(enumerate_lattice(3))
+            if ((0, 1), (1, 0)) not in v]
     legs = grid.legs.copy()
     cut = grid.ids[((0, 1), (1, 0))]
     ((side, slot),) = np.argwhere((grid.apex[cut] == 0) & (grid.legs[cut, ..., 0] < grid.size))
@@ -455,14 +486,14 @@ def test_batched_check_names_the_first_bad_row(first, monkeypatch):
         grid.check(rows)
 
 
-def _block_coords(t, block, sub_states):
+def _block_coords(n, edges, block, sub_states):
     """The coordinate of a product-subgraph vertex, read off its edges: per
     block, the index of the block triangulation it restricts to."""
     coord = []
-    for ox in range(0, t.n, block):
-        for oy in range(0, t.n, block):
+    for ox in range(0, n, block):
+        for oy in range(0, n, block):
             inside = tuple(
-                ((ax - ox, ay - oy), (bx - ox, by - oy)) for (ax, ay), (bx, by) in t.edges
+                ((ax - ox, ay - oy), (bx - ox, by - oy)) for (ax, ay), (bx, by) in edges
                 if all(ox <= x < ox + block and oy <= y < oy + block
                        for x, y in ((ax, ay), (bx, by))))
             coord.append(sub_states.index(inside))
@@ -479,15 +510,14 @@ def test_json_round_trip(build, block):
     and edge list, and (read off the edges) the same block coordinates."""
     g = build()
     doc = json.loads(g.to_json())
-    vertices = [LatticeTriangulation(doc["n"], tuple(tuple(map(tuple, e)) for e in v))
-                for v in doc["vertices"]]
+    vertices = [tuple(tuple(map(tuple, e)) for e in v) for v in doc["vertices"]]
     for v in vertices:
-        v.validate()
-    assert vertices == g.vertices
+        _validate(doc["n"], v)
+    assert vertices == _vertices(g)
     assert [tuple(e) for e in doc["edges"]] == list(g.edges())
     if block is None:
         assert g.coords is None
     else:
-        sub_states = [v.edges for v in enumerate_lattice(block).vertices]
-        want = [_block_coords(v, block, sub_states) for v in vertices]
+        sub_states = _vertices(enumerate_lattice(block))
+        want = [_block_coords(g.n, v, block, sub_states) for v in vertices]
         assert want == list(map(tuple, g.coords.tolist()))

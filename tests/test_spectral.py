@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from reference_graph import adjacency_lists, graph_from_lists
-from reference_spectral import eigsh_gap
+from reference_spectral import eigsh_gap, transition_matrix
 
 from flipwalk import spectral
 from flipwalk.combinatorics import catalan
@@ -40,24 +40,24 @@ def _graph(k, n, _cache={}):
 
 def test_k2_transition_matrix():
     chain = build_chain(_graph(3, 2))
-    assert np.allclose(chain.transition_matrix(), [[0.5, 0.5], [0.5, 0.5]])
+    assert np.allclose(transition_matrix(chain), [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_k5_row_mass():
     chain = build_chain(_graph(3, 5))
-    p = chain.transition_matrix()
+    p = transition_matrix(chain)
     assert p.shape == (42, 42)
     off_mass = p.sum(axis=1) - np.diag(p)
     assert np.allclose(off_mass, 0.5)
 
 
 def test_doubly_stochastic():
-    p = build_chain(_graph(3, 4)).transition_matrix()
+    p = transition_matrix(build_chain(_graph(3, 4)))
     assert np.allclose(p.sum(axis=0), 1.0)
     assert np.allclose(p.sum(axis=1), 1.0)
     # k = 4, n = 3: 2(n-1)(k-2) = 8, so each row is four moves of exactly
     # 1/8 and a stay of 1/2, and sums to 1 exactly
-    p = build_chain(_graph(4, 3)).transition_matrix()
+    p = transition_matrix(build_chain(_graph(4, 3)))
     off = p - np.diag(np.diag(p))
     assert ((off == 0) | (off == 0.125)).all()
     assert ((off == 0.125).sum(axis=1) == 4).all()
@@ -85,7 +85,7 @@ def test_mixing_time_matches_stepwise_oracle():
         g = _graph(k, n)
         chain = build_chain(g)
         tau = mixing_time(chain)
-        p = chain.transition_matrix()
+        p = transition_matrix(chain)
         m = np.eye(g.num_vertices)
         t = 0
         while 0.5 * np.abs(m - 1.0 / g.num_vertices).sum(axis=1).max() >= 0.25:
@@ -122,7 +122,7 @@ def test_gap_matches_arpack_oracle(k, n):
     gap = chain.spectral_gap()
     assert abs(gap - eigsh_gap(chain)) <= 1e-13 * gap, (k, n)
     if chain.num_states <= 1430:
-        dense = 1.0 - np.linalg.eigvalsh(chain.transition_matrix())[-2]
+        dense = 1.0 - np.linalg.eigvalsh(transition_matrix(chain))[-2]
         assert abs(gap - dense) <= 1e-13 * gap, (k, n)
     vec = chain.second_eigenvector()
     assert abs(np.sqrt((vec * vec).sum()) - 1) < 1e-14
@@ -396,7 +396,7 @@ def test_mixing_time_rejects_a_missed_eigenvalue():
 )
 def test_degree_zero_vertex_keeps_its_mass(adj, start, expected_p):
     chain = build_chain(graph_from_lists(adj))
-    p = chain.transition_matrix()
+    p = transition_matrix(chain)
     assert np.array_equal(p, np.array(expected_p, dtype=float))
     x = np.zeros(3)
     x[start] = 1.0
@@ -595,5 +595,5 @@ def test_cut_gap_bound():
     # the 4-cycle split into two paths: 2 boundary edges, N = 4, Delta = 2
     cut = spectral.CutReport(None, 2, 2, 2, Fraction(1), "pair")
     f = np.array([1.0, 1.0, 0.0, 0.0]) - 0.5
-    p = build_chain(graph_from_lists([[1, 3], [0, 2], [1, 3], [0, 2]])).transition_matrix()
+    p = transition_matrix(build_chain(graph_from_lists([[1, 3], [0, 2], [1, 3], [0, 2]])))
     assert spectral.cut_gap_bound(cut, 2) == Fraction(1, 2) == 1 - (f @ p @ f) / (f @ f)
