@@ -1,107 +1,82 @@
 """Flip-graph toolkit: k-angulation flip walks, class decompositions,
-multicommodity-flow congestion machinery, and exact chain analysis."""
+multicommodity-flow congestion machinery, and exact chain analysis.
 
-from .combinatorics import (
-    binomial,
-    catalan,
-    fuss_catalan,
-    fuss_catalan_bounds,
-    fuss_catalan_bounds_log,
-)
-from .decomposition import (
-    BoundaryMatching,
-    ClassDescriptor,
-    ClassPartition,
-    boundary_matchings,
-    boundary_projection,
-    central_partition,
-    oriented_partition,
-    verify_matching_inequality,
-)
-from .flownet import (
-    cartesian_flow_combine,
-    hierarchical_pairing_flow,
-    projection_restriction_combine,
-    uniform_flow_recursive,
-    verify_unit_demands,
-)
-from .flows import (
-    ArcFlow,
-    CongestionReport,
-    congestion_report,
-    expansion_lower_bound,
-)
-from .graph import Graph, product_graph
-from .kangulation import (
-    FlipGraph,
-    build_flip_graph,
-    count_kangulations,
-    diameter,
-    flip_graph_from_json_dict,
-)
-from .lattice import (
-    LatticeFlipGraph,
-    count_triangulations_recursive,
-    enumerate_lattice,
-    product_subgraph,
-)
-from .spectral import (
-    ChainAnalysis,
-    CutReport,
-    brute_force_expansion,
-    build_chain,
-    cheeger_bounds,
-    mixing_time,
-    sample_walk,
-    shortest_side_cut,
-    tvd,
-    tvd_curve,
-)
+The public names are imported from their modules on first use (PEP 562),
+so `import flipwalk` loads no layer, and a CLI call loads only the layers
+its command runs."""
 
-__all__ = [
-    "ArcFlow",
-    "BoundaryMatching",
-    "ChainAnalysis",
-    "ClassDescriptor",
-    "ClassPartition",
-    "CongestionReport",
-    "CutReport",
-    "FlipGraph",
-    "Graph",
-    "LatticeFlipGraph",
-    "binomial",
-    "boundary_matchings",
-    "boundary_projection",
-    "brute_force_expansion",
-    "build_chain",
-    "build_flip_graph",
-    "cartesian_flow_combine",
-    "catalan",
-    "central_partition",
-    "cheeger_bounds",
-    "congestion_report",
-    "count_kangulations",
-    "count_triangulations_recursive",
-    "diameter",
-    "enumerate_lattice",
-    "expansion_lower_bound",
-    "flip_graph_from_json_dict",
-    "fuss_catalan",
-    "fuss_catalan_bounds",
-    "fuss_catalan_bounds_log",
-    "hierarchical_pairing_flow",
-    "mixing_time",
-    "oriented_partition",
-    "product_graph",
-    "product_subgraph",
-    "projection_restriction_combine",
-    "sample_walk",
-    "shortest_side_cut",
-    "tvd",
-    "tvd_curve",
-    "uniform_flow_recursive",
-    "verify_matching_inequality",
-    "verify_unit_demands",
-]
+import sys
+from importlib import import_module
+
+# public name -> the module that defines it
+_EXPORTS = {
+    "binomial": "combinatorics",
+    "catalan": "combinatorics",
+    "fuss_catalan": "combinatorics",
+    "fuss_catalan_bounds": "combinatorics",
+    "fuss_catalan_bounds_log": "combinatorics",
+    "boundary_matchings": "decomposition",
+    "boundary_projection": "decomposition",
+    "central_partition": "decomposition",
+    "oriented_partition": "decomposition",
+    "verify_matching_inequality": "decomposition",
+    "BoundaryMatching": "decomposition",
+    "ClassDescriptor": "decomposition",
+    "ClassPartition": "decomposition",
+    "cartesian_flow_combine": "flownet",
+    "hierarchical_pairing_flow": "flownet",
+    "projection_restriction_combine": "flownet",
+    "uniform_flow_recursive": "flownet",
+    "verify_unit_demands": "flownet",
+    "congestion_report": "flows",
+    "expansion_lower_bound": "flows",
+    "ArcFlow": "flows",
+    "CongestionReport": "flows",
+    "product_graph": "graph",
+    "Graph": "graph",
+    "build_flip_graph": "kangulation",
+    "count_kangulations": "kangulation",
+    "diameter": "kangulation",
+    "flip_graph_from_json_dict": "kangulation",
+    "FlipGraph": "kangulation",
+    "count_triangulations_recursive": "lattice",
+    "enumerate_lattice": "lattice",
+    "product_subgraph": "lattice",
+    "LatticeFlipGraph": "lattice",
+    "brute_force_expansion": "spectral",
+    "build_chain": "spectral",
+    "cheeger_bounds": "spectral",
+    "mixing_time": "spectral",
+    "sample_walk": "spectral",
+    "shortest_side_cut": "spectral",
+    "tvd": "spectral",
+    "tvd_curve": "spectral",
+    "ChainAnalysis": "spectral",
+    "CutReport": "spectral",
+}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def _lazy_names(module: str, table: dict):
+    """A PEP 562 module `__getattr__` for `module`: a name of `table` (name
+    -> module of this package) is imported on first use and kept as a
+    global of `module`, so later lookups, and rebindings, bypass it."""
+
+    def __getattr__(name):
+        if name not in table:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        value = getattr(import_module(f"{__name__}.{table[name]}"), name)
+        setattr(sys.modules[module], name, value)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy_names(__name__, _EXPORTS)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

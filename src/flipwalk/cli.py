@@ -15,8 +15,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import _lazy_names
 from .combinatorics import catalan, fuss_catalan
-from .decomposition import oriented_partition, verify_matching_inequality
 from .errors import (
     EnumerationTooLargeError,
     FlipwalkError,
@@ -24,33 +24,46 @@ from .errors import (
     LemmaViolationError,
     NumericFailureError,
 )
-from .flownet import (
-    FLOW_N_CAP,
-    hierarchical_pairing_flow,
-    matching_arc_values,
-    uniform_flow_recursive,
-    verify_unit_demands,
-)
 from .kangulation import (
     DEFAULT_ENUMERATION_CAP,
     build_flip_graph,
     count_kangulations,
     flip_graph_from_json_dict,  # noqa: F401 (bench/trace_cli.py wraps it under this name)
 )
-from .lattice import count_triangulations_recursive, enumerate_lattice, product_subgraph
-from .spectral import (
-    CUT_N_CAP,
-    build_chain,
-    cheeger_bounds,
-    cut_gap_bound,
-    mixing_time,
-    sample_walk,
-    shortest_side_cut,
-    tvd_curve,
-)
+
+# The layers past the flip-graph build, imported on first use so that a call
+# loads only the layers its command runs (`sample` needs spectral alone, and
+# `lattice` lattice alone): name -> module.  The runners look these names up
+# as attributes of this module (`_cli.name`), so rebinding one here, as the
+# tests and the bench tracer do, takes effect.
+_LAZY = {
+    "oriented_partition": "decomposition",
+    "verify_matching_inequality": "decomposition",
+    "FLOW_N_CAP": "flownet",
+    "hierarchical_pairing_flow": "flownet",
+    "matching_arc_values": "flownet",
+    "uniform_flow_recursive": "flownet",
+    "verify_unit_demands": "flownet",
+    "count_triangulations_recursive": "lattice",
+    "enumerate_lattice": "lattice",
+    "product_subgraph": "lattice",
+    "CUT_N_CAP": "spectral",
+    "build_chain": "spectral",
+    "cheeger_bounds": "spectral",
+    "cut_gap_bound": "spectral",
+    "mixing_time": "spectral",
+    "sample_walk": "spectral",
+    "shortest_side_cut": "spectral",
+    "tvd_curve": "spectral",
+}
+__getattr__ = _lazy_names(__name__, _LAZY)
+_cli = sys.modules[__name__]
 
 COMMANDS = ("enumerate", "analyze", "flow", "cut", "lattice", "sample")
-MAX_STEPS = 10**9  # sample walk steps; about 10 minutes at 0.62 us per step
+# sample walk steps; about 2.5 to 5 minutes at 0.15 to 0.3 us per step (10^7
+# steps of `sample` at k = 3 took 1.5-2.1 s at n = 4 and 2.5-3.0 s at n = 10,
+# on a 2-vCPU host)
+MAX_STEPS = 10**9
 EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, EXIT_CAP = 0, 2, 3, 4
 # relative slack of the gap's check against the exact cut bound, far above
 # the float gap's rounding (3e-14 relative at k = 3 n <= 9)
@@ -118,6 +131,10 @@ class ExperimentConfig:
             raise InvalidParameterError(f"seed must be >= 0 (field 'seed' = {self.seed})")
         if self.fmt not in ("json", "csv", "dot"):
             raise InvalidParameterError(f"format must be json|csv|dot, got {self.fmt!r}")
+        if self.fmt == "csv" and self.command != "analyze":
+            raise InvalidParameterError(
+                f"only analyze writes csv (field 'fmt' = 'csv', command {self.command!r})"
+            )
         if not 0 < self.epsilon < 1:
             raise InvalidParameterError(
                 f"epsilon must be in (0, 1) (field 'epsilon' = {self.epsilon})"
@@ -257,18 +274,18 @@ def _run_analyze(cfg: ExperimentConfig) -> list:
     summaries = []
     for n in cfg.ns:
         graph = build_flip_graph(cfg.k, n, cap=cfg.cap)
-        chain = build_chain(graph)
+        chain = _cli.build_chain(graph)
         gap = chain.spectral_gap()
-        cut = shortest_side_cut(n) if cfg.k == 3 and n >= 2 else None
+        cut = _cli.shortest_side_cut(n) if cfg.k == 3 and n >= 2 else None
         if cut is not None and cut.side_size and cut.other_size:
-            bound = cut_gap_bound(cut, chain.delta)
+            bound = _cli.cut_gap_bound(cut, chain.delta)
             if Fraction(gap) > bound * (1 + GAP_RTOL):
                 raise NumericFailureError(
                     f"n = {n}: gap {gap!r} is above the central cut's bound "
                     f"{bound} = {float(bound)!r}"
                 )
-        tau, mode = mixing_time(chain, cfg.epsilon, return_mode=True)
-        lo, hi = cheeger_bounds(chain)
+        tau, mode = _cli.mixing_time(chain, cfg.epsilon, return_mode=True)
+        lo, hi = _cli.cheeger_bounds(chain)
         doc = {
             "command": "analyze", "k": cfg.k, "n": n,
             "vertices": graph.num_vertices, "degree": graph.degree,
@@ -282,7 +299,7 @@ def _run_analyze(cfg: ExperimentConfig) -> list:
                 "degenerate": cut.degenerate,
             }
         if cfg.fmt == "csv":
-            curve = tvd_curve(chain, 0, tau + 10)
+            curve = _cli.tvd_curve(chain, 0, tau + 10)
             lines = ["step,tvd"] + [f"{t},{v!r}" for t, v in enumerate(curve)]
             _write(cfg, f"tvd_k{cfg.k}_n{n}.csv", "\n".join(lines) + "\n")
         summaries.append(doc)
@@ -292,14 +309,14 @@ def _run_analyze(cfg: ExperimentConfig) -> list:
 def _run_flow(cfg: ExperimentConfig) -> list:
     if cfg.k != 3:
         raise InvalidParameterError("flow command requires k = 3")
-    if cfg.ns[-1] > FLOW_N_CAP:  # before any size is built
-        raise EnumerationTooLargeError(cfg.ns[-1], FLOW_N_CAP, "flow n")
+    if cfg.ns[-1] > _cli.FLOW_N_CAP:  # before any size is built
+        raise EnumerationTooLargeError(cfg.ns[-1], _cli.FLOW_N_CAP, "flow n")
     summaries = []
     for n in cfg.ns:
         graph = build_flip_graph(3, n, cap=cfg.cap)
-        _, report = uniform_flow_recursive(graph)
-        verify_unit_demands(n)
-        worst = max((v for _, _, v in matching_arc_values(n)), default=0) if n >= 2 else 0
+        _, report = _cli.uniform_flow_recursive(graph)
+        _cli.verify_unit_demands(n)
+        worst = max((v for _, _, v in _cli.matching_arc_values(n)), default=0) if n >= 2 else 0
         if worst > catalan(n):
             raise LemmaViolationError(
                 f"matching arc carries {worst} > C_n = {catalan(n)}",
@@ -313,8 +330,8 @@ def _run_flow(cfg: ExperimentConfig) -> list:
         }
         if n >= 2:
             worst_f = Fraction(worst)
-            ineq = verify_matching_inequality(oriented_partition(graph))
-            pairing = hierarchical_pairing_flow(n)[2]
+            ineq = _cli.verify_matching_inequality(_cli.oriented_partition(graph))
+            pairing = _cli.hierarchical_pairing_flow(n)[2]
             doc["matching_arc_max"] = _frac(worst_f)
             doc["matching_inequality"] = {
                 "pairs": ineq["pairs_checked"],
@@ -329,11 +346,11 @@ def _run_flow(cfg: ExperimentConfig) -> list:
 
 
 def _run_cut(cfg: ExperimentConfig) -> list:
-    if cfg.ns[-1] > CUT_N_CAP:  # before any size is cut
-        raise EnumerationTooLargeError(cfg.ns[-1], CUT_N_CAP, "cut n")
+    if cfg.ns[-1] > _cli.CUT_N_CAP:  # before any size is cut
+        raise EnumerationTooLargeError(cfg.ns[-1], _cli.CUT_N_CAP, "cut n")
     summaries = []
     for n in cfg.ns:
-        rep = shortest_side_cut(n)
+        rep = _cli.shortest_side_cut(n)
         doc = {"command": "cut", "k": 3, "n": n, **rep.to_json_dict()}
         summaries.append(doc)
     return summaries
@@ -343,18 +360,18 @@ def _run_lattice(cfg: ExperimentConfig) -> list:
     summaries = []
     for n in cfg.ns:
         if cfg.block:
-            graph = product_subgraph(n, cfg.block, cap=cfg.cap)
+            graph = _cli.product_subgraph(n, cfg.block, cap=cfg.cap)
             doc = {
                 "command": "lattice", "n": n, "block": cfg.block,
                 "vertices": graph.num_vertices, "edges": graph.num_edges(),
                 "connected": graph.is_connected(),
             }
         else:
-            graph = enumerate_lattice(n, cap=cfg.cap)
+            graph = _cli.enumerate_lattice(n, cap=cfg.cap)
             doc = {
                 "command": "lattice", "n": n,
                 "vertices": graph.num_vertices, "edges": graph.num_edges(),
-                "recursive_count": count_triangulations_recursive(n),
+                "recursive_count": _cli.count_triangulations_recursive(n),
                 "connected": graph.is_connected(),
             }
             doc["oracles_agree"] = doc["vertices"] == doc["recursive_count"]
@@ -368,7 +385,7 @@ def _run_sample(cfg: ExperimentConfig) -> list:
     summaries = []
     for n in cfg.ns:
         graph = build_flip_graph(cfg.k, n, cap=cfg.cap)
-        res = sample_walk(graph, cfg.steps, seed=cfg.seed, start=0, thin=cfg.thin)
+        res = _cli.sample_walk(graph, cfg.steps, seed=cfg.seed, start=0, thin=cfg.thin)
         doc = {
             "command": "sample", "k": cfg.k, "n": n, "seed": cfg.seed,
             "steps": cfg.steps, "thin": cfg.thin,

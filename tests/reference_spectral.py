@@ -1,16 +1,18 @@
-"""ARPACK reference for the spectral gap.
+"""ARPACK reference for the spectral gap, and the per-step walk.
 
-This is the earlier solver: `scipy.sparse.linalg.eigsh` for the top two
+`eigsh_second_eigenpair` is the earlier solver: `scipy.sparse.linalg.eigsh` for the top two
 eigenpairs of the lazy operator (dense `eigh` for N <= 2, where ARPACK
 cannot return two), from the same fixed start vector, with lambda_2 taken
 as the Rayleigh quotient of its eigenvector, summed in long double.  The
 package runs a deflated Lanczos without BLAS instead; the two gaps must
 agree to rounding.  `transition_matrix` is the dense P that the exact
-small-graph checks compare against.
+small-graph checks compare against.  `sample_walk_per_step` is the walk
+loop the package ran before it stepped only the coins that can move.
 """
 
 import numpy as np
 
+from flipwalk import spectral
 from flipwalk.spectral import LANCZOS_SEED
 
 
@@ -39,3 +41,32 @@ def eigsh_second_eigenpair(chain) -> tuple:
 
 def eigsh_gap(chain) -> float:
     return 1.0 - eigsh_second_eigenpair(chain)[0]
+
+
+def sample_walk_per_step(graph, steps: int, seed: int, start: int, thin: int = 1) -> dict:
+    """The walk of `spectral.sample_walk` stepped one coin at a time: the
+    histogram of the thinned trajectory, the final state and the chi-square
+    statistic.  Coins come `WALK_CHUNK` at a time from one seeded generator,
+    as in the package, and every coin, moving or not, is looked at."""
+    delta = graph.degree
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(graph.num_vertices, dtype=np.int64)
+    state = start
+    counts[state] += 1
+    indptr, indices = (a.tolist() for a in graph.csr())
+    for lo in range(0, steps, spectral.WALK_CHUNK):
+        coins = rng.integers(0, 2 * delta, size=min(spectral.WALK_CHUNK, steps - lo)).tolist()
+        for i, coin in enumerate(coins, lo):
+            at = indptr[state] + coin
+            if at < indptr[state + 1]:
+                state = indices[at]
+            # else: lazy hold (covers the coin's tails half and any
+            # missing moves of an irregular vertex)
+            if (i + 1) % thin == 0:
+                counts[state] += 1
+    expected = counts.sum() / graph.num_vertices
+    return {
+        "histogram": counts.tolist(),
+        "final_state": state,
+        "chi_square": float(((counts - expected) ** 2 / expected).sum()),
+    }

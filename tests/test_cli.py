@@ -448,6 +448,47 @@ def test_lattice_cap_and_block_exit_codes(tmp_path, monkeypatch, capsys, flags, 
         assert f"resource cap: {message}" in capsys.readouterr().err
 
 
+def _python(script: str) -> subprocess.CompletedProcess:
+    """Run a Python script in a fresh interpreter on this checkout's package."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+
+
+# the flipwalk modules a command loads beyond those of `import flipwalk.cli`
+COMMAND_LAYERS = [
+    (["sample", "--n", "6", "--seed", "1"], ["spectral"]),
+    (["lattice", "--n", "3"], ["lattice"]),
+    (["flow", "--n", "5"], ["decomposition", "flownet", "flows"]),
+    (["cut", "--n", "8"], ["decomposition", "spectral"]),
+    (["analyze", "--k", "3", "--n", "5"], ["decomposition", "spectral"]),
+    (["analyze", "--k", "4", "--n", "4"], ["spectral"]),
+    (["enumerate", "--n", "5"], []),
+]
+
+
+@pytest.mark.parametrize("argv, layers", COMMAND_LAYERS)
+def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
+    """`import flipwalk.cli` loads the CLI, errors, combinatorics,
+    kangulation and graph, and each command adds only the layers it runs:
+    without bytecode on disk every module a process imports is compiled,
+    so a layer the command never calls costs its start-up."""
+    script = (
+        "import contextlib, io, sys\n"
+        "import flipwalk.cli\n"
+        "loaded = lambda: {m.split('.', 1)[1] for m in sys.modules if m.startswith('flipwalk.')}\n"
+        "base = loaded()\n"
+        "print(sorted(base))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert flipwalk.cli.main({['--command', *argv, '--out', str(tmp_path)]!r}) == 0\n"
+        "print(sorted(loaded() - base))\n"
+    )
+    base = ["cli", "combinatorics", "errors", "graph", "kangulation"]
+    assert _python(script).stdout == f"{base}\n{layers}\n"
+
+
 def test_lattice_and_flow_import_no_scipy(tmp_path):
     """`lattice` (with and without a `--block` product), `flow` and the
     diameter never load scipy: importing it alone costs about 0.12 s, more
@@ -469,12 +510,7 @@ def test_lattice_and_flow_import_no_scipy(tmp_path):
         "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "[]\n[]\n[]\n"
+    assert _python(script).stdout == "[]\n[]\n[]\n"
 
 
 def test_analyze_loads_no_scipy_linalg_and_sample_no_scipy(tmp_path):
@@ -497,11 +533,7 @@ def test_analyze_loads_no_scipy_linalg_and_sample_no_scipy(tmp_path):
         "blas = {line.split()[-1] for line in maps if 'openblas' in line.lower()}\n"
         "print(sorted(os.path.basename(os.path.dirname(p)) for p in blas if 'numpy' not in p))\n"
     )
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True)
+    out = _python(script)
     assert out.stderr == "[]\n"
     assert out.stdout == "True\n[]\n[]\n"
 
@@ -511,6 +543,18 @@ def test_dot_export(tmp_path):
     assert main(["--command", "enumerate", "--n", "3", "--format", "dot",
                  "--out", out]) == EXIT_OK
     assert (tmp_path / "flipgraph_k3_n3.dot").exists()
+
+
+@pytest.mark.parametrize("command", ["enumerate", "flow", "cut", "lattice", "sample"])
+def test_csv_format_is_analyze_only(tmp_path, capsys, command):
+    """Only analyze writes a CSV (its TVD curves); any other command refuses
+    --format csv with exit 2, names the field, and writes nothing."""
+    out = tmp_path / "out"
+    rc = main(["--command", command, "--n", "3", "--seed", "1", "--format", "csv",
+               "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert "field 'fmt'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tvd_csv_export(tmp_path):

@@ -1,12 +1,13 @@
 """Chain analysis: matrices, TVD, mixing, gaps, expansion, cuts, sampling."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from reference_graph import adjacency_lists, graph_from_lists
-from reference_spectral import eigsh_gap, transition_matrix
+from reference_spectral import eigsh_gap, sample_walk_per_step, transition_matrix
 
 from flipwalk import spectral
 from flipwalk.combinatorics import catalan
@@ -340,6 +341,21 @@ def test_kangulation_mixing_trend(k, n, want):
     assert (t_rel - 1) * math.log(1 / (2 * eps)) <= tau <= t_rel * math.log(chain.num_states / eps)
 
 
+# 1/gap at k = 4, n = 3..8 and k = 5, n = 3..7, to five significant digits
+RELAXATION_TIMES = {
+    4: [4.0000, 8.2932, 14.3023, 22.0866, 31.6867, 43.1316],
+    5: [4.6116, 9.5713, 16.4548, 25.3099, 36.1684],
+}
+
+
+@pytest.mark.parametrize("k, n, want", [
+    (k, n, t) for k, times in RELAXATION_TIMES.items() for n, t in enumerate(times, 3)])
+def test_kangulation_relaxation_time(k, n, want):
+    """The relaxation time 1/gap of the k >= 4 chains, pinned to 1e-4."""
+    gap = build_chain(build_flip_graph(k, n)).spectral_gap()
+    assert 1 / gap == pytest.approx(want, rel=1e-4)
+
+
 def test_heuristic_start_on_other_large_graphs(monkeypatch):
     n = 12
     cyc = graph_from_lists([[(i - 1) % n, (i + 1) % n] for i in range(n)])
@@ -532,6 +548,22 @@ def test_sample_walk_chunked_draws_match_one_draw(monkeypatch):
     whole = sample_walk(g, 1000, seed=4, start=2, thin=3)
     monkeypatch.setattr(spectral, "WALK_CHUNK", 7)
     assert sample_walk(g, 1000, seed=4, start=2, thin=3) == whole
+
+
+@pytest.mark.parametrize("chunk", [7, spectral.WALK_CHUNK])
+@pytest.mark.parametrize("graph", ["k3n4", "k3n7", "k3n10", "lattice3"])
+def test_sample_walk_matches_per_step_oracle(monkeypatch, graph, chunk):
+    """Stepping only the coins below Delta gives the per-step loop's
+    histogram, final state and chi-square, bit for bit, with coins drawn
+    seven at a time (records then fall on chunk boundaries) or in one chunk.
+    The n = 3 lattice flip graph is irregular, so a coin below Delta can
+    still hold."""
+    g = enumerate_lattice(3) if graph == "lattice3" else _graph(3, int(graph[3:]))
+    monkeypatch.setattr(spectral, "WALK_CHUNK", chunk)
+    for seed, thin, steps in itertools.product([0, 1, 7], [1, 3, 50], [0, 1, 500, 10_000]):
+        res = sample_walk(g, steps, seed=seed, start=0, thin=thin)
+        want = sample_walk_per_step(g, steps, seed=seed, start=0, thin=thin)
+        assert {key: res[key] for key in want} == want, (seed, thin, steps)
 
 
 @pytest.mark.parametrize("steps, thin", [(-1, 1), (10, 0), (10, -2)])
