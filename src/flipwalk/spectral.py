@@ -2,20 +2,25 @@
 distance, exact mixing times, spectral gaps, Cheeger-style expansion brackets,
 brute-force expansion for tiny graphs, and the shortest-side central cut.
 
-The only scipy module used is `scipy.sparse`, for the CSR operator; it is
-imported inside the functions that use it, because importing it costs more
-than the rest of the package and only the spectral commands need it.
-`flipwalk.decomposition` is imported inside `shortest_side_cut` for the
-same reason: `sample` and `analyze` at k >= 4 never load it.  The
-gap is a deflated Lanczos on that operator in numpy ufuncs and Python
-floats: no BLAS or LAPACK routine is called, so neither `scipy.linalg` nor
-its OpenBLAS is loaded, and no BLAS worker thread wakes beside the mixing
-loop.
+The lazy operator P is a `CSRMatrix`: three numpy arrays whose products run
+in scipy's compiled `csr_matvec` and `csr_matvecs`, the kernels behind
+scipy's own CSR product.  They are loaded from scipy's `sparse/_sparsetools`
+extension file alone, so no scipy package `__init__` runs: `import
+scipy.sparse` costs about 0.23 s, more than the rest of the package, and
+loading the extension under 1 ms.  `flipwalk.decomposition` is imported
+inside `shortest_side_cut`, so `sample` and `analyze` at k >= 4 never load
+it.  The gap is a deflated Lanczos on P in numpy ufuncs and Python floats:
+no BLAS or LAPACK routine is called, so no scipy module and no second
+OpenBLAS is loaded, and no BLAS worker thread wakes beside the mixing loop.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -47,18 +52,96 @@ WALK_CHUNK = 1 << 16  # coins sample_walk draws at a time; chunks replay one dra
 CUT_N_CAP = 100
 
 
+@functools.cache
+def _sparsetools():
+    """scipy's compiled `_sparsetools` extension, loaded from its file in
+    scipy's `sparse` directory; neither `scipy` nor `scipy.sparse` is
+    imported, so none of their `__init__`s runs.  The extension registers
+    itself in `sys.modules` as the bare top-level `_sparsetools`, not under
+    a scipy name.  Its file name and the positional signatures of
+    `csr_matvec`, `csr_matvecs` and `csr_plus_csr` are scipy internals,
+    checked against scipy 1.17 (pyproject.toml bounds scipy to match)."""
+    root = importlib.util.find_spec("scipy")
+    where = [os.path.join(d, "sparse") for d in (root and root.submodule_search_locations or [])]
+    spec = importlib.machinery.PathFinder.find_spec("_sparsetools", where)
+    if spec is None:
+        raise ImportError(f"scipy's _sparsetools extension not found in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class CSRMatrix:
+    """A square matrix in CSR form: row i holds data[indptr[i]:indptr[i + 1]]
+    in the columns indices[indptr[i]:indptr[i + 1]].  `p @ x`, for a vector
+    or an N x c block, runs scipy's `csr_matvec` or `csr_matvecs`, the
+    kernels of scipy's own CSR product, so it sums in the same order; x of
+    another length is refused before the kernel reads it."""
+
+    __slots__ = ("indptr", "indices", "data")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray):
+        self.indptr, self.indices, self.data = indptr, indices, data
+
+    @property
+    def shape(self) -> tuple:
+        n = self.indptr.size - 1
+        return (n, n)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    def astype(self, dtype) -> CSRMatrix:
+        """The same matrix with its entries in dtype (not copied if they are)."""
+        return CSRMatrix(self.indptr, self.indices, self.data.astype(dtype, copy=False))
+
+    def __matmul__(self, x) -> np.ndarray:
+        n = self.shape[0]
+        x = np.asarray(x)
+        if x.shape[:1] != (n,) or x.ndim > 2:
+            raise ValueError(f"cannot multiply a {n} x {n} matrix by a {x.shape} array")
+        p = self.astype(np.result_type(self.data, x))
+        x = np.ascontiguousarray(x, dtype=p.dtype)
+        out = np.zeros_like(x)
+        if x.ndim == 1:
+            _sparsetools().csr_matvec(n, n, p.indptr, p.indices, p.data, x, out)
+        else:
+            _sparsetools().csr_matvecs(
+                n, n, x.shape[1], p.indptr, p.indices, p.data, x.ravel(), out.ravel())
+        return out
+
+
+def _lazy_operator(graph, delta: int) -> CSRMatrix:
+    """P = A/(2 Delta) + diag(1 - deg/(2 Delta)), summed by scipy's compiled
+    `csr_plus_csr`, the row merge that scipy's `(moves + diags).tocsr()`
+    runs: each row's diagonal entry goes into its sorted place without a
+    sort, and the arrays are scipy's entry for entry, so a product sums in
+    scipy's order (`tests/reference_spectral.py` keeps that build)."""
+    indptr, indices = graph.csr()
+    n, size = indptr.size - 1, indices.size + indptr.size - 1
+    off = 1.0 / (2 * delta)
+    diag = np.arange(n + 1, dtype=indptr.dtype)
+    out = np.empty(n + 1, dtype=indptr.dtype), np.empty(size, dtype=indices.dtype), np.empty(size)
+    _sparsetools().csr_plus_csr(
+        n, n, indptr, indices, np.full(indices.size, off),
+        diag, diag[:-1], 1.0 - off * np.diff(indptr), *out)
+    nnz = out[0][-1]  # below size only where a row repeats a neighbour
+    return CSRMatrix(out[0], out[1][:nnz], out[2][:nnz])
+
+
 @dataclass
 class ChainAnalysis:
     """Lazy uniform walk on a graph: P = I/2 + A/(2*Delta), pi uniform.
 
-    P is held as one sparse CSR matrix, built on first use.  The second
+    P is held as one `CSRMatrix`, built on first use.  The second
     eigenpair (by `_lanczos_second`, deflated of the constant vector) and
     the mixing times are computed on demand and cached.
     """
 
     graph: object
     delta: int
-    _P: object = field(default=None, repr=False)
+    _P: CSRMatrix | None = field(default=None, repr=False)
     _eig: tuple | None = field(default=None, repr=False)
     _mixing: dict = field(default_factory=dict, repr=False)
 
@@ -66,19 +149,10 @@ class ChainAnalysis:
     def num_states(self) -> int:
         return self.graph.num_vertices
 
-    def operator(self):
-        """P as a scipy CSR matrix; symmetric, so P @ x steps a distribution."""
+    def operator(self) -> CSRMatrix:
+        """P as a `CSRMatrix`; symmetric, so P @ x steps a distribution."""
         if self._P is None:
-            import scipy.sparse as sp
-
-            n = self.num_states
-            indptr, indices = self.graph.csr()
-            degs = np.diff(indptr)
-            off = 1.0 / (2 * self.delta)
-            moves = sp.csr_matrix(
-                (np.full(indices.size, off), indices, indptr), shape=(n, n)
-            )
-            self._P = (moves + sp.diags(1.0 - off * degs)).tocsr()
+            self._P = _lazy_operator(self.graph, self.delta)
         return self._P
 
     def _second_eigenpair(self) -> tuple:
@@ -385,11 +459,9 @@ def _mixing_block(chain: ChainAnalysis, starts: list, eps: float) -> int:
       of the exact TVD.  An eps at or below twice that error at the bound
       raises InvalidParameterError before any step.
     """
-    import scipy.sparse as sp
-
     n = chain.num_states
     p = chain.operator()
-    p32 = sp.csr_matrix((p.data.astype(np.float32), p.indices, p.indptr), shape=p.shape)
+    p32 = p.astype(np.float32)
     w = int(np.diff(p.indptr).max())
     gap = chain.spectral_gap()
     limit = (

@@ -1,5 +1,9 @@
-"""ARPACK reference for the spectral gap, and the per-step walk.
+"""scipy references for the lazy operator and the spectral gap, and the
+per-step walk.
 
+`scipy_operator` is the lazy operator as scipy builds it, the sum of the
+moves and the diagonal as `scipy.sparse` CSR matrices; the package's
+`CSRMatrix` must hold the same arrays entry for entry.
 `eigsh_second_eigenpair` is the earlier solver: `scipy.sparse.linalg.eigsh` for the top two
 eigenpairs of the lazy operator (dense `eigh` for N <= 2, where ARPACK
 cannot return two), from the same fixed start vector, with lambda_2 taken
@@ -11,14 +15,26 @@ loop the package ran before it stepped only the coins that can move.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from flipwalk import spectral
 from flipwalk.spectral import LANCZOS_SEED
 
 
+def scipy_operator(chain) -> sp.csr_matrix:
+    """The chain's lazy operator P = moves + diag(1 - off * degs), off =
+    1/(2 Delta), summed by scipy."""
+    n = chain.num_states
+    indptr, indices = chain.graph.csr()
+    degs = np.diff(indptr)
+    off = 1.0 / (2 * chain.delta)
+    moves = sp.csr_matrix((np.full(indices.size, off), indices, indptr), shape=(n, n))
+    return (moves + sp.diags(1.0 - off * degs)).tocsr()
+
+
 def transition_matrix(chain) -> np.ndarray:
     """The chain's lazy transition matrix P, dense."""
-    return chain.operator().toarray()
+    return scipy_operator(chain).toarray()
 
 
 def eigsh_second_eigenpair(chain) -> tuple:
@@ -29,7 +45,7 @@ def eigsh_second_eigenpair(chain) -> tuple:
         return float(evals[-2]), evecs[:, -2]
     from scipy.sparse.linalg import eigsh
 
-    p = chain.operator()
+    p = scipy_operator(chain)
     v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
     evals, evecs = eigsh(p, k=2, which="LA", v0=v0, tol=0)
     vec = evecs[:, int(np.argmin(evals))]

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from reference_graph import adjacency_lists, graph_from_lists
-from reference_spectral import eigsh_gap, sample_walk_per_step, transition_matrix
+from reference_spectral import eigsh_gap, sample_walk_per_step, scipy_operator, transition_matrix
 
 from flipwalk import spectral
 from flipwalk.combinatorics import catalan
@@ -129,6 +131,50 @@ def test_gap_matches_arpack_oracle(k, n):
     assert abs(np.sqrt((vec * vec).sum()) - 1) < 1e-14
     pv = chain.operator() @ vec
     assert np.abs(pv - (1.0 - gap) * vec).max() < 1e-12, (k, n)
+
+
+_SMALL_GRAPHS = {
+    "lattice3": lambda: enumerate_lattice(3),
+    # degree-zero vertices: empty CSR rows, the diagonal alone
+    "deg0-last": lambda: graph_from_lists([[1], [0], []]),
+    "deg0-first": lambda: graph_from_lists([[], [2], [1]]),
+    "cycle4": lambda: graph_from_lists([[1, 3], [0, 2], [1, 3], [0, 2]]),
+}
+
+
+@pytest.mark.parametrize("graph", [
+    *((3, n) for n in range(2, 11)), *((4, n) for n in range(2, 8)),
+    *((5, n) for n in range(2, 7)), *_SMALL_GRAPHS, pytest.param((3, 12), marks=pytest.mark.slow),
+], ids=lambda g: g if isinstance(g, str) else "k{}n{}".format(*g))
+def test_operator_equals_scipys(graph):
+    """P's indptr, indices and data are scipy's `(moves + diags).tocsr()`
+    entry for entry, on the flip graphs listed, the irregular 3 x 3 lattice
+    flip graph, graphs with a degree-zero vertex and the 4-cycle, and
+    `p @ x` is scipy's product bit for bit, for a float64 vector and for
+    float32 and float64 blocks; an x of another length is refused before
+    the kernel reads it."""
+    chain = build_chain(_SMALL_GRAPHS[graph]() if isinstance(graph, str) else _graph(*graph))
+    p, want = chain.operator(), scipy_operator(chain)
+    for name in ("indptr", "indices", "data"):
+        got, ref = getattr(p, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), (graph, name)
+    rng = np.random.default_rng(3)
+    vec, block = rng.random(chain.num_states), rng.random((chain.num_states, 5))
+    for dtype, x in [(np.float64, vec), (np.float32, block.astype(np.float32)), (np.float64, block)]:
+        got, ref = p.astype(dtype) @ x, want.astype(dtype) @ x
+        assert got.dtype == ref.dtype == dtype and np.array_equal(got, ref), (graph, x.shape, dtype)
+    for bad in (vec[:-1], block[:-1], block[..., None]):
+        with pytest.raises(ValueError, match="cannot multiply"):
+            p @ bad
+
+
+def test_missing_sparsetools_names_the_directory(monkeypatch, tmp_path):
+    """Without scipy's compiled _sparsetools file the loader raises
+    ImportError naming the directory it searched; there is no fallback."""
+    scipy = SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr(spectral.importlib.util, "find_spec", lambda name: scipy)
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "sparse"))):
+        spectral._sparsetools.__wrapped__()
 
 
 def test_lanczos_is_rerun_identically():
