@@ -5,7 +5,8 @@ A graph is the pair (indptr, indices) of read-only int32 arrays, each row
 sorted; nothing else is stored.  Every reader walks those arrays: the edge
 list, the JSON export, the BFS tree, `sweep` (the one array traversal:
 connectivity and eccentricities) and the numpy Kronecker-sum product.  The
-state modules' shared array helpers live here too.
+state modules' shared array helpers live here too, and `splitmix64`, the
+fixed 64-bit words behind the lattice keys and the Lanczos start vector.
 """
 
 from __future__ import annotations
@@ -22,6 +23,16 @@ def _frozen_int32(a) -> np.ndarray:
 
 
 FLIP_CHUNK = 4096  # states per batch of the lattice flip kernel and checks
+
+
+def splitmix64(count: int) -> np.ndarray:
+    """The first `count` outputs of splitmix64 from seed 0, in numpy's
+    wrapping uint64 arithmetic: fixed words, with no generator state and no
+    import of numpy's random module."""
+    x = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -27,7 +27,9 @@ from math import gcd
 import numpy as np
 
 from .errors import EnumerationTooLargeError, InvalidParameterError, StructureMismatchError
-from .graph import FLIP_CHUNK, Graph, _lookup, _ranges, _row_keys, graph_from_arcs, product_graph
+from .graph import (
+    FLIP_CHUNK, Graph, _lookup, _ranges, _row_keys, graph_from_arcs, product_graph, splitmix64,
+)
 from .kangulation import DEFAULT_ENUMERATION_CAP
 
 LATTICE_ENUM_CAP = 4  # grids beyond 4x4 points explode
@@ -39,15 +41,6 @@ LATTICE_GRID_CAP = 8
 _BIT = np.array([0x80 >> b for b in range(8)], dtype=np.uint8)  # bit of a column in its byte
 _WORD = np.dtype("<u8")  # a plane word: state s is bit s % 64 of word s // 64
 _PAIR_WORDS = 1 << 22  # plane words (32 MB) per temporary of the crossing check
-
-
-def _splitmix64(count: int) -> np.ndarray:
-    """The first `count` outputs of splitmix64 from seed 0, in numpy's
-    wrapping uint64 arithmetic (no numpy.random import)."""
-    x = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
 
 
 def _cross(o, a, b) -> int:
@@ -128,7 +121,7 @@ class _Grid:
             parallelogram, seg_of[self.apex[:, 0, :, None], self.apex[:, 1, None, :]], -1)
         valid = np.nonzero(parallelogram)
         self.flips = (*valid, self.inserted[valid])
-        self.zobrist = _splitmix64(size)
+        self.zobrist = splitmix64(size)
 
     @cached_property
     def crossing(self) -> np.ndarray:

@@ -12,6 +12,9 @@ inside `shortest_side_cut`, so `sample` and `analyze` at k >= 4 never load
 it.  The gap is a deflated Lanczos on P in numpy ufuncs and Python floats:
 no BLAS or LAPACK routine is called, so no scipy module and no second
 OpenBLAS is loaded, and no BLAS worker thread wakes beside the mixing loop.
+Its start vector is made from fixed splitmix64 words, so `analyze` never
+imports numpy's random module (5.3 MB of resident memory); only
+`sample_walk` does, to replay `default_rng(seed)`.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .errors import (
     InvalidParameterError,
     NumericFailureError,
 )
+from .graph import splitmix64
 from .kangulation import FlipGraph, orbit_representatives
 
 EXACT_START_CAP = 2000  # all-starts exact mixing up to this size (not flip graphs)
@@ -42,7 +46,6 @@ EXACT_ANALYSIS_CAP = 300_000  # beyond this, mixing analysis is refused
 # 64 was the fastest of 32..512, with a quarter of 256's block memory
 MIXING_CHUNK = 64
 TVD_BAND = 2048  # rows of a block that _tvd_to_uniform transposes at a time
-LANCZOS_SEED = 7  # fixed Lanczos start vector, so reruns are byte-identical
 LANCZOS_TOL = 1e-13  # residual bound |beta_j s_j| at which the Ritz pair is taken
 LANCZOS_CHECK = 8  # Lanczos steps between residual checks
 LANCZOS_MAX_STEPS = 2000  # about 17 times the 120 steps k = 3 n = 12 takes
@@ -262,16 +265,24 @@ def _top_eigenvector(alpha: list, beta: list, theta: float) -> list:
     return s
 
 
-def _lanczos_second(p) -> np.ndarray:
-    """Unit eigenvector of P for lambda_2, deflated Lanczos from the seeded
-    start vector.  Every LANCZOS_CHECK steps, or when beta_j falls to
-    LANCZOS_TOL, T's top Ritz pair (theta, s) is taken with the residual
-    bound |beta_j s_j| = ||P y - theta y||; at LANCZOS_TOL the run stops.
-    The Ritz vector y = sum_j s_j q_j comes from a second pass that replays
-    the recurrence, so no N x m basis is held, and reruns are identical."""
-    n = p.shape[0]
-    q0 = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
+def _lanczos_start(n: int) -> np.ndarray:
+    """The Lanczos start vector on n states, unnormalised: the first n
+    splitmix64 words, each scaled exactly by its top 53 bits into
+    [-1/2, 1/2), less their mean (P's top eigenvector is constant)."""
+    q0 = (splitmix64(n) >> np.uint64(11)) * 2.0 ** -53 - 0.5
     q0 -= q0.mean()
+    return q0
+
+
+def _lanczos_second(p) -> np.ndarray:
+    """Unit eigenvector of P for lambda_2, deflated Lanczos from the fixed
+    splitmix64 start vector of `_lanczos_start`.  Every LANCZOS_CHECK steps,
+    or when beta_j falls to LANCZOS_TOL, T's top Ritz pair (theta, s) is
+    taken with the residual bound |beta_j s_j| = ||P y - theta y||; at
+    LANCZOS_TOL the run stops.  The Ritz vector y = sum_j s_j q_j comes
+    from a second pass that replays the recurrence, so no N x m basis is held, and reruns are identical."""
+    n = p.shape[0]
+    q0 = _lanczos_start(n)
     q0 /= math.sqrt(float((q0 * q0).sum()))
     alpha, beta, theta = [], [], -math.inf
     for j, (_, a, b) in enumerate(_lanczos(p, q0), 1):
@@ -517,7 +528,9 @@ def _step_starts(p, starts, first: int, eps: float, limit: float, delta) -> tupl
             if not live.any():
                 break
             if not live.all():
-                x = np.ascontiguousarray(x[:, live])
+                # one C-ordered copy: x[:, live] is F-ordered, and `p @ x`
+                # would copy it again, a third block
+                x = x.compress(live, axis=1)
                 starts = starts[live]
         if t >= limit:
             raise NumericFailureError(

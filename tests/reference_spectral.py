@@ -6,19 +6,21 @@ moves and the diagonal as `scipy.sparse` CSR matrices; the package's
 `CSRMatrix` must hold the same arrays entry for entry.
 `eigsh_second_eigenpair` is the earlier solver: `scipy.sparse.linalg.eigsh` for the top two
 eigenpairs of the lazy operator (dense `eigh` for N <= 2, where ARPACK
-cannot return two), from the same fixed start vector, with lambda_2 taken
-as the Rayleigh quotient of its eigenvector, summed in long double.  The
-package runs a deflated Lanczos without BLAS instead; the two gaps must
-agree to rounding.  `transition_matrix` is the dense P that the exact
-small-graph checks compare against.  `sample_walk_per_step` is the walk
-loop the package ran before it stepped only the coins that can move.
+cannot return two), from the package's fixed splitmix64 start vector
+(`spectral._lanczos_start`), with lambda_2 taken as the Rayleigh quotient
+of its eigenvector, summed in long double.  The package runs a deflated
+Lanczos without BLAS instead; the two gaps must agree to rounding.
+`transition_matrix` is the dense P that the exact small-graph checks
+compare against.  `step_starts_indexed` is the package's mixing loop as it
+dropped mixed columns before, by a boolean column index made contiguous
+(three blocks live at once).  `sample_walk_per_step` is the walk loop the
+package ran before it stepped only the coins that can move.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from flipwalk import spectral
-from flipwalk.spectral import LANCZOS_SEED
 
 
 def scipy_operator(chain) -> sp.csr_matrix:
@@ -46,7 +48,7 @@ def eigsh_second_eigenpair(chain) -> tuple:
     from scipy.sparse.linalg import eigsh
 
     p = scipy_operator(chain)
-    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
+    v0 = spectral._lanczos_start(n)
     evals, evecs = eigsh(p, k=2, which="LA", v0=v0, tol=0)
     vec = evecs[:, int(np.argmin(evals))]
     # the quotient in long double: the float64 dot products summed 58,786
@@ -57,6 +59,37 @@ def eigsh_second_eigenpair(chain) -> tuple:
 
 def eigsh_gap(chain) -> float:
     return 1.0 - eigsh_second_eigenpair(chain)[0]
+
+
+def step_starts_indexed(p, starts, first: int, eps: float, limit: float, delta) -> tuple:
+    """`spectral._step_starts` with mixed columns dropped by
+    `np.ascontiguousarray(x[:, live])`: (the step at which no column is
+    left, the undecided starts, the first step at which one was found)."""
+    n = p.shape[0]
+    starts = np.asarray(starts)
+    x = np.zeros((n, starts.size), dtype=p.dtype)
+    x[starts, np.arange(starts.size)] = 1.0
+    undecided, found = [], None
+    t = 0
+    while True:
+        if t >= first:
+            tv = spectral._tvd_to_uniform(x)
+            d = delta(t)
+            live = tv >= eps + d
+            open_ = ~live & (tv >= eps - d)
+            if open_.any():
+                undecided += starts[open_].tolist()
+                found = t if found is None else found
+            if not live.any():
+                break
+            if not live.all():
+                x = np.ascontiguousarray(x[:, live])
+                starts = starts[live]
+        if t >= limit:
+            raise spectral.NumericFailureError(f"a start is not mixed after {t} steps")
+        x = p @ x
+        t += 1
+    return t, undecided, found
 
 
 def sample_walk_per_step(graph, steps: int, seed: int, start: int, thin: int = 1) -> dict:

@@ -494,8 +494,8 @@ def test_lattice_and_flow_import_no_scipy(tmp_path):
     diameter never load scipy: `import scipy.sparse` alone costs about
     0.23 s, more than `lattice --n 3` itself.  Nor do they load
     numpy.random, which raises a `lattice --n 4` call's peak RSS by about
-    6 MB (the lattice keys
-    come from a fixed splitmix64 table), nor numpy.ma, which a bare
+    6 MB (the lattice keys come from `graph.splitmix64`, a fixed table also
+    behind the Lanczos start vector), nor numpy.ma, which a bare
     `np.unique` call imports and which raised flow's peak RSS by 1.1 MB."""
     script = (
         "import contextlib, io, sys\n"
@@ -519,24 +519,29 @@ def test_analyze_loads_no_scipy_linalg_and_sample_no_scipy(tmp_path):
     P with scipy's compiled CSR kernels, loaded from their extension file
     alone (`import scipy.sparse` costs about 0.23 s), and its gap is a
     deflated Lanczos that calls no BLAS routine, so the only OpenBLAS it
-    maps is numpy's: scipy.linalg would bring in a second one."""
+    maps is numpy's: scipy.linalg would bring in a second one.  Nor does
+    `analyze` load numpy.random (5.3 MB of resident memory): the Lanczos
+    start vector is made of fixed splitmix64 words.  `sample` runs after it
+    and does load numpy.random, to replay `default_rng(seed)`."""
     script = (
         "import contextlib, io, os, sys\n"
         "from flipwalk.cli import main\n"
+        "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "rng = lambda: sorted(m for m in sys.modules if m.startswith('numpy.random'))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main(['--command', 'sample', '--n', '6', '--seed', '1',"
-        f" '--out', {str(tmp_path)!r}]) == 0\n"
-        "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
         f"    assert main(['--command', 'analyze', '--k', '3', '--n', '6',"
         f" '--out', {str(tmp_path)!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "    print(scipy(), rng(), file=sys.stderr)\n"
+        f"    assert main(['--command', 'sample', '--n', '6', '--seed', '1',"
+        f" '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(scipy(), 'numpy.random' in rng())\n"
         "maps = open('/proc/self/maps').read().splitlines() if os.path.exists('/proc/self/maps') else []\n"
         "blas = {line.split()[-1] for line in maps if 'openblas' in line.lower()}\n"
         "print(sorted(os.path.basename(os.path.dirname(p)) for p in blas if 'numpy' not in p))\n"
     )
     out = _python(script)
-    assert out.stderr == "[]\n"
-    assert out.stdout == "[]\n[]\n"
+    assert out.stderr == "[] []\n"
+    assert out.stdout == "[] True\n[]\n"
 
 
 def test_dot_export(tmp_path):

@@ -9,7 +9,7 @@ from reference_flips import eccentricities as reference_eccentricities
 from reference_graph import adjacency_lists, bfs_tree_lists, graph_from_lists, product_lists
 
 from flipwalk.decomposition import oriented_partition
-from flipwalk.graph import Graph, graph_from_arcs, product_graph
+from flipwalk.graph import Graph, graph_from_arcs, product_graph, splitmix64
 from flipwalk.kangulation import build_flip_graph
 from flipwalk.lattice import enumerate_lattice
 
@@ -69,6 +69,15 @@ def test_csr_matches_adjacency_and_is_cached():
     assert indptr.tolist() == [0, 2, 4, 6, 8, 10, 12]
     assert indices.tolist() == [j for nbrs in HEXAGON_LISTS for j in nbrs]
     assert HEXAGON.csr()[1] is indices
+
+
+def test_splitmix64_gives_the_published_seed_zero_words():
+    """The lattice keys and the Lanczos start vector read these words; the
+    first three are splitmix64's published outputs from seed 0."""
+    words = splitmix64(3)
+    assert words.dtype == np.uint64
+    assert words.tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert splitmix64(0).size == 0 and (splitmix64(64)[:3] == words).all()
 
 
 def test_list_helpers_round_trip_through_csr():

@@ -391,6 +391,15 @@ def test_product_subgraph_rejects_a_kept_flip_that_leaves(monkeypatch):
         product_subgraph(4, 2)
 
 
+def test_zobrist_table_is_pinned():
+    """The n = 4 grid's 86 key words, one per segment, by sha256: the
+    lattice goldens hold only while this table stays the same."""
+    z = _grid(4).zobrist
+    assert z.dtype == np.uint64 and z.size == 86
+    assert hashlib.sha256(z.astype("<u8").tobytes()).hexdigest() == (
+        "d07529e37a380df44300adc4d09b8c16bdc1ef3bb30da7d0c8e64bc6b4defc86")
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_key_collision_raises(n, monkeypatch):
     """With the removed and inserted edges of the canonical state's first

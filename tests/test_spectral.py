@@ -3,13 +3,20 @@
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from reference_graph import adjacency_lists, graph_from_lists
-from reference_spectral import eigsh_gap, sample_walk_per_step, scipy_operator, transition_matrix
+from reference_spectral import (
+    eigsh_gap,
+    sample_walk_per_step,
+    scipy_operator,
+    step_starts_indexed,
+    transition_matrix,
+)
 
 from flipwalk import spectral
 from flipwalk.combinatorics import catalan
@@ -20,7 +27,7 @@ from flipwalk.errors import (
     NumericFailureError,
 )
 from flipwalk.graph import Graph
-from flipwalk.kangulation import build_flip_graph
+from flipwalk.kangulation import build_flip_graph, orbit_representatives
 from flipwalk.lattice import enumerate_lattice
 from flipwalk.spectral import (
     brute_force_expansion,
@@ -179,7 +186,7 @@ def test_missing_sparsetools_names_the_directory(monkeypatch, tmp_path):
 
 def test_lanczos_is_rerun_identically():
     """Reruns give the same gap and vector bit for bit: the start vector is
-    seeded, and the Ritz vector replays the first pass."""
+    fixed, and the Ritz vector replays the first pass."""
     a, b = (build_chain(build_flip_graph(3, 8))._second_eigenpair() for _ in range(2))
     assert a[0] == b[0] and (a[1] == b[1]).all()
 
@@ -366,6 +373,45 @@ def test_four_cycle_exact_tie(monkeypatch):
     assert _float64_mixing_block(build_chain(cyc), [0, 1, 2, 3], 0.25) == 2
 
 
+@pytest.mark.parametrize("graph", ["cycle", (3, 8)])
+def test_column_drop_by_compress_matches_indexed_drop(graph):
+    """Mixed columns dropped by one C-ordered `compress` give the step,
+    undecided starts and first undecided step of the boolean-index form,
+    in float32 with the rounding bound and with a wider band that leaves
+    starts undecided, and in float64: on the 4-cycle, whose TVD is exactly
+    1/4 at step 1, and on every orbit-start chunk at k = 3 n = 8."""
+    g = graph_from_lists([[1, 3], [0, 2], [1, 3], [0, 2]]) if graph == "cycle" else _graph(*graph)
+    chain = build_chain(g)
+    n, p = chain.num_states, chain.operator()
+    p32, w = p.astype(np.float32), int(np.diff(p.indptr).max())
+    starts = list(range(n)) if graph == "cycle" else orbit_representatives(g)
+    bands = [lambda t: spectral._tvd_bound(w, n, t), lambda t: 1e-3, lambda t: 0.0]
+    undecided = 0
+    for lo in range(0, len(starts), spectral.MIXING_CHUNK):
+        cols = starts[lo:lo + spectral.MIXING_CHUNK]
+        for q, delta in zip((p32, p32, p), bands):
+            got = spectral._step_starts(q, cols, 0, 0.25, 10**6, delta)
+            assert got == step_starts_indexed(q, cols, 0, 0.25, 10**6, delta)
+            undecided += len(got[1])
+    assert undecided
+
+
+def test_mixing_loop_holds_two_blocks():
+    """The mixing loop holds at most two N x MIXING_CHUNK float32 blocks at
+    once: the stepped block and the product or the TVD temporary.  Mixed
+    columns are dropped by one C-ordered copy; a boolean column index made
+    an F-ordered copy that was then copied again, about 3.1 blocks."""
+    chain = build_chain(_graph(3, 9))
+    chain.spectral_gap()
+    tracemalloc.start()
+    try:
+        assert mixing_time(chain, 0.25) == 55
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * chain.num_states * spectral.MIXING_CHUNK * 4
+
+
 def test_orbit_start_mixing_n9():
     chain = build_chain(_graph(3, 9))
     assert mixing_time(chain, return_mode=True) == (55, "exact-orbit-starts")
@@ -400,6 +446,18 @@ def test_kangulation_relaxation_time(k, n, want):
     """The relaxation time 1/gap of the k >= 4 chains, pinned to 1e-4."""
     gap = build_chain(build_flip_graph(k, n)).spectral_gap()
     assert 1 / gap == pytest.approx(want, rel=1e-4)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k, n, want", [(4, 9, 56.443420995149), (5, 8, 49.052767774738)])
+def test_relaxation_time_at_the_first_unpinned_sizes(k, n, want):
+    """1/gap at k = 4 n = 9 (246,675 states) and k = 5 n = 8 (420,732), the
+    first sizes past the oracle checks, against ARPACK's from the same
+    splitmix64 start vector and against the pinned value, to 1e-9."""
+    chain = build_chain(build_flip_graph(k, n))
+    t_rel = 1 / chain.spectral_gap()
+    assert t_rel == pytest.approx(1 / eigsh_gap(chain), rel=1e-9)
+    assert t_rel == pytest.approx(want, rel=1e-9)
 
 
 def test_heuristic_start_on_other_large_graphs(monkeypatch):
