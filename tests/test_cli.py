@@ -448,11 +448,13 @@ def test_lattice_cap_and_block_exit_codes(tmp_path, monkeypatch, capsys, flags, 
         assert f"resource cap: {message}" in capsys.readouterr().err
 
 
-def _python(script: str) -> subprocess.CompletedProcess:
-    """Run a Python script in a fresh interpreter on this checkout's package."""
+def _python(script: str, **env) -> subprocess.CompletedProcess:
+    """Run a Python script in a fresh interpreter on this checkout's package,
+    with the environment variables given in env set (None: unset)."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {name: value for name, value in env.items() if value is not None}
     return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
 
@@ -519,9 +521,11 @@ def test_analyze_loads_no_scipy_linalg_and_sample_no_scipy(tmp_path):
     P with scipy's compiled CSR kernels, loaded from their extension file
     alone (`import scipy.sparse` costs about 0.23 s), and its gap is a
     deflated Lanczos that calls no BLAS routine, so the only OpenBLAS it
-    maps is numpy's: scipy.linalg would bring in a second one.  Nor does
-    `analyze` load numpy.random (5.3 MB of resident memory): the Lanczos
-    start vector is made of fixed splitmix64 words.  `sample` runs after it
+    maps is numpy's, which `flipwalk.cli` loads with one thread
+    (`test_cli_runs_on_one_thread`): scipy.linalg would bring in a second
+    one, with its own threads.  Nor does `analyze` load numpy.random
+    (5.3 MB of resident memory): the Lanczos start vector is made of fixed
+    splitmix64 words.  `sample` runs after it
     and does load numpy.random, to replay `default_rng(seed)`."""
     script = (
         "import contextlib, io, os, sys\n"
@@ -542,6 +546,58 @@ def test_analyze_loads_no_scipy_linalg_and_sample_no_scipy(tmp_path):
     out = _python(script)
     assert out.stderr == "[] []\n"
     assert out.stdout == "[] True\n[]\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+@pytest.mark.parametrize("threads", ["2", None])
+def test_cli_runs_on_one_thread(tmp_path, threads):
+    """No command calls a BLAS routine, so `import flipwalk.cli` loads
+    numpy's OpenBLAS with one thread: the process runs on one thread after
+    the import and after every command, whether OPENBLAS_NUM_THREADS and
+    OMP_NUM_THREADS ask for two threads or are unset (OpenBLAS then starts
+    one worker per CPU), and both variables still read as they were."""
+    script = (
+        "import contextlib, io, os\n"
+        "threads = lambda: len(os.listdir('/proc/self/task'))\n"
+        "from flipwalk.cli import main\n"
+        "counts = [threads()]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    for argv in {[argv for argv, _ in COMMAND_LAYERS]!r}:\n"
+        f"        assert main(['--command', *argv, '--out', {str(tmp_path)!r}]) == 0\n"
+        "        counts.append(threads())\n"
+        "print(counts)\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'))\n"
+    )
+    out = _python(script, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    assert out.stdout == f"{[1] * (len(COMMAND_LAYERS) + 1)}\n{threads} {threads}\n"
+
+
+@pytest.mark.parametrize("threads", ["3", None])
+def test_thread_pin_leaves_the_environment_as_it_was(threads):
+    """The pin runs only when `import flipwalk.cli` is what loads numpy: it
+    writes OPENBLAS_NUM_THREADS twice, setting it and giving it back, and
+    os.environ then equals what it was.  A process that imported numpy
+    first, and the library path (`import flipwalk` and a lazy name, which
+    loads numpy through kangulation), never write the environment."""
+    spy = (
+        "import os\n"
+        "writes = []\n"
+        "for name in ('__setitem__', '__delitem__'):\n"
+        "    def spy(self, key, *value, _write=getattr(os._Environ, name)):\n"
+        "        writes.append(key)\n"
+        "        return _write(self, key, *value)\n"
+        "    setattr(os._Environ, name, spy)\n"
+        "before = dict(os.environ)\n"
+    )
+    report = "import sys\nprint(writes, dict(os.environ) == before, 'numpy' in sys.modules)\n"
+    cases = {
+        "import flipwalk.cli\n": "['OPENBLAS_NUM_THREADS', 'OPENBLAS_NUM_THREADS'] True True\n",
+        "import numpy\nimport flipwalk.cli\n": "[] True True\n",
+        "import flipwalk\nassert flipwalk.build_flip_graph(3, 3).num_vertices == 5\n":
+            "[] True True\n",
+    }
+    for body, expected in cases.items():
+        assert _python(spy + body + report, OPENBLAS_NUM_THREADS=threads).stdout == expected
 
 
 def test_dot_export(tmp_path):
