@@ -13,43 +13,34 @@ _EXPORTS = {
     "binomial": "combinatorics",
     "catalan": "combinatorics",
     "fuss_catalan": "combinatorics",
-    "fuss_catalan_bounds": "combinatorics",
-    "fuss_catalan_bounds_log": "combinatorics",
     "boundary_matchings": "decomposition",
     "boundary_projection": "decomposition",
-    "central_partition": "decomposition",
     "oriented_partition": "decomposition",
     "verify_matching_inequality": "decomposition",
     "BoundaryMatching": "decomposition",
     "ClassDescriptor": "decomposition",
     "ClassPartition": "decomposition",
-    "cartesian_flow_combine": "flownet",
     "hierarchical_pairing_flow": "flownet",
-    "projection_restriction_combine": "flownet",
     "uniform_flow_recursive": "flownet",
     "verify_unit_demands": "flownet",
     "congestion_report": "flows",
-    "expansion_lower_bound": "flows",
     "ArcFlow": "flows",
     "CongestionReport": "flows",
     "product_graph": "graph",
     "Graph": "graph",
     "build_flip_graph": "kangulation",
     "count_kangulations": "kangulation",
-    "diameter": "kangulation",
     "flip_graph_from_json_dict": "kangulation",
     "FlipGraph": "kangulation",
     "count_triangulations_recursive": "lattice",
     "enumerate_lattice": "lattice",
     "product_subgraph": "lattice",
     "LatticeFlipGraph": "lattice",
-    "brute_force_expansion": "spectral",
     "build_chain": "spectral",
     "cheeger_bounds": "spectral",
     "mixing_time": "spectral",
     "sample_walk": "spectral",
     "shortest_side_cut": "spectral",
-    "tvd": "spectral",
     "tvd_curve": "spectral",
     "ChainAnalysis": "spectral",
     "CutReport": "spectral",

@@ -302,7 +302,7 @@ def _run_analyze(cfg: ExperimentConfig) -> list:
                     f"n = {n}: gap {gap!r} is above the central cut's bound "
                     f"{bound} = {float(bound)!r}"
                 )
-        tau, mode = _cli.mixing_time(chain, cfg.epsilon, return_mode=True)
+        tau, mode = _cli.mixing_time(chain, cfg.epsilon)
         lo, hi = _cli.cheeger_bounds(chain)
         doc = {
             "command": "analyze", "k": cfg.k, "n": n,

@@ -1,6 +1,8 @@
-"""Class partitions of flip graphs: oriented (special-edge) and central
-(center-containing face), with Cartesian-factor coordinates, boundary sets,
-inter-class matchings, and exact verification of the cardinality lemmas.
+"""Class partitions of flip graphs, generated from their faces: the oriented
+one (special-edge classes), with Cartesian-factor coordinates, boundary
+sets, inter-class matchings, and exact verification of the cardinality
+lemmas; and the faces that hold the polygon's center, behind the central
+cut.
 """
 
 from __future__ import annotations
@@ -8,15 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
 from .combinatorics import catalan, fuss_catalan
 from .errors import InvalidParameterError, LemmaViolationError, StructureMismatchError
-from .graph import _lookup, _ranges, _row_keys, graph_from_arcs, product_graph
-from .kangulation import (FlipGraph, _compositions, _enumerate_states, _fill_face, _polygon,
-                          build_flip_graph)
+from .graph import _lookup, _ranges, _row_keys
+from .kangulation import FlipGraph, _compositions, _enumerate_states, _fill_face, _polygon
 
 
 @lru_cache(maxsize=None)
@@ -158,11 +159,6 @@ def _central_faces(k: int, m: int) -> np.ndarray:
     return faces[np.lexsort(faces.T[::-1])]
 
 
-def central_partition(graph: FlipGraph) -> ClassPartition:
-    """Partition of a flip graph by the k-gon containing the polygon center."""
-    return _build_classes(graph, _central_faces(graph.k, graph.m), "central")
-
-
 def _cross_arcs(graph, vertex_class: np.ndarray, ncls: int) -> dict:
     """The arcs whose ends lie in different classes, as {(class of source,
     class of target): (count, 2) int64 rows (source, target)}.  Groups come
@@ -291,25 +287,3 @@ def boundary_projection(partition: ClassPartition, a: int, b: int):
         "size": sub_size,
         "boundary_size": len(actual),
     }
-
-
-def verify_class_product_structure(partition: ClassPartition) -> None:
-    """Check each class induces exactly the Cartesian product of its factors.
-
-    The members, taken in coordinate order, must induce the adjacency of the
-    left-fold product of the factor flip graphs: factor states are in the
-    canonical order the coordinates index, and the fold indexes coordinate
-    tuples lexicographically.
-    """
-    src, dst = partition.graph.arcs()
-    for ci, c in enumerate(partition.classes):
-        pos = np.full(partition.graph.num_vertices, -1)
-        pos[c.by_coord] = np.arange(c.size)
-        inside = (pos[src] >= 0) & (pos[dst] >= 0)
-        induced = graph_from_arcs(c.size, pos[src[inside]], pos[dst[inside]]).csr()
-        factors = [build_flip_graph(k, max(ni, 1)) for k, ni in c.cartesian_factors]
-        if not all(map(np.array_equal, induced, reduce(product_graph, factors).csr())):
-            raise StructureMismatchError(
-                f"class {ci} does not induce the product of its factor flip graphs"
-            )
-

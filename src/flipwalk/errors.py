@@ -18,14 +18,6 @@ class EnumerationTooLargeError(FlipwalkError):
         self.cap = cap
 
 
-class RangeExceededError(FlipwalkError, OverflowError):
-    """A real-valued result overflows the floating representation."""
-
-
-class InvalidDistributionError(FlipwalkError, ValueError):
-    """A vector claimed to be a probability distribution is not one."""
-
-
 class LemmaViolationError(FlipwalkError):
     """An exact lemma-level check failed; carries the witness."""
 

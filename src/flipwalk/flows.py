@@ -4,11 +4,9 @@ factor flows into Cartesian products.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from types import MappingProxyType
 
 import numpy as np
 
@@ -114,12 +112,6 @@ class ArcFlow:
         flow._set(den, src, dst, num)
         return flow
 
-    @property
-    def vals(self):
-        """Read-only {(u, v): numerator} view, in arc order."""
-        arcs = zip(self.src.tolist(), self.dst.tolist())
-        return MappingProxyType(dict(zip(arcs, self.num.tolist())))
-
     @classmethod
     def combine(cls, pieces) -> "ArcFlow":
         """Exact sum of scaled flows; pieces are (flow, scale) with rational
@@ -178,9 +170,6 @@ class ArcFlow:
             return np.zeros(len(at), dtype=np.int64)
         return np.where(at >= 0, self.num[at], 0)
 
-    def value(self, u, v) -> Fraction:
-        return Fraction(int(self.numerators_at([u], [v])[0]), self.den)
-
     def net_array(self, size: int) -> np.ndarray:
         """Net inflow of vertices 0..size-1 as exact integers over self.den;
         size must exceed every vertex of the flow."""
@@ -194,15 +183,6 @@ class ArcFlow:
         if not len(self.src):
             return 0
         return int(max(self.src.max(), self.dst.max())) + 1
-
-    def net_ints(self) -> dict:
-        """Net inflow per vertex of the flow as integers over self.den."""
-        verts = np.unique(np.concatenate((self.src, self.dst)))
-        net = self.net_array(self._size())[verts]
-        return dict(zip(verts.tolist(), net.tolist()))
-
-    def net(self) -> dict:
-        return {v: Fraction(w, self.den) for v, w in self.net_ints().items() if w}
 
     def check_net(self, groups, context: str) -> None:
         """Exact conservation check: groups are (vertices, value) pairs with
@@ -257,31 +237,15 @@ class CongestionReport:
     levels: list | None = None
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "rho_num": self.rho.numerator,
             "rho_den": self.rho.denominator,
             "argmax_arc": list(self.argmax_arc) if self.argmax_arc else None,
             "normalization": self.normalization,
         }
-        if self.levels is not None:
-            doc["levels"] = [
-                {
-                    "level": lv["level"],
-                    "group_size": lv["group_size"],
-                    "congestion_num": lv["congestion"].numerator,
-                    "congestion_den": lv["congestion"].denominator,
-                }
-                for lv in self.levels
-            ]
-        return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def congestion_report(
-    flow: ArcFlow, num_vertices: int, normalization: str = "uniform"
-) -> CongestionReport:
+def congestion_report(flow: ArcFlow, num_vertices: int) -> CongestionReport:
     """Measure congestion of a uniform-demand flow.
 
     rho is the max over undirected edges of the summed two-direction flow,
@@ -297,18 +261,9 @@ def congestion_report(
     return CongestionReport(
         rho=Fraction(best, flow.den * num_vertices),
         argmax_arc=best_arc,
-        normalization=normalization,
+        normalization="uniform",
         rho_directed=dmax / num_vertices,
     )
-
-
-def expansion_lower_bound(report: CongestionReport) -> Fraction:
-    """h(G) >= 1/(2 rho) for a uniform multicommodity flow with congestion rho."""
-    if report.normalization != "uniform":
-        raise InvalidParameterError("expansion bound needs a uniform-normalization report")
-    if report.rho == 0:
-        raise InvalidParameterError("zero congestion: no flow routed")
-    return Fraction(1, 2) / report.rho
 
 
 def product_lift(verts, nh: int, factor: int, flow: ArcFlow, copies, scale) -> list:

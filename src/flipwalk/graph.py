@@ -3,8 +3,8 @@ Cartesian products, held as CSR arrays.
 
 A graph is the pair (indptr, indices) of read-only int32 arrays, each row
 sorted; nothing else is stored.  Every reader walks those arrays: the edge
-list, the JSON export, the BFS tree, `sweep` (the one array traversal:
-connectivity and eccentricities) and the numpy Kronecker-sum product.  The
+list, the JSON export, `sweep` (the one array traversal: connectivity and
+eccentricities) and the numpy Kronecker-sum product.  The
 state modules' shared array helpers live here too, and `splitmix64`, the
 fixed 64-bit words behind the lattice keys and the Lanczos start vector.
 """
@@ -133,28 +133,6 @@ class Graph:
     def edges(self):
         """The edges (i, j), i < j, by i and then j."""
         return zip(*self._edge_array().T.tolist())
-
-    def bfs_tree(self, root: int, allowed=None) -> dict:
-        """BFS parent map from root, optionally inside the vertex set
-        `allowed`; keys are in BFS order.  Each level is processed in sorted
-        order, so a vertex's parent is its smallest neighbour on the
-        previous level, and a level's keys follow (parent, vertex) order."""
-        seen = np.full(self.num_vertices, allowed is not None)
-        if allowed is not None:
-            seen[list(allowed)] = False
-        seen[root] = True
-        parent = {root: None}
-        frontier = np.array([root])
-        while frontier.size:
-            src, dst = self.arcs(frontier)
-            new = ~seen[dst]
-            src, dst = src[new], dst[new]
-            # a vertex's first arc comes from its smallest neighbour on this level
-            frontier, first = np.unique(dst, return_index=True)
-            first.sort()
-            parent.update(zip(dst[first].tolist(), src[first].tolist()))
-            seen[frontier] = True
-        return parent
 
     def is_connected(self) -> bool:
         """`sweep` from vertex 0."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from .combinatorics import fuss_catalan
 from .errors import EnumerationTooLargeError, InvalidParameterError
-from .graph import Graph, _lookup, _row_keys, sweep
+from .graph import Graph, _lookup, _row_keys
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
 # factors up to this many states are read from a cached neighbour table; a
@@ -275,8 +275,9 @@ def flip_graph_from_json_dict(doc: dict) -> FlipGraph:
 
 def orbit_representatives(graph: FlipGraph) -> list:
     """The first vertex of each orbit of the polygon's dihedral symmetry
-    group, which acts on k-angulations by graph automorphisms, so vertex
-    eccentricities are constant on orbits.
+    group, which acts on k-angulations by graph automorphisms, so a vertex's
+    eccentricity, and the TVD of the lazy walk from it, are constant on its
+    orbit.
 
     The group is generated by the rotation v -> v + 1 and the reflection
     v -> -v (mod m).  Each permutes the diagonal ids; every row is mapped,
@@ -303,19 +304,6 @@ def orbit_representatives(graph: FlipGraph) -> list:
     while ((low := np.minimum(label[images[0]], label[images[1]])) < label).any():
         np.minimum(label, low, out=label)
     return np.flatnonzero(label == np.arange(len(rows))).tolist()
-
-
-def eccentricities(graph: Graph, starts: list) -> list:
-    """BFS eccentricity of each start vertex (one `sweep`)."""
-    ecc, full = sweep(graph, starts)
-    if not full.all():
-        raise InvalidParameterError("graph is disconnected")
-    return ecc.tolist()
-
-
-def diameter(graph: FlipGraph) -> int:
-    """Exact diameter via per-orbit eccentricities."""
-    return max(eccentricities(graph, orbit_representatives(graph)))
 
 
 def _write_flips(k: int, n: int, top, col: int, out: np.ndarray) -> None:

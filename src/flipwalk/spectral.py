@@ -1,6 +1,6 @@
-"""Chain analysis for lazy flip walks: transition matrices, total variation
-distance, exact mixing times, spectral gaps, Cheeger-style expansion brackets,
-brute-force expansion for tiny graphs, and the shortest-side central cut.
+"""Chain analysis for lazy flip walks: transition operators, exact mixing
+times, spectral gaps, Cheeger-style expansion brackets, the shortest-side
+central cut, and the seeded walk.
 
 The lazy operator P is a `CSRMatrix`: three numpy arrays whose products run
 in scipy's compiled `csr_matvec` and `csr_matvecs`, the kernels behind
@@ -31,16 +31,10 @@ from itertools import combinations
 import numpy as np
 
 from .combinatorics import catalan
-from .errors import (
-    EnumerationTooLargeError,
-    InvalidDistributionError,
-    InvalidParameterError,
-    NumericFailureError,
-)
+from .errors import EnumerationTooLargeError, InvalidParameterError, NumericFailureError
 from .graph import splitmix64
 from .kangulation import FlipGraph, orbit_representatives
 
-EXACT_START_CAP = 2000  # all-starts exact mixing up to this size (not flip graphs)
 EXACT_ANALYSIS_CAP = 300_000  # beyond this, mixing analysis is refused
 # point-mass columns stepped together by _mixing_block; at k = 3 n = 10 and 11
 # 64 was the fastest of 32..512, with a quarter of 256's block memory
@@ -138,15 +132,14 @@ class ChainAnalysis:
     """Lazy uniform walk on a graph: P = I/2 + A/(2*Delta), pi uniform.
 
     P is held as one `CSRMatrix`, built on first use.  The second
-    eigenpair (by `_lanczos_second`, deflated of the constant vector) and
-    the mixing times are computed on demand and cached.
+    eigenpair (by `_lanczos_second`, deflated of the constant vector) is
+    computed on demand and cached.
     """
 
     graph: object
     delta: int
     _P: CSRMatrix | None = field(default=None, repr=False)
     _eig: tuple | None = field(default=None, repr=False)
-    _mixing: dict = field(default_factory=dict, repr=False)
 
     @property
     def num_states(self) -> int:
@@ -314,18 +307,6 @@ def build_chain(graph) -> ChainAnalysis:
     return ChainAnalysis(graph, delta)
 
 
-def tvd(mu, nu) -> float:
-    """Total variation distance: half the L1 distance."""
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if mu.shape != nu.shape:
-        raise InvalidDistributionError("distributions have different supports")
-    for vec in (mu, nu):
-        if abs(vec.sum() - 1.0) > 1e-12 or (vec < -1e-15).any():
-            raise InvalidDistributionError("input is not a probability vector")
-    return 0.5 * float(np.abs(mu - nu).sum())
-
-
 def _tvd_to_uniform(x: np.ndarray):
     """TVD to uniform of a distribution, or of each column of a block; the
     difference block, in x's dtype, is the only temporary, and it is summed
@@ -342,40 +323,24 @@ def _tvd_to_uniform(x: np.ndarray):
     return 0.5 * d.sum(axis=-1, dtype=np.float64)
 
 
-def mixing_time(
-    chain: ChainAnalysis,
-    eps: float = 0.25,
-    return_mode: bool = False,
-    cap: int = EXACT_ANALYSIS_CAP,
-):
-    """Least t with worst-start TVD below eps.
+def mixing_time(chain: ChainAnalysis, eps: float = 0.25, cap: int = EXACT_ANALYSIS_CAP) -> tuple:
+    """(tau, "exact-orbit-starts"): the least t with worst-start TVD below
+    eps, on the lazy walk of a flip graph.
 
-    A flip graph, at every size, steps one start per orbit of the polygon's
-    dihedral group, which acts by automorphisms of the chain, so the TVD
-    from a start is constant on its orbit and the result is exact
-    ("exact-orbit-starts").  Any other graph steps every point-mass start
-    up to EXACT_START_CAP states ("exact-all-starts"), and above it the
-    extreme entries of the second eigenvector, which gives a heuristic lower
-    bound ("heuristic-start").  States beyond `cap` are refused.
+    One start per orbit of the polygon's dihedral group is stepped: the
+    group acts by automorphisms of the chain, so the TVD from a start is
+    constant on its orbit and tau is exact.  A chain on any other graph is
+    refused (`_mixing_block` takes explicit starts), and so are more than
+    `cap` states.
     """
-    key = (eps,)
-    if key in chain._mixing:
-        tau, mode = chain._mixing[key]
-        return (tau, mode) if return_mode else tau
+    if not isinstance(chain.graph, FlipGraph):
+        raise InvalidParameterError(
+            f"mixing_time needs a flip graph's orbit starts; got a {type(chain.graph).__name__}"
+        )
     n = chain.num_states
     if n > cap:
         raise EnumerationTooLargeError(n, cap)
-    if isinstance(chain.graph, FlipGraph):
-        starts, mode = orbit_representatives(chain.graph), "exact-orbit-starts"
-    elif n <= EXACT_START_CAP:
-        starts, mode = list(range(n)), "exact-all-starts"
-    else:
-        order = np.argsort(chain.second_eigenvector())
-        starts = sorted({int(i) for i in (order[0], order[1], order[-2], order[-1])})
-        mode = "heuristic-start"
-    tau = _mixing_block(chain, starts, eps)
-    chain._mixing[key] = (tau, mode)
-    return (tau, mode) if return_mode else tau
+    return _mixing_block(chain, orbit_representatives(chain.graph), eps), "exact-orbit-starts"
 
 
 def _mixing_floor(gap: float, eps: float) -> int:
@@ -384,9 +349,9 @@ def _mixing_floor(gap: float, eps: float) -> int:
     For a reversible lazy chain with second eigenvalue 1 - gap, the start
     x where the second eigenvector f peaks in |f| has TVD at least
     (1 - gap)^t / 2 after t steps, so nothing mixes before
-    (1/gap - 1) log(1/(2 eps)) steps (Levin-Peres-Wilmer, Thm 12.5).  That
-    x is among the starts of every mode: all starts, an orbit of every
-    start (the TVD is constant on orbits), or the extreme entries of f.  One
+    (1/gap - 1) log(1/(2 eps)) steps (Levin-Peres-Wilmer, Thm 12.5).
+    `mixing_time` steps one start per dihedral orbit, and the TVD is
+    constant on an orbit, so x's orbit start is no more mixed than x.  One
     step is taken off for the rounding of the float gap.
     """
     if gap <= 1e-12:
@@ -595,35 +560,6 @@ def cut_gap_bound(cut: CutReport, delta: int) -> Fraction:
     the side need not be the smaller one; both must be nonempty."""
     n = cut.side_size + cut.other_size
     return Fraction(cut.boundary_size * n, 2 * delta * cut.side_size * cut.other_size)
-
-
-def brute_force_expansion(graph) -> CutReport:
-    """Exact minimizer of |dS|/|S| over nonempty S with |S| <= |V|/2."""
-    n = graph.num_vertices
-    if n < 2:
-        raise InvalidParameterError(f"{n} vertices have no cut to expand")
-    if n > 24:
-        raise InvalidParameterError(f"{n} vertices is too large for brute force")
-    bounds, flat = (a.tolist() for a in graph.csr())
-    masks = [sum(1 << j for j in flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    full = (1 << n) - 1
-    best = None
-    for s in range(1, 1 << n):
-        size = s.bit_count()
-        if 2 * size > n:
-            continue
-        boundary = 0
-        m = s
-        while m:
-            v = (m & -m).bit_length() - 1
-            boundary += (masks[v] & ~s & full).bit_count()
-            m &= m - 1
-        ratio = Fraction(boundary, size)
-        if best is None or ratio < best[0]:
-            best = (ratio, s, boundary, size)
-    ratio, s, boundary, size = best
-    side = {v for v in range(n) if s >> v & 1}
-    return CutReport(side, size, n - size, boundary, ratio, "brute-force")
 
 
 # ---------------------------------------------------------------------------

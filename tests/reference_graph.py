@@ -1,11 +1,17 @@
 """Adjacency-list views of `Graph`, and list-based reference versions of the
 Cartesian product, the BFS tree and the inter-class matchings that the
-array code is compared against."""
+array code is compared against.
+
+`bfs_tree` (the array BFS tree, behind the projection-restriction
+combiner's canonical paths), `eccentricities` and `diameter` run on the
+package's arrays; no command runs them.
+"""
 
 import numpy as np
 
-from flipwalk.errors import LemmaViolationError
-from flipwalk.graph import Graph
+from flipwalk.errors import InvalidParameterError, LemmaViolationError
+from flipwalk.graph import Graph, sweep
+from flipwalk.kangulation import orbit_representatives
 
 
 def graph_from_lists(adj) -> Graph:
@@ -29,6 +35,29 @@ def product_lists(adj_g, adj_h) -> list:
         for x in range(len(adj_g))
         for y in range(nh)
     ]
+
+
+def bfs_tree(graph, root: int, allowed=None) -> dict:
+    """BFS parent map from root, optionally inside the vertex set
+    `allowed`; keys are in BFS order.  Each level is processed in sorted
+    order, so a vertex's parent is its smallest neighbour on the previous
+    level, and a level's keys follow (parent, vertex) order."""
+    seen = np.full(graph.num_vertices, allowed is not None)
+    if allowed is not None:
+        seen[list(allowed)] = False
+    seen[root] = True
+    parent = {root: None}
+    frontier = np.array([root])
+    while frontier.size:
+        src, dst = graph.arcs(frontier)
+        new = ~seen[dst]
+        src, dst = src[new], dst[new]
+        # a vertex's first arc comes from its smallest neighbour on this level
+        frontier, first = np.unique(dst, return_index=True)
+        first.sort()
+        parent.update(zip(dst[first].tolist(), src[first].tolist()))
+        seen[frontier] = True
+    return parent
 
 
 def bfs_tree_lists(adj, root: int, allowed=None) -> dict:
@@ -80,3 +109,16 @@ def boundary_matchings_lists(partition) -> list:
             if edges or partition.kind == "central":
                 out.append((ca, cb, edges))
     return out
+
+
+def eccentricities(graph: Graph, starts: list) -> list:
+    """BFS eccentricity of each start vertex (one `sweep`)."""
+    ecc, full = sweep(graph, starts)
+    if not full.all():
+        raise InvalidParameterError("graph is disconnected")
+    return ecc.tolist()
+
+
+def diameter(graph) -> int:
+    """Exact diameter of a flip graph via per-orbit eccentricities."""
+    return max(eccentricities(graph, orbit_representatives(graph)))

@@ -15,12 +15,65 @@ compare against.  `step_starts_indexed` is the package's mixing loop as it
 dropped mixed columns before, by a boolean column index made contiguous
 (three blocks live at once).  `sample_walk_per_step` is the walk loop the
 package ran before it stepped only the coins that can move.
+
+`tvd` (the total variation distance of two distributions) and
+`brute_force_expansion` (the exact expansion of a graph of at most 24
+vertices) are the small-graph checks of the acceptance tests; no command
+runs them.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
 
 from flipwalk import spectral
+from flipwalk.errors import FlipwalkError, InvalidParameterError
+
+
+class InvalidDistributionError(FlipwalkError, ValueError):
+    """A vector claimed to be a probability distribution is not one."""
+
+
+def tvd(mu, nu) -> float:
+    """Total variation distance: half the L1 distance."""
+    mu = np.asarray(mu, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    if mu.shape != nu.shape:
+        raise InvalidDistributionError("distributions have different supports")
+    for vec in (mu, nu):
+        if abs(vec.sum() - 1.0) > 1e-12 or (vec < -1e-15).any():
+            raise InvalidDistributionError("input is not a probability vector")
+    return 0.5 * float(np.abs(mu - nu).sum())
+
+
+def brute_force_expansion(graph) -> spectral.CutReport:
+    """Exact minimizer of |dS|/|S| over nonempty S with |S| <= |V|/2."""
+    n = graph.num_vertices
+    if n < 2:
+        raise InvalidParameterError(f"{n} vertices have no cut to expand")
+    if n > 24:
+        raise InvalidParameterError(f"{n} vertices is too large for brute force")
+    bounds, flat = (a.tolist() for a in graph.csr())
+    masks = [sum(1 << j for j in flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    full = (1 << n) - 1
+    best = None
+    for s in range(1, 1 << n):
+        size = s.bit_count()
+        if 2 * size > n:
+            continue
+        boundary = 0
+        m = s
+        while m:
+            v = (m & -m).bit_length() - 1
+            boundary += (masks[v] & ~s & full).bit_count()
+            m &= m - 1
+        ratio = Fraction(boundary, size)
+        if best is None or ratio < best[0]:
+            best = (ratio, s, boundary, size)
+    ratio, s, boundary, size = best
+    side = {v for v in range(n) if s >> v & 1}
+    return spectral.CutReport(side, size, n - size, boundary, ratio, "brute-force")
 
 
 def scipy_operator(chain) -> sp.csr_matrix:

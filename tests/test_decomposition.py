@@ -11,6 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 import reference_partition
+from reference_decomposition import central_partition, verify_class_product_structure
 from reference_graph import adjacency_lists, boundary_matchings_lists, graph_from_lists
 
 from flipwalk import kangulation
@@ -21,9 +22,7 @@ from flipwalk.decomposition import (
     _region_count,
     boundary_matchings,
     boundary_projection,
-    central_partition,
     oriented_partition,
-    verify_class_product_structure,
     verify_matching_inequality,
 )
 from flipwalk.errors import InvalidParameterError, LemmaViolationError, StructureMismatchError

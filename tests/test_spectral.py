@@ -11,33 +11,30 @@ import numpy as np
 import pytest
 from reference_graph import adjacency_lists, graph_from_lists
 from reference_spectral import (
+    InvalidDistributionError,
+    brute_force_expansion,
     eigsh_gap,
     sample_walk_per_step,
     scipy_operator,
     step_starts_indexed,
     transition_matrix,
+    tvd,
 )
 
 from flipwalk import spectral
 from flipwalk.combinatorics import catalan
 from flipwalk.decomposition import _central_faces
-from flipwalk.errors import (
-    InvalidDistributionError,
-    InvalidParameterError,
-    NumericFailureError,
-)
+from flipwalk.errors import InvalidParameterError, NumericFailureError
 from flipwalk.graph import Graph
 from flipwalk.kangulation import build_flip_graph, orbit_representatives
 from flipwalk.lattice import enumerate_lattice
 from flipwalk.spectral import (
-    brute_force_expansion,
     build_chain,
     cheeger_bounds,
     chi_square_survival,
     mixing_time,
     sample_walk,
     shortest_side_cut,
-    tvd,
     tvd_curve,
 )
 
@@ -86,15 +83,15 @@ def test_tvd_basic():
 
 def test_mixing_time_k2():
     chain = build_chain(_graph(3, 2))
-    assert mixing_time(chain) == 1
-    assert mixing_time(chain, eps=1.0) == 0
+    assert mixing_time(chain) == (1, "exact-orbit-starts")
+    assert mixing_time(chain, eps=1.0) == (0, "exact-orbit-starts")
 
 
 def test_mixing_time_matches_stepwise_oracle():
     for k, n in [(3, 3), (3, 4), (4, 3)]:
         g = _graph(k, n)
         chain = build_chain(g)
-        tau = mixing_time(chain)
+        tau, _ = mixing_time(chain)
         p = transition_matrix(chain)
         m = np.eye(g.num_vertices)
         t = 0
@@ -106,7 +103,7 @@ def test_mixing_time_matches_stepwise_oracle():
 
 def test_mixing_upper_bound_by_gap():
     chain = build_chain(_graph(3, 4))
-    tau = mixing_time(chain)
+    tau, _ = mixing_time(chain)
     lam = chain.spectral_gap()
     assert tau <= (1 / lam) * math.log(14 / 0.25)
 
@@ -218,7 +215,7 @@ def test_orbit_start_mixing_matches_all_starts():
     for kn in sizes:
         chain = build_chain(_graph(*kn))
         for eps in (0.25, 0.05):
-            tau, mode = mixing_time(chain, eps, return_mode=True)
+            tau, mode = mixing_time(chain, eps)
             assert mode == "exact-orbit-starts", (kn, eps)
             all_starts = list(range(chain.num_states))
             assert tau == spectral._mixing_block(chain, all_starts, eps), (kn, eps)
@@ -271,46 +268,54 @@ def _float64_mixing_block(chain, starts, eps):
     return tau
 
 
-def _mixing_in_every_mode(monkeypatch, sizes, eps):
-    """(tau, mode) of every size as a flip graph and as a plain Graph copy,
-    with and without the all-starts cap: all three modes."""
+# the plain copies step every start up to this many states; above it (k = 3
+# n = 9, 4862 states, about 5 s a stepping) they step the orbit starts
+ALL_STARTS_CAP = 2000
+
+
+def _mixing_both_ways(sizes, eps):
+    """Every size's (tau, mode) from the orbit starts of its flip graph, and
+    its tau from every start of a plain Graph copy (`_mixing_block`), or
+    from its orbit starts above ALL_STARTS_CAP states."""
     out = {}
-    caps = (spectral.EXACT_START_CAP, 0)
-    for cap in caps:
-        monkeypatch.setattr(spectral, "EXACT_START_CAP", cap)
-        for kn in sizes:
-            for g in (_graph(*kn), Graph(*_graph(*kn).csr())):
-                out[cap, kn, type(g)] = mixing_time(build_chain(g), eps, return_mode=True)
-    monkeypatch.setattr(spectral, "EXACT_START_CAP", caps[0])
+    for kn in sizes:
+        out[kn, "orbit"] = mixing_time(build_chain(_graph(*kn)), eps)
+        chain = build_chain(Graph(*_graph(*kn).csr()))
+        n = chain.num_states
+        starts = range(n) if n <= ALL_STARTS_CAP else orbit_representatives(_graph(*kn))
+        out[kn, "all"] = spectral._mixing_block(chain, starts, eps)
     return out
+
+
+def _orbit_starts_are_exact(taus, sizes) -> bool:
+    return all(taus[kn, "orbit"] == (taus[kn, "all"], "exact-orbit-starts") for kn in sizes)
 
 
 @pytest.mark.parametrize("eps", [0.25, 0.05])
 def test_mixing_floor_changes_no_mixing_time(monkeypatch, eps):
-    """TVD checks start at the Levin-Peres-Wilmer floor; every tau and mode
-    equals the one checked from step 0, in every mode: all starts, orbit
-    starts, and the eigenvector-extreme starts of a plain Graph copy."""
+    """TVD checks start at the Levin-Peres-Wilmer floor; every tau equals
+    the one checked from step 0, from the orbit starts and from all starts,
+    and the orbit starts' tau is the all-starts tau."""
     sizes = [(3, n) for n in range(2, 10)] + [(4, n) for n in range(2, 6)]
-    skipped = _mixing_in_every_mode(monkeypatch, sizes, eps)
+    skipped = _mixing_both_ways(sizes, eps)
     assert spectral._mixing_floor(build_chain(_graph(3, 9)).spectral_gap(), 0.25) == 27
     monkeypatch.setattr(spectral, "_mixing_floor", lambda gap, eps: 0)
-    unskipped = _mixing_in_every_mode(monkeypatch, sizes, eps)
+    unskipped = _mixing_both_ways(sizes, eps)
     assert skipped == unskipped
-    assert {mode for _, mode in skipped.values()} == {
-        "exact-all-starts", "exact-orbit-starts", "heuristic-start"}
+    assert _orbit_starts_are_exact(skipped, sizes)
 
 
 @pytest.mark.parametrize("eps", [0.25, 0.05])
 def test_float32_mixing_matches_float64_oracle(monkeypatch, eps):
     """Stepping in float32 with the float64 re-step of undecided starts
-    gives the tau of the float64-only loop, in every mode."""
+    gives the tau of the float64-only loop, from the orbit starts and from
+    all starts, and the two agree."""
     sizes = [(3, n) for n in range(2, 10)] + [(4, n) for n in range(2, 7)] + [
         (5, n) for n in range(2, 6)]
-    fast = _mixing_in_every_mode(monkeypatch, sizes, eps)
+    fast = _mixing_both_ways(sizes, eps)
     monkeypatch.setattr(spectral, "_mixing_block", _float64_mixing_block)
-    assert fast == _mixing_in_every_mode(monkeypatch, sizes, eps)
-    assert {mode for _, mode in fast.values()} == {
-        "exact-all-starts", "exact-orbit-starts", "heuristic-start"}
+    assert fast == _mixing_both_ways(sizes, eps)
+    assert _orbit_starts_are_exact(fast, sizes)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -325,7 +330,7 @@ def test_tvd_bound_covers_float32_stepping(n):
     x[starts, np.arange(len(starts))] = 1.0
     x32 = x.astype(np.float32)
     p32 = p.astype(np.float32)
-    tau = mixing_time(chain, 0.05)
+    tau, _ = mixing_time(chain, 0.05)
     for t in range(tau + 1):
         gap = np.abs(spectral._tvd_to_uniform(x32) - spectral._tvd_to_uniform(x))
         assert gap.max() <= spectral._tvd_bound(w, chain.num_states, t), t
@@ -338,7 +343,7 @@ def test_unbounded_delta_resteps_every_start(monkeypatch):
     """With delta = inf no float32 TVD decides a start, so every start goes
     through the float64 re-step, and every tau stays the same."""
     sizes = [(3, n) for n in range(2, 9)] + [(4, n) for n in range(2, 6)]
-    want = _mixing_in_every_mode(monkeypatch, sizes, 0.25)
+    want = _mixing_both_ways(sizes, 0.25)
     stepped = {"float32": 0, "float64": 0}
     step_starts = spectral._step_starts
 
@@ -348,7 +353,7 @@ def test_unbounded_delta_resteps_every_start(monkeypatch):
 
     monkeypatch.setattr(spectral, "_step_starts", counted)
     monkeypatch.setattr(spectral, "_tvd_bound", lambda w, n, t: math.inf)
-    assert _mixing_in_every_mode(monkeypatch, sizes, 0.25) == want
+    assert _mixing_both_ways(sizes, 0.25) == want
     assert stepped["float64"] == stepped["float32"] > 0
 
 
@@ -368,7 +373,7 @@ def test_four_cycle_exact_tie(monkeypatch):
         return step_starts(p, starts, first, eps, limit, delta)
 
     monkeypatch.setattr(spectral, "_step_starts", counted)
-    assert mixing_time(chain, 0.25, return_mode=True) == (2, "exact-all-starts")
+    assert spectral._mixing_block(chain, range(4), 0.25) == 2
     assert restepped == [([0, 1, 2, 3], 1)]
     assert _float64_mixing_block(build_chain(cyc), [0, 1, 2, 3], 0.25) == 2
 
@@ -405,7 +410,7 @@ def test_mixing_loop_holds_two_blocks():
     chain.spectral_gap()
     tracemalloc.start()
     try:
-        assert mixing_time(chain, 0.25) == 55
+        assert mixing_time(chain, 0.25) == (55, "exact-orbit-starts")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -414,7 +419,7 @@ def test_mixing_loop_holds_two_blocks():
 
 def test_orbit_start_mixing_n9():
     chain = build_chain(_graph(3, 9))
-    assert mixing_time(chain, return_mode=True) == (55, "exact-orbit-starts")
+    assert mixing_time(chain) == (55, "exact-orbit-starts")
 
 
 @pytest.mark.parametrize("k, n, want", [
@@ -427,7 +432,7 @@ def test_kangulation_mixing_trend(k, n, want):
     (t_rel - 1) log(1/(2 eps)) <= tau <= t_rel log(N/eps), t_rel = 1/gap."""
     eps = 0.25
     chain = build_chain(build_flip_graph(k, n))
-    tau, mode = mixing_time(chain, eps, return_mode=True)
+    tau, mode = mixing_time(chain, eps)
     assert (tau, mode) == (want, "exact-orbit-starts")
     t_rel = 1 / chain.spectral_gap()
     assert (t_rel - 1) * math.log(1 / (2 * eps)) <= tau <= t_rel * math.log(chain.num_states / eps)
@@ -460,19 +465,21 @@ def test_relaxation_time_at_the_first_unpinned_sizes(k, n, want):
     assert t_rel == pytest.approx(want, rel=1e-9)
 
 
-def test_heuristic_start_on_other_large_graphs(monkeypatch):
-    n = 12
-    cyc = graph_from_lists([[(i - 1) % n, (i + 1) % n] for i in range(n)])
-    exact = mixing_time(build_chain(cyc), return_mode=True)
-    assert exact[1] == "exact-all-starts"
-    monkeypatch.setattr(spectral, "EXACT_START_CAP", 0)
-    # every start of a cycle is a worst start, so the lower bound is tight
-    assert mixing_time(build_chain(cyc), return_mode=True) == (exact[0], "heuristic-start")
+@pytest.mark.parametrize("graph", ["copy", "lattice3"])
+def test_mixing_time_refuses_a_graph_that_is_not_a_flip_graph(graph):
+    """Only a flip graph has the dihedral orbit starts that make tau exact:
+    a plain Graph copy of the hexagon's flip graph and the n = 3 lattice
+    flip graph are refused before any step (`_mixing_block` takes explicit
+    starts)."""
+    g = Graph(*_graph(3, 4).csr()) if graph == "copy" else enumerate_lattice(3)
+    with pytest.raises(InvalidParameterError, match="flip graph"):
+        mixing_time(build_chain(g))
 
 
 def test_mixing_time_disconnected_raises():
-    with pytest.raises(NumericFailureError):
-        mixing_time(build_chain(graph_from_lists([[1], [0], [3], [2]])))
+    """A disconnected chain is not mixed by the step bound from its gap of 0."""
+    with pytest.raises(NumericFailureError, match="disconnected"):
+        spectral._mixing_block(build_chain(graph_from_lists([[1], [0], [3], [2]])), range(4), 0.25)
 
 
 @pytest.mark.parametrize("eps", [5e-324, 1e-300])
