@@ -334,7 +334,7 @@ def _run_flow(cfg: ExperimentConfig) -> list:
         graph = build_flip_graph(3, n, cap=cfg.cap)
         _, report = _cli.uniform_flow_recursive(graph)
         _cli.verify_unit_demands(n)
-        worst = max((v for _, _, v in _cli.matching_arc_values(n)), default=0) if n >= 2 else 0
+        worst = max(_cli.matching_arc_values(n), default=0)
         if worst > catalan(n):
             raise LemmaViolationError(
                 f"matching arc carries {worst} > C_n = {catalan(n)}",
@@ -347,10 +347,9 @@ def _run_flow(cfg: ExperimentConfig) -> list:
             "conservation_certified": True,
         }
         if n >= 2:
-            worst_f = Fraction(worst)
             ineq = _cli.verify_matching_inequality(_cli.oriented_partition(graph))
-            pairing = _cli.hierarchical_pairing_flow(n)[2]
-            doc["matching_arc_max"] = _frac(worst_f)
+            pairing = _cli.hierarchical_pairing_flow(n)
+            doc["matching_arc_max"] = _frac(worst)
             doc["matching_inequality"] = {
                 "pairs": ineq["pairs_checked"],
                 "min_slack_pair": list(ineq["min_slack_pair"]),

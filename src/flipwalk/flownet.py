@@ -21,7 +21,6 @@ from .errors import InvalidParameterError, StructureMismatchError
 from .flows import (
     LIMIT,
     ArcFlow,
-    CongestionReport,
     bound,
     congestion_report,
     narrowed,
@@ -487,25 +486,13 @@ def verify_unit_demands(n: int) -> dict:
     return {"n": n, "sources": count, "ok": True}
 
 
-def matching_arc_values(n: int):
-    """Un-normalized aggregate flow on every inter-class matching arc."""
-    st = oriented_structure(n)
+def matching_arc_values(n: int) -> list:
+    """Un-normalized aggregate flow on every inter-class matching arc, in
+    both directions."""
     agg = aggregate_flow(n)
-    pairs = [(ab, arcs) for ab, arcs in st.matching.items() if ab[0] < ab[1]]
-    if not pairs:
-        return []
-    arcs = np.concatenate([a for _, a in pairs])
-    fwd = agg.numerators_at(arcs[:, 0], arcs[:, 1]).tolist()
-    bwd = agg.numerators_at(arcs[:, 1], arcs[:, 0]).tolist()
-    den = agg.den
-    out = []
-    i = 0
-    for (a, b), block in pairs:
-        for u, v in block.tolist():
-            out.append(((a, b), (u, v), Fraction(fwd[i], den)))
-            out.append(((b, a), (v, u), Fraction(bwd[i], den)))
-            i += 1
-    return out
+    return [Fraction(v, agg.den)
+            for arcs in oriented_structure(n).matching.values()
+            for v in agg.numerators_at(arcs[:, 0], arcs[:, 1]).tolist()]
 
 
 def uniform_flow_recursive(graph) -> tuple:
@@ -524,15 +511,15 @@ def uniform_flow_recursive(graph) -> tuple:
 # hierarchical pairing flow (class-level, exact)
 
 
-def hierarchical_pairing_flow(n: int):
+def hierarchical_pairing_flow(n: int) -> dict:
     """Solve the n class-to-graph MSF problems by dyadic pairing of the
     oriented classes, entirely at class level (sizes and matching sizes are
     closed-form Catalan products).
 
     Every source vertex of class i starts with C_n units; after the log n
     pairing levels every vertex of K_n holds |C_i| units of commodity i,
-    certified by exact pool accounting.  Returns (quotient ArcFlow,
-    CongestionReport with per-level data, details dict).
+    certified by exact pool accounting.  Returns the per-level maximum pair
+    congestions, their total and their maximum.
     """
     if n < 2:
         raise InvalidParameterError("need at least two classes")
@@ -548,13 +535,8 @@ def hierarchical_pairing_flow(n: int):
     pools[range(n), range(n)] = [total * sz for sz in sizes]
     den = 1
     levels = []
-    arc_vals: dict = {}  # (src, dst) -> units moved; each pair moves at one level
-    arc_cong: dict = {}
     size = 2
-    level_no = 0
-    total_congestion = Fraction(0)
     while size <= 2 * (n - 1):
-        level_no += 1
         worst = Fraction(0)
         worst_pair = None
         blocks = [(lo, lo + size // 2, min(lo + size, n)) for lo in range(0, n, size)]
@@ -573,11 +555,7 @@ def hierarchical_pairing_flow(n: int):
                         amt = pre[:, src - lo] * sizes[dst] // s_block
                         pools[:, src] -= amt
                         pools[:, dst] += amt
-                        sent = Fraction(amt.sum(), den)
-                        cong = sent / (match_size(src + 1, dst + 1) * total)
-                        if sent:
-                            arc_vals[(src, dst)] = sent
-                            arc_cong[(src, dst)] = cong
+                        cong = Fraction(amt.sum(), den * match_size(src + 1, dst + 1) * total)
                         if cong > worst:
                             worst, worst_pair = cong, (src + 1, dst + 1)
             # pool invariant: total mass at class c stays C_n * |C_c|
@@ -589,13 +567,12 @@ def hierarchical_pairing_flow(n: int):
                 )
         levels.append(
             {
-                "level": level_no,
+                "level": len(levels) + 1,
                 "group_size": min(size, n),
                 "congestion": worst,
                 "argmax_pair": worst_pair,
             }
         )
-        total_congestion += worst
         if size >= n:
             break
         size *= 2
@@ -608,21 +585,13 @@ def hierarchical_pairing_flow(n: int):
             f"commodity {i} holds {Fraction(pools[i, c], den)} at class {c}, "
             f"expected {want[i, c]}"
         )
-    lcd = lcm(*(v.denominator for v in arc_vals.values()))
-    flow = ArcFlow(lcd, {arc: int(v * lcd) for arc, v in arc_vals.items()})
-    max_arc = max(((v, arc) for arc, v in arc_cong.items()), default=(Fraction(0), None))
-    report = CongestionReport(
-        rho=max_arc[0],
-        argmax_arc=max_arc[1],
-        normalization="uniform",
-        rho_directed=max_arc[0],
-        levels=levels,
-    )
-    details = {
+    # each class pair moves at one level, so the largest pair congestion is
+    # the largest level maximum
+    worsts = [lv["congestion"] for lv in levels]
+    return {
         "n": n,
         "levels": levels,
-        "total_matching_congestion": total_congestion,
-        "max_pair_congestion": max_arc[0],
+        "total_matching_congestion": sum(worsts, Fraction(0)),
+        "max_pair_congestion": max(worsts),
         "demands_certified": True,
     }
-    return flow, report, details

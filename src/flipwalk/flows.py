@@ -216,32 +216,21 @@ class ArcFlow:
     def support_size(self) -> int:
         return len(self.num)
 
-    def max_arc(self):
-        """(value, arc) of the largest single-direction arc flow; ties go to
-        the first arc."""
-        if not len(self.num):
-            return Fraction(0), None
-        i = int(np.argmax(self.num))
-        return Fraction(int(self.num[i]), self.den), (int(self.src[i]), int(self.dst[i]))
-
 
 @dataclass
 class CongestionReport:
-    """Congestion of a flow: max over undirected edges of the two-direction
-    total, normalized per the stated mode (uniform: divide by |V|)."""
+    """Congestion of a uniform-demand flow: max over undirected edges of the
+    two-direction total, divided by |V|."""
 
     rho: Fraction
     argmax_arc: tuple | None
-    normalization: str  # "uniform" | "chain"
-    rho_directed: Fraction = Fraction(0)
-    levels: list | None = None
 
     def to_json_dict(self) -> dict:
         return {
             "rho_num": self.rho.numerator,
             "rho_den": self.rho.denominator,
             "argmax_arc": list(self.argmax_arc) if self.argmax_arc else None,
-            "normalization": self.normalization,
+            "normalization": "uniform",
         }
 
 
@@ -249,7 +238,7 @@ def congestion_report(flow: ArcFlow, num_vertices: int) -> CongestionReport:
     """Measure congestion of a uniform-demand flow.
 
     rho is the max over undirected edges of the summed two-direction flow,
-    divided by |V|; rho_directed tracks the max single arc.
+    divided by |V|.
     """
     total = flow.num + flow.numerators_at(flow.dst, flow.src)
     best, best_arc = 0, None
@@ -257,13 +246,7 @@ def congestion_report(flow: ArcFlow, num_vertices: int) -> CongestionReport:
         i = int(np.argmax(total))  # the first arc with the largest total
         if total[i] > 0:
             best, best_arc = int(total[i]), (int(flow.src[i]), int(flow.dst[i]))
-    dmax, _ = flow.max_arc()
-    return CongestionReport(
-        rho=Fraction(best, flow.den * num_vertices),
-        argmax_arc=best_arc,
-        normalization="uniform",
-        rho_directed=dmax / num_vertices,
-    )
+    return CongestionReport(Fraction(best, flow.den * num_vertices), best_arc)
 
 
 def product_lift(verts, nh: int, factor: int, flow: ArcFlow, copies, scale) -> list:

@@ -532,12 +532,10 @@ def cheeger_bounds(chain: ChainAnalysis) -> tuple:
 
 @dataclass
 class CutReport:
-    side: set | None
     side_size: int
     other_size: int
     boundary_size: object  # int (edge count); exact
     ratio: Fraction
-    construction: str
     degenerate: bool = False
 
     def to_json_dict(self) -> dict:
@@ -547,7 +545,7 @@ class CutReport:
             "boundary_size": self.boundary_size,
             "ratio_num": self.ratio.numerator,
             "ratio_den": self.ratio.denominator,
-            "construction": self.construction,
+            "construction": "central-shortest-side",
             "degenerate": self.degenerate,
         }
 
@@ -607,9 +605,7 @@ def shortest_side_cut(n: int) -> CutReport:
     )
     degenerate = n < 7 or s_size == 0 or o_size == 0
     ratio = Fraction(boundary, s_size) if s_size else Fraction(0)
-    return CutReport(
-        None, s_size, o_size, boundary, ratio, "central-shortest-side", degenerate
-    )
+    return CutReport(s_size, o_size, boundary, ratio, degenerate)
 
 
 # ---------------------------------------------------------------------------

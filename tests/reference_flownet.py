@@ -10,11 +10,10 @@ compare one source at a time against the aggregate and the golden hashes.
 `cartesian_flow_combine`, `projection_restriction_combine` (the
 decomposition theorem of Jerrum, Son, Tetali and Vigoda) and
 `expansion_lower_bound` are the acceptance checks of the flow framework:
-no command runs them.  `arc_values`, `arc_value`, `net_inflow` and
-`report_json` read an `ArcFlow` or a `CongestionReport` for the tests.
+no command runs them.  `arc_values`, `arc_value` and `net_inflow` read an
+`ArcFlow` for the tests.
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -135,7 +134,7 @@ def _class_paths(graph, cls: np.ndarray, where: np.ndarray) -> tuple:
 @dataclass
 class ProjectionRestrictionResult:
     flow: ArcFlow
-    report: CongestionReport
+    argmax_arc: tuple
     rho_max: Fraction
     rho_bar: Fraction
     gamma: Fraction
@@ -157,7 +156,8 @@ def projection_restriction_combine(graph, classes: list) -> ProjectionRestrictio
     Restriction chains use the rejection convention (off-diagonal transition
     probabilities unchanged inside the class).  Congestions rho_max, rho_bar
     and the measured value are all in the f/Q convention of the combiner's
-    proof; the report's chain normalization additionally divides by Delta.
+    proof; measured is taken on the flow's largest single arc, argmax_arc
+    (the first of them).
     """
     n_verts = graph.num_vertices
     delta = graph.degree
@@ -236,18 +236,12 @@ def projection_restriction_combine(graph, classes: list) -> ProjectionRestrictio
         pieces.append((commodity, 1))
 
     flow = ArcFlow.combine(pieces).reduce()
-    top, arg = flow.max_arc()
-    measured = top / q_edge
+    top = int(np.argmax(flow.num))
+    measured = Fraction(int(flow.num[top]), flow.den) / q_edge
     bound = (1 + 2 * rho_bar * gamma * delta) * rho_max
-    report = CongestionReport(
-        rho=measured / delta,
-        argmax_arc=arg,
-        normalization="chain",
-        rho_directed=measured / delta,
-    )
     return ProjectionRestrictionResult(
         flow=flow,
-        report=report,
+        argmax_arc=(int(flow.src[top]), int(flow.dst[top])),
         rho_max=rho_max,
         rho_bar=rho_bar,
         gamma=gamma,
@@ -259,8 +253,6 @@ def projection_restriction_combine(graph, classes: list) -> ProjectionRestrictio
 
 def expansion_lower_bound(report: CongestionReport) -> Fraction:
     """h(G) >= 1/(2 rho) for a uniform multicommodity flow with congestion rho."""
-    if report.normalization != "uniform":
-        raise InvalidParameterError("expansion bound needs a uniform-normalization report")
     if report.rho == 0:
         raise InvalidParameterError("zero congestion: no flow routed")
     return Fraction(1, 2) / report.rho
@@ -285,18 +277,3 @@ def net_inflow(flow: ArcFlow) -> dict:
     net = flow.net_array(int(verts.max(initial=-1)) + 1)[verts]
     return {v: Fraction(w, flow.den) for v, w in zip(verts.tolist(), net.tolist()) if w}
 
-
-def report_json(report: CongestionReport) -> str:
-    """The report's JSON, with the pairing flow's per-level congestions."""
-    doc = report.to_json_dict()
-    if report.levels is not None:
-        doc["levels"] = [
-            {
-                "level": lv["level"],
-                "group_size": lv["group_size"],
-                "congestion_num": lv["congestion"].numerator,
-                "congestion_den": lv["congestion"].denominator,
-            }
-            for lv in report.levels
-        ]
-    return json.dumps(doc, sort_keys=True)

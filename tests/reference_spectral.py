@@ -70,10 +70,9 @@ def brute_force_expansion(graph) -> spectral.CutReport:
             m &= m - 1
         ratio = Fraction(boundary, size)
         if best is None or ratio < best[0]:
-            best = (ratio, s, boundary, size)
-    ratio, s, boundary, size = best
-    side = {v for v in range(n) if s >> v & 1}
-    return spectral.CutReport(side, size, n - size, boundary, ratio, "brute-force")
+            best = (ratio, boundary, size)
+    ratio, boundary, size = best
+    return spectral.CutReport(size, n - size, boundary, ratio)
 
 
 def scipy_operator(chain) -> sp.csr_matrix:

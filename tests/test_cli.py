@@ -259,7 +259,7 @@ def test_flow_summary_certifies(tmp_path):
 def arc_above_catalan(n: int) -> list:
     """A stand-in for `matching_arc_values` whose one arc carries C_n + 1,
     past the bound the flow lemma proves."""
-    return [((0, 1), (0, 1), combinatorics.catalan(n) + 1)]
+    return [combinatorics.catalan(n) + 1]
 
 
 def test_lemma_violation_exits_3_with_its_witness(tmp_path, monkeypatch, capsys):

@@ -736,7 +736,7 @@ def test_cut_gap_bound():
         bound = spectral.cut_gap_bound(cut, chain.delta)
         assert chain.spectral_gap() < bound, n
     # the 4-cycle split into two paths: 2 boundary edges, N = 4, Delta = 2
-    cut = spectral.CutReport(None, 2, 2, 2, Fraction(1), "pair")
+    cut = spectral.CutReport(2, 2, 2, Fraction(1))
     f = np.array([1.0, 1.0, 0.0, 0.0]) - 0.5
     p = transition_matrix(build_chain(graph_from_lists([[1, 3], [0, 2], [1, 3], [0, 2]])))
     assert spectral.cut_gap_bound(cut, 2) == Fraction(1, 2) == 1 - (f @ p @ f) / (f @ f)

@@ -8,7 +8,8 @@ the mixing loop, and one config per documented exit code.  Every function in
 included, must be entered; EXCEPTIONS names the few that no command
 enters, each with its reason.  The routines that only tests run live in
 `tests/reference_*.py`, and MOVED names the acceptance routines among them
-with a test that runs each.
+with a test that runs each.  No module of the package imports a name at
+top level that it never reads.
 
 Run this file as a script (`python tests/test_surface.py OUT_DIR`) to
 print the functions that CONFIGS leave unentered.
@@ -179,6 +180,31 @@ def _top_level(path: pathlib.Path) -> dict:
     tree = ast.parse(path.read_text())
     return {node.name: node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def _unused_imports(path: pathlib.Path) -> list:
+    """Each name that a top-level import of the module binds and no code in
+    it reads, as "module:line name", except on lines marked `# noqa: F401`."""
+    text = path.read_text()
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.stem}:{alias.lineno} {bound}"
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            for bound in [alias.asname or alias.name.split(".")[0]]
+            if bound not in read and "# noqa: F401" not in lines[alias.lineno - 1]]
+
+
+def test_every_top_level_import_is_used():
+    """No linter runs on the package: a module-level import that nothing in
+    its module reads fails here, unless its line says `# noqa: F401`."""
+    unused = [name for path in sorted((SRC / "flipwalk").glob("*.py"))
+              for name in _unused_imports(path)]
+    assert not unused, "unused imports: " + ", ".join(unused)
 
 
 @pytest.mark.parametrize("name", sorted(MOVED))
