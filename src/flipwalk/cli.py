@@ -44,6 +44,7 @@ if "numpy" not in sys.modules:
 
 from .kangulation import (
     DEFAULT_ENUMERATION_CAP,
+    _check_size,
     build_flip_graph,
     count_kangulations,
     flip_graph_from_json_dict,  # noqa: F401 (bench/trace_cli.py wraps it under this name)
@@ -55,11 +56,12 @@ from .kangulation import (
 # as attributes of this module (`_cli.name`), so rebinding one here, as the
 # tests and the bench tracer do, takes effect.
 _LAZY = {
-    "oriented_partition": "decomposition",
+    "oriented_partition": "decomposition",  # no runner calls it; bench/trace_cli.py wraps it
     "verify_matching_inequality": "decomposition",
     "FLOW_N_CAP": "flownet",
     "hierarchical_pairing_flow": "flownet",
     "matching_arc_values": "flownet",
+    "oriented_structure": "flownet",
     "uniform_flow_recursive": "flownet",
     "verify_unit_demands": "flownet",
     "count_triangulations_recursive": "lattice",
@@ -331,8 +333,9 @@ def _run_flow(cfg: ExperimentConfig) -> list:
         raise EnumerationTooLargeError(cfg.ns[-1], _cli.FLOW_N_CAP, "flow n")
     summaries = []
     for n in cfg.ns:
-        graph = build_flip_graph(3, n, cap=cfg.cap)
-        _, report = _cli.uniform_flow_recursive(graph)
+        _check_size(3, n, cfg.cap)  # the check that build_flip_graph runs first
+        partition = _cli.oriented_structure(n).partition
+        _, report = _cli.uniform_flow_recursive(partition.graph)
         _cli.verify_unit_demands(n)
         worst = max(_cli.matching_arc_values(n), default=0)
         if worst > catalan(n):
@@ -342,12 +345,12 @@ def _run_flow(cfg: ExperimentConfig) -> list:
             )
         doc = {
             "command": "flow", "k": 3, "n": n,
-            "vertices": graph.num_vertices,
+            "vertices": partition.graph.num_vertices,
             "congestion": report.to_json_dict(),
             "conservation_certified": True,
         }
         if n >= 2:
-            ineq = _cli.verify_matching_inequality(_cli.oriented_partition(graph))
+            ineq = _cli.verify_matching_inequality(partition)
             pairing = _cli.hierarchical_pairing_flow(n)
             doc["matching_arc_max"] = _frac(worst)
             doc["matching_inequality"] = {
@@ -363,6 +366,8 @@ def _run_flow(cfg: ExperimentConfig) -> list:
 
 
 def _run_cut(cfg: ExperimentConfig) -> list:
+    if cfg.k != 3:
+        raise InvalidParameterError("cut command requires k = 3")
     if cfg.ns[-1] > _cli.CUT_N_CAP:  # before any size is cut
         raise EnumerationTooLargeError(cfg.ns[-1], _cli.CUT_N_CAP, "cut n")
     summaries = []

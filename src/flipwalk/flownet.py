@@ -330,30 +330,16 @@ def _shuffle_lengths(n: int, t: int, coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_counts(n: int, t: int, ids: np.ndarray) -> np.ndarray:
-    """Exact row count of the per-source flow of each of ids, all in class t
-    of K_n: its shuffle rows, and the arcs of r_dist(n, t) that none of them
-    covers."""
-    st = oriented_structure(n)
-    coords = st.coord_of[ids]
-    dist = r_dist(n, t)
-    out = np.empty(len(ids), dtype=np.int64)
-    for part in _row_chunks(_shuffle_lengths(n, t, coords)):
-        sh = _shuffle_rows(n, t, coords[part], _table_rows)
-        hit = dist.arc_index(sh.src, sh.dst) >= 0
-        covered = np.bincount(sh.source_of_row()[hit], minlength=len(sh.den))
-        out[part] = sh.lengths() + len(dist.num) - covered
-    return out
-
-
 @lru_cache(maxsize=None)
 def _source_table(n: int):
     """(rows, row_of): the per-source flows of every source of K_n, class by
-    class, and each vertex's index into them.  The rows are counted first,
-    then built in chunks and written into arrays of that size, so no part
-    of the table is held twice."""
+    class, and each vertex's index into them.  A source of class t has one
+    row per arc of r_dist(n, t), since every arc of its shuffle lies on
+    that support (a chunk that breaks this is refused as miscounted); the
+    rows are built in chunks and written into arrays of that size, so no
+    part of the table is held twice."""
     members = [c.member_indices for c in oriented_structure(n).partition.classes]
-    lens = [_row_counts(n, t, m) for t, m in enumerate(members)]
+    lens = [np.full(len(m), len(r_dist(n, t).num)) for t, m in enumerate(members)]
     start = _offsets(np.concatenate(lens))
     den = np.empty(catalan(n), dtype=np.int64)
     src, dst, num = (np.empty(int(start[-1]), dtype=np.int64) for _ in range(3))
@@ -380,18 +366,6 @@ def _source_table(n: int):
 def _table_rows(n: int, ids: np.ndarray) -> SourceRows:
     rows, row_of = _source_table(n)
     return rows.take(row_of[ids])
-
-
-def _factor_rows(f: int, ids: np.ndarray, n: int) -> SourceRows:
-    """Per-source flows of K_f for verify_unit_demands(n): from the table up
-    to K_(n-2), built for just these sources (all in one class) on K_(n-1),
-    whose table would be the largest."""
-    if f < n - 1:
-        return _table_rows(f, ids)
-    classes = oriented_structure(f).partition.vertex_class[ids]
-    if (classes != classes[0]).any():
-        raise InvalidParameterError("factor sources span classes")
-    return _source_rows(f, int(classes[0]), ids)
 
 
 def _shared_rows(rows: SourceRows, f: int, ids: np.ndarray, want_f: int, want_ids: np.ndarray):
@@ -475,10 +449,12 @@ def verify_unit_demands(n: int) -> dict:
         r_dist(n, t)  # net-verified on construction
     count = 0
     for classes, coords in _source_chunks(n):
-        factor_rows = partial(_factor_rows, n=n)
+        factor_rows = _table_rows
         if len(classes) == 2:
-            # the end classes' one factor is K_(n-1), at the sources coords
-            shared = factor_rows(n - 1, coords)
+            # the end classes' one factor is K_(n-1), whose table would be
+            # the largest: its rows are built for just the sources coords
+            u = int(oriented_structure(n - 1).partition.vertex_class[coords[0]])
+            shared = _source_rows(n - 1, u, coords)
             factor_rows = partial(_shared_rows, shared, n - 1, coords)
         for t in classes:
             _check_shuffle(n, t, coords, _shuffle_rows(n, t, coords, factor_rows))

@@ -198,7 +198,7 @@ def _fuzz_fields(data) -> dict:
               "cap": data.draw(st.sampled_from([None, None, 1, 100]))}
     if command == "enumerate":
         fields["fmt"] = data.draw(st.sampled_from(["json", "dot", "csv"]))
-    elif command == "flow":
+    elif command in ("flow", "cut"):
         fields["k"] = data.draw(st.sampled_from([3, 4]))
     elif command == "lattice":
         fields["block"] = data.draw(st.sampled_from([None, -1, 0, 1, 2, 3]))
@@ -341,6 +341,7 @@ def test_flow_cap_exit_code(tmp_path, monkeypatch, capsys, flags, n):
         raise AssertionError("a flip graph was built")
 
     monkeypatch.setattr(cli, "build_flip_graph", no_build)
+    monkeypatch.setattr(cli, "oriented_structure", no_build)
     assert main(["--command", "flow", *flags, "--out", str(tmp_path)]) == EXIT_CAP
     assert f"resource cap: flow n {n} exceeds cap 10" in capsys.readouterr().err
     assert not (tmp_path / "flow_summary.json").exists()
@@ -665,6 +666,46 @@ def test_cut_cap_exit_code(tmp_path, monkeypatch, capsys, flags):
     assert main(["--command", "cut", *flags, "--out", str(tmp_path)]) == EXIT_CAP
     assert "resource cap: cut n 101 exceeds cap 100" in capsys.readouterr().err
     assert not (tmp_path / "cut_summary.json").exists()
+
+
+def test_cut_refuses_k_other_than_3(tmp_path, monkeypatch, capsys):
+    """The shortest-side cut is the triangulations' cut: k = 4 exits 2
+    before any size is cut, and no summary is written."""
+    def no_cut(n):
+        raise AssertionError(f"the n = {n} cut was computed")
+
+    monkeypatch.setattr(cli, "shortest_side_cut", no_cut)
+    assert main(["--command", "cut", "--k", "4", "--n", "4", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "error: cut command requires k = 3" in capsys.readouterr().err
+    assert not (tmp_path / "cut_summary.json").exists()
+
+
+def test_flow_builds_each_flip_graph_once(tmp_path):
+    """`flow --n-range 2..8` builds each flip graph it needs and its oriented
+    partition once, in a fresh interpreter whose builders record the size
+    of what they return: K_2..K_8, and K_1, the factor of K_2's end
+    classes.  The runner reads the graph and the partition from
+    `oriented_structure`, which the flow layer builds anyway."""
+    script = (
+        "import contextlib, io\n"
+        "from flipwalk import decomposition, kangulation\n"
+        "sizes = {}\n"
+        "def counted(module, name, size):\n"
+        "    real = getattr(module, name)\n"
+        "    def call(*args, **kwargs):\n"
+        "        out = real(*args, **kwargs)\n"
+        "        sizes.setdefault(name, []).append(size(out))\n"
+        "        return out\n"
+        "    setattr(module, name, call)\n"
+        "counted(kangulation, 'build_flip_graph', lambda graph: graph.n)\n"
+        "counted(decomposition, 'oriented_partition', lambda part: part.graph.n)\n"
+        "from flipwalk.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['--command', 'flow', '--n-range', '2..8', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(sizes['build_flip_graph']), sorted(sizes['oriented_partition']))\n"
+    )
+    once = list(range(1, 9))
+    assert _python(script).stdout == f"{once} {once}\n"
 
 
 @pytest.mark.parametrize("command", ["enumerate", "analyze", "sample"])

@@ -195,19 +195,21 @@ def test_unit_demands_certified_n10():
 @pytest.mark.parametrize("f", [4, 5])
 def test_unit_demands_catch_a_changed_factor_numerator(monkeypatch, f):
     """One numerator of one factor per-source flow, on K_4 (from the table)
-    or K_5 (built on demand), raised by one: certification must fail."""
-    real = flownet._factor_rows
+    or K_5 (built for the end classes), raised by one: certification must
+    fail."""
+    name = "_table_rows" if f == 4 else "_source_rows"
+    real = getattr(flownet, name)
     changed = []
 
-    def tampered(g, ids, n):
-        rows = real(g, ids, n)
+    def tampered(g, *args):
+        rows = real(g, *args)
         if g == f and not changed and len(rows.num):
             rows.num = rows.num.copy()
             rows.num[0] += 1
             changed.append(g)
         return rows
 
-    monkeypatch.setattr(flownet, "_factor_rows", tampered)
+    monkeypatch.setattr(flownet, name, tampered)
     with pytest.raises(StructureMismatchError, match=r"class \d+ source \d+: shuffle"):
         verify_unit_demands(6)
     assert changed == [f]
@@ -225,11 +227,11 @@ def test_unit_demands_catch_a_changed_block_of_the_shared_pass(monkeypatch, chan
     """At n = 8 the end classes (0, 7) and (7, 0) share each block of K_7
     per-source flows, built on demand.  One numerator raised by one, or
     one row dropped, in the third block: certification must fail."""
-    real = flownet._factor_rows
+    real = flownet._source_rows
     blocks = []
 
-    def tampered(g, ids, n):
-        rows = real(g, ids, n)
+    def tampered(g, t, ids):
+        rows = real(g, t, ids)
         if g == 7:
             blocks.append(len(ids))
             if len(blocks) == 3:
@@ -241,7 +243,7 @@ def test_unit_demands_catch_a_changed_block_of_the_shared_pass(monkeypatch, chan
                     rows = _drop_row(rows, j)
         return rows
 
-    monkeypatch.setattr(flownet, "_factor_rows", tampered)
+    monkeypatch.setattr(flownet, "_source_rows", tampered)
     with pytest.raises(StructureMismatchError, match=r"class [07] source \d+: shuffle"):
         verify_unit_demands(8)
     assert len(blocks) == 3 and blocks[2] > 1
@@ -251,11 +253,43 @@ def test_shared_rows_serve_only_their_own_sources():
     """The end classes' shared K_(n-1) rows are handed out only for the
     factor and sources they were built for."""
     ids = np.array([9, 10])
-    rows = flownet._factor_rows(4, ids, 5)
+    u = int(flownet.oriented_structure(4).partition.vertex_class[9])
+    rows = flownet._source_rows(4, u, ids)
     assert flownet._shared_rows(rows, 4, ids, 4, np.array([9, 10])) is rows
     for f, want in [(3, ids), (4, np.array([9, 11])), (4, np.array([9]))]:
         with pytest.raises(InvalidParameterError, match="shared rows"):
             flownet._shared_rows(rows, 4, ids, f, want)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_per_source_flows_lie_on_their_class_r_dist_support(n):
+    """Every source s of class t routes along exactly the arcs of
+    r_dist(n, t): the same arcs, as many of them.  The per-source tables
+    are sized on this, one row per r_dist arc."""
+    vertex_class = flownet.oriented_structure(n).partition.vertex_class
+    for s in range(catalan(n)):
+        flow, dist = per_source_flow(n, s), r_dist(n, int(vertex_class[s]))
+        assert len(flow.num) == len(dist.num), s
+        assert set(zip(flow.src.tolist(), flow.dst.tolist())) == set(
+            zip(dist.src.tolist(), dist.dst.tolist())), s
+
+
+def test_source_table_refuses_a_miscounted_chunk(monkeypatch):
+    """A chunk of K_5 per-source rows one row short of its r_dist sizing
+    is refused while the table is written."""
+    real = flownet._source_rows
+
+    def short(g, t, ids):
+        rows = real(g, t, ids)
+        return _drop_row(rows, 0) if g == 5 else rows
+
+    flownet._source_table.cache_clear()
+    monkeypatch.setattr(flownet, "_source_rows", short)
+    try:
+        with pytest.raises(StructureMismatchError, match="miscounted"):
+            flownet._source_table(5)
+    finally:
+        flownet._source_table.cache_clear()
 
 
 def test_source_table_traced_peak():

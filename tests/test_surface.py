@@ -9,7 +9,8 @@ included, must be entered; EXCEPTIONS names the few that no command
 enters, each with its reason.  The routines that only tests run live in
 `tests/reference_*.py`, and MOVED names the acceptance routines among them
 with a test that runs each.  No module of the package imports a name at
-top level that it never reads.
+top level that it never reads, and every name that the bench tracer wraps
+resolves.
 
 Run this file as a script (`python tests/test_surface.py OUT_DIR`) to
 print the functions that CONFIGS leave unentered.
@@ -17,6 +18,7 @@ print the functions that CONFIGS leave unentered.
 
 import ast
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -205,6 +207,28 @@ def test_every_top_level_import_is_used():
     unused = [name for path in sorted((SRC / "flipwalk").glob("*.py"))
               for name in _unused_imports(path)]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _resolves(module: str, attr: str) -> bool:
+    owner = importlib.import_module(module)
+    for part in attr.split("."):
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return True
+
+
+def test_bench_trace_targets_resolve():
+    """Each (module, attribute) that bench/trace_cli.py wraps, a dotted
+    attribute naming a method, resolves: the tracer's TARGETS are read,
+    and no wrapper is installed."""
+    path = TESTS.parent / "bench" / "trace_cli.py"
+    spec = importlib.util.spec_from_file_location("trace_cli", path)
+    trace_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_cli)
+    unresolved = [f"{module}.{attr}" for module, attr, *_ in trace_cli.TARGETS
+                  if not _resolves(module, attr)]
+    assert not unresolved, "bench/trace_cli.py wraps missing names: " + ", ".join(unresolved)
 
 
 @pytest.mark.parametrize("name", sorted(MOVED))
